@@ -60,9 +60,10 @@ class RunConfig:
                     self.grid.s):
             if any(v < 0 for v in rng):
                 raise ValueError("ranges must be non-negative")
+        # only lem1 sums p**N terms; witt uses the closed form
         span = max((p ** self.grid.precision for p in self.grid.p_list),
                    default=0)
-        if self.grid.budget < span:
+        if "lem1" in self.ids and self.grid.budget < span:
             raise ValueError(
                 f"budget {self.grid.budget} smaller than the requested "
                 f"p**N sweep of {span} terms")
@@ -265,6 +266,10 @@ def _cmd_verify(args) -> int:
         reports = run_suite(config.ids, config.grid)
     except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not reports:
+        print(f"error: nothing checked: no grid value lies in the domain "
+              f"of {', '.join(sorted(set(config.ids)))}", file=sys.stderr)
         return 2
     _emit_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1

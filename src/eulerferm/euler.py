@@ -8,12 +8,18 @@ The production path for E_n is the triangular recurrence
 obtained by multiplying the generating function 2 e^{a t} / (e^t + 1) through
 by (e^t + 1) / 2 and comparing coefficients. An independent construction by
 truncated exact power-series division of the generating function itself is
-provided (`euler_polys_by_series`) and is used as a cross-check oracle, never
-as the production path.
+provided (`EulerSeries`, `euler_polys_by_series`) and is used as a
+cross-check oracle, never as the production path.
+
+Integer-weighted sums of E_n(a) and E_n(-a) (`euler_sum`) run over the
+integers: each E_n is also kept as integer numerators over the lcm of its
+coefficient denominators, the weighted numerators are added up over one
+common denominator, and that denominator is divided out once at the end.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from math import factorial
@@ -23,10 +29,12 @@ from .polynomial import Polynomial, monomial
 
 __all__ = [
     "EulerCache",
+    "EulerSeries",
     "euler_poly",
     "euler_number",
     "euler_zero",
     "euler_poly_shifted",
+    "euler_sum",
     "bernoulli_poly",
     "alt_power_sum",
     "power_sum",
@@ -35,7 +43,9 @@ __all__ = [
 
 
 class EulerCache:
-    """Append-only memo tables for the polynomial sequences.
+    """Append-only memo tables for the polynomial sequences, and the
+    integer view of E_n (numerators over one denominator) that
+    ``euler_sum`` adds up.
 
     Identity sweeps re-request the same E_n thousands of times, so
     memoization is mandatory. A single lock guards table extension, which
@@ -47,6 +57,7 @@ class EulerCache:
         self._euler: list[Polynomial] = []
         self._bernoulli: list[Polynomial] = []
         self._shifted: dict = {}
+        self._scaled: list[tuple[tuple[int, ...], int]] = []
         self._lock = threading.RLock()
 
     def euler_poly(self, n: int) -> Polynomial:
@@ -86,6 +97,40 @@ class EulerCache:
                 self._shifted[key] = got
             return got
 
+    def euler_scaled(self, n: int) -> tuple[tuple[int, ...], int]:
+        """E_n as (numerators, d): coefficient i of E_n is numerators[i] / d.
+
+        d is the lcm of the coefficient denominators, read from the table
+        entry: for the recurrence's E_n it divides 2**n, but that is not
+        assumed.
+        """
+        with self._lock:
+            while len(self._scaled) <= n:
+                coeffs = self.euler_poly(len(self._scaled)).coeffs
+                d = math.lcm(*(c.denominator for c in coeffs))
+                nums = tuple(c.numerator * (d // c.denominator) for c in coeffs)
+                self._scaled.append((nums, d))
+            return self._scaled[n]
+
+    def euler_sum(self, terms=(), neg_terms=()) -> Polynomial:
+        """sum c E_n(a) over (c, n) in terms + sum c E_n(-a) over neg_terms.
+
+        Weights c are integers. Terms of weight 0 are skipped before E_n is
+        looked up, so a binomial weight C(r, k) = 0 with k > r keeps a
+        negative index out. The numerators are summed as integers over the
+        lcm of the denominators involved, which is divided out once.
+        """
+        parts = [(c, 1, self.euler_scaled(n)) for c, n in terms if c] + \
+            [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]
+        den = math.lcm(*(d for _, _, (_, d) in parts))
+        acc = [0] * max((len(nums) for _, _, (nums, _) in parts), default=0)
+        for c, step, (nums, d) in parts:
+            w = c * (den // d)
+            for i, v in enumerate(nums):
+                acc[i] += w * v
+                w *= step   # in E_n(-a) the sign alternates with the power
+        return Polynomial([Fraction(v, den) for v in acc])
+
     def euler_number(self, n: int) -> int:
         """2**n * E_n(1/2); always an integer (asserted, not assumed)."""
         value = 2 ** n * self.euler_poly(n)(Fraction(1, 2))
@@ -112,6 +157,10 @@ def bernoulli_poly(n: int) -> Polynomial:
 
 def euler_poly_shifted(n: int, u, v) -> Polynomial:
     return _CACHE.euler_poly_shifted(n, u, v)
+
+
+def euler_sum(terms=(), neg_terms=()) -> Polynomial:
+    return _CACHE.euler_sum(terms, neg_terms)
 
 
 def euler_number(n: int) -> int:
@@ -147,22 +196,42 @@ def power_sum(m: int, n: int):
     return sum(j ** n for j in range(1, m + 1))
 
 
-def euler_polys_by_series(count: int) -> list[Polynomial]:
-    """E_0 .. E_{count-1} by truncated exact division of 2 e^{a t} / (e^t + 1).
+class EulerSeries:
+    """E_n by truncated exact division of 2 e^{a t} / (e^t + 1).
 
     Independent of the triangular recurrence: the numerator coefficient of
     t**k is the polynomial 2 a**k / k!, the denominator coefficient is 2 for
     k = 0 and 1 / k! for k >= 1, and the quotient is computed term by term.
-    E_n is n! times the quotient coefficient of t**n.
+    E_n is n! times the quotient coefficient of t**n. One quotient list
+    grows on demand, never past the largest n requested.
     """
+
+    def __init__(self):
+        self._quot: list[Polynomial] = []
+        self._lock = threading.Lock()
+
+    @property
+    def terms(self) -> int:
+        """Number of quotient terms computed so far."""
+        return len(self._quot)
+
+    def euler_poly(self, n: int) -> Polynomial:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        with self._lock:
+            quot = self._quot
+            while len(quot) <= n:
+                k = len(quot)
+                acc = monomial(k, Fraction(2, factorial(k)))
+                for i in range(1, k + 1):
+                    acc = acc - Fraction(1, factorial(i)) * quot[k - i]
+                quot.append(acc * Fraction(1, 2))
+            return factorial(n) * quot[n]
+
+
+def euler_polys_by_series(count: int) -> list[Polynomial]:
+    """E_0 .. E_{count-1} from a fresh `EulerSeries`."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    num = [monomial(k, Fraction(2, factorial(k))) for k in range(count)]
-    den = [Fraction(2)] + [Fraction(1, factorial(k)) for k in range(1, count)]
-    quot: list[Polynomial] = []
-    for k in range(count):
-        acc = num[k]
-        for i in range(1, k + 1):
-            acc = acc - den[i] * quot[k - i]
-        quot.append(acc * Fraction(1, 2))
-    return [factorial(n) * quot[n] for n in range(count)]
+    series = EulerSeries()
+    return [series.euler_poly(n) for n in range(count)]

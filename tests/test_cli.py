@@ -117,9 +117,38 @@ def test_verify_even_prime_exits_2():
 
 
 def test_verify_budget_too_small_exits_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "witt", "--budget", "3")
+    code, _, err = run_cli(capsys, "verify", "lem1", "--budget", "3")
     assert code == 2
     assert "budget" in err
+
+
+def test_verify_budget_applies_only_to_lem1(capsys):
+    # 3**20 exceeds the default budget, but wsp7 sums no p**N terms
+    code, out, _ = run_cli(capsys, "verify", "wsp7", "--p", "3",
+                           "--precision", "20")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "PASS 49/49"
+
+
+def test_verify_empty_selection_exits_2(capsys):
+    # 1/3 is not a 3-adic integer, so witt has nothing to check
+    code, out, err = run_cli(capsys, "verify", "witt", "--points", "1/3",
+                             "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert "nothing checked" in err and "witt" in err
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("fersim3", "--q", "0..2"), 14),
+    (("thm1", "--q", "0..2"), 192),
+    (("thm2", "--s", "0..1"), 144),
+    (("cro0", "--q", "0..2"), 7),
+])
+def test_verify_drops_out_of_domain_values(capsys, argv, count):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == f"PASS {count}/{count}"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

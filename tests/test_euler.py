@@ -12,6 +12,7 @@ import pytest
 
 from eulerferm.euler import (
     EulerCache,
+    EulerSeries,
     alt_power_sum,
     bernoulli_poly,
     euler_number,
@@ -70,6 +71,14 @@ def test_series_division_oracle_agrees_with_recurrence():
     series = euler_polys_by_series(21)
     for n in range(21):
         assert series[n] == euler_poly(n), n
+
+
+def test_series_grows_one_quotient_list():
+    series = EulerSeries()
+    assert series.euler_poly(6) == euler_poly(6)
+    assert series.terms == 7
+    assert series.euler_poly(3) == euler_poly(3)
+    assert series.terms == 7
 
 
 def test_euler_numbers_from_series_oracle():

@@ -16,7 +16,7 @@ from eulerferm.identities import (
     report_to_dict,
     run_suite,
 )
-from eulerferm.euler import euler_zero
+from eulerferm.euler import EulerSeries, euler_zero
 from eulerferm.polynomial import Polynomial
 
 F = Fraction
@@ -266,6 +266,14 @@ def test_run_suite_all_pass_and_deterministic():
     assert [key(r) for r in first] == [key(r) for r in second]
     # canonical ordering: ids ascending
     assert [r.checker for r in first] == sorted(r.checker for r in first)
+
+
+def test_gf_consistency_builds_each_series_term_once(monkeypatch):
+    series = EulerSeries()
+    monkeypatch.setattr(ident, "_SERIES", series)
+    reports = run_suite(["gf_consistency"], SweepGrid(n=tuple(range(10, 21))))
+    assert len(reports) == 11 and all(r.passed for r in reports)
+    assert series.terms == 21
 
 
 def test_run_suite_subset_and_unknown():
