@@ -22,7 +22,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import identities
@@ -40,33 +39,6 @@ from .padic import (
 )
 
 FORMATS = ("text", "json", "csv", "md")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options for a verify run."""
-
-    ids: tuple
-    grid: SweepGrid
-    fmt: str
-
-    def __post_init__(self):
-        for p in self.grid.p_list:
-            if not is_odd_prime(p):
-                raise ValueError(f"p must be an odd prime, got {p}")
-        if self.grid.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.grid.precision}")
-        for rng in (self.grid.m, self.grid.n, self.grid.q, self.grid.k,
-                    self.grid.s):
-            if any(v < 0 for v in rng):
-                raise ValueError("ranges must be non-negative")
-        # only lem1 sums p**N terms; witt uses the closed form
-        span = max((p ** self.grid.precision for p in self.grid.p_list),
-                   default=0)
-        if "lem1" in self.ids and self.grid.budget < span:
-            raise ValueError(
-                f"budget {self.grid.budget} smaller than the requested "
-                f"p**N sweep of {span} terms")
 
 
 def _parse_range(text: str) -> tuple:
@@ -244,33 +216,38 @@ def _emit_reports(reports, fmt: str) -> None:
     print(summary)
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+_GRID_OPTIONS = ("m", "n", "q", "k", "s", "points", "p_list", "precision",
+                 "budget")
+
+
 def _cmd_verify(args) -> int:
-    defaults = SweepGrid()
-    given = lambda value, fallback: fallback if value is None else value
-    grid = SweepGrid(
-        m=given(args.m, defaults.m),
-        n=given(args.n, defaults.n),
-        q=given(args.q, defaults.q),
-        k=given(args.k, defaults.k),
-        s=given(args.s, defaults.s),
-        points=given(args.points, defaults.points),
-        p_list=given(args.p_list, defaults.p_list),
-        precision=given(args.precision, defaults.precision),
-        budget=given(args.budget, defaults.budget),
-    )
+    # each grid option sets the SweepGrid field of the same name
+    grid = SweepGrid(**{field: getattr(args, field) for field in _GRID_OPTIONS
+                        if getattr(args, field) is not None})
     ids = list(args.ids)
     if "all" in ids:
         ids = list(identities.CHECKER_IDS)
+    if grid.precision < 1:
+        return _usage_error(f"precision must be >= 1, got {grid.precision}")
+    if any(v < 0 for v in grid.m + grid.n + grid.q + grid.k + grid.s):
+        return _usage_error("ranges must be non-negative")
+    # only lem1 sums p**N terms; witt uses the closed form
+    span = max(p ** grid.precision for p in grid.p_list)
+    if "lem1" in ids and grid.budget < span:
+        return _usage_error(f"budget {grid.budget} smaller than the requested "
+                            f"p**N sweep of {span} terms")
     try:
-        config = RunConfig(ids=tuple(ids), grid=grid, fmt=args.format)
-        reports = run_suite(config.ids, config.grid)
+        reports = run_suite(ids, grid)
     except (ValueError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if not reports:
-        print(f"error: nothing checked: no grid value lies in the domain "
-              f"of {', '.join(sorted(set(config.ids)))}", file=sys.stderr)
-        return 2
+        return _usage_error(f"nothing checked: no grid value lies in the "
+                            f"domain of {', '.join(sorted(set(ids)))}")
     _emit_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -293,8 +270,7 @@ def _cmd_witt(args) -> int:
                 lambda x: (x + args.a) ** args.n, args.p, args.precision,
                 args.budget)
     except (ValueError, DenominatorNotInvertible, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
     naive_matches = None if naive is None else naive == closed
     passed = defect >= args.precision and naive_matches is not False
@@ -339,20 +315,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "poly":
         if args.n < 0:
-            print("error: n must be >= 0", file=sys.stderr)
-            return 2
+            return _usage_error("n must be >= 0")
         _print_poly(euler_poly(args.n), args.format)
         return 0
     if args.command == "eval":
         if args.n < 0:
-            print("error: n must be >= 0", file=sys.stderr)
-            return 2
+            return _usage_error("n must be >= 0")
         print(format_rational(euler_poly(args.n)(args.a)))
         return 0
     if args.command == "numbers":
         if args.max < 0:
-            print("error: max must be >= 0", file=sys.stderr)
-            return 2
+            return _usage_error("max must be >= 0")
         _print_numbers(args.max, args.format)
         return 0
     if args.command == "verify":

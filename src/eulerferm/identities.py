@@ -1,18 +1,32 @@
 """Mechanical checkers for the Euler-polynomial identity catalog.
 
-Every checker builds both sides of one stated identity exactly and reports
-the residual:
+Every checker is a function registered with ``@checker(cid, gen, kind)``.
+Its body states one identity, builds both sides exactly and returns what
+its kind asks for:
 
-* symbolic mode (the primary route): both sides are expanded as Polynomial
-  objects in the free argument ``a`` (or ``b``), and the residual must be the
-  zero polynomial -- a certificate valid over every commutative ring
-  containing the rationals;
-* pointwise mode (independent oracle): both sides are evaluated at
+* ``"poly"``: ``(lhs, rhs, *lemma_residuals)``, both sides as Polynomial
+  objects in the free argument ``a`` (or ``b``). In symbolic mode (the
+  primary route) the residual lhs - rhs must be the zero polynomial -- a
+  certificate valid over every commutative ring containing the rationals.
+  In pointwise mode (independent oracle) both sides are evaluated at
   degree + 1 distinct rational points 0, 1, -1, 2, -2, ... and every
   difference must vanish, which certifies the same polynomial identity by
-  interpolation without ever forming the residual polynomial;
-* valuation mode: statements that are p-adic limits are reported as a defect
-  v_p(truncation - exact), which must reach the requested precision.
+  interpolation without ever forming the residual polynomial. Lemma
+  residuals are internal sub-checks; they must vanish too, but the reported
+  residual stays the main one.
+* ``"scalar"``: the exact residual of a numeric identity, which must be 0.
+* ``"valuation"``: for statements that are p-adic limits, the defect
+  v_p(truncation - exact), which must reach the ``precision`` parameter.
+
+The body raises ``ValueError`` outside its stated domain; it does no timing
+and builds no report. The driver ``CHECKERS[cid].run(params, mode)`` owns
+the rest: it calls the body with the params, times it, dispatches on the
+mode (scalar and valuation checkers ignore it) and builds the
+``IdentityReport``, whose params are the dict it was given. ``gen(grid)``
+yields those dicts for a suite sweep, skipping grid values outside the
+domain, and ``run_suite`` calls ``run`` once per dict. The decorator
+returns the public ``check_<id>(*args, mode="symbolic")``, which binds its
+arguments by name and calls the same ``run``.
 
 Exact arithmetic stays on the integers where the values are integers. The
 left sides of wsp7, wsp9, thm1, thm2 and thm3 and the right side of wsp7
@@ -30,12 +44,14 @@ and the only inequality is the valuation lower bound.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial
 
 from .euler import (
@@ -123,70 +139,147 @@ def _sample_points(count: int):
     return pts[:count]
 
 
-def _finish_poly(cid, params, lhs: Polynomial, rhs: Polynomial, mode, started,
-                 extra_zero=()):
-    """Close out a polynomial-sided check in symbolic or pointwise mode.
+# ---------------------------------------------------------------------------
+# Registry and sweep grids
+# ---------------------------------------------------------------------------
 
-    ``extra_zero`` holds internal-lemma residuals that must vanish as well
-    (they gate the verdict but the reported residual stays the main one).
+@dataclass(frozen=True)
+class SweepGrid:
+    """Bounded parameter grid for suite runs (defaults: the desk grid)."""
+
+    m: tuple = tuple(range(7))
+    n: tuple = tuple(range(7))
+    q: tuple = (1, 2, 3)
+    k: tuple = (1, 2, 3)
+    s: tuple = (1, 2, 3)
+    points: tuple = (Fraction(0), Fraction(1), Fraction(1, 2),
+                     Fraction(-1), Fraction(-2, 3))
+    p_list: tuple = (3, 5, 7)
+    precision: int = 2
+    budget: int = DEFAULT_BUDGET
+    lem1_count: int = 5
+
+    def __post_init__(self):
+        # a swept point is reported as a Fraction, as in a direct call
+        object.__setattr__(self, "points", tuple(map(Fraction, self.points)))
+
+
+@dataclass(frozen=True)
+class Checker:
+    cid: str
+    run: object           # callable(params: dict, mode: str) -> IdentityReport
+    gen: object           # callable(grid: SweepGrid) -> iterator of params
+
+
+CHECKERS: dict[str, Checker] = {}
+
+# looked up on a body's first direct call, not when it is registered,
+# so that importing the catalog stays cheap
+_signature = lru_cache(maxsize=None)(inspect.signature)
+
+
+def checker(cid: str, gen, kind: str = "poly", rational=(),
+            report_params=None):
+    """Register the decorated body as checker ``cid``; return check_<cid>.
+
+    ``rational`` names the arguments that a direct call converts to
+    Fraction, as a sweep's points already are. ``report_params(**params)``
+    gives the report's params where they are not the body's arguments.
     """
-    lemma_ok = all(not r for r in extra_zero)
-    if mode == "pointwise":
-        degs = [p.degree for p in (lhs, rhs) if p.degree is not None]
-        pts = _sample_points((max(degs) if degs else 0) + 1)
-        diffs = [lhs(t) - rhs(t) for t in pts]
-        residual = next((d for d in diffs if d), Fraction(0))
-        passed = lemma_ok and not any(diffs)
-    elif mode == "symbolic":
-        residual = lhs - rhs
-        passed = lemma_ok and residual.is_zero()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return IdentityReport(cid, params, mode, residual, passed, elapsed)
+    def register(body):
+        def run(params: dict, mode: str) -> IdentityReport:
+            started = time.perf_counter()
+            result = body(**params)
+            if kind == "poly":
+                lhs, rhs, *lemmas = result
+                if mode == "pointwise":
+                    degs = [p.degree for p in (lhs, rhs) if p]
+                    diffs = [lhs(t) - rhs(t)
+                             for t in _sample_points(max(degs, default=0) + 1)]
+                    residual = next((d for d in diffs if d), Fraction(0))
+                    passed = not any(diffs)
+                elif mode == "symbolic":
+                    residual = lhs - rhs
+                    passed = residual.is_zero()
+                else:
+                    raise ValueError(f"unknown mode {mode!r}")
+                passed = passed and not any(lemmas)
+            elif kind == "scalar":
+                mode, residual = "symbolic", Fraction(result)
+                passed = residual == 0
+            else:
+                mode, residual = "valuation", result
+                passed = result >= params["precision"]
+            elapsed = (time.perf_counter() - started) * 1000.0
+            if report_params is not None:
+                params = report_params(**params)
+            return IdentityReport(cid, params, mode, residual, passed, elapsed)
+
+        @wraps(body)
+        def check(*args, mode: str = "symbolic", **kwargs) -> IdentityReport:
+            bound = _signature(body).bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = bound.arguments
+            for name in rational:
+                params[name] = Fraction(params[name])
+            return run(params, mode)
+
+        CHECKERS[cid] = Checker(cid, run, gen)
+        return check
+    return register
 
 
-def _finish_scalar(cid, params, residual, started):
-    residual = Fraction(residual)
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return IdentityReport(cid, params, "symbolic", residual, residual == 0,
-                          elapsed)
+def _grid(*axes, where=None, **renamed):
+    """Sweep over the product of SweepGrid fields, each in ascending order.
+
+    ``axes`` are fields that name their parameter; ``renamed`` maps a
+    parameter to its field (``a="points"``). ``where(**params)`` keeps only
+    the values inside the checker's domain.
+    """
+    names = axes + tuple(renamed)
+    fields = axes + tuple(renamed.values())
+
+    def gen(grid):
+        values = [sorted(set(getattr(grid, f))) for f in fields]
+        for combo in itertools.product(*values):
+            params = dict(zip(names, combo))
+            if where is None or where(**params):
+                yield params
+    return gen
 
 
-def _finish_valuation(cid, params, defect, required: int, started):
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return IdentityReport(cid, params, "valuation", defect,
-                          defect >= required, elapsed)
+_N = _grid("n")
+_MN = _grid("m", "n")
+_MN_POSITIVE = _grid("m", "n", where=lambda m, n: m + n > 0)
+_MN_M_POSITIVE = _grid("m", "n", where=lambda m, n: m >= 1)
+_NK = _grid("n", "k")
 
 
 # ---------------------------------------------------------------------------
 # Generating-function consequences and classical sums
 # ---------------------------------------------------------------------------
 
-def check_reflection(n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("reflection", _N)
+def check_reflection(n: int):
     """E_n(1-a) = (-1)**n E_n(a)."""
-    t0 = time.perf_counter()
-    lhs = euler_poly_shifted(n, -1, 1)
-    rhs = (-1) ** n * euler_poly(n)
-    return _finish_poly("reflection", {"n": n}, lhs, rhs, mode, t0)
+    return euler_poly_shifted(n, -1, 1), (-1) ** n * euler_poly(n)
 
 
-def check_complement(n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("complement", _N)
+def check_complement(n: int):
     """(-1)**n E_n(-a) + E_n(a) = 2 a**n."""
-    t0 = time.perf_counter()
-    lhs = (-1) ** n * euler_poly_shifted(n, -1, 0) + euler_poly(n)
-    rhs = monomial(n, Fraction(2))
-    return _finish_poly("complement", {"n": n}, lhs, rhs, mode, t0)
+    return ((-1) ** n * euler_poly_shifted(n, -1, 0) + euler_poly(n),
+            monomial(n, Fraction(2)))
 
 
-def check_boundary(n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("boundary", _N, "scalar")
+def check_boundary(n: int):
     """E_n(1) = (-1)**n E_n(0), i.e. 1 at n = 0 and -E_n(0) for n >= 1."""
-    t0 = time.perf_counter()
     at_one = euler_poly(n)(Fraction(1))
     at_zero = euler_zero(n)
     r1 = at_one - (-1) ** n * at_zero
     r2 = at_one - 1 if n == 0 else at_one + at_zero
-    return _finish_scalar("boundary", {"n": n}, r1 if r1 else r2, t0)
+    return r1 if r1 else r2
 
 
 _SERIES = EulerSeries()
@@ -196,55 +289,53 @@ def _series_euler(n: int) -> Polynomial:
     return _SERIES.euler_poly(n)
 
 
-def check_gf_consistency(n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("gf_consistency", _N)
+def check_gf_consistency(n: int):
     """Triangular-recurrence E_n equals the power-series-division E_n."""
-    t0 = time.perf_counter()
-    return _finish_poly("gf_consistency", {"n": n}, euler_poly(n),
-                        _series_euler(n), mode, t0)
+    return euler_poly(n), _series_euler(n)
 
 
-def check_euler_alt_sum(m: int, n: int) -> IdentityReport:
+@checker("euler_alt_sum", _MN_M_POSITIVE, "scalar")
+def check_euler_alt_sum(m: int, n: int):
     """sum_{j=0..m} (-1)**j j**n = ((-1)**m E_n(m+1) + E_n(0)) / 2.
 
     The closed form covers the sum from j = 0; its j = 0 term is the empty
     power 0**n, which is 1 exactly when n = 0, so that term is added to the
     direct tail computed by ``alt_power_sum`` (which starts at j = 1).
     """
-    t0 = time.perf_counter()
     direct = (1 if n == 0 else 0) + alt_power_sum(m, n)
     closed = ((-1) ** m * euler_poly(n)(Fraction(m + 1)) + euler_zero(n)) / 2
-    return _finish_scalar("euler_alt_sum", {"m": m, "n": n}, direct - closed, t0)
+    return direct - closed
 
 
-def check_bernoulli_power_sum(m: int, n: int) -> IdentityReport:
+@checker("bernoulli_power_sum", _MN_M_POSITIVE, "scalar")
+def check_bernoulli_power_sum(m: int, n: int):
     """sum_{j=0..m} j**n = (B_{n+1}(m+1) - B_{n+1}(0)) / (n+1).
 
     Same empty-power convention as ``check_euler_alt_sum``: the j = 0 term
     contributes 1 exactly when n = 0.
     """
-    t0 = time.perf_counter()
     direct = (1 if n == 0 else 0) + power_sum(m, n)
     b = bernoulli_poly(n + 1)
-    closed = (b(Fraction(m + 1)) - b(Fraction(0))) / (n + 1)
-    return _finish_scalar("bernoulli_power_sum", {"m": m, "n": n},
-                          direct - closed, t0)
+    return direct - (b(Fraction(m + 1)) - b(Fraction(0))) / (n + 1)
 
 
 # ---------------------------------------------------------------------------
 # Binomial symmetry identities, polynomial in a
 # ---------------------------------------------------------------------------
 
-def check_wsp7(m: int, n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("wsp7", _MN)
+def check_wsp7(m: int, n: int):
     """(-1)**m sum_i C(m,i) E_{n+i}(a) = (-1)**n sum_j C(n,j) E_{m+j}(-a)."""
-    t0 = time.perf_counter()
     lhs = euler_sum([((-1) ** m * binomial(m, i), n + i)
                      for i in range(m + 1)])
     rhs = euler_sum(neg_terms=[((-1) ** n * binomial(n, j), m + j)
                                for j in range(n + 1)])
-    return _finish_poly("wsp7", {"m": m, "n": n}, lhs, rhs, mode, t0)
+    return lhs, rhs
 
 
-def check_wsp9(m: int, n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("wsp9", _MN_POSITIVE)
+def check_wsp9(m: int, n: int):
     """Three-term relation tying the weighted sums to E_{m+n+1}(a) - a**(m+n+1).
 
     Also certifies the sign-rewriting lemma
@@ -253,7 +344,6 @@ def check_wsp9(m: int, n: int, mode: str = "symbolic") -> IdentityReport:
     """
     if m + n <= 0:
         raise ValueError("wsp9 requires m + n > 0")
-    t0 = time.perf_counter()
     lhs = euler_sum(
         [((-1) ** m * binomial(m + 1, i) * (n + i + 1), n + i)
          for i in range(m + 1)],
@@ -265,12 +355,12 @@ def check_wsp9(m: int, n: int, mode: str = "symbolic") -> IdentityReport:
     # the lemma's right side is -rhs
     lemma = euler_sum([((-1) ** m * c, m + n + 1)],
                       [((-1) ** n * c, m + n + 1)]) + rhs
-    return _finish_poly("wsp9", {"m": m, "n": n}, lhs, rhs, mode, t0,
-                        extra_zero=(lemma,))
+    return lhs, rhs, lemma
 
 
-def check_thm1(m: int, n: int, q: int, k: int,
-               mode: str = "symbolic") -> IdentityReport:
+@checker("thm1", _grid("m", "n", "q", "k", where=lambda m, n, q, k:
+                       m + n > 0 and q >= 1 and k % 2 == 1))
+def check_thm1(m: int, n: int, q: int, k: int):
     """Order-k derivative symmetry: for odd k,
 
     (-1)**m sum_{i<=m+q} C(m+q,i) C(n+q+i,k) E_{n+q+i-k}(a)
@@ -284,17 +374,16 @@ def check_thm1(m: int, n: int, q: int, k: int,
     if k < 1 or q < 1 or m < 0 or n < 0 or m + n <= 0:
         raise ValueError(f"thm1 needs m+n > 0, q >= 1, odd k >= 1; "
                          f"got (m={m}, n={n}, q={q}, k={k})")
-    t0 = time.perf_counter()
     lhs = euler_sum(
         [((-1) ** m * binomial(m + q, i) * binomial(n + q + i, k),
           n + q + i - k) for i in range(m + q + 1)],
         [((-1) ** n * binomial(n + q, j) * binomial(m + q + j, k),
           m + q + j - k) for j in range(n + q + 1)])
-    return _finish_poly("thm1", {"m": m, "n": n, "q": q, "k": k}, lhs,
-                        Polynomial(), mode, t0)
+    return lhs, Polynomial()
 
 
-def check_cro0(n: int, q: int) -> IdentityReport:
+@checker("cro0", _grid("n", "q", where=lambda n, q: q % 2 == 1), "scalar")
+def check_cro0(n: int, q: int):
     """sum_i C(n+q,i) (n+q+i)(n+q+i-1)...(n+i+1) E_{n+i}(0) = 0 for odd q.
 
     The symmetric specialization (both summation weights equal) of the
@@ -305,36 +394,33 @@ def check_cro0(n: int, q: int) -> IdentityReport:
         raise ValueError(f"cro0 requires odd q >= 1, got {q}")
     if n < 0:
         raise ValueError(f"cro0 requires n >= 0, got {n}")
-    t0 = time.perf_counter()
     total = Fraction(0)
     for i in range(n + q + 1):
         total += binomial(n + q, i) * falling_factorial(n + q + i, q) \
             * euler_zero(n + i)
-    return _finish_scalar("cro0", {"n": n, "q": q}, total, t0)
+    return total
 
 
-def check_cro1(m: int, n: int) -> IdentityReport:
+@checker("cro1", _MN_POSITIVE, "scalar")
+def check_cro1(m: int, n: int):
     """sum_i C(m+1,i)(n+i+1)E_{n+i}(0)
     + (-1)**(m+n) sum_j C(n+1,j)(m+j+1)E_{m+j}(0) = 0."""
     if m + n <= 0:
         raise ValueError("cro1 requires m + n > 0")
-    t0 = time.perf_counter()
     first = sum(binomial(m + 1, i) * (n + i + 1) * euler_zero(n + i)
                 for i in range(m + 2))
     second = sum(binomial(n + 1, j) * (m + j + 1) * euler_zero(m + j)
                  for j in range(n + 2))
-    return _finish_scalar("cro1", {"m": m, "n": n},
-                          first + (-1) ** (m + n) * second, t0)
+    return first + (-1) ** (m + n) * second
 
 
-def check_cro2(n: int) -> IdentityReport:
+@checker("cro2", _N, "scalar")
+def check_cro2(n: int):
     """sum_{j<=n+1} C(n+1,j)(n+j+1)E_{n+j}(0) = 0."""
     if n < 0:
         raise ValueError(f"cro2 requires n >= 0, got {n}")
-    t0 = time.perf_counter()
-    total = sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
-                for j in range(n + 2))
-    return _finish_scalar("cro2", {"n": n}, total, t0)
+    return sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
+               for j in range(n + 2))
 
 
 def euler_zero_via_recurrence(n: int) -> Fraction:
@@ -347,43 +433,38 @@ def euler_zero_via_recurrence(n: int) -> Fraction:
     return Fraction(-1, 2 * (n + 1)) * total
 
 
-def check_recurrence_odd(n: int) -> IdentityReport:
+@checker("recurrence_odd", _N, "scalar")
+def check_recurrence_odd(n: int):
     """The recurrence value agrees with the directly generated E_{2n+1}(0)."""
-    t0 = time.perf_counter()
-    residual = euler_zero_via_recurrence(n) - euler_zero(2 * n + 1)
-    return _finish_scalar("recurrence_odd", {"n": n}, residual, t0)
+    return euler_zero_via_recurrence(n) - euler_zero(2 * n + 1)
 
 
-def check_sun(m: int, n: int, a, mode: str = "symbolic") -> IdentityReport:
+@checker("sun", _grid("m", "n", a="points"), rational=("a",))
+def check_sun(m: int, n: int, a: Fraction):
     """Three-parameter symmetry, symbolic in b with c = 1 - a - b:
 
     (-1)**m sum_i C(m,i) a**(m-i) E_{n+i}(b)
       = (-1)**n sum_j C(n,j) a**(n-j) E_{m+j}(c).
     """
-    t0 = time.perf_counter()
-    a = Fraction(a)
     lhs = Polynomial()
     for i in range(m + 1):
         lhs = lhs + binomial(m, i) * a ** (m - i) * euler_poly(n + i)
-    lhs = (-1) ** m * lhs
     rhs = Polynomial()
     for j in range(n + 1):
         rhs = rhs + binomial(n, j) * a ** (n - j) \
             * euler_poly_shifted(m + j, -1, 1 - a)
-    rhs = (-1) ** n * rhs
-    return _finish_poly("sun", {"m": m, "n": n, "a": a}, lhs, rhs, mode, t0)
+    return (-1) ** m * lhs, (-1) ** n * rhs
 
 
-def check_sun_cor(m: int, n: int) -> IdentityReport:
+@checker("sun_cor", _MN, "scalar")
+def check_sun_cor(m: int, n: int):
     """(-1)**m sum_i C(m,i) E_{n+i} / 2**(n+i)
     = (-1)**n sum_j C(n,j) E_{m+j}(-1/2), with E_k the Euler numbers."""
-    t0 = time.perf_counter()
     lhs = sum(binomial(m, i) * Fraction(euler_number(n + i), 2 ** (n + i))
               for i in range(m + 1))
     rhs = sum(binomial(n, j) * euler_poly(m + j)(Fraction(-1, 2))
               for j in range(n + 1))
-    residual = (-1) ** m * lhs - (-1) ** n * rhs
-    return _finish_scalar("sun_cor", {"m": m, "n": n}, residual, t0)
+    return (-1) ** m * lhs - (-1) ** n * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +490,9 @@ def _pivot_poly(m: int, n: int, s: int) -> Polynomial:
         + (-1) ** (m + n) * (x_minus_a ** (n + 1) * x_minus_a_s ** (m + 1))
 
 
-def check_thm2(m: int, n: int, s: int, k: int,
-               mode: str = "symbolic") -> IdentityReport:
+@checker("thm2", _grid("m", "n", "s", "k",
+                       where=lambda m, n, s, k: m + n > 0 and s >= 1))
+def check_thm2(m: int, n: int, s: int, k: int):
     """Parity-selected order-k symmetry against the pivot polynomial:
 
     delta * (sum_i (s+1)**(m-i+1) C(m+1,i) C(n+i+1,k) E_{n+i-k+1}(a)
@@ -425,7 +507,6 @@ def check_thm2(m: int, n: int, s: int, k: int,
         raise ValueError("thm2 requires m + n > 0")
     if s < 1 or k < 0:
         raise ValueError(f"thm2 requires s >= 1, k >= 0, got (s={s}, k={k})")
-    t0 = time.perf_counter()
     delta = (-1) ** s - (-1) ** k
     lhs = euler_sum(
         [(delta * binomial(m + 1, i) * binomial(n + i + 1, k)
@@ -436,12 +517,11 @@ def check_thm2(m: int, n: int, s: int, k: int,
     rhs = Polynomial()
     for l in range(1, s + 1):
         rhs = rhs + (-1) ** l * deriv(l)
-    rhs = Fraction(2, factorial(k)) * rhs
-    return _finish_poly("thm2", {"m": m, "n": n, "s": s, "k": k}, lhs, rhs,
-                        mode, t0)
+    return lhs, Fraction(2, factorial(k)) * rhs
 
 
-def check_thm2_cro1(n: int, k: int) -> IdentityReport:
+@checker("thm2_cro1", _NK, "scalar")
+def check_thm2_cro1(n: int, k: int):
     """Specialized alternating dyadic sums (symmetric case, unit shift, at 0):
 
     k odd:  sum_i ((-1)**i / 2**i) C(n+1,i) C(n+i+1,k) = 0;
@@ -449,7 +529,6 @@ def check_thm2_cro1(n: int, k: int) -> IdentityReport:
     """
     if n < 0 or k < 0:
         raise ValueError(f"thm2_cro1 requires n, k >= 0, got ({n}, {k})")
-    t0 = time.perf_counter()
     total = Fraction(0)
     for i in range(n + 2):
         c = binomial(n + 1, i) * binomial(n + i + 1, k)
@@ -460,10 +539,11 @@ def check_thm2_cro1(n: int, k: int) -> IdentityReport:
             total += w
         else:
             total += w * ((-1) ** i * euler_zero(n + i - k + 1) + (-1) ** n)
-    return _finish_scalar("thm2_cro1", {"n": n, "k": k}, total, t0)
+    return total
 
 
-def check_thm2_cro2(n: int, k: int) -> IdentityReport:
+@checker("thm2_cro2", _NK, "scalar")
+def check_thm2_cro2(n: int, k: int):
     """Specialized ternary sums (symmetric case, double shift, at 0):
 
     k odd:  weights (-1)**i 3**(n-i+1) C(n+1,i) C(n+i+1,k) against
@@ -472,7 +552,6 @@ def check_thm2_cro2(n: int, k: int) -> IdentityReport:
     """
     if n < 0 or k < 0:
         raise ValueError(f"thm2_cro2 requires n, k >= 0, got ({n}, {k})")
-    t0 = time.perf_counter()
     total = Fraction(0)
     for i in range(n + 2):
         c = binomial(n + 1, i) * binomial(n + i + 1, k)
@@ -484,14 +563,37 @@ def check_thm2_cro2(n: int, k: int) -> IdentityReport:
             total += w * ((-1) ** i * euler_zero(n + i - k + 1) + (-1) ** n * pow2)
         else:
             total += w * pow2
-    return _finish_scalar("thm2_cro2", {"n": n, "k": k}, total, t0)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Parity-filtered identities
 # ---------------------------------------------------------------------------
 
-def check_thm3(m: int, k: int, mode: str = "symbolic") -> IdentityReport:
+# k (and l, j) are structurally bounded by m, so they sweep their full
+# stated range rather than a grid axis.
+
+def _gen_mk(grid):
+    return ({"m": m, "k": k} for m in sorted(set(grid.m))
+            for k in range(m + 1))
+
+
+def _gen_mk_below(grid):
+    return ({"m": m, "k": k} for m in sorted(set(grid.m)) for k in range(m))
+
+
+def _gen_mkl(grid):
+    return ({"m": m, "k": k, "l": l} for m in sorted(set(grid.m))
+            for k in range(m) for l in range(m - k))
+
+
+def _gen_mkj(grid):
+    return ({"m": m, "k": k, "j": j} for m in sorted(set(grid.m))
+            for j in range(1, m + 1) for k in range(m + 1))
+
+
+@checker("thm3", _gen_mk)
+def check_thm3(m: int, k: int):
     """Parity-filtered expansion, 0 <= k <= m:
 
     sum_{i: m+i even} C(m,i) C(m+i,k) E_{m+i-k}(a)
@@ -499,7 +601,6 @@ def check_thm3(m: int, k: int, mode: str = "symbolic") -> IdentityReport:
     """
     if not 0 <= k <= m:
         raise ValueError(f"thm3 requires 0 <= k <= m, got (m={m}, k={k})")
-    t0 = time.perf_counter()
     lhs = euler_sum([(binomial(m, i) * binomial(m + i, k), m + i - k)
                      for i in range(m + 1) if (m + i) % 2 == 0])
     rhs = Polynomial()
@@ -507,115 +608,109 @@ def check_thm3(m: int, k: int, mode: str = "symbolic") -> IdentityReport:
         rhs = rhs + monomial(m + j - k,
                              Fraction((-1) ** (m + j)
                                       * binomial(m, j) * binomial(m + j, k)))
-    return _finish_poly("thm3", {"m": m, "k": k}, lhs, rhs, mode, t0)
+    return lhs, rhs
 
 
-def check_thm3_1(part: int, m: int, k: int, aux: int = 0) -> IdentityReport:
-    """Four numeric consequences of the parity-filtered expansion at 0.
-
-    part 1 (0 <= k <= m):     parity sum of C(m,i)C(m+i,k)C(m+i-k,m-k)E_i(0)
-                              equals (-1)**m C(m,k);
-    part 2 (0 <= k <= m-1):   ... C(m+i-k, m-k-1) E_{i+1}(0) sums to 0;
-    part 3 (aux = l,
-            0 <= l <= m-k-1): ... C(m+i-k, l) E_{m+i-k-l}(0) sums to 0;
-    part 4 (aux = j, 1 <= j <= m, 0 <= k <= m):
-                              tail sum from i = j with C(m+i-k, m+j-k)
-                              E_{i-j}(0) equals (-1)**(m+j) C(m,j) C(m+j,k).
-    """
-    t0 = time.perf_counter()
-    if part == 1:
-        if not 0 <= k <= m:
-            raise ValueError(f"part 1 requires 0 <= k <= m, got (m={m}, k={k})")
-        lhs = sum(binomial(m, i) * binomial(m + i, k)
-                  * binomial(m + i - k, m - k) * euler_zero(i)
-                  for i in range(m + 1) if (m + i) % 2 == 0)
-        rhs = (-1) ** m * binomial(m, k)
-        params = {"m": m, "k": k}
-        cid = "thm3_1a"
-    elif part == 2:
-        if not 0 <= k <= m - 1:
-            raise ValueError(f"part 2 requires 0 <= k <= m-1, got (m={m}, k={k})")
-        lhs = sum(binomial(m, i) * binomial(m + i, k)
-                  * binomial(m + i - k, m - k - 1) * euler_zero(i + 1)
-                  for i in range(m + 1) if (m + i) % 2 == 0)
-        rhs = 0
-        params = {"m": m, "k": k}
-        cid = "thm3_1b"
-    elif part == 3:
-        if not (0 <= k and 0 <= aux <= m - k - 1):
-            raise ValueError(
-                f"part 3 requires 0 <= l <= m-k-1, got (m={m}, k={k}, l={aux})")
-        lhs = sum(binomial(m, i) * binomial(m + i, k)
-                  * binomial(m + i - k, aux) * euler_zero(m + i - k - aux)
-                  for i in range(m + 1) if (m + i) % 2 == 0)
-        rhs = 0
-        params = {"m": m, "k": k, "l": aux}
-        cid = "thm3_1c"
-    elif part == 4:
-        if not (1 <= aux <= m and 0 <= k <= m):
-            raise ValueError(
-                f"part 4 requires 1 <= j <= m, 0 <= k <= m, "
-                f"got (m={m}, k={k}, j={aux})")
-        lhs = sum(binomial(m, i) * binomial(m + i, k)
-                  * binomial(m + i - k, m + aux - k) * euler_zero(i - aux)
-                  for i in range(aux, m + 1) if (m + i) % 2 == 0)
-        rhs = (-1) ** (m + aux) * binomial(m, aux) * binomial(m + aux, k)
-        params = {"m": m, "k": k, "j": aux}
-        cid = "thm3_1d"
-    else:
-        raise ValueError(f"part must be 1..4, got {part}")
-    return _finish_scalar(cid, params, Fraction(lhs) - rhs, t0)
+def _thm3_1_sum(m: int, k: int, top: int, shift: int, start: int = 0):
+    """The parity sum of thm3 read off at 0: over start <= i <= m with m+i
+    even, sum C(m,i) C(m+i,k) C(m+i-k,top) E_{i+shift}(0)."""
+    return sum(binomial(m, i) * binomial(m + i, k) * binomial(m + i - k, top)
+               * euler_zero(i + shift)
+               for i in range(start, m + 1) if (m + i) % 2 == 0)
 
 
-def check_rem2_1(m: int) -> IdentityReport:
+@checker("thm3_1a", _gen_mk, "scalar")
+def check_thm3_1a(m: int, k: int):
+    """0 <= k <= m: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m-k)E_i(0)
+    = (-1)**m C(m,k)."""
+    if not 0 <= k <= m:
+        raise ValueError(f"thm3_1a requires 0 <= k <= m, got (m={m}, k={k})")
+    return _thm3_1_sum(m, k, m - k, 0) - (-1) ** m * binomial(m, k)
+
+
+@checker("thm3_1b", _gen_mk_below, "scalar")
+def check_thm3_1b(m: int, k: int):
+    """0 <= k <= m-1: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m-k-1)E_{i+1}(0)
+    = 0."""
+    if not 0 <= k <= m - 1:
+        raise ValueError(
+            f"thm3_1b requires 0 <= k <= m-1, got (m={m}, k={k})")
+    return _thm3_1_sum(m, k, m - k - 1, 1)
+
+
+@checker("thm3_1c", _gen_mkl, "scalar")
+def check_thm3_1c(m: int, k: int, l: int):
+    """0 <= l <= m-k-1: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,l)
+    E_{m+i-k-l}(0) = 0."""
+    if not (0 <= k and 0 <= l <= m - k - 1):
+        raise ValueError(
+            f"thm3_1c requires 0 <= l <= m-k-1, got (m={m}, k={k}, l={l})")
+    return _thm3_1_sum(m, k, l, m - k - l)
+
+
+@checker("thm3_1d", _gen_mkj, "scalar")
+def check_thm3_1d(m: int, k: int, j: int):
+    """1 <= j <= m, 0 <= k <= m: the tail sum from i = j,
+    sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m+j-k)E_{i-j}(0),
+    equals (-1)**(m+j) C(m,j) C(m+j,k)."""
+    if not (1 <= j <= m and 0 <= k <= m):
+        raise ValueError(f"thm3_1d requires 1 <= j <= m, 0 <= k <= m, "
+                         f"got (m={m}, k={k}, j={j})")
+    return (_thm3_1_sum(m, k, m + j - k, -j, start=j)
+            - (-1) ** (m + j) * binomial(m, j) * binomial(m + j, k))
+
+
+@checker("rem2_1", _grid("m", where=lambda m: m >= 3), "scalar")
+def check_rem2_1(m: int):
     """sum_i C(m,i)(m+i)(m+i-1)(m+i-2) E_{m+i-3}(0) = 0 for m >= 3."""
     if m < 3:
         raise ValueError(f"rem2_1 requires m >= 3, got {m}")
-    t0 = time.perf_counter()
-    total = sum(binomial(m, i) * falling_factorial(m + i, 3)
-                * euler_zero(m + i - 3) for i in range(m + 1))
-    return _finish_scalar("rem2_1", {"m": m}, total, t0)
+    return sum(binomial(m, i) * falling_factorial(m + i, 3)
+               * euler_zero(m + i - 3) for i in range(m + 1))
 
 
 # ---------------------------------------------------------------------------
 # Functional-equation identities
 # ---------------------------------------------------------------------------
 
-def check_fersim(n: int, mode: str = "symbolic") -> IdentityReport:
+@checker("fersim", _N)
+def check_fersim(n: int):
     """E_n(a+1) + E_n(a) = 2 a**n."""
-    t0 = time.perf_counter()
-    lhs = euler_poly_shifted(n, 1, 1) + euler_poly(n)
-    rhs = monomial(n, Fraction(2))
-    return _finish_poly("fersim", {"n": n}, lhs, rhs, mode, t0)
+    return (euler_poly_shifted(n, 1, 1) + euler_poly(n),
+            monomial(n, Fraction(2)))
 
 
-def check_fersim3(n: int, q: int, mode: str = "symbolic") -> IdentityReport:
+@checker("fersim3", _grid("n", "q", where=lambda n, q: q >= 1))
+def check_fersim3(n: int, q: int):
     """Telescoped functional equation:
     (-1)**(q-1) E_n(a+q) + E_n(a) = 2 sum_{i<q} (-1)**i (a+i)**n."""
     if q < 1:
         raise ValueError(f"fersim3 requires q >= 1, got {q}")
-    t0 = time.perf_counter()
     lhs = (-1) ** (q - 1) * euler_poly_shifted(n, 1, q) + euler_poly(n)
     rhs = Polynomial()
     for i in range(q):
         rhs = rhs + (-1) ** i * monomial(n, Fraction(1)).compose_affine(
             Fraction(1), Fraction(i))
-    rhs = 2 * rhs
-    return _finish_poly("fersim3", {"n": n, "q": q}, lhs, rhs, mode, t0)
+    return lhs, 2 * rhs
 
 
 # ---------------------------------------------------------------------------
 # Valuation certificates
 # ---------------------------------------------------------------------------
 
-def check_witt(n: int, a, p: int, precision: int) -> IdentityReport:
+def _gen_witt(grid):
+    # only p-integral shifts have a fermionic sum
+    for p in sorted(set(grid.p_list)):
+        for n in sorted(set(grid.n)):
+            for a in sorted(set(grid.points)):
+                if a.denominator % p != 0:
+                    yield {"n": n, "a": a, "p": p, "precision": grid.precision}
+
+
+@checker("witt", _gen_witt, "valuation", rational=("a",))
+def check_witt(n: int, a: Fraction, p: int, precision: int):
     """v_p(closed truncation at p**N - E_n(a)) >= N."""
-    t0 = time.perf_counter()
-    a = Fraction(a)
-    defect = witt_defect(n, a, p, precision)
-    return _finish_valuation(
-        "witt", {"n": n, "a": a, "p": p, "precision": precision},
-        defect, precision, t0)
+    return witt_defect(n, a, p, precision)
 
 
 def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
@@ -629,219 +724,33 @@ def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def check_lem1(f: Polynomial, p: int, precision: int,
-               budget: int = DEFAULT_BUDGET, index=None) -> IdentityReport:
-    """Reflection/shift functional-equation defect >= N for one polynomial."""
-    t0 = time.perf_counter()
-    defect = lem1_defect(f, p, precision, budget)
+def _gen_lem1(grid):
+    for p in sorted(set(grid.p_list)):
+        for index in range(grid.lem1_count):
+            yield {"f": _lem1_poly(p, index), "p": p,
+                   "precision": grid.precision, "budget": grid.budget,
+                   "index": index}
+
+
+def _lem1_params(f, p, precision, budget, index):
+    # the polynomial is reported by its coefficients; the budget is not
     params = {"p": p, "precision": precision, "poly": f.to_coeff_strings()}
     if index is not None:
         params["index"] = index
-    return _finish_valuation("lem1", params, defect, precision, t0)
+    return params
 
 
-def check_lem1_indexed(p: int, precision: int, index: int,
-                       budget: int = DEFAULT_BUDGET) -> IdentityReport:
-    return check_lem1(_lem1_poly(p, index), p, precision, budget, index=index)
+@checker("lem1", _gen_lem1, "valuation", report_params=_lem1_params)
+def check_lem1(f: Polynomial, p: int, precision: int,
+               budget: int = DEFAULT_BUDGET, index=None):
+    """Reflection/shift functional-equation defect >= N for one polynomial;
+    ``index`` numbers the suite's pseudo-random polynomials."""
+    return lem1_defect(f, p, precision, budget)
 
 
 # ---------------------------------------------------------------------------
 # Suite driver
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Bounded parameter grid for suite runs (defaults: the desk grid)."""
-
-    m: tuple = tuple(range(7))
-    n: tuple = tuple(range(7))
-    q: tuple = (1, 2, 3)
-    k: tuple = (1, 2, 3)
-    s: tuple = (1, 2, 3)
-    points: tuple = (Fraction(0), Fraction(1), Fraction(1, 2),
-                     Fraction(-1), Fraction(-2, 3))
-    p_list: tuple = (3, 5, 7)
-    precision: int = 2
-    budget: int = DEFAULT_BUDGET
-    lem1_count: int = 5
-
-
-def _gen_n(grid):
-    for n in sorted(set(grid.n)):
-        yield {"n": n}
-
-
-def _gen_mn(grid, positive_sum=False, min_m=0):
-    for m in sorted(set(grid.m)):
-        if m < min_m:
-            continue
-        for n in sorted(set(grid.n)):
-            if positive_sum and m + n <= 0:
-                continue
-            yield {"m": m, "n": n}
-
-
-def _gen_thm1(grid):
-    for base in _gen_mn(grid, positive_sum=True):
-        for q in sorted(set(grid.q)):
-            if q < 1:
-                continue
-            for k in sorted(set(grid.k)):
-                if k % 2 == 1:
-                    yield {**base, "q": q, "k": k}
-
-
-def _gen_cro0(grid):
-    for n in sorted(set(grid.n)):
-        for q in sorted(set(grid.q)):
-            if q % 2 == 1:
-                yield {"n": n, "q": q}
-
-
-def _gen_sun(grid):
-    for base in _gen_mn(grid):
-        for a in sorted(set(grid.points)):
-            yield {**base, "a": a}
-
-
-def _gen_thm2(grid):
-    for base in _gen_mn(grid, positive_sum=True):
-        for s in sorted(set(grid.s)):
-            if s < 1:
-                continue
-            for k in sorted(set(grid.k)):
-                yield {**base, "s": s, "k": k}
-
-
-def _gen_nk(grid):
-    for n in sorted(set(grid.n)):
-        for k in sorted(set(grid.k)):
-            yield {"n": n, "k": k}
-
-
-def _gen_thm3(grid):
-    # k is structurally bounded by m, so it sweeps its full stated range.
-    for m in sorted(set(grid.m)):
-        for k in range(m + 1):
-            yield {"m": m, "k": k}
-
-
-def _gen_thm3_1(part):
-    def gen(grid):
-        for m in sorted(set(grid.m)):
-            if part == 1:
-                for k in range(m + 1):
-                    yield {"part": 1, "m": m, "k": k}
-            elif part == 2:
-                for k in range(m):
-                    yield {"part": 2, "m": m, "k": k}
-            elif part == 3:
-                for k in range(m):
-                    for l in range(m - k):
-                        yield {"part": 3, "m": m, "k": k, "aux": l}
-            else:
-                for j in range(1, m + 1):
-                    for k in range(m + 1):
-                        yield {"part": 4, "m": m, "k": k, "aux": j}
-    return gen
-
-
-def _gen_rem2_1(grid):
-    for m in sorted(set(grid.m)):
-        if m >= 3:
-            yield {"m": m}
-
-
-def _gen_fersim3(grid):
-    for n in sorted(set(grid.n)):
-        for q in sorted(set(grid.q)):
-            if q >= 1:
-                yield {"n": n, "q": q}
-
-
-def _gen_witt(grid):
-    for p in sorted(set(grid.p_list)):
-        for n in sorted(set(grid.n)):
-            for a in sorted(set(grid.points)):
-                if Fraction(a).denominator % p != 0:
-                    yield {"n": n, "a": a, "p": p, "precision": grid.precision}
-
-
-def _gen_lem1(grid):
-    for p in sorted(set(grid.p_list)):
-        for index in range(grid.lem1_count):
-            yield {"p": p, "precision": grid.precision, "index": index,
-                   "budget": grid.budget}
-
-
-@dataclass(frozen=True)
-class Checker:
-    cid: str
-    run: object           # callable(params: dict, mode: str) -> IdentityReport
-    gen: object           # callable(grid: SweepGrid) -> iterator of params
-    symbolic: bool = True  # supports symbolic/pointwise duality
-
-
-def _poly_runner(fn):
-    return lambda params, mode: fn(**params, mode=mode)
-
-
-def _scalar_runner(fn):
-    return lambda params, mode: fn(**params)
-
-
-CHECKERS = {
-    "reflection": Checker("reflection", _poly_runner(check_reflection), _gen_n),
-    "complement": Checker("complement", _poly_runner(check_complement), _gen_n),
-    "boundary": Checker("boundary", _scalar_runner(check_boundary), _gen_n,
-                        symbolic=False),
-    "gf_consistency": Checker("gf_consistency",
-                              _poly_runner(check_gf_consistency), _gen_n),
-    "euler_alt_sum": Checker("euler_alt_sum",
-                             _scalar_runner(check_euler_alt_sum),
-                             lambda g: _gen_mn(g, min_m=1), symbolic=False),
-    "bernoulli_power_sum": Checker("bernoulli_power_sum",
-                                   _scalar_runner(check_bernoulli_power_sum),
-                                   lambda g: _gen_mn(g, min_m=1),
-                                   symbolic=False),
-    "wsp7": Checker("wsp7", _poly_runner(check_wsp7), _gen_mn),
-    "wsp9": Checker("wsp9", _poly_runner(check_wsp9),
-                    lambda g: _gen_mn(g, positive_sum=True)),
-    "thm1": Checker("thm1", _poly_runner(check_thm1), _gen_thm1),
-    "cro0": Checker("cro0", _scalar_runner(check_cro0), _gen_cro0,
-                    symbolic=False),
-    "cro1": Checker("cro1", _scalar_runner(check_cro1),
-                    lambda g: _gen_mn(g, positive_sum=True), symbolic=False),
-    "cro2": Checker("cro2", _scalar_runner(check_cro2), _gen_n, symbolic=False),
-    "recurrence_odd": Checker("recurrence_odd",
-                              _scalar_runner(check_recurrence_odd), _gen_n,
-                              symbolic=False),
-    "sun": Checker("sun", _poly_runner(check_sun), _gen_sun),
-    "sun_cor": Checker("sun_cor", _scalar_runner(check_sun_cor), _gen_mn,
-                       symbolic=False),
-    "thm2": Checker("thm2", _poly_runner(check_thm2), _gen_thm2),
-    "thm2_cro1": Checker("thm2_cro1", _scalar_runner(check_thm2_cro1),
-                         _gen_nk, symbolic=False),
-    "thm2_cro2": Checker("thm2_cro2", _scalar_runner(check_thm2_cro2),
-                         _gen_nk, symbolic=False),
-    "thm3": Checker("thm3", _poly_runner(check_thm3), _gen_thm3),
-    "thm3_1a": Checker("thm3_1a", _scalar_runner(check_thm3_1),
-                       _gen_thm3_1(1), symbolic=False),
-    "thm3_1b": Checker("thm3_1b", _scalar_runner(check_thm3_1),
-                       _gen_thm3_1(2), symbolic=False),
-    "thm3_1c": Checker("thm3_1c", _scalar_runner(check_thm3_1),
-                       _gen_thm3_1(3), symbolic=False),
-    "thm3_1d": Checker("thm3_1d", _scalar_runner(check_thm3_1),
-                       _gen_thm3_1(4), symbolic=False),
-    "rem2_1": Checker("rem2_1", _scalar_runner(check_rem2_1), _gen_rem2_1,
-                      symbolic=False),
-    "fersim": Checker("fersim", _poly_runner(check_fersim), _gen_n),
-    "fersim3": Checker("fersim3", _poly_runner(check_fersim3), _gen_fersim3),
-    "witt": Checker("witt", _scalar_runner(check_witt), _gen_witt,
-                    symbolic=False),
-    "lem1": Checker("lem1", _scalar_runner(check_lem1_indexed), _gen_lem1,
-                    symbolic=False),
-}
 
 CHECKER_IDS = tuple(CHECKERS)
 
@@ -865,9 +774,7 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
         raise ValueError(f"unknown checker id(s): {', '.join(sorted(unknown))}")
     reports: list[IdentityReport] = []
     for cid in sorted(set(ids)):
-        checker = CHECKERS[cid]
-        use_mode = mode if checker.symbolic else "symbolic"
-        for params in checker.gen(grid):
-            reports.append(checker.run(params, use_mode))
-    reports.sort(key=lambda r: r.checker)
+        entry = CHECKERS[cid]
+        for params in entry.gen(grid):
+            reports.append(entry.run(params, mode))
     return reports

@@ -126,14 +126,14 @@ def test_criterion_3_identity_suite_symbolic():
     for m in range(11):
         for k in range(m + 1):
             need(ident.check_thm3(m, k))
-            need(ident.check_thm3_1(1, m, k))
+            need(ident.check_thm3_1a(m, k))
         for k in range(m):
-            need(ident.check_thm3_1(2, m, k))
+            need(ident.check_thm3_1b(m, k))
             for l in range(m - k):
-                need(ident.check_thm3_1(3, m, k, aux=l))
+                need(ident.check_thm3_1c(m, k, l))
         for j in range(1, m + 1):
             for k in range(m + 1):
-                need(ident.check_thm3_1(4, m, k, aux=j))
+                need(ident.check_thm3_1d(m, k, j))
     for m in range(3, 16):
         need(ident.check_rem2_1(m))
 
@@ -154,7 +154,7 @@ def test_criterion_4_specialization_cross_links():
             ok &= (ident.check_sun(m, n, F(1)).residual ==
                    ident.check_wsp7(m, n).residual)
     for m in range(2, 16):
-        ok &= (ident.check_thm3_1(3, m, 0, aux=1).passed ==
+        ok &= (ident.check_thm3_1c(m, 0, 1).passed ==
                ident.check_cro2(m).passed)
     elapsed = time.perf_counter() - started
     _verdict("criterion-4 specialization cross-links", ok,

@@ -70,8 +70,8 @@ def test_thm3_hand_case():
 
 
 def test_thm3_1_hand_case():
-    # part 1, (1,0): single term 2*E_1(0) = -1 = (-1)^1 C(1,0)
-    assert ident.check_thm3_1(1, 1, 0).residual == 0
+    # thm3_1a, (1,0): single term 2*E_1(0) = -1 = (-1)^1 C(1,0)
+    assert ident.check_thm3_1a(1, 0).residual == 0
 
 
 def test_rem2_1_hand_case():
@@ -137,13 +137,13 @@ def test_thm3_family_sweeps():
     for m in range(7):
         for k in range(m + 1):
             assert ident.check_thm3(m, k).passed
-            assert ident.check_thm3_1(1, m, k).passed
+            assert ident.check_thm3_1a(m, k).passed
             if k <= m - 1:
-                assert ident.check_thm3_1(2, m, k).passed
+                assert ident.check_thm3_1b(m, k).passed
                 for l in range(m - k):
-                    assert ident.check_thm3_1(3, m, k, aux=l).passed
+                    assert ident.check_thm3_1c(m, k, l).passed
             for j in range(1, m + 1):
-                assert ident.check_thm3_1(4, m, k, aux=j).passed
+                assert ident.check_thm3_1d(m, k, j).passed
     for m in range(3, 10):
         assert ident.check_rem2_1(m).passed
 
@@ -208,7 +208,7 @@ def test_sun_at_one_matches_wsp7_residual():
 
 def test_thm3_1c_l1_matches_cro2_verdict():
     for m in range(2, 16):
-        a = ident.check_thm3_1(3, m, 0, aux=1)
+        a = ident.check_thm3_1c(m, 0, 1)
         b = ident.check_cro2(m)
         assert a.passed == b.passed is True
 
@@ -236,11 +236,9 @@ def test_parameter_range_violations():
     with pytest.raises(ValueError):
         ident.check_thm3(2, 3)       # k > m
     with pytest.raises(ValueError):
-        ident.check_thm3_1(3, 3, 1, aux=2)   # l > m-k-1
+        ident.check_thm3_1c(3, 1, 2)   # l > m-k-1
     with pytest.raises(ValueError):
-        ident.check_thm3_1(4, 3, 0, aux=0)   # j < 1
-    with pytest.raises(ValueError):
-        ident.check_thm3_1(5, 3, 0)          # no such part
+        ident.check_thm3_1d(3, 0, 0)   # j < 1
     with pytest.raises(ValueError):
         ident.check_rem2_1(2)
     with pytest.raises(ValueError):
@@ -326,3 +324,18 @@ def test_infinite_defect_renders_as_inf():
     r = ident.check_witt(0, F(1, 2), 3, 2)
     assert r.residual == math.inf
     assert report_to_dict(r)["residual"] == "inf"
+
+
+def test_direct_calls_report_a_as_a_fraction():
+    # an int shift is reported as the rational it stands for, as in a sweep
+    for r in (ident.check_sun(1, 0, 1), ident.check_witt(2, 1, 3, 2)):
+        assert isinstance(r.params["a"], F)
+        assert report_to_dict(r)["params"]["a"] == "1"
+
+
+def test_lem1_reports_the_polynomial_not_the_budget():
+    r = ident.check_lem1(Polynomial([F(5), F(0), F(1, 2)]), 3, 2, budget=100)
+    assert r.passed
+    assert r.params == {"p": 3, "precision": 2, "poly": ["5", "0", "1/2"]}
+    r = ident.check_lem1(Polynomial([F(5)]), 3, 2, index=4)
+    assert r.params == {"p": 3, "precision": 2, "poly": ["5"], "index": 4}
