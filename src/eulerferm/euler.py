@@ -24,7 +24,7 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from .numeric import binomial
+from .numeric import binomial, common_denominator
 from .polynomial import Polynomial, monomial
 
 __all__ = [
@@ -106,10 +106,8 @@ class EulerCache:
         """
         with self._lock:
             while len(self._scaled) <= n:
-                coeffs = self.euler_poly(len(self._scaled)).coeffs
-                d = math.lcm(*(c.denominator for c in coeffs))
-                nums = tuple(c.numerator * (d // c.denominator) for c in coeffs)
-                self._scaled.append((nums, d))
+                self._scaled.append(common_denominator(
+                    self.euler_poly(len(self._scaled)).coeffs))
             return self._scaled[n]
 
     def euler_sum(self, terms=(), neg_terms=()) -> Polynomial:

@@ -20,8 +20,9 @@ its kind asks for:
 
 The body raises ``ValueError`` outside its stated domain; it does no timing
 and builds no report. The driver ``CHECKERS[cid].run(params, mode)`` owns
-the rest: it calls the body with the params, times it, dispatches on the
-mode (scalar and valuation checkers ignore it) and builds the
+the rest: it rejects a mode other than symbolic or pointwise before the
+body runs, calls the body with the params, times it, dispatches on the mode
+(scalar and valuation checkers ignore it) and builds the
 ``IdentityReport``, whose params are the dict it was given. ``gen(grid)``
 yields those dicts for a suite sweep, skipping grid values outside the
 domain, and ``run_suite`` calls ``run`` once per dict. The decorator
@@ -178,6 +179,14 @@ CHECKERS: dict[str, Checker] = {}
 _signature = lru_cache(maxsize=None)(inspect.signature)
 
 
+_MODES = ("symbolic", "pointwise")
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def checker(cid: str, gen, kind: str = "poly", rational=(),
             report_params=None):
     """Register the decorated body as checker ``cid``; return check_<cid>.
@@ -188,6 +197,7 @@ def checker(cid: str, gen, kind: str = "poly", rational=(),
     """
     def register(body):
         def run(params: dict, mode: str) -> IdentityReport:
+            _require_mode(mode)
             started = time.perf_counter()
             result = body(**params)
             if kind == "poly":
@@ -198,11 +208,9 @@ def checker(cid: str, gen, kind: str = "poly", rational=(),
                              for t in _sample_points(max(degs, default=0) + 1)]
                     residual = next((d for d in diffs if d), Fraction(0))
                     passed = not any(diffs)
-                elif mode == "symbolic":
+                else:
                     residual = lhs - rhs
                     passed = residual.is_zero()
-                else:
-                    raise ValueError(f"unknown mode {mode!r}")
                 passed = passed and not any(lemmas)
             elif kind == "scalar":
                 mode, residual = "symbolic", Fraction(result)
@@ -704,13 +712,20 @@ def _gen_witt(grid):
         for n in sorted(set(grid.n)):
             for a in sorted(set(grid.points)):
                 if a.denominator % p != 0:
-                    yield {"n": n, "a": a, "p": p, "precision": grid.precision}
+                    yield {"n": n, "a": a, "p": p, "precision": grid.precision,
+                           "budget": grid.budget}
 
 
-@checker("witt", _gen_witt, "valuation", rational=("a",))
-def check_witt(n: int, a: Fraction, p: int, precision: int):
-    """v_p(closed truncation at p**N - E_n(a)) >= N."""
-    return witt_defect(n, a, p, precision)
+def _witt_params(n, a, p, precision, budget):
+    return {"n": n, "a": a, "p": p, "precision": precision}
+
+
+@checker("witt", _gen_witt, "valuation", rational=("a",),
+         report_params=_witt_params)
+def check_witt(n: int, a: Fraction, p: int, precision: int,
+               budget: int = DEFAULT_BUDGET):
+    """v_p(naive sum of (x+a)**n over x < p**N - E_n(a)) >= N."""
+    return witt_defect(n, a, p, precision, budget)
 
 
 def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
@@ -760,10 +775,12 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
     """Run the selected checkers over a bounded grid.
 
     Reports come back in canonical order (id, then ascending parameters),
-    independent of how the work is executed. Unknown ids are usage errors.
+    independent of how the work is executed. Unknown ids and an unknown
+    mode are usage errors, raised before any check runs.
     Grid values outside a checker's stated domain are skipped for that
     checker, so a checker may yield no report at all.
     """
+    _require_mode(mode)
     if grid is None:
         grid = SweepGrid()
     if ids is None:

@@ -2,10 +2,21 @@
 
 The alternating measure integral of f over the p-adic integers is the limit
 of S_N = sum_{x=0}^{p^N - 1} f(x) (-1)**x. This module never produces an
-approximate value for that limit: truncations are computed exactly over the
-rationals, and convergence is reported as a valuation certificate
-v_p(S_N - exact) >= N, with the exact reference value supplied by the Euler
-polynomial generators (a genuinely independent second path).
+approximate value for that limit: truncations are computed exactly, and
+convergence is reported as a valuation certificate v_p(S_N - exact) >= N.
+
+The naive sum adds the p^N terms one by one. A Polynomial integrand with
+rational coefficients is scaled to integer coefficients d*f, d the lcm of
+the coefficient denominators; d*f(x) is summed in plain integers by Horner's
+rule and d is divided out once. Any other callable is summed term by term in
+its own arithmetic, and that generic loop is the oracle of the integer
+route. The closed form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of
+(x+a)**n telescopes the Euler functional equation instead.
+
+``witt_defect`` measures the naive sum of (x+a)**n against E_n(a) from the
+Euler recurrence. The two share no computation, so a wrong E_n shows as a
+defect below N. ``lem1_defect`` compares three naive sums with one another
+and never looks at E_n.
 
 p is always an odd prime; p = 2 is rejected at construction. Shifts and
 coefficients must be p-integral rationals (denominator coprime to p), which
@@ -19,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .euler import euler_poly
-from .polynomial import Polynomial
+from .numeric import common_denominator
+from .polynomial import Polynomial, monomial
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -41,8 +53,11 @@ __all__ = [
 DEFAULT_BUDGET = 10 ** 7
 
 
-class DenominatorNotInvertible(ArithmeticError):
-    """The rational has p in its denominator, so it is not a p-adic integer."""
+class DenominatorNotInvertible(ArithmeticError, ValueError):
+    """The rational has p in its denominator, so it is not a p-adic integer.
+
+    A ValueError too, like every other out-of-domain argument.
+    """
 
 
 class BudgetExceeded(RuntimeError):
@@ -159,14 +174,37 @@ def _check_budget(p: int, precision: int, budget: int) -> int:
 
 
 def fermionic_sum_naive(f, p: int, precision: int, budget: int = DEFAULT_BUDGET):
-    """Exact truncated alternating sum: sum_{x=0}^{p^N - 1} f(x) (-1)**x."""
+    """Exact truncated alternating sum: sum_{x=0}^{p^N - 1} f(x) (-1)**x.
+
+    A Polynomial with int or Fraction coefficients is summed over the
+    integers and the result is a Fraction; any other callable is summed in
+    whatever arithmetic f returns.
+    """
     span = _check_budget(p, precision, budget)
+    if isinstance(f, Polynomial) and all(isinstance(c, (int, Fraction))
+                                         for c in f.coeffs):
+        return _integer_sum(f.coeffs, span)
     total = 0
     sign = 1
     for x in range(span):
         total += sign * f(x)
         sign = -sign
     return total
+
+
+def _integer_sum(coeffs, span: int) -> Fraction:
+    """sum_{x < span} f(x) (-1)**x for f with rational coefficients: the
+    terms d*f(x) are integers, d the lcm of the denominators."""
+    nums, d = common_denominator(coeffs[::-1])   # Horner: highest first
+    total = 0
+    sign = 1
+    for x in range(span):
+        acc = 0
+        for c in nums:
+            acc = acc * x + c
+        total += sign * acc
+        sign = -sign
+    return Fraction(total, d)
 
 
 def fermionic_sum_naive_mod(f: Polynomial, p: int, precision: int,
@@ -205,12 +243,15 @@ def fermionic_sum_closed(n: int, a, q: int):
     return ((-1) ** (q - 1) * e(a + q) + e(a)) / 2
 
 
-def witt_defect(n: int, a, p: int, precision: int):
+def witt_defect(n: int, a, p: int, precision: int,
+                budget: int = DEFAULT_BUDGET, truncated=None):
     """Valuation certificate for the integral representation of E_n(a).
 
-    Returns v_p(S_N - E_n(a)) where S_N is the closed-form truncated sum at
-    q = p**N; the contract (asserted by callers) is defect >= N. The shift a
-    must be p-integral.
+    Returns v_p(S_N - E_n(a)), where S_N is the naive sum of (x+a)**n over
+    x < p**N and E_n comes from the Euler recurrence; the contract
+    (asserted by callers) is defect >= N. A caller that has already summed
+    S_N passes it as ``truncated``, and the sum is not repeated. The shift
+    a must be p-integral.
     """
     require_odd_prime(p)
     if n < 0 or precision < 1:
@@ -220,7 +261,9 @@ def witt_defect(n: int, a, p: int, precision: int):
         raise DenominatorNotInvertible(
             f"shift {a} is not a {p}-adic integer (p divides the denominator)"
         )
-    truncated = fermionic_sum_closed(n, a, p ** precision)
+    if truncated is None:
+        truncated = fermionic_sum_naive(monomial(n).compose_affine(1, a), p,
+                                        precision, budget)
     return valuation(truncated - euler_poly(n)(a), p)
 
 
@@ -232,24 +275,17 @@ def lem1_defect(f: Polynomial, p: int, precision: int,
     over x in [0, p**N), both S1 and S- must approach -S + 2 f(0); returns the
     minimum of the two defects v_p(S1 - target) and v_p(S- - target). When f
     is an even function the sharper statement S -> f(0) is folded in as well.
-    Coefficients must be p-integral.
+    Coefficients must be p-integral. The three sums are separate naive sums.
     """
-    require_odd_prime(p)
-    span = _check_budget(p, precision, budget)
+    _check_budget(p, precision, budget)
     for c in f.coeffs:
         if Fraction(c).denominator % p == 0:
             raise DenominatorNotInvertible(
                 f"coefficient {c} is not a {p}-adic integer"
             )
-    f_shift = f.compose_affine(Fraction(1), Fraction(1))
-    f_neg = f.compose_affine(Fraction(-1), Fraction(0))
-    s = s_shift = s_neg = Fraction(0)
-    sign = 1
-    for x in range(span):
-        s += sign * f(x)
-        s_shift += sign * f_shift(x)
-        s_neg += sign * f_neg(x)
-        sign = -sign
+    f_neg = f.compose_affine(-1, 0)
+    s, s_shift, s_neg = (fermionic_sum_naive(g, p, precision, budget)
+                         for g in (f, f.compose_affine(1, 1), f_neg))
     f0 = f(0)
     target = -s + 2 * f0
     defect = min(valuation(s_shift - target, p), valuation(s_neg - target, p))

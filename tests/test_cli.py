@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerferm import cli
+from eulerferm import cli, padic
 from eulerferm.identities import IdentityReport
 
 
@@ -122,7 +122,16 @@ def test_verify_budget_too_small_exits_2(capsys):
     assert "budget" in err
 
 
-def test_verify_budget_applies_only_to_lem1(capsys):
+def test_verify_budget_applies_to_witt(capsys):
+    # witt sums (x+a)**n over 3**20 terms, beyond the default budget
+    code, out, err = run_cli(capsys, "verify", "witt", "--p", "3",
+                             "--precision", "20")
+    assert code == 2
+    assert out == ""
+    assert "budget 10000000 smaller than the requested p**N sweep" in err
+
+
+def test_verify_budget_applies_only_to_padic_sums(capsys):
     # 3**20 exceeds the default budget, but wsp7 sums no p**N terms
     code, out, _ = run_cli(capsys, "verify", "wsp7", "--p", "3",
                            "--precision", "20")
@@ -210,6 +219,32 @@ def test_witt_budget_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "witt", "--p", "3", "--precision", "2",
                            "--n", "1", "--a", "0", "--naive", "--budget", "4")
     assert code == 2
+
+
+def test_witt_budget_applies_without_naive(capsys):
+    # the defect itself is measured on the p**N-term sum
+    code, out, err = run_cli(capsys, "witt", "--p", "3", "--precision", "2",
+                             "--n", "1", "--a", "0", "--budget", "8")
+    assert code == 2
+    assert out == ""
+    assert "exceeds budget 8" in err
+
+
+def test_witt_naive_sums_once(capsys, monkeypatch):
+    calls = []
+    original = padic.fermionic_sum_naive
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fermionic_sum_naive", counted)
+    monkeypatch.setattr(padic, "fermionic_sum_naive", counted)
+    code, out, _ = run_cli(capsys, "witt", "--p", "5", "--precision", "2",
+                           "--n", "4", "--a", "3/2", "--naive")
+    assert code == 0
+    assert "(matches closed form)" in out
+    assert calls == [(5, 2)]
 
 
 def test_witt_defect_below_precision_exits_1(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Golden gate: the bytes of `verify all` on the desk grid, in every format,
-and the reports of the pointwise suite.
+the reports of the pointwise suite, and the bytes of `witt --naive` on two
+small cases in every format.
 
 The reports carry timings, so they are cut out before hashing: every
 `"elapsed_ms": ...` line of the JSON (with the comma before it), the last
@@ -30,6 +31,32 @@ GOLDEN_SHA256 = {
         "b0ec8e8c37a3cbed62b8b54ae38f65e7490a93e843a9bbb0a5c3b1805dc29779",
 }
 
+# `witt --naive` prints no timing, so its whole output is hashed
+WITT_CASES = {
+    "n6": ["--p", "5", "--precision", "3", "--n", "6", "--a", "3/2"],
+    # E_0 = 1 equals the truncated sum exactly: the defect is inf
+    "n0": ["--p", "3", "--precision", "2", "--n", "0", "--a", "1/2"],
+}
+
+WITT_SHA256 = {
+    ("n6", "text"):
+        "da3a953eb101b481cd9adaea9abc88516b162931dee7307e44d953938997ceea",
+    ("n6", "json"):
+        "08d375a825fbcabb39ccca837a7993620665cc2d5dfe4b6de53d2b183862729b",
+    ("n6", "csv"):
+        "23b4a3ebc4fa3ff1f93063a3140662cab7de9731e0b830d5f57f631c51cd7787",
+    ("n6", "md"):
+        "4f7452ad9b575c90a90d81140a4fc38ead9b089afe624ccc15c3e0a3e95d0f28",
+    ("n0", "text"):
+        "982084cfbc5da7758afdf0b1c58cb8aa9f57e15724608cc5e4ed3f97b786f3af",
+    ("n0", "json"):
+        "17eb7d459afad4f7a76b04081b4b15abb85f6bd4db868c0d5c80a39e74437b2e",
+    ("n0", "csv"):
+        "a9bf601b239f0f0dad4704f2f8922748d751b9ace1f2d45436156f733b9c4986",
+    ("n0", "md"):
+        "be4808d3aaa67ed31c27de095537831da301727f6cd3347c27705023d62f7b11",
+}
+
 _ELAPSED = {
     "json": re.compile(r',\n\s*"elapsed_ms": [^\n]*'),
     "csv": re.compile(r",[^,\n]*\r$", re.MULTILINE),
@@ -55,6 +82,14 @@ def desk_grid_digest(fmt: str = "json") -> str:
     return _sha256(text)
 
 
+def witt_digest(case: str, fmt: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["witt", *WITT_CASES[case], "--naive",
+                         "--format", fmt]) == 0
+    return _sha256(out.getvalue())
+
+
 def test_verify_all_json_matches_golden():
     assert desk_grid_digest("json") == GOLDEN_SHA256["json"]
 
@@ -68,6 +103,14 @@ def test_pointwise_suite_matches_golden():
     assert desk_grid_digest("pointwise") == GOLDEN_SHA256["pointwise"]
 
 
+@pytest.mark.parametrize("case,fmt", sorted(WITT_SHA256))
+def test_witt_naive_matches_golden(case, fmt):
+    assert witt_digest(case, fmt) == WITT_SHA256[case, fmt]
+
+
 if __name__ == "__main__":
     for fmt in GOLDEN_SHA256:
         print(f'    "{fmt}": "{desk_grid_digest(fmt)}",')
+    for case, fmt in WITT_SHA256:
+        print(f'    ("{case}", "{fmt}"):\n'
+              f'        "{witt_digest(case, fmt)}",')

@@ -291,6 +291,27 @@ def test_run_suite_pointwise_mode():
     assert all(r.passed for r in reports)
 
 
+def test_unknown_mode_is_rejected_before_any_check():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        run_suite(["cro2"], mode="bogus")
+    # a selection with nothing in its domain still validates the mode
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        run_suite(["rem2_1"], SweepGrid(m=(0, 1)), mode="bogus")
+    # the driver rejects it before the body, whose own domain error would
+    # otherwise come first
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        ident.CHECKERS["wsp9"].run({"m": 0, "n": 0}, "bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        ident.check_cro2(1, mode="bogus")
+
+
+def test_non_integral_shift_is_a_value_error():
+    with pytest.raises(ValueError, match="not a 3-adic integer"):
+        ident.check_witt(0, F(1, 3), 3, 2)
+    with pytest.raises(ArithmeticError):
+        ident.check_witt(0, F(1, 3), 3, 2)
+
+
 def test_catalog_is_complete():
     expected = {
         "reflection", "complement", "boundary", "gf_consistency",

@@ -1,9 +1,10 @@
-"""Integer paths of the catalog: the thm2 pivot over Z[a][x], and the
-integer-weighted E_n sums over one common denominator.
+"""Integer paths: the thm2 pivot over Z[a][x], the integer-weighted E_n
+sums over one common denominator, and the p-adic naive sums of polynomials
+over one common denominator.
 
 Each fast path is compared with the construction over Q that it replaced,
 kept here as the reference, and every checker that uses the sums must
-still fail when one table entry is wrong.
+still fail when a table entry is wrong.
 """
 
 import random
@@ -20,6 +21,7 @@ from eulerferm.euler import (
     euler_sum,
 )
 from eulerferm.identities import run_suite
+from eulerferm.padic import fermionic_sum_naive, lem1_defect, valuation
 from eulerferm.polynomial import Polynomial
 
 F = Fraction
@@ -106,3 +108,90 @@ def test_corrupted_e5_fails_every_integer_sum_checker(monkeypatch, extra,
     ids = ("thm1", "thm2", "wsp7", "wsp9", "thm3")
     failed = {r.checker for r in run_suite(ids) if not r.passed}
     assert failed == set(ids)
+
+
+# --- p-adic naive sums ----------------------------------------------------
+
+def _padic_polys(p):
+    """Seeded p-integral polynomials: zero, constants, even, degree <= 8."""
+    rng = random.Random(8080 + p)
+    dens = [d for d in range(1, 13) if d % p]
+
+    def coeff():
+        return F(rng.randint(-30, 30), rng.choice(dens))
+
+    polys = [Polynomial(), Polynomial([coeff()]), Polynomial([7]),
+             Polynomial([-3, 0, 5, 1])]
+    for degree in (2, 4, 8):
+        polys.append(Polynomial([coeff() if i % 2 == 0 else 0
+                                 for i in range(degree + 1)]))
+    for _ in range(8):
+        polys.append(Polynomial([coeff()
+                                 for _ in range(rng.randint(1, 9))]))
+    return polys
+
+
+def _lem1_over_q(f, p, precision):
+    """The term-by-term Fraction loop that lem1_defect replaced."""
+    f_shift = f.compose_affine(F(1), F(1))
+    f_neg = f.compose_affine(F(-1), F(0))
+    s = s_shift = s_neg = F(0)
+    sign = 1
+    for x in range(p ** precision):
+        s += sign * f(x)
+        s_shift += sign * f_shift(x)
+        s_neg += sign * f_neg(x)
+        sign = -sign
+    f0 = f(0)
+    target = -s + 2 * f0
+    defect = min(valuation(s_shift - target, p),
+                 valuation(s_neg - target, p))
+    if f_neg == f:
+        defect = min(defect, valuation(s - f0, p))
+    return defect
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_integer_naive_sum_equals_generic_loop(p):
+    for poly in _padic_polys(p):
+        for precision in (1, 2, 3):
+            got = fermionic_sum_naive(poly, p, precision)
+            # a plain callable takes the generic term-by-term loop
+            want = fermionic_sum_naive(lambda x: poly(F(x)), p, precision)
+            assert type(got) is F
+            assert got == want, (poly, p, precision)
+
+
+def test_naive_sum_of_bivariate_polynomial_uses_generic_loop():
+    # (x + a) summed over x < 3 with signs +, -, +: a + 1, a polynomial in a
+    integrand = Polynomial([Polynomial([0, 1]), 1])
+    assert fermionic_sum_naive(integrand, 3, 1) == Polynomial([1, 1])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_lem1_defect_equals_rational_loop(p):
+    for poly in _padic_polys(p):
+        for precision in (1, 2, 3):
+            assert lem1_defect(poly, p, precision) == \
+                _lem1_over_q(poly, p, precision), (poly, p, precision)
+
+
+class _CorruptedEuler(EulerCache):
+    """Every E_n reads as E_n + 1/8 + 3x^3; the recurrence stays true."""
+
+    extra = Polynomial((F(1, 8), 0, 0, 3))
+
+    def euler_poly(self, n):
+        return super().euler_poly(n) + self.extra
+
+
+def test_corrupted_euler_table_fails_witt(monkeypatch):
+    monkeypatch.setattr(euler, "_CACHE", _CorruptedEuler())
+    reports = run_suite(["witt"])
+    assert len(reports) == 98
+    # the naive sum is within p**N of the true E_n(a), so the defect is
+    # v_p(1/8 + 3a^3) wherever that is below N
+    for r in reports:
+        p, a = r.params["p"], r.params["a"]
+        assert r.passed == (valuation(_CorruptedEuler.extra(a), p) >= 2), r
+    assert {r.params["p"] for r in reports if not r.passed} == {3, 5, 7}
