@@ -1,15 +1,26 @@
 """Exact generators for Euler polynomials E_n(a), Bernoulli polynomials
 B_n(a), Euler numbers E_n = 2**n * E_n(1/2), and the classical power sums.
 
-The production path for E_n is the triangular recurrence
+The production path for E_n is the binomial expansion
+
+    E_n(x) = sum_k C(n, k) E_k(0) x**(n-k),
+
+read from the integers s_k = 2**k E_k(0): s_0 = 1, s_k = 0 for even
+k >= 2, and s_(2j-1) = (-1)**j T_j, where T_j = 1, 2, 16, 272, ... are the
+tangent numbers. They come from Brent and Harvey's integer algorithm
+(arXiv:1108.0286), one column of its triangle at a time
+(`tangent_numbers`), so the table grows on demand in O(n**2) integer
+steps and each E_n costs n + 1 coefficients.
+
+Two constructions that share nothing with it are kept as cross-check
+oracles, never as the production path: the triangular recurrence
 
     E_n(x) = x**n - (1/2) * sum_{k<n} C(n, k) E_k(x),
 
-obtained by multiplying the generating function 2 e^{a t} / (e^t + 1) through
-by (e^t + 1) / 2 and comparing coefficients. An independent construction by
-truncated exact power-series division of the generating function itself is
-provided (`EulerSeries`, `euler_polys_by_series`) and is used as a
-cross-check oracle, never as the production path.
+obtained by multiplying the generating function 2 e^{a t} / (e^t + 1)
+through by (e^t + 1) / 2 and comparing coefficients (`EulerRecurrence`),
+and truncated exact power-series division of the generating function
+itself (`EulerSeries`, `euler_polys_by_series`).
 
 Integer-weighted sums of E_n(a) and E_n(-a) (`euler_sum`) run over the
 integers: each E_n is also kept as integer numerators over the lcm of its
@@ -29,7 +40,9 @@ from .polynomial import Polynomial, monomial
 
 __all__ = [
     "EulerCache",
+    "EulerRecurrence",
     "EulerSeries",
+    "tangent_numbers",
     "euler_poly",
     "euler_number",
     "euler_zero",
@@ -40,6 +53,27 @@ __all__ = [
     "power_sum",
     "euler_polys_by_series",
 ]
+
+
+def tangent_numbers():
+    """Yield the tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ..., where
+    tan t = sum_j T_j t**(2j-1) / (2j-1)!.
+
+    Brent and Harvey's integer algorithm (arXiv:1108.0286) fills a
+    triangle U(k, j), 1 <= k <= j, with U(1, j) = (j-1)! and
+    U(k, j) = (j-k) U(k, j-1) + (j-k+2) U(k-1, j); then T_j = U(j, j).
+    Only the last column is kept, so T_j costs j small-integer steps.
+    """
+    col = [1]
+    yield 1
+    while True:
+        j = len(col) + 1
+        new = [col[0] * (j - 1)]
+        for k in range(2, j):
+            new.append((j - k) * col[k - 1] + (j - k + 2) * new[-1])
+        new.append(2 * new[-1])
+        col = new
+        yield new[-1]
 
 
 class EulerCache:
@@ -54,24 +88,40 @@ class EulerCache:
     """
 
     def __init__(self):
-        self._euler: list[Polynomial] = []
+        self._tangents = tangent_numbers()
+        self._zeros: list[int] = []
+        self._euler: dict[int, Polynomial] = {}
         self._bernoulli: list[Polynomial] = []
         self._shifted: dict = {}
-        self._scaled: list[tuple[tuple[int, ...], int]] = []
+        self._scaled: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.RLock()
 
+    def _scaled_zero(self, k: int) -> int:
+        """s_k = 2**k E_k(0), the one place the tangent numbers are read."""
+        with self._lock:
+            while len(self._zeros) <= k:
+                m = len(self._zeros)
+                if m % 2:
+                    j = (m + 1) // 2
+                    self._zeros.append((-1) ** j * next(self._tangents))
+                else:
+                    self._zeros.append(1 if m == 0 else 0)
+            return self._zeros[k]
+
     def euler_poly(self, n: int) -> Polynomial:
-        """E_n as a monic degree-n polynomial with dyadic-rational coefficients."""
+        """E_n as a monic degree-n polynomial with dyadic-rational
+        coefficients: coefficient i is C(n, n-i) s_(n-i) / 2**(n-i)."""
         if n < 0:
             raise ValueError(f"euler_poly: n must be >= 0, got {n}")
         with self._lock:
-            while len(self._euler) <= n:
-                m = len(self._euler)
-                acc = Polynomial()
-                for k in range(m):
-                    acc = acc + binomial(m, k) * self._euler[k]
-                self._euler.append(monomial(m, Fraction(1)) - Fraction(1, 2) * acc)
-            return self._euler[n]
+            got = self._euler.get(n)
+            if got is None:
+                got = Polynomial([Fraction(binomial(n, i)
+                                           * self._scaled_zero(n - i),
+                                           1 << (n - i))
+                                  for i in range(n + 1)])
+                self._euler[n] = got
+            return got
 
     def bernoulli_poly(self, n: int) -> Polynomial:
         """B_n via sum_{k<=n} C(n+1, k) B_k(x) = (n+1) x**n."""
@@ -101,14 +151,14 @@ class EulerCache:
         """E_n as (numerators, d): coefficient i of E_n is numerators[i] / d.
 
         d is the lcm of the coefficient denominators, read from the table
-        entry: for the recurrence's E_n it divides 2**n, but that is not
-        assumed.
+        entry: for a true E_n it divides 2**n, but that is not assumed.
         """
         with self._lock:
-            while len(self._scaled) <= n:
-                self._scaled.append(common_denominator(
-                    self.euler_poly(len(self._scaled)).coeffs))
-            return self._scaled[n]
+            got = self._scaled.get(n)
+            if got is None:
+                got = common_denominator(self.euler_poly(n).coeffs)
+                self._scaled[n] = got
+            return got
 
     def euler_sum(self, terms=(), neg_terms=()) -> Polynomial:
         """sum c E_n(a) over (c, n) in terms + sum c E_n(-a) over neg_terms.
@@ -194,14 +244,47 @@ def power_sum(m: int, n: int):
     return sum(j ** n for j in range(1, m + 1))
 
 
+class EulerRecurrence:
+    """E_n by the triangular recurrence
+    E_n(x) = x**n - (1/2) sum_{k<n} C(n, k) E_k(x), over the rationals.
+
+    Independent of the tangent numbers; O(n**3) Fraction work, so it is an
+    oracle only. One table grows on demand, never past the largest n
+    requested.
+    """
+
+    def __init__(self):
+        self._table: list[Polynomial] = []
+        self._lock = threading.Lock()
+
+    @property
+    def terms(self) -> int:
+        """Number of table entries computed so far."""
+        return len(self._table)
+
+    def euler_poly(self, n: int) -> Polynomial:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        with self._lock:
+            table = self._table
+            while len(table) <= n:
+                m = len(table)
+                acc = Polynomial()
+                for k in range(m):
+                    acc = acc + binomial(m, k) * table[k]
+                table.append(monomial(m, Fraction(1)) - Fraction(1, 2) * acc)
+            return table[n]
+
+
 class EulerSeries:
     """E_n by truncated exact division of 2 e^{a t} / (e^t + 1).
 
-    Independent of the triangular recurrence: the numerator coefficient of
-    t**k is the polynomial 2 a**k / k!, the denominator coefficient is 2 for
-    k = 0 and 1 / k! for k >= 1, and the quotient is computed term by term.
-    E_n is n! times the quotient coefficient of t**n. One quotient list
-    grows on demand, never past the largest n requested.
+    Independent of the tangent numbers and of the recurrence: the numerator
+    coefficient of t**k is the polynomial 2 a**k / k!, the denominator
+    coefficient is 2 for k = 0 and 1 / k! for k >= 1, and the quotient is
+    computed term by term. E_n is n! times the quotient coefficient of
+    t**n. One quotient list grows on demand, never past the largest n
+    requested.
     """
 
     def __init__(self):

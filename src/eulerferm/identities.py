@@ -35,8 +35,10 @@ are integer-weighted sums of E_n(a) and E_n(-a): ``euler.euler_sum`` adds
 their numerators as integers over one common denominator and divides it out
 once at the end, giving the same normalized Polynomial of Fractions. thm2's
 pivot polynomial is built over Z[a][x] and evaluated at integer points;
-only its final scaling by 2/k! is rational. sun stays over the rationals,
-since its weights a**(m-i) and its shift 1 - a are rational.
+only its final scaling by 2/k! is rational. sun adds its terms over the
+rationals, since its weights a**(m-i) are rational; every shifted
+E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
+shift over one common denominator.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -56,6 +58,7 @@ from functools import lru_cache, wraps
 from math import factorial
 
 from .euler import (
+    EulerRecurrence,
     EulerSeries,
     alt_power_sum,
     bernoulli_poly,
@@ -291,6 +294,7 @@ def check_boundary(n: int):
 
 
 _SERIES = EulerSeries()
+_RECURRENCE = EulerRecurrence()
 
 
 def _series_euler(n: int) -> Polynomial:
@@ -299,8 +303,10 @@ def _series_euler(n: int) -> Polynomial:
 
 @checker("gf_consistency", _N)
 def check_gf_consistency(n: int):
-    """Triangular-recurrence E_n equals the power-series-division E_n."""
-    return euler_poly(n), _series_euler(n)
+    """The tangent-number E_n equals the power-series-division E_n and,
+    as a lemma, the triangular-recurrence E_n."""
+    e = euler_poly(n)
+    return e, _series_euler(n), e - _RECURRENCE.euler_poly(n)
 
 
 @checker("euler_alt_sum", _MN_M_POSITIVE, "scalar")

@@ -14,7 +14,7 @@ route. The closed form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of
 (x+a)**n telescopes the Euler functional equation instead.
 
 ``witt_defect`` measures the naive sum of (x+a)**n against E_n(a) from the
-Euler recurrence. The two share no computation, so a wrong E_n shows as a
+Euler table. The two share no computation, so a wrong E_n shows as a
 defect below N. ``lem1_defect`` compares three naive sums with one another
 and never looks at E_n.
 
@@ -248,7 +248,7 @@ def witt_defect(n: int, a, p: int, precision: int,
     """Valuation certificate for the integral representation of E_n(a).
 
     Returns v_p(S_N - E_n(a)), where S_N is the naive sum of (x+a)**n over
-    x < p**N and E_n comes from the Euler recurrence; the contract
+    x < p**N and E_n comes from the Euler table; the contract
     (asserted by callers) is defect >= N. A caller that has already summed
     S_N passes it as ``truncated``, and the sum is not repeated. The shift
     a must be p-integral.

@@ -4,7 +4,9 @@ Coefficients may be ints, Fractions, or Polynomials again (giving exact
 bivariate polynomials, e.g. "polynomial in x whose coefficients are
 polynomials in a"). The coefficient ring only needs +, *, unary -, and the
 rule that an element is falsy exactly when it is zero; all three coefficient
-types above satisfy it.
+types above satisfy it. The exception is ``compose_affine``, which composes
+only polynomials with int or Fraction coefficients: it is an integer Taylor
+shift over one common denominator.
 
 Instances are normalized on construction: the highest-index stored
 coefficient is nonzero, and the zero polynomial stores no coefficients.
@@ -21,7 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numeric import falling_factorial, format_rational, parse_rational
+from .numeric import (
+    common_denominator,
+    falling_factorial,
+    format_rational,
+    parse_rational,
+)
 
 __all__ = ["Polynomial", "monomial", "X"]
 
@@ -133,12 +140,30 @@ class Polynomial:
         ))
 
     def compose_affine(self, u, v) -> "Polynomial":
-        """p(u*x + v), expanded exactly; u and v are coefficient-ring elements."""
-        line = Polynomial((v, u))
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * line + Polynomial((c,))
-        return acc
+        """p(u*x + v), expanded exactly, for int or Fraction coefficients
+        and rational u, v (only rational coefficients are composed).
+
+        An integer Taylor shift: with d the lcm of the coefficient
+        denominators and v = r/t, t**n * d * p((y + r)/t) is an integer
+        polynomial in y, shifted by the integer r with O(n**2) integer
+        additions. Substituting y = t*u*x scales coefficient i by
+        (t*u)**i, and the common denominator is divided out once.
+        """
+        if not self.coeffs:
+            return self
+        nums, d = common_denominator(self.coeffs)
+        u, v = Fraction(u), Fraction(v)
+        r, t = v.numerator, v.denominator
+        n = len(nums) - 1
+        acc = [c * t ** (n - i) for i, c in enumerate(nums)]
+        if r:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    acc[j] += r * acc[j + 1]
+        w, s = u.numerator, u.denominator
+        den = d * (t * s) ** n
+        return Polynomial([Fraction(c * (t * w) ** i * s ** (n - i), den)
+                           for i, c in enumerate(acc)])
 
     def __call__(self, t):
         """Evaluate at a coefficient-ring element t by Horner's rule."""

@@ -1,17 +1,23 @@
 """Euler/Bernoulli generator tests.
 
-Frozen polynomial values are the classical first entries; Euler numbers are
-cross-checked against the truncated power-series-division construction,
-which shares no code with the production recurrence.
+Frozen polynomial values are the classical first entries; the production
+E_n, built from tangent numbers, is cross-checked against the triangular
+recurrence, the truncated power-series-division construction and
+``sympy.euler``, none of which shares code with it.
 """
 
+import hashlib
+import itertools
+import json
 import threading
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from eulerferm.euler import (
     EulerCache,
+    EulerRecurrence,
     EulerSeries,
     alt_power_sum,
     bernoulli_poly,
@@ -21,6 +27,7 @@ from eulerferm.euler import (
     euler_polys_by_series,
     euler_zero,
     power_sum,
+    tangent_numbers,
 )
 from eulerferm.numeric import binomial
 from eulerferm.polynomial import Polynomial, monomial
@@ -28,6 +35,11 @@ from eulerferm.polynomial import Polynomial, monomial
 F = Fraction
 
 EULER_NUMBERS_0_TO_10 = [1, 0, -1, 0, 5, 0, -61, 0, 1385, 0, -50521]
+
+# sha256 of json.dumps([E_n.to_coeff_strings() for n in 0..135]), recorded
+# from the recurrence-built table before the tangent-number table replaced it
+EULER_0_TO_135_SHA256 = \
+    "679301992fbd1c5f9722edb43f5ce507312f70171e8b6a52d9dddc88ac9176d7"
 
 
 def test_first_euler_polynomials():
@@ -65,6 +77,27 @@ def test_euler_numbers_frozen_and_integral():
         assert euler_number(n) == 0
     for n in range(42):
         assert isinstance(euler_number(n), int)
+
+
+def test_tangent_numbers_first_values():
+    assert list(itertools.islice(tangent_numbers(), 7)) == \
+        [1, 2, 16, 272, 7936, 353792, 22368256]
+
+
+def test_tangent_table_equals_recurrence_table():
+    cache, recurrence = EulerCache(), EulerRecurrence()
+    for n in range(61):
+        assert cache.euler_poly(n) == recurrence.euler_poly(n), n
+    assert recurrence.terms == 61
+
+
+def test_tangent_table_equals_sympy():
+    x = sympy.Symbol("x")
+    cache = EulerCache()
+    for n in range(30):
+        coeffs = reversed(sympy.Poly(sympy.euler(n, x), x).all_coeffs())
+        expected = Polynomial([F(int(c.p), int(c.q)) for c in coeffs])
+        assert cache.euler_poly(n) == expected, n
 
 
 def test_series_division_oracle_agrees_with_recurrence():
@@ -165,15 +198,21 @@ def test_fresh_cache_matches_default():
 def test_concurrent_cache_use_is_deterministic():
     cache = EulerCache()
     results = {}
+    start = threading.Barrier(4)
 
     def worker(tag):
-        results[tag] = [cache.euler_poly(n) for n in range(45)]
+        start.wait()
+        results[tag] = [cache.euler_poly(n) for n in range(136)]
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    expected = [euler_poly(n) for n in range(45)]
+    expected = [euler_poly(n) for n in range(136)]
+    digest = hashlib.sha256(json.dumps(
+        [p.to_coeff_strings() for p in expected]).encode()).hexdigest()
+    assert digest == EULER_0_TO_135_SHA256
+    assert len(results) == 4
     for tag in results:
         assert results[tag] == expected

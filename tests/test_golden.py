@@ -1,6 +1,7 @@
 """Golden gate: the bytes of `verify all` on the desk grid, in every format,
-the reports of the pointwise suite, and the bytes of `witt --naive` on two
-small cases in every format.
+the reports of the pointwise suite, the bytes of `witt --naive` on two
+small cases in every format, and the bytes of `poly 135`, `numbers 60`
+(every format) and `eval 60 7/3`.
 
 The reports carry timings, so they are cut out before hashing: every
 `"elapsed_ms": ...` line of the JSON (with the comma before it), the last
@@ -57,6 +58,28 @@ WITT_SHA256 = {
         "be4808d3aaa67ed31c27de095537831da301727f6cd3347c27705023d62f7b11",
 }
 
+# the table commands print no timing either; keys are the argv
+TABLE_SHA256 = {
+    ("poly", "135", "--format", "text"):
+        "881b5b4cd51ebab792791540e16042438dc7d36bf450b1fc1a8ce9ce6ae12379",
+    ("poly", "135", "--format", "json"):
+        "c4da02c4bc45a9033c16ce5557ba56d46b763c2894aff62e48b44be2b611a021",
+    ("poly", "135", "--format", "csv"):
+        "e15e0b6a95ce9c695ac56c6b2c0a804af0df8949fd6929a1be30a45a5b269cdb",
+    ("poly", "135", "--format", "md"):
+        "27f520963d4165c0840e5c7a8f965f2db208ed32b100bbfb59d8325432543c93",
+    ("numbers", "60", "--format", "text"):
+        "df33dd412c141b9196f34eea22e4ff471eb94bad1a25bf49c98bd384050d15df",
+    ("numbers", "60", "--format", "json"):
+        "afbbcf37e3d405d1eeb112e8ec08944234a2ad2f5443dccbcb9a87dbc16cd427",
+    ("numbers", "60", "--format", "csv"):
+        "80ee70f2fa7c48b2ae70de1feaa2633a575a02844cb30bbd354966db8882dbe3",
+    ("numbers", "60", "--format", "md"):
+        "7605255939b4fb2f5955374d8a7b89858492099c65391663a31ca9254d9d48fa",
+    ("eval", "60", "7/3"):
+        "36b66e60d43855f3ac7643d4ed368248e23a6e9a152bb6440d2ba6088130d11c",
+}
+
 _ELAPSED = {
     "json": re.compile(r',\n\s*"elapsed_ms": [^\n]*'),
     "csv": re.compile(r",[^,\n]*\r$", re.MULTILINE),
@@ -82,12 +105,17 @@ def desk_grid_digest(fmt: str = "json") -> str:
     return _sha256(text)
 
 
-def witt_digest(case: str, fmt: str) -> str:
+def table_digest(argv) -> str:
+    """sha256 of the whole output of a command that prints no timing."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["witt", *WITT_CASES[case], "--naive",
-                         "--format", fmt]) == 0
+        assert cli.main(list(argv)) == 0
     return _sha256(out.getvalue())
+
+
+def witt_digest(case: str, fmt: str) -> str:
+    return table_digest(["witt", *WITT_CASES[case], "--naive",
+                         "--format", fmt])
 
 
 def test_verify_all_json_matches_golden():
@@ -108,9 +136,17 @@ def test_witt_naive_matches_golden(case, fmt):
     assert witt_digest(case, fmt) == WITT_SHA256[case, fmt]
 
 
+@pytest.mark.parametrize("argv", sorted(TABLE_SHA256), ids=" ".join)
+def test_table_commands_match_golden(argv):
+    assert table_digest(argv) == TABLE_SHA256[argv]
+
+
 if __name__ == "__main__":
     for fmt in GOLDEN_SHA256:
         print(f'    "{fmt}": "{desk_grid_digest(fmt)}",')
     for case, fmt in WITT_SHA256:
         print(f'    ("{case}", "{fmt}"):\n'
               f'        "{witt_digest(case, fmt)}",')
+    for argv in TABLE_SHA256:
+        key = ", ".join(f'"{a}"' for a in argv)
+        print(f'    ({key}):\n        "{table_digest(argv)}",')

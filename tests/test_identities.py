@@ -16,7 +16,12 @@ from eulerferm.identities import (
     report_to_dict,
     run_suite,
 )
-from eulerferm.euler import EulerSeries, euler_zero
+from eulerferm.euler import (
+    EulerRecurrence,
+    EulerSeries,
+    euler_poly,
+    euler_zero,
+)
 from eulerferm.polynomial import Polynomial
 
 F = Fraction
@@ -267,11 +272,35 @@ def test_run_suite_all_pass_and_deterministic():
 
 
 def test_gf_consistency_builds_each_series_term_once(monkeypatch):
-    series = EulerSeries()
+    series, recurrence = EulerSeries(), EulerRecurrence()
     monkeypatch.setattr(ident, "_SERIES", series)
+    monkeypatch.setattr(ident, "_RECURRENCE", recurrence)
     reports = run_suite(["gf_consistency"], SweepGrid(n=tuple(range(10, 21))))
     assert len(reports) == 11 and all(r.passed for r in reports)
-    assert series.terms == 21
+    assert series.terms == recurrence.terms == 21
+    # each oracle grows one table, not one table per n
+    series, recurrence = EulerSeries(), EulerRecurrence()
+    monkeypatch.setattr(ident, "_SERIES", series)
+    monkeypatch.setattr(ident, "_RECURRENCE", recurrence)
+    reports = run_suite(["gf_consistency"], SweepGrid(n=tuple(range(40, 61))))
+    assert len(reports) == 21 and all(r.passed for r in reports)
+    assert series.terms == recurrence.terms == 61
+
+
+class _OffAtFive:
+    """An oracle whose E_5 is off by x; every other entry is true."""
+
+    def euler_poly(self, n):
+        e = euler_poly(n)
+        return e + Polynomial([0, 1]) if n == 5 else e
+
+
+@pytest.mark.parametrize("oracle", ["_SERIES", "_RECURRENCE"])
+def test_gf_consistency_compares_each_oracle(monkeypatch, oracle):
+    monkeypatch.setattr(ident, oracle, _OffAtFive())
+    for mode in ("symbolic", "pointwise"):
+        reports = run_suite(["gf_consistency"], mode=mode)
+        assert [r.params["n"] for r in reports if not r.passed] == [5]
 
 
 def test_run_suite_subset_and_unknown():

@@ -1,6 +1,6 @@
 """Integer paths: the thm2 pivot over Z[a][x], the integer-weighted E_n
-sums over one common denominator, and the p-adic naive sums of polynomials
-over one common denominator.
+sums over one common denominator, the p-adic naive sums of polynomials
+over one common denominator, and the E_n table built from tangent numbers.
 
 Each fast path is compared with the construction over Q that it replaced,
 kept here as the reference, and every checker that uses the sums must
@@ -195,3 +195,36 @@ def test_corrupted_euler_table_fails_witt(monkeypatch):
         p, a = r.params["p"], r.params["a"]
         assert r.passed == (valuation(_CorruptedEuler.extra(a), p) >= 2), r
     assert {r.params["p"] for r in reports if not r.passed} == {3, 5, 7}
+
+
+# --- the tangent-number table ---------------------------------------------
+
+class _CorruptedT3(EulerCache):
+    """T_3 reads as 17 instead of 16 where the table reads the tangent
+    numbers, so E_5(0) = s_5 / 32 and every E_n with n >= 5 is wrong."""
+
+    def __init__(self):
+        super().__init__()
+        true = self._tangents
+        self._tangents = (t + (j == 3) for j, t in enumerate(true, 1))
+
+
+def test_corrupted_tangent_number_fails_gf_consistency(monkeypatch):
+    """gf_consistency compares the table with two oracles that never read
+    it, so it fails wherever the corruption shows: n = 5 and 6 on the desk
+    grid.
+
+    Blind spots, which still pass everywhere on the desk grid:
+    ``complement`` (in (-1)**n E_n(-a) + E_n(a) the odd s_k cancel, so it
+    cannot see any tangent number), and ``bernoulli_power_sum`` and
+    ``lem1``, which never read E_n. Every other checker fails somewhere.
+    """
+    monkeypatch.setattr(euler, "_CACHE", _CorruptedT3())
+    assert euler.euler_zero(5) == F(-17, 32)
+    reports = run_suite()
+    failed = {r.checker for r in reports if not r.passed}
+    gf_failed = [r.params["n"] for r in reports
+                 if r.checker == "gf_consistency" and not r.passed]
+    assert gf_failed == [5, 6]
+    assert {r.checker for r in reports} - failed == \
+        {"complement", "bernoulli_power_sum", "lem1"}

@@ -1,14 +1,17 @@
 """Polynomial ring tests over Fraction and nested-Polynomial coefficients.
 
 The derivative oracle is a one-step formal differentiation written here,
-applied repeatedly; the composition oracle is evaluation consistency at
-random rational points.
+applied repeatedly. The composition oracles are evaluation consistency at
+random rational points, and the Horner-by-line composition that the integer
+Taylor shift replaced, kept here.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerferm.polynomial import Polynomial, X, monomial
 
@@ -133,6 +136,41 @@ def test_compose_affine_eval_consistency():
         v = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         t = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         assert p.compose_affine(u, v)(t) == p(u * t + v)
+
+
+def compose_by_lines(p, u, v):
+    """p(u*x + v) by Horner's rule over the line u*x + v."""
+    line = Polynomial((v, u))
+    acc = Polynomial()
+    for c in reversed(p.coeffs):
+        acc = acc * line + Polynomial((c,))
+    return acc
+
+
+_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(coeffs=st.integers(0, 41).flatmap(lambda size: st.lists(
+           st.one_of(_fractions, st.integers(-9, 9)),
+           min_size=size, max_size=size)),
+       u=st.one_of(st.just(0), st.just(-1), _fractions),
+       v=st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3])))
+def test_compose_affine_equals_horner_by_lines(coeffs, u, v):
+    p = Polynomial(coeffs)
+    got = p.compose_affine(u, v)
+    assert got == compose_by_lines(p, Fraction(u), v)
+    assert all(type(c) in (int, Fraction) for c in got.coeffs)
+
+
+@pytest.mark.parametrize("p", [Polynomial(), Polynomial([Fraction(5, 3)]),
+                               Polynomial([0, 0, 0, Fraction(-2, 7)])],
+                         ids=["zero", "constant", "monomial"])
+@pytest.mark.parametrize("u,v", [(0, Fraction(1, 2)), (-3, Fraction(2, 3)),
+                                 (Fraction(-5, 4), 7), (1, 0)])
+def test_compose_affine_edge_cases(p, u, v):
+    assert p.compose_affine(u, v) == \
+        compose_by_lines(p, Fraction(u), Fraction(v))
 
 
 def test_eval():
