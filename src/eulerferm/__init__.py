@@ -2,7 +2,6 @@
 mechanical verifier for the associated identity catalog."""
 
 from .numeric import (
-    Rational,
     binomial,
     falling_factorial,
     int_pow,
@@ -22,13 +21,11 @@ from .euler import (
     euler_polys_by_series,
 )
 from .padic import (
-    PadicInt,
     DenominatorNotInvertible,
     BudgetExceeded,
     DEFAULT_BUDGET,
     is_odd_prime,
     valuation,
-    padic_from_rational,
     fermionic_sum_naive,
     fermionic_sum_naive_mod,
     fermionic_sum_closed,

@@ -33,6 +33,7 @@ from .padic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DenominatorNotInvertible,
+    budget_overrun,
     fermionic_sum_closed,
     fermionic_sum_naive,
     is_odd_prime,
@@ -239,10 +240,11 @@ def _cmd_verify(args) -> int:
     if any(v < 0 for v in grid.m + grid.n + grid.q + grid.k + grid.s):
         return _usage_error("ranges must be non-negative")
     # only lem1 and witt sum p**N terms
-    span = max(p ** grid.precision for p in grid.p_list)
-    if ("lem1" in ids or "witt" in ids) and grid.budget < span:
-        return _usage_error(f"budget {grid.budget} smaller than the requested "
-                            f"p**N sweep of {span} terms")
+    if "lem1" in ids or "witt" in ids:
+        overrun = budget_overrun(max(grid.p_list), grid.precision, grid.budget)
+        if overrun:
+            return _usage_error(f"budget {grid.budget} smaller than the "
+                                f"requested p**N sweep of {overrun} terms")
     try:
         reports = run_suite(ids, grid)
     except (ValueError, BudgetExceeded) as exc:
@@ -262,17 +264,17 @@ def _cmd_witt(args) -> int:
             raise ValueError(f"precision must be >= 1, got {args.precision}")
         if args.n < 0:
             raise ValueError(f"n must be >= 0, got {args.n}")
-        span = args.p ** args.precision
-        closed = fermionic_sum_closed(args.n, args.a, span)
         exact = euler_poly(args.n)(args.a)
         naive = None
         if args.naive:
             naive = fermionic_sum_naive(
                 monomial(args.n).compose_affine(1, args.a), args.p,
                 args.precision, args.budget)
-        # the defect is measured on the naive sum, summed here at most once
+        # the defect is measured on the naive sum, summed here at most once;
+        # it checks the budget before the closed form builds p**N
         defect = witt_defect(args.n, args.a, args.p, args.precision,
                              args.budget, truncated=naive)
+        closed = fermionic_sum_closed(args.n, args.a, args.p ** args.precision)
     except (ValueError, DenominatorNotInvertible, BudgetExceeded) as exc:
         return _usage_error(exc)
 

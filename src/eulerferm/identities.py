@@ -33,12 +33,12 @@ Exact arithmetic stays on the integers where the values are integers. The
 left sides of wsp7, wsp9, thm1, thm2 and thm3 and the right side of wsp7
 are integer-weighted sums of E_n(a) and E_n(-a): ``euler.euler_sum`` adds
 their numerators as integers over one common denominator and divides it out
-once at the end, giving the same normalized Polynomial of Fractions. thm2's
-pivot polynomial is built over Z[a][x] and evaluated at integer points;
-only its final scaling by 2/k! is rational. sun adds its terms over the
-rationals, since its weights a**(m-i) are rational; every shifted
-E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
-shift over one common denominator.
+once at the end, giving the same normalized Polynomial of Fractions. The
+right side of thm2 is an integer polynomial in a, summed from products of
+binomial rows (c +- a)**e. sun adds its terms over the rationals, since its
+weights a**(m-i) are rational; every shifted E_n(u*a + v) comes from
+``Polynomial.compose_affine``, an integer Taylor shift over one common
+denominator.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -55,7 +55,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import factorial
 
 from .euler import (
     EulerRecurrence,
@@ -482,32 +481,42 @@ def check_sun_cor(m: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Two-variable pivot polynomial machinery
+# thm2's pivot polynomial, read through binomial rows
 # ---------------------------------------------------------------------------
 
-_A = Polynomial((0, 1))   # the inner indeterminate a, over the integers
-_ONE_A = Polynomial((1,))
+def _binomial_row(c: int, e: int, sign: int) -> list:
+    """Coefficients of (sign*a + c)**e in a, lowest degree first."""
+    return [math.comb(e, j) * c ** (e - j) * sign ** j for j in range(e + 1)]
 
 
-@lru_cache(maxsize=None)
-def _pivot_poly(m: int, n: int, s: int) -> Polynomial:
-    """(x+a)**(m+1) (x+a-s-1)**(n+1) + (-1)**(m+n) (x-a)**(n+1) (x-a-s-1)**(m+1)
-
-    as a polynomial in x whose coefficients are integer polynomials in a.
-    Its shift symmetry P(x+s+1) = P(-x) is what the order-k sums certify.
-    """
-    x_plus_a = Polynomial((_A, _ONE_A))
-    x_plus_a_s = Polynomial((_A - (s + 1), _ONE_A))
-    x_minus_a = Polynomial((-_A, _ONE_A))
-    x_minus_a_s = Polynomial((-_A - (s + 1), _ONE_A))
-    return x_plus_a ** (m + 1) * x_plus_a_s ** (n + 1) \
-        + (-1) ** (m + n) * (x_minus_a ** (n + 1) * x_minus_a_s ** (m + 1))
+def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
+    """(2/k!) sum_{l=1}^{s} (-1)**l P^{(k)}(l; a) for thm2's pivot P, as the
+    integer polynomial 2 sum_l (-1)**l [t**k] P(l+t; a). With u, w equal to
+    sign*a plus an integer, each term of [t**k] (t+u)**M (t+w)**M2 =
+    sum_i C(M,i) C(M2,k-i) u**(M-i) w**(M2-k+i) is a product of two rows."""
+    acc = [0] * max(0, m + n + 3 - k)
+    for sign, M, M2, weight in ((1, m + 1, n + 1, 2),
+                                (-1, n + 1, m + 1, 2 * (-1) ** (m + n))):
+        for l in range(1, s + 1):
+            for i in range(max(0, k - M2), min(M, k) + 1):
+                c = (-1) ** l * weight * math.comb(M, i) * math.comb(M2, k - i)
+                row_w = _binomial_row(l - s - 1, M2 - k + i, sign)
+                for j, x in enumerate(_binomial_row(l, M - i, sign)):
+                    x *= c
+                    for jj, y in enumerate(row_w):
+                        acc[j + jj] += x * y
+    return Polynomial(acc)
 
 
 @checker("thm2", _grid("m", "n", "s", "k",
                        where=lambda m, n, s, k: m + n > 0 and s >= 1))
 def check_thm2(m: int, n: int, s: int, k: int):
-    """Parity-selected order-k symmetry against the pivot polynomial:
+    """Parity-selected order-k symmetry against the pivot polynomial
+
+    P(x; a) = (x+a)**(m+1) (x+a-s-1)**(n+1)
+              + (-1)**(m+n) (x-a)**(n+1) (x-a-s-1)**(m+1),
+
+    whose shift symmetry P(x+s+1) = P(-x) the order-k sums certify:
 
     delta * (sum_i (s+1)**(m-i+1) C(m+1,i) C(n+i+1,k) E_{n+i-k+1}(a)
              + (-1)**(m+n) sum_j (s+1)**(n-j+1) C(n+1,j) C(m+j+1,k)
@@ -516,6 +525,7 @@ def check_thm2(m: int, n: int, s: int, k: int):
 
     delta = (-1)**s - (-1)**k in {+2, -2, 0}. For delta = 0 the check
     asserts that the derivative sum on the right is identically zero.
+    The right side is summed from binomial rows; P is never built.
     """
     if m + n <= 0:
         raise ValueError("thm2 requires m + n > 0")
@@ -527,11 +537,7 @@ def check_thm2(m: int, n: int, s: int, k: int):
           * (s + 1) ** (m - i + 1), n + i - k + 1) for i in range(m + 2)],
         [(delta * (-1) ** (m + n) * binomial(n + 1, j) * binomial(m + j + 1, k)
           * (s + 1) ** (n - j + 1), m + j - k + 1) for j in range(n + 2)])
-    deriv = _pivot_poly(m, n, s).derivative(k)
-    rhs = Polynomial()
-    for l in range(1, s + 1):
-        rhs = rhs + (-1) ** l * deriv(l)
-    return lhs, Fraction(2, factorial(k)) * rhs
+    return lhs, _pivot_taylor_sum(m, n, s, k)
 
 
 @checker("thm2_cro1", _NK, "scalar")

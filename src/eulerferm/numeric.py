@@ -11,11 +11,6 @@ import math
 import re
 from fractions import Fraction
 
-# Canonical exact rational type. Reduced form (gcd 1, positive denominator,
-# zero as 0/1) is enforced by the Fraction constructor, so equality is
-# structural.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
@@ -39,7 +34,7 @@ def falling_factorial(n: int, q: int) -> int:
     return math.perm(n, q)
 
 
-def int_pow(base: Rational, e: int) -> Rational:
+def int_pow(base: Fraction, e: int) -> Fraction:
     """Exact base**e for integer e >= 0, with the empty-product rule 0**0 = 1."""
     if e < 0:
         raise ValueError(f"int_pow: exponent must be >= 0, got {e}")
@@ -53,7 +48,7 @@ def common_denominator(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse 'num' or 'num/den' with an optional leading '-'.
 
     The denominator, when present, must be a positive decimal integer;

@@ -1,4 +1,4 @@
-"""Finite-precision p-adic integers and the fermionic alternating sum.
+"""p-adic valuations and the fermionic alternating sum.
 
 The alternating measure integral of f over the p-adic integers is the limit
 of S_N = sum_{x=0}^{p^N - 1} f(x) (-1)**x. This module never produces an
@@ -18,7 +18,7 @@ Euler table. The two share no computation, so a wrong E_n shows as a
 defect below N. ``lem1_defect`` compares three naive sums with one another
 and never looks at E_n.
 
-p is always an odd prime; p = 2 is rejected at construction. Shifts and
+p is always an odd prime; p = 2 is rejected. Shifts and
 coefficients must be p-integral rationals (denominator coprime to p), which
 is the rational slice of the p-adic integer ring.
 """
@@ -26,7 +26,6 @@ is the rational slice of the p-adic integer ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .euler import euler_poly
@@ -40,8 +39,7 @@ __all__ = [
     "is_odd_prime",
     "require_odd_prime",
     "valuation",
-    "PadicInt",
-    "padic_from_rational",
+    "budget_overrun",
     "fermionic_sum_naive",
     "fermionic_sum_naive_mod",
     "fermionic_sum_closed",
@@ -98,91 +96,33 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PadicInt:
-    """A residue mod p**precision with explicit odd prime p."""
-
-    p: int
-    precision: int
-    residue: int
-
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def _compat(self, other: "PadicInt") -> None:
-        if self.p != other.p or self.precision != other.precision:
-            raise ValueError(
-                f"mixed p-adic contexts: ({self.p}, {self.precision}) "
-                f"vs ({other.p}, {other.precision})"
-            )
-
-    def __add__(self, other):
-        self._compat(other)
-        return PadicInt(self.p, self.precision, self.residue + other.residue)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return PadicInt(self.p, self.precision, self.residue - other.residue)
-
-    def __neg__(self):
-        return PadicInt(self.p, self.precision, -self.residue)
-
-    def __mul__(self, other):
-        self._compat(other)
-        return PadicInt(self.p, self.precision, self.residue * other.residue)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        return PadicInt(self.p, self.precision, pow(self.residue, e, self.modulus))
-
-    @classmethod
-    def from_rational(cls, r, p: int, precision: int) -> "PadicInt":
-        """Embed a rational with p-coprime denominator as a residue mod p**N."""
-        require_odd_prime(p)
-        if precision < 1:
-            raise ValueError(f"precision must be >= 1, got {precision}")
-        r = Fraction(r)
-        if r.denominator % p == 0:
-            raise DenominatorNotInvertible(
-                f"{r} is not a {p}-adic integer (p divides the denominator)"
-            )
-        modulus = p ** precision
-        inv = pow(r.denominator, -1, modulus)
-        return cls(p, precision, r.numerator * inv)
-
-
-def padic_from_rational(r, p: int, precision: int) -> PadicInt:
-    return PadicInt.from_rational(r, p, precision)
+def budget_overrun(p: int, precision: int, budget: int) -> str:
+    """p**N as text if it exceeds budget, else "". When N > budget's bit
+    length, p**N >= 2**N > budget: it is not built, and reads "{p}**{N}"."""
+    if precision > budget.bit_length():
+        return f"{p}**{precision}"
+    span = p ** precision
+    return str(span) if span > budget else ""
 
 
 def _check_budget(p: int, precision: int, budget: int) -> int:
     require_odd_prime(p)
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    span = p ** precision
-    if span > budget:
-        raise BudgetExceeded(f"p**N = {span} exceeds budget {budget}")
-    return span
+    overrun = budget_overrun(p, precision, budget)
+    if overrun:
+        raise BudgetExceeded(f"p**N = {overrun} exceeds budget {budget}")
+    return p ** precision
 
 
 def fermionic_sum_naive(f, p: int, precision: int, budget: int = DEFAULT_BUDGET):
     """Exact truncated alternating sum: sum_{x=0}^{p^N - 1} f(x) (-1)**x.
 
-    A Polynomial with int or Fraction coefficients is summed over the
-    integers and the result is a Fraction; any other callable is summed in
-    whatever arithmetic f returns.
+    A Polynomial is summed over the integers and the result is a Fraction;
+    any other callable is summed in whatever arithmetic f returns.
     """
     span = _check_budget(p, precision, budget)
-    if isinstance(f, Polynomial) and all(isinstance(c, (int, Fraction))
-                                         for c in f.coeffs):
+    if isinstance(f, Polynomial):
         return _integer_sum(f.coeffs, span)
     total = 0
     sign = 1
@@ -208,25 +148,29 @@ def _integer_sum(coeffs, span: int) -> Fraction:
 
 
 def fermionic_sum_naive_mod(f: Polynomial, p: int, precision: int,
-                            budget: int = DEFAULT_BUDGET) -> PadicInt:
-    """Fast alternative path: the same truncated sum carried out mod p**N.
+                            budget: int = DEFAULT_BUDGET) -> int:
+    """The same truncated sum carried out mod p**N: its residue in [0, p**N).
 
     Restricted to polynomial integrands with p-integral coefficients; must
     agree with ``fermionic_sum_naive`` reduced mod p**N (tested, not assumed).
     """
-    span = _check_budget(p, precision, budget)
-    modulus = p ** precision
-    coeffs = [PadicInt.from_rational(c, p, precision).residue
-              for c in f.coeffs] or [0]
+    modulus = _check_budget(p, precision, budget)
+    coeffs = []
+    for c in f.coeffs:
+        if c.denominator % p == 0:
+            raise DenominatorNotInvertible(
+                f"{c} is not a {p}-adic integer (p divides the denominator)"
+            )
+        coeffs.append(c.numerator * pow(c.denominator, -1, modulus) % modulus)
     total = 0
     sign = 1
-    for x in range(span):
+    for x in range(modulus):
         acc = 0
         for c in reversed(coeffs):
             acc = (acc * x + c) % modulus
         total = (total + sign * acc) % modulus
         sign = -sign
-    return PadicInt(p, precision, total)
+    return total
 
 
 def fermionic_sum_closed(n: int, a, q: int):

@@ -1,22 +1,13 @@
-"""Dense univariate polynomials over an exact commutative coefficient ring.
-
-Coefficients may be ints, Fractions, or Polynomials again (giving exact
-bivariate polynomials, e.g. "polynomial in x whose coefficients are
-polynomials in a"). The coefficient ring only needs +, *, unary -, and the
-rule that an element is falsy exactly when it is zero; all three coefficient
-types above satisfy it. The exception is ``compose_affine``, which composes
-only polynomials with int or Fraction coefficients: it is an integer Taylor
-shift over one common denominator.
+"""Dense univariate polynomials with exact int or Fraction coefficients.
 
 Instances are normalized on construction: the highest-index stored
 coefficient is nonzero, and the zero polynomial stores no coefficients.
 ``degree`` of the zero polynomial is ``None`` -- a sentinel, never a number
 that participates in arithmetic.
 
-``*`` between two Polynomials is always ring multiplication (convolution).
-To scale a polynomial by a coefficient that is itself a Polynomial, lift the
-scalar with ``Polynomial.constant`` first; plain ints and Fractions scale
-directly via ``*``.
+``*`` between two Polynomials is ring multiplication (convolution); an int
+or Fraction scales every coefficient. ``compose_affine`` is an integer
+Taylor shift over one common denominator.
 """
 
 from __future__ import annotations
@@ -46,11 +37,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        """Lift a coefficient-ring element to a degree-0 polynomial."""
-        return cls((c,))
 
     @property
     def degree(self):
@@ -140,8 +126,7 @@ class Polynomial:
         ))
 
     def compose_affine(self, u, v) -> "Polynomial":
-        """p(u*x + v), expanded exactly, for int or Fraction coefficients
-        and rational u, v (only rational coefficients are composed).
+        """p(u*x + v), expanded exactly, for rational u, v.
 
         An integer Taylor shift: with d the lcm of the coefficient
         denominators and v = r/t, t**n * d * p((y + r)/t) is an integer
@@ -166,7 +151,7 @@ class Polynomial:
                            for i, c in enumerate(acc)])
 
     def __call__(self, t):
-        """Evaluate at a coefficient-ring element t by Horner's rule."""
+        """Evaluate at t by Horner's rule."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -193,7 +178,7 @@ class Polynomial:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            parts.append((_term_str(c, i), _is_negative(c)))
+            parts.append((_term_str(c, i), c < 0))
         text, neg = parts[0]
         out = ("-" if neg else "") + text
         for text, neg in parts[1:]:
@@ -201,23 +186,12 @@ class Polynomial:
         return out
 
 
-def _is_negative(c) -> bool:
-    try:
-        return c < 0
-    except TypeError:
-        return False
-
-
 def _term_str(c, i: int) -> str:
-    if isinstance(c, Polynomial):
-        body = f"({c})"
-    else:
-        a = -c if _is_negative(c) else c
-        body = str(a)
+    body = str(abs(c))
     if i == 0:
         return body
     power = "x" if i == 1 else f"x^{i}"
-    if not isinstance(c, Polynomial) and body == "1":
+    if body == "1":
         return power
     return f"{body}*{power}"
 

@@ -20,7 +20,6 @@ from eulerferm.padic import (
     fermionic_sum_closed,
     fermionic_sum_naive,
     lem1_defect,
-    padic_from_rational,
     valuation,
     witt_defect,
 )
@@ -199,8 +198,7 @@ def test_criterion_5_padic_convergence():
 def test_criterion_6_error_paths(capsys, monkeypatch):
     ok = True
     # odd-prime guard across entry points
-    for call in (lambda: padic_from_rational(F(1, 2), 2, 1),
-                 lambda: valuation(F(1), 2),
+    for call in (lambda: valuation(F(1), 2),
                  lambda: fermionic_sum_naive(lambda x: x, 2, 1),
                  lambda: witt_defect(1, F(0), 2, 1)):
         try:
@@ -210,7 +208,7 @@ def test_criterion_6_error_paths(capsys, monkeypatch):
             pass
     # non-invertible denominator
     try:
-        padic_from_rational(F(1, 3), 3, 2)
+        witt_defect(1, F(1, 3), 3, 2)
         ok = False
     except DenominatorNotInvertible:
         pass

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,7 +120,8 @@ def test_verify_even_prime_exits_2():
 def test_verify_budget_too_small_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "lem1", "--budget", "3")
     assert code == 2
-    assert "budget" in err
+    assert err == \
+        "error: budget 3 smaller than the requested p**N sweep of 49 terms\n"
 
 
 def test_verify_budget_applies_to_witt(capsys):
@@ -129,6 +131,22 @@ def test_verify_budget_applies_to_witt(capsys):
     assert code == 2
     assert out == ""
     assert "budget 10000000 smaller than the requested p**N sweep" in err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["verify", "cro2", "--n", "0..1", "--precision", "1000000000"], 0, ""),
+    (["verify", "lem1", "--precision", "1000000000"], 2,
+     "error: budget 10000000 smaller than the requested p**N sweep of "
+     "7**1000000000 terms\n"),
+    (["witt", "--p", "3", "--precision", "1000000000", "--n", "1", "--a", "0"],
+     2, "error: p**N = 3**1000000000 exceeds budget 10000000\n"),
+], ids=["cro2", "lem1", "witt"])
+def test_huge_precision_is_answered_without_building_p_to_the_n(
+        capsys, argv, code, message):
+    started = time.perf_counter()
+    got, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert (got, err) == (code, message)
 
 
 def test_verify_budget_applies_only_to_padic_sums(capsys):
@@ -227,7 +245,7 @@ def test_witt_budget_applies_without_naive(capsys):
                              "--n", "1", "--a", "0", "--budget", "8")
     assert code == 2
     assert out == ""
-    assert "exceeds budget 8" in err
+    assert err == "error: p**N = 9 exceeds budget 8\n"
 
 
 def test_witt_naive_sums_once(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Golden gate: the bytes of `verify all` on the desk grid, in every format,
-the reports of the pointwise suite, the bytes of `witt --naive` on two
+the reports of the pointwise suite, the bytes of `verify thm2` on a grid
+with k = 0 and k up to 6 (every format), the bytes of `witt --naive` on two
 small cases in every format, and the bytes of `poly 135`, `numbers 60`
 (every format) and `eval 60 7/3`.
 
@@ -30,6 +31,18 @@ GOLDEN_SHA256 = {
     "md": "f7a85c7fbfb19e1ee92a97bbdb246032d300faa8af45c048b9c69d4d342dbf37",
     "pointwise":
         "b0ec8e8c37a3cbed62b8b54ae38f65e7490a93e843a9bbb0a5c3b1805dc29779",
+}
+
+# thm2 beyond the desk grid's k in 1..3: k = 0, and k above the pivot's
+# low degrees
+THM2_ARGV = ["verify", "thm2", "--m", "0..8", "--n", "0..8", "--s", "1..4",
+             "--k", "0..6"]
+
+THM2_SHA256 = {
+    "json": "1806d82a99994876880da78a41960110210417715bef496bf205a2d93fb7d823",
+    "text": "f5ef82056990e441ccc9fb96075d0dbf4869162e6605653b4d266aee4cc0f628",
+    "csv": "630ed109a14e0052bc5dca6b3551ec61acdbb75af26e66ac0b2be9d4edfc7cda",
+    "md": "527fa3ff9ce47b61f01225a80b656fa87e23d24bdede2a9f15e2eb926f66d253",
 }
 
 # `witt --naive` prints no timing, so its whole output is hashed
@@ -90,19 +103,24 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def verify_digest(argv, fmt: str) -> str:
+    """sha256 of a passing `verify` run in one format, less its timings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--format", fmt]) == 0
+    text = out.getvalue()
+    if fmt in _ELAPSED:
+        text = _ELAPSED[fmt].sub("", text)
+    return _sha256(text)
+
+
 def desk_grid_digest(fmt: str = "json") -> str:
     if fmt == "pointwise":
         dicts = [report_to_dict(r) for r in run_suite(mode="pointwise")]
         for d in dicts:
             del d["elapsed_ms"]
         return _sha256(json.dumps(dicts))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["verify", "all", "--format", fmt]) == 0
-    text = out.getvalue()
-    if fmt in _ELAPSED:
-        text = _ELAPSED[fmt].sub("", text)
-    return _sha256(text)
+    return verify_digest(["verify", "all"], fmt)
 
 
 def table_digest(argv) -> str:
@@ -131,6 +149,11 @@ def test_pointwise_suite_matches_golden():
     assert desk_grid_digest("pointwise") == GOLDEN_SHA256["pointwise"]
 
 
+@pytest.mark.parametrize("fmt", sorted(THM2_SHA256))
+def test_verify_thm2_wide_k_matches_golden(fmt):
+    assert verify_digest(THM2_ARGV, fmt) == THM2_SHA256[fmt]
+
+
 @pytest.mark.parametrize("case,fmt", sorted(WITT_SHA256))
 def test_witt_naive_matches_golden(case, fmt):
     assert witt_digest(case, fmt) == WITT_SHA256[case, fmt]
@@ -144,6 +167,8 @@ def test_table_commands_match_golden(argv):
 if __name__ == "__main__":
     for fmt in GOLDEN_SHA256:
         print(f'    "{fmt}": "{desk_grid_digest(fmt)}",')
+    for fmt in THM2_SHA256:
+        print(f'    "{fmt}": "{verify_digest(THM2_ARGV, fmt)}",')
     for case, fmt in WITT_SHA256:
         print(f'    ("{case}", "{fmt}"):\n'
               f'        "{witt_digest(case, fmt)}",')

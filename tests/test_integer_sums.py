@@ -1,6 +1,7 @@
-"""Integer paths: the thm2 pivot over Z[a][x], the integer-weighted E_n
-sums over one common denominator, the p-adic naive sums of polynomials
-over one common denominator, and the E_n table built from tangent numbers.
+"""Integer paths: thm2's right side from binomial rows, the
+integer-weighted E_n sums over one common denominator, the p-adic naive
+sums of polynomials over one common denominator, and the E_n table built
+from tangent numbers.
 
 Each fast path is compared with the construction over Q that it replaced,
 kept here as the reference, and every checker that uses the sums must
@@ -9,6 +10,7 @@ still fail when a table entry is wrong.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -27,25 +29,51 @@ from eulerferm.polynomial import Polynomial
 F = Fraction
 
 
-def _pivot_over_q(m, n, s):
-    a = Polynomial((F(0), F(1)))
-    one = Polynomial((F(1),))
-    x_plus_a = Polynomial((a, one))
-    x_plus_a_s = Polynomial((a - (s + 1), one))
-    x_minus_a = Polynomial((-a, one))
-    x_minus_a_s = Polynomial((-a - (s + 1), one))
-    return x_plus_a ** (m + 1) * x_plus_a_s ** (n + 1) \
-        + (-1) ** (m + n) * (x_minus_a ** (n + 1) * x_minus_a_s ** (m + 1))
+def _pivot_at(a0, m, n, s):
+    """thm2's pivot P(x; a0) as a univariate polynomial in x over Q."""
+    return Polynomial((a0, 1)) ** (m + 1) \
+        * Polynomial((a0 - (s + 1), 1)) ** (n + 1) \
+        + (-1) ** (m + n) * (Polynomial((-a0, 1)) ** (n + 1)
+                             * Polynomial((-a0 - (s + 1), 1)) ** (m + 1))
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
 def test_integer_pivot_equals_rational_pivot(s):
-    for m in range(5):
-        for n in range(5):
-            pivot = ident._pivot_poly(m, n, s)
-            assert pivot == _pivot_over_q(m, n, s)
-            assert all(type(c) is int
-                       for inner in pivot.coeffs for c in inner.coeffs)
+    # thm2's right side from integer binomial rows against the k-th
+    # derivative of the pivot built over Q at each point a0. Both sides have
+    # degree <= m+n+2-k in a, so agreement at that many points plus one is
+    # equality of polynomials. At s = 0 both are the empty sum.
+    for m in range(7):
+        for n in range(7):
+            if m + n == 0:
+                continue
+            points = [F(j, 3) - 2 for j in range(m + n + 3)]
+            pivots = [_pivot_at(a0, m, n, s) for a0 in points]
+            for k in range(9):
+                rows = ident._pivot_taylor_sum(m, n, s, k)
+                assert all(type(c) is int for c in rows.coeffs)
+                for a0, pivot in zip(points[:max(1, m + n + 3 - k)], pivots):
+                    deriv = pivot.derivative(k)
+                    want = F(2, factorial(k)) * sum(
+                        (-1) ** l * deriv(l) for l in range(1, s + 1))
+                    assert rows(a0) == want, (m, n, s, k, a0)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+@pytest.mark.parametrize("row", [(1, 2, 1), (1, 2, -1), (-2, 1, 1)])
+def test_corrupted_binomial_row_fails_thm2(monkeypatch, mode, row):
+    # one row, (sign*a + c)**e, reads its coefficient of a off by one
+    clean = ident._binomial_row
+
+    def corrupted(c, e, sign):
+        coeffs = clean(c, e, sign)
+        if (c, e, sign) == row:
+            coeffs[1] += 1
+        return coeffs
+
+    assert all(r.passed for r in run_suite(["thm2"], mode=mode))
+    monkeypatch.setattr(ident, "_binomial_row", corrupted)
+    assert not all(r.passed for r in run_suite(["thm2"], mode=mode))
 
 
 def _random_terms(rng):
@@ -160,12 +188,6 @@ def test_integer_naive_sum_equals_generic_loop(p):
             want = fermionic_sum_naive(lambda x: poly(F(x)), p, precision)
             assert type(got) is F
             assert got == want, (poly, p, precision)
-
-
-def test_naive_sum_of_bivariate_polynomial_uses_generic_loop():
-    # (x + a) summed over x < 3 with signs +, -, +: a + 1, a polynomial in a
-    integrand = Polynomial([Polynomial([0, 1]), 1])
-    assert fermionic_sum_naive(integrand, 3, 1) == Polynomial([1, 1])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -15,13 +15,12 @@ from eulerferm.euler import euler_poly
 from eulerferm.padic import (
     BudgetExceeded,
     DenominatorNotInvertible,
-    PadicInt,
+    budget_overrun,
     fermionic_sum_closed,
     fermionic_sum_naive,
     fermionic_sum_naive_mod,
     is_odd_prime,
     lem1_defect,
-    padic_from_rational,
     valuation,
     witt_defect,
 )
@@ -47,34 +46,22 @@ def test_valuation():
 
 
 def test_from_rational():
-    assert padic_from_rational(F(1, 2), 3, 2).residue == 5  # 2*5 = 10 = 1 mod 9
-    assert padic_from_rational(F(0), 7, 3).residue == 0
-    assert padic_from_rational(F(-1), 3, 2).residue == 8
+    # a constant c summed over an odd number of terms is c, so the mod path
+    # returns the residue of c mod p**N
+    def residue(r, p, precision):
+        return fermionic_sum_naive_mod(Polynomial([r]), p, precision)
+
+    assert residue(F(1, 2), 3, 2) == 5  # 2*5 = 10 = 1 mod 9
+    assert residue(F(0), 7, 3) == 0
+    assert residue(F(-1), 3, 2) == 8
     with pytest.raises(DenominatorNotInvertible):
-        padic_from_rational(F(1, 3), 3, 2)
+        residue(F(1, 3), 3, 2)
     with pytest.raises(ValueError):
-        padic_from_rational(F(1, 2), 2, 2)
+        residue(F(1, 2), 2, 2)
     with pytest.raises(ValueError):
-        padic_from_rational(F(1, 2), 15, 2)
+        residue(F(1, 2), 15, 2)
     with pytest.raises(ValueError):
-        padic_from_rational(F(1, 2), 5, 0)
-
-
-def test_padic_int_arithmetic():
-    x = PadicInt(3, 2, 5)
-    y = PadicInt(3, 2, 7)
-    assert (x + y).residue == 3
-    assert (x - y).residue == 7
-    assert (x * y).residue == 35 % 9
-    assert (-x).residue == 4
-    assert (x ** 2).residue == 7
-    assert x == PadicInt(3, 2, 14)  # residues reduce mod 9
-    with pytest.raises(ValueError):
-        x + PadicInt(5, 2, 1)
-    with pytest.raises(ValueError):
-        x + PadicInt(3, 3, 1)
-    with pytest.raises(ValueError):
-        x ** -1
+        residue(F(1, 2), 5, 0)
 
 
 def test_naive_sums_frozen():
@@ -91,6 +78,17 @@ def test_naive_budget_guard():
         fermionic_sum_naive(lambda x: x, 3, 2, budget=5)
     with pytest.raises(ValueError):
         fermionic_sum_naive(lambda x: x, 4, 2)
+
+
+def test_budget_overrun_builds_p_to_the_n_only_up_to_the_budget_bits():
+    # 100 has 7 bits: up to N = 7, p**N is built and named; beyond, 3**N
+    # >= 2**N > 100 without building it
+    assert budget_overrun(3, 4, 100) == ""
+    assert budget_overrun(3, 7, 100) == "2187"
+    assert budget_overrun(3, 8, 100) == "3**8"
+    assert budget_overrun(3, 10 ** 9, 10 ** 7) == "3**1000000000"
+    with pytest.raises(BudgetExceeded, match=r"^p\*\*N = 7\*\*25 exceeds"):
+        fermionic_sum_naive(lambda x: x, 7, 25)
 
 
 def test_closed_sum_examples():
@@ -160,8 +158,9 @@ def test_mod_path_agrees_with_exact_path():
                 coeffs.append(F(rng.randint(-9, 9), den))
             poly = Polynomial(coeffs)
             exact = fermionic_sum_naive(poly, p, 2)
+            modulus = p ** 2
             assert fermionic_sum_naive_mod(poly, p, 2) == \
-                padic_from_rational(exact, p, 2)
+                exact.numerator * pow(exact.denominator, -1, modulus) % modulus
 
 
 def test_mod_path_rejects_non_integral():

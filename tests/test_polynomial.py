@@ -59,14 +59,6 @@ def test_ring_identities():
     assert (X + 2) ** 0 == 1
 
 
-def test_bivariate_square():
-    a = Polynomial([Fraction(0), Fraction(1)])       # inner indeterminate
-    one = Polynomial([Fraction(1)])
-    x_plus_a = Polynomial([a, one])
-    sq = x_plus_a * x_plus_a
-    assert sq.coeffs == (a * a, 2 * a, one)
-
-
 def test_degree_of_products():
     rng = random.Random(11)
     for _ in range(100):
@@ -179,15 +171,6 @@ def test_eval():
     q = 5 * X ** 3 + Fraction(7, 2)
     assert q(Fraction(0)) == q.coeffs[0]
     assert Polynomial()(Fraction(3)) == 0
-
-
-def test_bivariate_eval():
-    # (x+a)(x+a-2) at x = 1 expands to (1+a)(a-1) = a^2 - 1
-    a = Polynomial([Fraction(0), Fraction(1)])
-    one = Polynomial([Fraction(1)])
-    p = Polynomial([a, one]) * Polynomial([a - 2, one])
-    assert p(Polynomial([Fraction(1)])) == \
-        Polynomial([Fraction(-1), Fraction(0), Fraction(1)])
 
 
 def test_str_rendering():
