@@ -26,6 +26,7 @@ from .padic import (
     DEFAULT_BUDGET,
     is_odd_prime,
     valuation,
+    fermionic_sum_digits,
     fermionic_sum_naive,
     fermionic_sum_naive_mod,
     fermionic_sum_closed,

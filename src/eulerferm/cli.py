@@ -6,8 +6,8 @@ poly N        print E_N(x)
 eval N A      print E_N(a) at a rational point
 numbers MAX   table n -> Euler number E_n for n <= MAX
 verify IDS..  run identity checkers over a bounded grid; exit 0 iff all pass
-witt          naive truncated sum vs E_n(a) valuation certificate, with the
-              closed-form sum beside it
+witt          truncated sum (by base-p digits) vs E_n(a) valuation certificate,
+              with the closed-form sum beside it
 
 Exit codes: 0 = all requested checks pass, 1 = at least one identity or
 valuation failure, 2 = usage/parse error. Output is deterministic: stable
@@ -78,6 +78,17 @@ def _parse_primes(text: str) -> tuple:
     return ps
 
 
+def _budget_arg(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be >= 1, got {budget}")
+    return budget
+
+
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--points", type=_parse_points)
     p_ver.add_argument("--p", type=_parse_primes, dest="p_list")
     p_ver.add_argument("--precision", type=int)
-    p_ver.add_argument("--budget", type=int)
+    p_ver.add_argument("--budget", type=_budget_arg)
     p_ver.add_argument("--format", choices=FORMATS, default="text")
 
     p_witt = sub.add_parser("witt", help="p-adic convergence certificate")
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witt.add_argument("--naive", action="store_true",
                         help="also print the p**N-term naive sum and require "
                              "exact agreement with the closed form")
-    p_witt.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_witt.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET)
     p_witt.add_argument("--format", choices=FORMATS, default="text")
 
     for sp in (p_eval, p_ver, p_witt):
@@ -239,7 +250,7 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"precision must be >= 1, got {grid.precision}")
     if any(v < 0 for v in grid.m + grid.n + grid.q + grid.k + grid.s):
         return _usage_error("ranges must be non-negative")
-    # only lem1 and witt sum p**N terms
+    # lem1 and witt sum by base-p digits, but their budget still caps p**N
     if "lem1" in ids or "witt" in ids:
         overrun = budget_overrun(max(grid.p_list), grid.precision, grid.budget)
         if overrun:
@@ -270,8 +281,8 @@ def _cmd_witt(args) -> int:
             naive = fermionic_sum_naive(
                 monomial(args.n).compose_affine(1, args.a), args.p,
                 args.precision, args.budget)
-        # the defect is measured on the naive sum, summed here at most once;
-        # it checks the budget before the closed form builds p**N
+        # the defect is measured on the naive sum when there is one, else on
+        # the digit sum; it checks the budget before the closed form builds p**N
         defect = witt_defect(args.n, args.a, args.p, args.precision,
                              args.budget, truncated=naive)
         closed = fermionic_sum_closed(args.n, args.a, args.p ** args.precision)

@@ -736,7 +736,8 @@ def _witt_params(n, a, p, precision, budget):
          report_params=_witt_params)
 def check_witt(n: int, a: Fraction, p: int, precision: int,
                budget: int = DEFAULT_BUDGET):
-    """v_p(naive sum of (x+a)**n over x < p**N - E_n(a)) >= N."""
+    """v_p(S_N - E_n(a)) >= N, S_N the sum of (x+a)**n (-1)**x over
+    x < p**N by base-p digits."""
     return witt_defect(n, a, p, precision, budget)
 
 

@@ -5,18 +5,24 @@ of S_N = sum_{x=0}^{p^N - 1} f(x) (-1)**x. This module never produces an
 approximate value for that limit: truncations are computed exactly, and
 convergence is reported as a valuation certificate v_p(S_N - exact) >= N.
 
-The naive sum adds the p^N terms one by one. A Polynomial integrand with
-rational coefficients is scaled to integer coefficients d*f, d the lcm of
-the coefficient denominators; d*f(x) is summed in plain integers by Horner's
-rule and d is divided out once. Any other callable is summed term by term in
-its own arithmetic, and that generic loop is the oracle of the integer
-route. The closed form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of
-(x+a)**n telescopes the Euler functional equation instead.
+A Polynomial integrand is summed by base-p digits. For odd p, x = j + p*y
+with 0 <= j < p gives (-1)**x = (-1)**j (-1)**y, so S_N(f) = S_{N-1}(g) with
+g(y) = sum_{j<p} (-1)**j f(j + p*y): N - 1 such levels of p - 1 integer
+Taylor shifts, then the p-term sum S_1, O(N p d**2) integer operations for
+degree d instead of p^N terms. f is scaled to integer coefficients d*f, d
+the lcm of the coefficient denominators, and d is divided out once.
 
-``witt_defect`` measures the naive sum of (x+a)**n against E_n(a) from the
+The naive sum adds the p^N terms one by one, in plain integers by Horner's
+rule for a Polynomial and in its own arithmetic for any other callable. It
+is the oracle of the digit route, and ``witt --naive`` prints it. The
+closed form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n
+telescopes the Euler functional equation instead.
+
+``witt_defect`` measures the digit sum of (x+a)**n against E_n(a) from the
 Euler table. The two share no computation, so a wrong E_n shows as a
-defect below N. ``lem1_defect`` compares three naive sums with one another
-and never looks at E_n.
+defect below N. ``lem1_defect`` compares three digit sums with one another
+and never looks at E_n. Both still refuse a p^N above their budget,
+although they sum no p^N terms.
 
 p is always an odd prime; p = 2 is rejected. Shifts and
 coefficients must be p-integral rationals (denominator coprime to p), which
@@ -30,7 +36,7 @@ from fractions import Fraction
 
 from .euler import euler_poly
 from .numeric import common_denominator
-from .polynomial import Polynomial, monomial
+from .polynomial import Polynomial, monomial, taylor_shift
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -40,6 +46,7 @@ __all__ = [
     "require_odd_prime",
     "valuation",
     "budget_overrun",
+    "fermionic_sum_digits",
     "fermionic_sum_naive",
     "fermionic_sum_naive_mod",
     "fermionic_sum_closed",
@@ -147,6 +154,42 @@ def _integer_sum(coeffs, span: int) -> Fraction:
     return Fraction(total, d)
 
 
+def fermionic_sum_digits(f: Polynomial, p: int, precision: int) -> Fraction:
+    """The truncated sum of ``fermionic_sum_naive`` for a Polynomial f,
+    summed by base-p digits: S_N(f) = S_1(g) after N - 1 ``_fold_digit``
+    levels, and S_1(g) = sum_{j<p} (-1)**j g(j) by Horner's rule.
+
+    Exact and equal to the naive sum, with no p**N-term loop and no budget.
+    """
+    require_odd_prime(p)
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    nums, d = common_denominator(f.coeffs)
+    for _ in range(precision - 1):
+        nums = _fold_digit(nums, p)
+    total = 0
+    for j in range(p):
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * j + c
+        total += -acc if j % 2 else acc
+    return Fraction(total, d)
+
+
+def _fold_digit(nums, p: int) -> list:
+    """Integer coefficients of g(y) = sum_{j<p} (-1)**j f(j + p*y) from
+    those of f: F(t) = sum_j (-1)**j f(t + j) by p - 1 shifts by 1, then
+    g(y) = F(p*y) scales coefficient k by p**k."""
+    shifted = list(nums)
+    folded = list(nums)
+    for j in range(1, p):
+        taylor_shift(shifted, 1)
+        sign = -1 if j % 2 else 1
+        for k, c in enumerate(shifted):
+            folded[k] += sign * c
+    return [c * p ** k for k, c in enumerate(folded)]
+
+
 def fermionic_sum_naive_mod(f: Polynomial, p: int, precision: int,
                             budget: int = DEFAULT_BUDGET) -> int:
     """The same truncated sum carried out mod p**N: its residue in [0, p**N).
@@ -191,10 +234,11 @@ def witt_defect(n: int, a, p: int, precision: int,
                 budget: int = DEFAULT_BUDGET, truncated=None):
     """Valuation certificate for the integral representation of E_n(a).
 
-    Returns v_p(S_N - E_n(a)), where S_N is the naive sum of (x+a)**n over
-    x < p**N and E_n comes from the Euler table; the contract
-    (asserted by callers) is defect >= N. A caller that has already summed
-    S_N passes it as ``truncated``, and the sum is not repeated. The shift
+    Returns v_p(S_N - E_n(a)), where S_N is the sum of (x+a)**n (-1)**x over
+    x < p**N, summed by base-p digits, and E_n comes from the Euler table;
+    the contract (asserted by callers) is defect >= N. A caller that has
+    already summed S_N (``witt --naive``) passes it as ``truncated``, and
+    the sum is not repeated. p**N is still capped by ``budget``. The shift
     a must be p-integral.
     """
     require_odd_prime(p)
@@ -206,8 +250,9 @@ def witt_defect(n: int, a, p: int, precision: int,
             f"shift {a} is not a {p}-adic integer (p divides the denominator)"
         )
     if truncated is None:
-        truncated = fermionic_sum_naive(monomial(n).compose_affine(1, a), p,
-                                        precision, budget)
+        _check_budget(p, precision, budget)
+        truncated = fermionic_sum_digits(monomial(n).compose_affine(1, a), p,
+                                         precision)
     return valuation(truncated - euler_poly(n)(a), p)
 
 
@@ -219,7 +264,8 @@ def lem1_defect(f: Polynomial, p: int, precision: int,
     over x in [0, p**N), both S1 and S- must approach -S + 2 f(0); returns the
     minimum of the two defects v_p(S1 - target) and v_p(S- - target). When f
     is an even function the sharper statement S -> f(0) is folded in as well.
-    Coefficients must be p-integral. The three sums are separate naive sums.
+    Coefficients must be p-integral. The three sums are separate digit sums
+    (``fermionic_sum_digits``); p**N is still capped by ``budget``.
     """
     _check_budget(p, precision, budget)
     for c in f.coeffs:
@@ -228,7 +274,7 @@ def lem1_defect(f: Polynomial, p: int, precision: int,
                 f"coefficient {c} is not a {p}-adic integer"
             )
     f_neg = f.compose_affine(-1, 0)
-    s, s_shift, s_neg = (fermionic_sum_naive(g, p, precision, budget)
+    s, s_shift, s_neg = (fermionic_sum_digits(g, p, precision)
                          for g in (f, f.compose_affine(1, 1), f_neg))
     f0 = f(0)
     target = -s + 2 * f0

@@ -7,7 +7,8 @@ that participates in arithmetic.
 
 ``*`` between two Polynomials is ring multiplication (convolution); an int
 or Fraction scales every coefficient. ``compose_affine`` is an integer
-Taylor shift over one common denominator.
+Taylor shift over one common denominator; its loop, ``taylor_shift``, also
+serves the p-adic sums by base-p digits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .numeric import (
     parse_rational,
 )
 
-__all__ = ["Polynomial", "monomial", "X"]
+__all__ = ["Polynomial", "monomial", "taylor_shift", "X"]
 
 
 class Polynomial:
@@ -140,11 +141,7 @@ class Polynomial:
         u, v = Fraction(u), Fraction(v)
         r, t = v.numerator, v.denominator
         n = len(nums) - 1
-        acc = [c * t ** (n - i) for i, c in enumerate(nums)]
-        if r:
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    acc[j] += r * acc[j + 1]
+        acc = taylor_shift([c * t ** (n - i) for i, c in enumerate(nums)], r)
         w, s = u.numerator, u.denominator
         den = d * (t * s) ** n
         return Polynomial([Fraction(c * (t * w) ** i * s ** (n - i), den)
@@ -194,6 +191,17 @@ def _term_str(c, i: int) -> str:
     if body == "1":
         return power
     return f"{body}*{power}"
+
+
+def taylor_shift(nums: list, r: int) -> list:
+    """The integer coefficients of p(y + r), lowest first, from those of p:
+    O(n**2) integer additions, made in place on ``nums``, which is returned."""
+    n = len(nums) - 1
+    if r:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                nums[j] += r * nums[j + 1]
+    return nums
 
 
 def monomial(k: int, coeff=1) -> Polynomial:

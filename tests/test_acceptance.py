@@ -18,6 +18,7 @@ from eulerferm.identities import IdentityReport
 from eulerferm.padic import (
     DenominatorNotInvertible,
     fermionic_sum_closed,
+    fermionic_sum_digits,
     fermionic_sum_naive,
     lem1_defect,
     valuation,
@@ -174,10 +175,13 @@ def test_criterion_5_padic_convergence():
                     if witt_defect(n, a, p, precision) < precision:
                         bad.append(("witt", p, precision, n, a))
                     if span <= 10 ** 7:
-                        naive = fermionic_sum_naive(
-                            monomial(n).compose_affine(1, a), p, precision)
+                        f = monomial(n).compose_affine(1, a)
+                        naive = fermionic_sum_naive(f, p, precision)
                         if naive != fermionic_sum_closed(n, a, span):
                             bad.append(("naive", p, precision, n, a))
+                        # witt_defect's digit route against the literal loop
+                        if fermionic_sum_digits(f, p, precision) != naive:
+                            bad.append(("digits", p, precision, n, a))
     # 50 deterministic pseudo-random p-integral polynomials per prime
     lem1_precision = 3
     for p in (3, 5, 7):

@@ -149,6 +149,32 @@ def test_huge_precision_is_answered_without_building_p_to_the_n(
     assert (got, err) == (code, message)
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "lem1"],
+    ["witt", "--p", "3", "--precision", "2", "--n", "1", "--a", "0"],
+], ids=["verify", "witt"])
+def test_budget_below_one_exits_2(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--budget", budget])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(
+        f"error: argument --budget: budget must be >= 1, got {budget}\n")
+
+
+def test_verify_high_precision_by_digits(capsys):
+    # 7**30 terms: beyond any literal sweep, a few ms per digit sum
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "witt", "lem1", "--p", "3,5,7",
+                           "--precision", "30", "--n", "0..8", "--budget",
+                           "100000000000000000000000000")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "PASS 141/141"
+
+
 def test_verify_budget_applies_only_to_padic_sums(capsys):
     # 3**20 exceeds the default budget, but wsp7 sums no p**N terms
     code, out, _ = run_cli(capsys, "verify", "wsp7", "--p", "3",

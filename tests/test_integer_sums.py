@@ -1,7 +1,7 @@
 """Integer paths: thm2's right side from binomial rows, the
-integer-weighted E_n sums over one common denominator, the p-adic naive
-sums of polynomials over one common denominator, and the E_n table built
-from tangent numbers.
+integer-weighted E_n sums over one common denominator, the p-adic sums of
+polynomials over one common denominator (the literal p**N loop and the
+route by base-p digits), and the E_n table built from tangent numbers.
 
 Each fast path is compared with the construction over Q that it replaced,
 kept here as the reference, and every checker that uses the sums must
@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eulerferm import euler
+from eulerferm import euler, padic
 from eulerferm import identities as ident
 from eulerferm.euler import (
     EulerCache,
@@ -23,8 +25,13 @@ from eulerferm.euler import (
     euler_sum,
 )
 from eulerferm.identities import run_suite
-from eulerferm.padic import fermionic_sum_naive, lem1_defect, valuation
-from eulerferm.polynomial import Polynomial
+from eulerferm.padic import (
+    fermionic_sum_digits,
+    fermionic_sum_naive,
+    lem1_defect,
+    valuation,
+)
+from eulerferm.polynomial import Polynomial, taylor_shift
 
 F = Fraction
 
@@ -188,6 +195,7 @@ def test_integer_naive_sum_equals_generic_loop(p):
             want = fermionic_sum_naive(lambda x: poly(F(x)), p, precision)
             assert type(got) is F
             assert got == want, (poly, p, precision)
+            assert fermionic_sum_digits(poly, p, precision) == got
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -196,6 +204,67 @@ def test_lem1_defect_equals_rational_loop(p):
         for precision in (1, 2, 3):
             assert lem1_defect(poly, p, precision) == \
                 _lem1_over_q(poly, p, precision), (poly, p, precision)
+
+
+# --- p-adic sums by base-p digits ------------------------------------------
+
+@st.composite
+def _padic_cases(draw):
+    """(f, p, N): p-integral rational coefficients, degree <= 8, N <= 3."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    dens = [d for d in range(1, 13) if d % p]
+    coeffs = draw(st.lists(st.builds(F, st.integers(-40, 40),
+                                     st.sampled_from(dens)), max_size=9))
+    return Polynomial(coeffs), p, draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(case=_padic_cases())
+@example(case=(Polynomial(), 3, 1))
+@example(case=(Polynomial(), 11, 3))
+@example(case=(Polynomial([F(-7, 2)]), 5, 2))
+@example(case=(Polynomial([1]), 7, 3))
+def test_digit_sum_equals_literal_loops(case):
+    f, p, precision = case
+    got = fermionic_sum_digits(f, p, precision)
+    # the integer loop of fermionic_sum_naive, and the generic loop that a
+    # plain callable takes
+    assert type(got) is F
+    assert got == padic._integer_sum(f.coeffs, p ** precision)
+    assert got == fermionic_sum_naive(lambda x: f(F(x)), p, precision)
+
+
+def test_digit_sum_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="odd prime"):
+        fermionic_sum_digits(Polynomial([1]), 2, 1)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        fermionic_sum_digits(Polynomial([1]), 3, 0)
+
+
+def _drop_one_level(monkeypatch):
+    original = padic.fermionic_sum_digits
+    monkeypatch.setattr(padic, "fermionic_sum_digits",
+                        lambda f, p, precision: original(f, p, precision - 1))
+
+
+def _flip_odd_digits(monkeypatch):
+    def folded_with_odd_j_added(nums, p):
+        shifted, folded = list(nums), list(nums)
+        for _ in range(1, p):
+            taylor_shift(shifted, 1)
+            folded = [a + b for a, b in zip(folded, shifted)]
+        return [c * p ** k for k, c in enumerate(folded)]
+
+    monkeypatch.setattr(padic, "_fold_digit", folded_with_odd_j_added)
+
+
+@pytest.mark.parametrize("mutate", [_drop_one_level, _flip_odd_digits],
+                         ids=["drop_level", "flip_odd_j"])
+@pytest.mark.parametrize("cid", ["witt", "lem1"])
+def test_broken_digit_route_fails(monkeypatch, mutate, cid):
+    mutate(monkeypatch)
+    reports = run_suite([cid])
+    assert reports and not all(r.passed for r in reports)
 
 
 class _CorruptedEuler(EulerCache):
