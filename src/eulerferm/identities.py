@@ -69,7 +69,7 @@ from .euler import (
     power_sum,
 )
 from .numeric import binomial, falling_factorial, format_rational
-from .padic import DEFAULT_BUDGET, lem1_defect, witt_defect
+from .padic import lem1_defect, witt_defect
 from .polynomial import Polynomial, monomial
 
 __all__ = [
@@ -159,7 +159,6 @@ class SweepGrid:
                      Fraction(-1), Fraction(-2, 3))
     p_list: tuple = (3, 5, 7)
     precision: int = 2
-    budget: int = DEFAULT_BUDGET
     lem1_count: int = 5
 
     def __post_init__(self):
@@ -724,21 +723,14 @@ def _gen_witt(grid):
         for n in sorted(set(grid.n)):
             for a in sorted(set(grid.points)):
                 if a.denominator % p != 0:
-                    yield {"n": n, "a": a, "p": p, "precision": grid.precision,
-                           "budget": grid.budget}
+                    yield {"n": n, "a": a, "p": p, "precision": grid.precision}
 
 
-def _witt_params(n, a, p, precision, budget):
-    return {"n": n, "a": a, "p": p, "precision": precision}
-
-
-@checker("witt", _gen_witt, "valuation", rational=("a",),
-         report_params=_witt_params)
-def check_witt(n: int, a: Fraction, p: int, precision: int,
-               budget: int = DEFAULT_BUDGET):
+@checker("witt", _gen_witt, "valuation", rational=("a",))
+def check_witt(n: int, a: Fraction, p: int, precision: int):
     """v_p(S_N - E_n(a)) >= N, S_N the sum of (x+a)**n (-1)**x over
     x < p**N by base-p digits."""
-    return witt_defect(n, a, p, precision, budget)
+    return witt_defect(n, a, p, precision)
 
 
 def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
@@ -756,12 +748,10 @@ def _gen_lem1(grid):
     for p in sorted(set(grid.p_list)):
         for index in range(grid.lem1_count):
             yield {"f": _lem1_poly(p, index), "p": p,
-                   "precision": grid.precision, "budget": grid.budget,
-                   "index": index}
+                   "precision": grid.precision, "index": index}
 
 
-def _lem1_params(f, p, precision, budget, index):
-    # the polynomial is reported by its coefficients; the budget is not
+def _lem1_params(f, p, precision, index):
     params = {"p": p, "precision": precision, "poly": f.to_coeff_strings()}
     if index is not None:
         params["index"] = index
@@ -769,11 +759,10 @@ def _lem1_params(f, p, precision, budget, index):
 
 
 @checker("lem1", _gen_lem1, "valuation", report_params=_lem1_params)
-def check_lem1(f: Polynomial, p: int, precision: int,
-               budget: int = DEFAULT_BUDGET, index=None):
+def check_lem1(f: Polynomial, p: int, precision: int, index=None):
     """Reflection/shift functional-equation defect >= N for one polynomial;
     ``index`` numbers the suite's pseudo-random polynomials."""
-    return lem1_defect(f, p, precision, budget)
+    return lem1_defect(f, p, precision)
 
 
 # ---------------------------------------------------------------------------

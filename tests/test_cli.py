@@ -117,29 +117,25 @@ def test_verify_even_prime_exits_2():
     assert err.value.code == 2
 
 
-def test_verify_budget_too_small_exits_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "lem1", "--budget", "3")
-    assert code == 2
-    assert err == \
-        "error: budget 3 smaller than the requested p**N sweep of 49 terms\n"
-
-
-def test_verify_budget_applies_to_witt(capsys):
-    # witt sums (x+a)**n over 3**20 terms, beyond the default budget
-    code, out, err = run_cli(capsys, "verify", "witt", "--p", "3",
-                             "--precision", "20")
-    assert code == 2
-    assert out == ""
-    assert "budget 10000000 smaller than the requested p**N sweep" in err
+def test_verify_has_no_budget(capsys):
+    # 3**20 is beyond the default budget of witt --naive, but verify sums by
+    # base-p digits and takes no budget
+    code, out, _ = run_cli(capsys, "verify", "witt", "--p", "3",
+                           "--precision", "20")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "PASS 28/28"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "lem1", "--budget", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,code,message", [
     (["verify", "cro2", "--n", "0..1", "--precision", "1000000000"], 0, ""),
     (["verify", "lem1", "--precision", "1000000000"], 2,
-     "error: budget 10000000 smaller than the requested p**N sweep of "
-     "7**1000000000 terms\n"),
+     "error: precision must be <= 1000, got 1000000000\n"),
     (["witt", "--p", "3", "--precision", "1000000000", "--n", "1", "--a", "0"],
-     2, "error: p**N = 3**1000000000 exceeds budget 10000000\n"),
+     2, "error: precision must be <= 1000, got 1000000000\n"),
 ], ids=["cro2", "lem1", "witt"])
 def test_huge_precision_is_answered_without_building_p_to_the_n(
         capsys, argv, code, message):
@@ -151,9 +147,8 @@ def test_huge_precision_is_answered_without_building_p_to_the_n(
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
-    ["verify", "lem1"],
     ["witt", "--p", "3", "--precision", "2", "--n", "1", "--a", "0"],
-], ids=["verify", "witt"])
+], ids=["witt"])
 def test_budget_below_one_exits_2(capsys, argv, budget):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--budget", budget])
@@ -168,15 +163,14 @@ def test_verify_high_precision_by_digits(capsys):
     # 7**30 terms: beyond any literal sweep, a few ms per digit sum
     started = time.perf_counter()
     code, out, _ = run_cli(capsys, "verify", "witt", "lem1", "--p", "3,5,7",
-                           "--precision", "30", "--n", "0..8", "--budget",
-                           "100000000000000000000000000")
+                           "--precision", "30", "--n", "0..8")
     assert time.perf_counter() - started < 2.0
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS 141/141"
 
 
 def test_verify_budget_applies_only_to_padic_sums(capsys):
-    # 3**20 exceeds the default budget, but wsp7 sums no p**N terms
+    # no checker but witt and lem1 reads --p or --precision
     code, out, _ = run_cli(capsys, "verify", "wsp7", "--p", "3",
                            "--precision", "20")
     assert code == 0
@@ -263,15 +257,37 @@ def test_witt_budget_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "witt", "--p", "3", "--precision", "2",
                            "--n", "1", "--a", "0", "--naive", "--budget", "4")
     assert code == 2
-
-
-def test_witt_budget_applies_without_naive(capsys):
-    # the defect itself is measured on the p**N-term sum
     code, out, err = run_cli(capsys, "witt", "--p", "3", "--precision", "2",
-                             "--n", "1", "--a", "0", "--budget", "8")
+                             "--n", "1", "--a", "0", "--naive", "--budget", "8")
     assert code == 2
     assert out == ""
     assert err == "error: p**N = 9 exceeds budget 8\n"
+
+
+def test_witt_budget_binds_only_naive(capsys):
+    # without --naive the defect is measured on the digit sum, which sums no
+    # p**N terms
+    code, out, _ = run_cli(capsys, "witt", "--p", "3", "--precision", "2",
+                           "--n", "1", "--a", "0", "--budget", "8")
+    assert code == 0
+    assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("naive", [[], ["--naive"]], ids=["digits", "naive"])
+@pytest.mark.parametrize("option,value,message", [
+    ("--n", "-1", "n must be >= 0, got -1"),
+    ("--precision", "0", "precision must be >= 1, got 0"),
+    ("--p", "9", "p must be an odd prime, got 9"),
+], ids=["n", "precision", "p"])
+def test_witt_bad_argument_exits_2(capsys, naive, option, value, message):
+    args = {"--p": "3", "--precision": "2", "--n": "1", "--a": "0"}
+    args[option] = value
+    argv = [token for pair in args.items() for token in pair]
+    code, out, err = run_cli(capsys, "witt", *argv, *naive)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1
 
 
 def test_witt_naive_sums_once(capsys, monkeypatch):

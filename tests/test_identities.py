@@ -383,8 +383,8 @@ def test_direct_calls_report_a_as_a_fraction():
         assert report_to_dict(r)["params"]["a"] == "1"
 
 
-def test_lem1_reports_the_polynomial_not_the_budget():
-    r = ident.check_lem1(Polynomial([F(5), F(0), F(1, 2)]), 3, 2, budget=100)
+def test_lem1_reports_the_polynomial_by_its_coefficients():
+    r = ident.check_lem1(Polynomial([F(5), F(0), F(1, 2)]), 3, 2)
     assert r.passed
     assert r.params == {"p": 3, "precision": 2, "poly": ["5", "0", "1/2"]}
     r = ident.check_lem1(Polynomial([F(5)]), 3, 2, index=4)

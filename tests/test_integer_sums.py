@@ -26,6 +26,7 @@ from eulerferm.euler import (
 )
 from eulerferm.identities import run_suite
 from eulerferm.padic import (
+    MAX_PRECISION,
     fermionic_sum_digits,
     fermionic_sum_naive,
     lem1_defect,
@@ -239,6 +240,9 @@ def test_digit_sum_rejects_bad_arguments():
         fermionic_sum_digits(Polynomial([1]), 2, 1)
     with pytest.raises(ValueError, match="precision must be >= 1"):
         fermionic_sum_digits(Polynomial([1]), 3, 0)
+    assert fermionic_sum_digits(Polynomial([1]), 3, MAX_PRECISION) == 1
+    with pytest.raises(ValueError, match="precision must be <= "):
+        fermionic_sum_digits(Polynomial([1]), 3, MAX_PRECISION + 1)
 
 
 def _drop_one_level(monkeypatch):

@@ -15,7 +15,6 @@ from eulerferm.euler import euler_poly
 from eulerferm.padic import (
     BudgetExceeded,
     DenominatorNotInvertible,
-    budget_overrun,
     fermionic_sum_closed,
     fermionic_sum_naive,
     fermionic_sum_naive_mod,
@@ -83,10 +82,15 @@ def test_naive_budget_guard():
 def test_budget_overrun_builds_p_to_the_n_only_up_to_the_budget_bits():
     # 100 has 7 bits: up to N = 7, p**N is built and named; beyond, 3**N
     # >= 2**N > 100 without building it
-    assert budget_overrun(3, 4, 100) == ""
-    assert budget_overrun(3, 7, 100) == "2187"
-    assert budget_overrun(3, 8, 100) == "3**8"
-    assert budget_overrun(3, 10 ** 9, 10 ** 7) == "3**1000000000"
+    assert fermionic_sum_naive(lambda x: x, 3, 4, budget=100) == 40
+    with pytest.raises(BudgetExceeded, match=r"^p\*\*N = 2187 exceeds"):
+        fermionic_sum_naive(lambda x: x, 3, 7, budget=100)
+    with pytest.raises(BudgetExceeded, match=r"^p\*\*N = 3\*\*8 exceeds"):
+        fermionic_sum_naive(lambda x: x, 3, 8, budget=100)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^p\*\*N = 3\*\*1000000000 exceeds budget "
+                             r"10000000$"):
+        fermionic_sum_naive(lambda x: x, 3, 10 ** 9, budget=10 ** 7)
     with pytest.raises(BudgetExceeded, match=r"^p\*\*N = 7\*\*25 exceeds"):
         fermionic_sum_naive(lambda x: x, 7, 25)
 
