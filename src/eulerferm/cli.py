@@ -313,7 +313,17 @@ def _cmd_witt(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # exact values outgrow Python's 4300-digit guard on int <-> str; lift it
+    # for this command only, so library callers keep the default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     if args.command == "poly":
         if args.n < 0:
             return _usage_error("n must be >= 0")

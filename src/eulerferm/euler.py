@@ -22,10 +22,11 @@ through by (e^t + 1) / 2 and comparing coefficients (`EulerRecurrence`),
 and truncated exact power-series division of the generating function
 itself (`EulerSeries`, `euler_polys_by_series`).
 
-Integer-weighted sums of E_n(a) and E_n(-a) (`euler_sum`) run over the
-integers: each E_n is also kept as integer numerators over the lcm of its
-coefficient denominators, the weighted numerators are added up over one
-common denominator, and that denominator is divided out once at the end.
+Weighted sums of E_n(a) and E_n(-a) (`euler_sum`), with integer or
+rational weights, run over the integers: each E_n is also kept as integer
+numerators over the lcm of its coefficient denominators, the weighted
+numerators are added up over one common denominator, and that denominator
+is divided out once at the end.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def tangent_numbers():
 
 
 class EulerCache:
-    """Append-only memo tables for the polynomial sequences, and the
-    integer view of E_n (numerators over one denominator) that
-    ``euler_sum`` adds up.
+    """Append-only memo tables for E_n and B_n, and the integer view of
+    E_n (numerators over one denominator) that ``euler_sum`` adds up.
+    Shifted E_n(u*a + v) are not memoized: each is one integer Taylor
+    shift of the table entry.
 
     Identity sweeps re-request the same E_n thousands of times, so
     memoization is mandatory. A single lock guards table extension, which
@@ -92,7 +94,6 @@ class EulerCache:
         self._zeros: list[int] = []
         self._euler: dict[int, Polynomial] = {}
         self._bernoulli: list[Polynomial] = []
-        self._shifted: dict = {}
         self._scaled: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.RLock()
 
@@ -138,14 +139,8 @@ class EulerCache:
             return self._bernoulli[n]
 
     def euler_poly_shifted(self, n: int, u, v) -> Polynomial:
-        """E_n(u*a + v) expanded as a polynomial in a; memoized per (n, u, v)."""
-        key = (n, Fraction(u), Fraction(v))
-        with self._lock:
-            got = self._shifted.get(key)
-            if got is None:
-                got = self.euler_poly(n).compose_affine(key[1], key[2])
-                self._shifted[key] = got
-            return got
+        """E_n(u*a + v) expanded as a polynomial in a."""
+        return self.euler_poly(n).compose_affine(u, v)
 
     def euler_scaled(self, n: int) -> tuple[tuple[int, ...], int]:
         """E_n as (numerators, d): coefficient i of E_n is numerators[i] / d.
@@ -163,17 +158,18 @@ class EulerCache:
     def euler_sum(self, terms=(), neg_terms=()) -> Polynomial:
         """sum c E_n(a) over (c, n) in terms + sum c E_n(-a) over neg_terms.
 
-        Weights c are integers. Terms of weight 0 are skipped before E_n is
-        looked up, so a binomial weight C(r, k) = 0 with k > r keeps a
-        negative index out. The numerators are summed as integers over the
-        lcm of the denominators involved, which is divided out once.
+        Weights c are integers or Fractions. Terms of weight 0 are skipped
+        before E_n is looked up, so a binomial weight C(r, k) = 0 with k > r
+        keeps a negative index out. The numerators are summed as integers
+        over den, the lcm of d * c.denominator for every term whose E_n has
+        denominator d, and den is divided out once.
         """
         parts = [(c, 1, self.euler_scaled(n)) for c, n in terms if c] + \
             [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]
-        den = math.lcm(*(d for _, _, (_, d) in parts))
+        den = math.lcm(*(d * c.denominator for c, _, (_, d) in parts))
         acc = [0] * max((len(nums) for _, _, (nums, _) in parts), default=0)
         for c, step, (nums, d) in parts:
-            w = c * (den // d)
+            w = c.numerator * (den // (d * c.denominator))
             for i, v in enumerate(nums):
                 acc[i] += w * v
                 w *= step   # in E_n(-a) the sign alternates with the power

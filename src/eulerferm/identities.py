@@ -29,16 +29,16 @@ domain, and ``run_suite`` calls ``run`` once per dict. The decorator
 returns the public ``check_<id>(*args, mode="symbolic")``, which binds its
 arguments by name and calls the same ``run``.
 
-Exact arithmetic stays on the integers where the values are integers. The
-left sides of wsp7, wsp9, thm1, thm2 and thm3 and the right side of wsp7
-are integer-weighted sums of E_n(a) and E_n(-a): ``euler.euler_sum`` adds
-their numerators as integers over one common denominator and divides it out
-once at the end, giving the same normalized Polynomial of Fractions. The
-right side of thm2 is an integer polynomial in a, summed from products of
-binomial rows (c +- a)**e. sun adds its terms over the rationals, since its
-weights a**(m-i) are rational; every shifted E_n(u*a + v) comes from
-``Polynomial.compose_affine``, an integer Taylor shift over one common
-denominator.
+Exact arithmetic stays on the integers where the values are integers.
+Every weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of
+wsp7 and sun, the left sides of complement, wsp9, thm1, thm2 and thm3, and
+the right side of sun_cor) goes through ``euler.euler_sum``, which adds
+the numerators as integers over one common denominator, for integer or
+rational weights alike, and divides it out once at the end. The right
+sides of thm2, thm3 and fersim3 are integer polynomials in a; thm2's and
+fersim3's are summed from binomial rows (c +- a)**e. Every shifted
+E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
+shift over one common denominator; sun composes its whole right side once.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -277,8 +277,7 @@ def check_reflection(n: int):
 @checker("complement", _N)
 def check_complement(n: int):
     """(-1)**n E_n(-a) + E_n(a) = 2 a**n."""
-    return ((-1) ** n * euler_poly_shifted(n, -1, 0) + euler_poly(n),
-            monomial(n, Fraction(2)))
+    return euler_sum([(1, n)], [((-1) ** n, n)]), monomial(n, Fraction(2))
 
 
 @checker("boundary", _N, "scalar")
@@ -458,14 +457,11 @@ def check_sun(m: int, n: int, a: Fraction):
     (-1)**m sum_i C(m,i) a**(m-i) E_{n+i}(b)
       = (-1)**n sum_j C(n,j) a**(n-j) E_{m+j}(c).
     """
-    lhs = Polynomial()
-    for i in range(m + 1):
-        lhs = lhs + binomial(m, i) * a ** (m - i) * euler_poly(n + i)
-    rhs = Polynomial()
-    for j in range(n + 1):
-        rhs = rhs + binomial(n, j) * a ** (n - j) \
-            * euler_poly_shifted(m + j, -1, 1 - a)
-    return (-1) ** m * lhs, (-1) ** n * rhs
+    lhs = euler_sum([((-1) ** m * binomial(m, i) * a ** (m - i), n + i)
+                     for i in range(m + 1)])
+    rhs = euler_sum([((-1) ** n * binomial(n, j) * a ** (n - j), m + j)
+                     for j in range(n + 1)])
+    return lhs, rhs.compose_affine(-1, 1 - a)
 
 
 @checker("sun_cor", _MN, "scalar")
@@ -474,8 +470,8 @@ def check_sun_cor(m: int, n: int):
     = (-1)**n sum_j C(n,j) E_{m+j}(-1/2), with E_k the Euler numbers."""
     lhs = sum(binomial(m, i) * Fraction(euler_number(n + i), 2 ** (n + i))
               for i in range(m + 1))
-    rhs = sum(binomial(n, j) * euler_poly(m + j)(Fraction(-1, 2))
-              for j in range(n + 1))
+    rhs = euler_sum([(binomial(n, j), m + j)
+                     for j in range(n + 1)])(Fraction(-1, 2))
     return (-1) ** m * lhs - (-1) ** n * rhs
 
 
@@ -622,12 +618,9 @@ def check_thm3(m: int, k: int):
         raise ValueError(f"thm3 requires 0 <= k <= m, got (m={m}, k={k})")
     lhs = euler_sum([(binomial(m, i) * binomial(m + i, k), m + i - k)
                      for i in range(m + 1) if (m + i) % 2 == 0])
-    rhs = Polynomial()
-    for j in range(m + 1):
-        rhs = rhs + monomial(m + j - k,
-                             Fraction((-1) ** (m + j)
-                                      * binomial(m, j) * binomial(m + j, k)))
-    return lhs, rhs
+    rhs = [0] * (m - k) + [(-1) ** (m + j) * binomial(m, j)
+                           * binomial(m + j, k) for j in range(m + 1)]
+    return lhs, Polynomial(rhs)
 
 
 def _thm3_1_sum(m: int, k: int, top: int, shift: int, start: int = 0):
@@ -706,11 +699,10 @@ def check_fersim3(n: int, q: int):
     if q < 1:
         raise ValueError(f"fersim3 requires q >= 1, got {q}")
     lhs = (-1) ** (q - 1) * euler_poly_shifted(n, 1, q) + euler_poly(n)
-    rhs = Polynomial()
-    for i in range(q):
-        rhs = rhs + (-1) ** i * monomial(n, Fraction(1)).compose_affine(
-            Fraction(1), Fraction(i))
-    return lhs, 2 * rhs
+    rows = [_binomial_row(i, n, 1) for i in range(q)]
+    return lhs, Polynomial([2 * sum((-1) ** i * row[j]
+                                    for i, row in enumerate(rows))
+                            for j in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

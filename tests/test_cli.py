@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from eulerferm import cli, padic
+from eulerferm.euler import euler_poly
 from eulerferm.identities import IdentityReport
 
 
@@ -47,6 +48,27 @@ def test_negative_point_lists_parse(capsys):
                            "--n", "0..1", "--points", "-2/3,0")
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS 8/8"
+
+
+def test_exact_values_past_the_int_str_digit_limit(capsys):
+    # E_10(10**500) has 5001 digits, past Python's default limit of 4300 on
+    # int <-> str conversion; the CLI lifts it for the command only
+    big = str(10 ** 500)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "eval", "10", big)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    code, witt_out, err = run_cli(capsys, "witt", "--p", "3", "--precision",
+                                  "2", "--n", "10", "--a", big)
+    assert (code, err) == (0, "")
+    assert witt_out.strip().endswith("PASS")
+    sys.set_int_max_str_digits(0)
+    try:
+        value = Fraction(out.strip())
+        assert value == euler_poly(10)(Fraction(10 ** 500))
+        assert f"E_n(a)        = {value}" in witt_out
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_eval_malformed_rational_exits_2(capsys):

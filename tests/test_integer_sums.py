@@ -1,5 +1,6 @@
 """Integer paths: thm2's right side from binomial rows, the
-integer-weighted E_n sums over one common denominator, the p-adic sums of
+weighted E_n sums over one common denominator (and the sun, sun_cor,
+fersim3 and thm3 sides built on them), the p-adic sums of
 polynomials over one common denominator (the literal p**N loop and the
 route by base-p digits), and the E_n table built from tangent numbers.
 
@@ -25,6 +26,7 @@ from eulerferm.euler import (
     euler_sum,
 )
 from eulerferm.identities import run_suite
+from eulerferm.numeric import binomial
 from eulerferm.padic import (
     MAX_PRECISION,
     fermionic_sum_digits,
@@ -32,7 +34,7 @@ from eulerferm.padic import (
     lem1_defect,
     valuation,
 )
-from eulerferm.polynomial import Polynomial, taylor_shift
+from eulerferm.polynomial import Polynomial, monomial, taylor_shift
 
 F = Fraction
 
@@ -85,7 +87,9 @@ def test_corrupted_binomial_row_fails_thm2(monkeypatch, mode, row):
 
 
 def _random_terms(rng):
-    return [(rng.choice((0, rng.randint(-60, 60))), rng.randint(0, 30))
+    return [(rng.choice((0, rng.randint(-60, 60),
+                         F(rng.randint(-60, 60), rng.choice((2, 3, 7))))),
+             rng.randint(0, 30))
             for _ in range(rng.randint(0, 7))]
 
 
@@ -141,9 +145,92 @@ def test_corrupted_e5_fails_every_integer_sum_checker(monkeypatch, extra,
     # the common denominator is read from the coefficients, not assumed
     assert cache.euler_scaled(5)[1] == den
     assert euler_sum([(1, 5)]) == euler_poly(5)
-    ids = ("thm1", "thm2", "wsp7", "wsp9", "thm3")
+    # complement is left out: at odd n it cannot see a constant error
+    ids = ("thm1", "thm2", "wsp7", "wsp9", "thm3", "sun")
     failed = {r.checker for r in run_suite(ids) if not r.passed}
     assert failed == set(ids)
+
+
+# --- the sums that grew Polynomials term by term, kept as oracles ----------
+# check_<id>.__wrapped__ is the registered body, which returns the sides
+
+_SUN_POINTS = (F(0), F(1), F(1, 2), F(-1), F(-2, 3), F(-7, 4), F(5, 3),
+               F(-11, 6))
+
+
+def _sun_over_q(m, n, a):
+    """sun's sides as Fraction-weighted loops, one shifted E_n per term."""
+    lhs = Polynomial()
+    for i in range(m + 1):
+        lhs = lhs + binomial(m, i) * a ** (m - i) * euler_poly(n + i)
+    rhs = Polynomial()
+    for j in range(n + 1):
+        rhs = rhs + binomial(n, j) * a ** (n - j) \
+            * euler_poly_shifted(m + j, -1, 1 - a)
+    return (-1) ** m * lhs, (-1) ** n * rhs
+
+
+def _sun_cor_over_q(m, n):
+    """sun_cor's residual with its right side as n + 1 Horner evaluations."""
+    lhs = sum(binomial(m, i) * F(euler.euler_number(n + i), 2 ** (n + i))
+              for i in range(m + 1))
+    rhs = sum(binomial(n, j) * euler_poly(m + j)(F(-1, 2))
+              for j in range(n + 1))
+    return (-1) ** m * lhs - (-1) ** n * rhs
+
+
+# the sums are linear in the table, so the two routes must also agree,
+# term for term, on a table that is wrong
+_TABLES = [EulerCache,
+           lambda: _CorruptedE5(Polynomial((F(1, 4), F(1, 8))))]
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=["true", "corrupted_e5"])
+def test_sun_sides_equal_rational_loops(monkeypatch, table):
+    monkeypatch.setattr(euler, "_CACHE", table())
+    for m in range(9):
+        for n in range(9):
+            for a in _SUN_POINTS:
+                got = ident.check_sun.__wrapped__(m, n, a)
+                assert got == _sun_over_q(m, n, a), (m, n, a)
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=["true", "corrupted_e5"])
+def test_sun_cor_equals_horner_sum(monkeypatch, table):
+    monkeypatch.setattr(euler, "_CACHE", table())
+    residuals = {}
+    for m in range(9):
+        for n in range(9):
+            got = ident.check_sun_cor.__wrapped__(m, n)
+            assert got == _sun_cor_over_q(m, n), (m, n)
+            residuals[m, n] = got
+    # the corrupted table must show in the residuals being compared
+    assert any(residuals.values()) == (table is not EulerCache)
+
+
+def test_fersim3_right_side_equals_composed_powers():
+    for n in range(13):
+        for q in range(1, 6):
+            rhs = Polynomial()
+            for i in range(q):
+                rhs = rhs + (-1) ** i * monomial(n, F(1)).compose_affine(
+                    F(1), F(i))
+            got = ident.check_fersim3.__wrapped__(n, q)[1]
+            assert all(type(c) is int for c in got.coeffs)
+            assert got == 2 * rhs, (n, q)
+
+
+def test_thm3_right_side_equals_monomial_sum():
+    for m in range(13):
+        for k in range(m + 1):
+            rhs = Polynomial()
+            for j in range(m + 1):
+                rhs = rhs + monomial(
+                    m + j - k, F((-1) ** (m + j) * binomial(m, j)
+                                 * binomial(m + j, k)))
+            got = ident.check_thm3.__wrapped__(m, k)[1]
+            assert all(type(c) is int for c in got.coeffs)
+            assert got == rhs, (m, k)
 
 
 # --- p-adic naive sums ----------------------------------------------------
