@@ -35,7 +35,6 @@ from .padic import (
 )
 from .identities import (
     CHECKER_IDS,
-    EvenKError,
     IdentityReport,
     SweepGrid,
     run_suite,

@@ -236,18 +236,14 @@ _GRID_OPTIONS = ("m", "n", "q", "k", "s", "points", "p_list", "precision")
 
 
 def _cmd_verify(args) -> int:
-    # each grid option sets the SweepGrid field of the same name
-    grid = SweepGrid(**{field: getattr(args, field) for field in _GRID_OPTIONS
-                        if getattr(args, field) is not None})
     ids = list(args.ids)
     if "all" in ids:
         ids = list(identities.CHECKER_IDS)
-    if grid.precision < 1:
-        return _usage_error(f"precision must be >= 1, got {grid.precision}")
-    if any(v < 0 for v in grid.m + grid.n + grid.q + grid.k + grid.s):
-        return _usage_error("ranges must be non-negative")
     try:
-        reports = run_suite(ids, grid)
+        # each grid option sets the SweepGrid field of the same name
+        reports = run_suite(ids, SweepGrid(**{
+            field: getattr(args, field) for field in _GRID_OPTIONS
+            if getattr(args, field) is not None}))
     except ValueError as exc:
         return _usage_error(exc)
     if not reports:

@@ -1,8 +1,8 @@
 """Mechanical checkers for the Euler-polynomial identity catalog.
 
-Every checker is a function registered with ``@checker(cid, gen, kind)``.
-Its body states one identity, builds both sides exactly and returns what
-its kind asks for:
+Every checker is a function registered with
+``@checker(cid, gen, kind, where)``. Its body states one identity, builds
+both sides exactly and returns what its kind asks for:
 
 * ``"poly"``: ``(lhs, rhs, *lemma_residuals)``, both sides as Polynomial
   objects in the free argument ``a`` (or ``b``). In symbolic mode (the
@@ -18,16 +18,17 @@ its kind asks for:
 * ``"valuation"``: for statements that are p-adic limits, the defect
   v_p(truncation - exact), which must reach the ``precision`` parameter.
 
-The body raises ``ValueError`` outside its stated domain; it does no timing
-and builds no report. The driver ``CHECKERS[cid].run(params, mode)`` owns
-the rest: it rejects a mode other than symbolic or pointwise before the
-body runs, calls the body with the params, times it, dispatches on the mode
-(scalar and valuation checkers ignore it) and builds the
-``IdentityReport``, whose params are the dict it was given. ``gen(grid)``
-yields those dicts for a suite sweep, skipping grid values outside the
-domain, and ``run_suite`` calls ``run`` once per dict. The decorator
-returns the public ``check_<id>(*args, mode="symbolic")``, which binds its
-arguments by name and calls the same ``run``.
+The body tests no domain, does no timing and builds no report. Its domain
+is stated once, as the predicate ``where``, and every int param must be a
+natural number. The driver ``CHECKERS[cid].run(params, mode)`` rejects a
+mode other than symbolic or pointwise, calls the body, times it,
+dispatches on the mode (scalar and valuation checkers ignore it) and
+builds the ``IdentityReport``; a body that raises anything but
+``ValueError`` fails it with the residual ``"<Type>: <message>"``.
+``gen(grid)`` yields params only inside the domain, and ``run_suite``
+calls ``run`` once per dict. The public ``check_<id>(*args, mode=...)``
+binds its arguments by name, raises ``ValueError`` outside the domain and
+calls the same ``run``.
 
 Exact arithmetic stays on the integers where the values are integers.
 Every weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of
@@ -73,7 +74,6 @@ from .padic import lem1_defect, witt_defect
 from .polynomial import Polynomial, monomial
 
 __all__ = [
-    "EvenKError",
     "IdentityReport",
     "SweepGrid",
     "CHECKER_IDS",
@@ -82,10 +82,6 @@ __all__ = [
     "report_to_dict",
     "euler_zero_via_recurrence",
 ]
-
-
-class EvenKError(ValueError):
-    """Raised when a derivative order k is even where only odd k is stated."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,8 @@ def _jsonable(value):
 
 
 def _render_residual(residual, mode: str):
+    if isinstance(residual, str):   # an error report's "<Type>: <message>"
+        return residual
     if mode == "valuation":
         return "inf" if residual == math.inf else int(residual)
     if isinstance(residual, Polynomial):
@@ -162,6 +160,10 @@ class SweepGrid:
     lem1_count: int = 5
 
     def __post_init__(self):
+        if self.precision < 1:
+            raise ValueError(f"precision must be >= 1, got {self.precision}")
+        if min(self.m + self.n + self.q + self.k + self.s, default=0) < 0:
+            raise ValueError("ranges must be non-negative")
         # a swept point is reported as a Fraction, as in a direct call
         object.__setattr__(self, "points", tuple(map(Fraction, self.points)))
 
@@ -188,37 +190,50 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def checker(cid: str, gen, kind: str = "poly", rational=(),
+def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
             report_params=None):
     """Register the decorated body as checker ``cid``; return check_<cid>.
 
+    ``where(**params)`` states the domain; every catalog index is a natural
+    number, so a negative int param lies outside it too. A direct call
+    outside raises ``ValueError`` (``thm1 is not stated at m=1, n=0, q=1,
+    k=2``) and the sweep skips it, so the body sees only stated params.
     ``rational`` names the arguments that a direct call converts to
     Fraction, as a sweep's points already are. ``report_params(**params)``
     gives the report's params where they are not the body's arguments.
     """
+    def stated(params: dict) -> bool:
+        return (all(v >= 0 for v in params.values() if isinstance(v, int))
+                and (where is None or where(**params)))
+
     def register(body):
         def run(params: dict, mode: str) -> IdentityReport:
             _require_mode(mode)
+            if kind != "poly":   # scalar and valuation checkers ignore it
+                mode = "symbolic" if kind == "scalar" else "valuation"
             started = time.perf_counter()
-            result = body(**params)
-            if kind == "poly":
-                lhs, rhs, *lemmas = result
-                if mode == "pointwise":
+            try:
+                result = body(**params)
+                if kind == "scalar":
+                    residual, passed = Fraction(result), result == 0
+                elif kind == "valuation":
+                    residual, passed = result, result >= params["precision"]
+                elif mode == "pointwise":
+                    lhs, rhs, *lemmas = result
                     degs = [p.degree for p in (lhs, rhs) if p]
                     diffs = [lhs(t) - rhs(t)
                              for t in _sample_points(max(degs, default=0) + 1)]
                     residual = next((d for d in diffs if d), Fraction(0))
-                    passed = not any(diffs)
+                    passed = not any(diffs) and not any(lemmas)
                 else:
+                    lhs, rhs, *lemmas = result
                     residual = lhs - rhs
-                    passed = residual.is_zero()
-                passed = passed and not any(lemmas)
-            elif kind == "scalar":
-                mode, residual = "symbolic", Fraction(result)
-                passed = residual == 0
-            else:
-                mode, residual = "valuation", result
-                passed = result >= params["precision"]
+                    passed = residual.is_zero() and not any(lemmas)
+            except ValueError:
+                raise
+            except Exception as exc:
+                # one broken checker fails its own report, not the whole run
+                residual, passed = f"{type(exc).__name__}: {exc}", False
             elapsed = (time.perf_counter() - started) * 1000.0
             if report_params is not None:
                 params = report_params(**params)
@@ -231,19 +246,21 @@ def checker(cid: str, gen, kind: str = "poly", rational=(),
             params = bound.arguments
             for name in rational:
                 params[name] = Fraction(params[name])
+            if not stated(params):
+                raise ValueError(f"{cid} is not stated at " + ", ".join(
+                    f"{k}={v}" for k, v in params.items()))
             return run(params, mode)
 
-        CHECKERS[cid] = Checker(cid, run, gen)
+        CHECKERS[cid] = Checker(cid, run, lambda g: filter(stated, gen(g)))
         return check
     return register
 
 
-def _grid(*axes, where=None, **renamed):
+def _grid(*axes, **renamed):
     """Sweep over the product of SweepGrid fields, each in ascending order.
 
     ``axes`` are fields that name their parameter; ``renamed`` maps a
-    parameter to its field (``a="points"``). ``where(**params)`` keeps only
-    the values inside the checker's domain.
+    parameter to its field (``a="points"``).
     """
     names = axes + tuple(renamed)
     fields = axes + tuple(renamed.values())
@@ -251,16 +268,12 @@ def _grid(*axes, where=None, **renamed):
     def gen(grid):
         values = [sorted(set(getattr(grid, f))) for f in fields]
         for combo in itertools.product(*values):
-            params = dict(zip(names, combo))
-            if where is None or where(**params):
-                yield params
+            yield dict(zip(names, combo))
     return gen
 
 
 _N = _grid("n")
 _MN = _grid("m", "n")
-_MN_POSITIVE = _grid("m", "n", where=lambda m, n: m + n > 0)
-_MN_M_POSITIVE = _grid("m", "n", where=lambda m, n: m >= 1)
 _NK = _grid("n", "k")
 
 
@@ -306,7 +319,7 @@ def check_gf_consistency(n: int):
     return e, _series_euler(n), e - _RECURRENCE.euler_poly(n)
 
 
-@checker("euler_alt_sum", _MN_M_POSITIVE, "scalar")
+@checker("euler_alt_sum", _MN, "scalar", where=lambda m, n: m >= 1)
 def check_euler_alt_sum(m: int, n: int):
     """sum_{j=0..m} (-1)**j j**n = ((-1)**m E_n(m+1) + E_n(0)) / 2.
 
@@ -319,7 +332,7 @@ def check_euler_alt_sum(m: int, n: int):
     return direct - closed
 
 
-@checker("bernoulli_power_sum", _MN_M_POSITIVE, "scalar")
+@checker("bernoulli_power_sum", _MN, "scalar", where=lambda m, n: m >= 1)
 def check_bernoulli_power_sum(m: int, n: int):
     """sum_{j=0..m} j**n = (B_{n+1}(m+1) - B_{n+1}(0)) / (n+1).
 
@@ -345,7 +358,7 @@ def check_wsp7(m: int, n: int):
     return lhs, rhs
 
 
-@checker("wsp9", _MN_POSITIVE)
+@checker("wsp9", _MN, where=lambda m, n: m + n > 0)
 def check_wsp9(m: int, n: int):
     """Three-term relation tying the weighted sums to E_{m+n+1}(a) - a**(m+n+1).
 
@@ -353,8 +366,6 @@ def check_wsp9(m: int, n: int):
     (-1)**m c E(a) + (-1)**n c E(-a) = (-1)**m 2c (E(a) - a**(m+n+1)),
     c = m+n+2, as an internal sub-check.
     """
-    if m + n <= 0:
-        raise ValueError("wsp9 requires m + n > 0")
     lhs = euler_sum(
         [((-1) ** m * binomial(m + 1, i) * (n + i + 1), n + i)
          for i in range(m + 1)],
@@ -369,8 +380,8 @@ def check_wsp9(m: int, n: int):
     return lhs, rhs, lemma
 
 
-@checker("thm1", _grid("m", "n", "q", "k", where=lambda m, n, q, k:
-                       m + n > 0 and q >= 1 and k % 2 == 1))
+@checker("thm1", _grid("m", "n", "q", "k"), where=lambda m, n, q, k:
+         m + n > 0 and q >= 1 and k % 2 == 1)
 def check_thm1(m: int, n: int, q: int, k: int):
     """Order-k derivative symmetry: for odd k,
 
@@ -380,11 +391,6 @@ def check_thm1(m: int, n: int, q: int, k: int):
     Summands with k > n+q+i (resp. m+q+j) vanish through the binomial zero
     convention before any negative-index Euler polynomial is constructed.
     """
-    if k % 2 == 0:
-        raise EvenKError(f"k must be odd, got {k}")
-    if k < 1 or q < 1 or m < 0 or n < 0 or m + n <= 0:
-        raise ValueError(f"thm1 needs m+n > 0, q >= 1, odd k >= 1; "
-                         f"got (m={m}, n={n}, q={q}, k={k})")
     lhs = euler_sum(
         [((-1) ** m * binomial(m + q, i) * binomial(n + q + i, k),
           n + q + i - k) for i in range(m + q + 1)],
@@ -393,7 +399,7 @@ def check_thm1(m: int, n: int, q: int, k: int):
     return lhs, Polynomial()
 
 
-@checker("cro0", _grid("n", "q", where=lambda n, q: q % 2 == 1), "scalar")
+@checker("cro0", _grid("n", "q"), "scalar", where=lambda n, q: q % 2 == 1)
 def check_cro0(n: int, q: int):
     """sum_i C(n+q,i) (n+q+i)(n+q+i-1)...(n+i+1) E_{n+i}(0) = 0 for odd q.
 
@@ -401,10 +407,6 @@ def check_cro0(n: int, q: int):
     derivative symmetry at the origin; q = 1 and q = 3 are the classical
     Kaneko-type and Chen-Sun-type cases.
     """
-    if q < 1 or q % 2 == 0:
-        raise ValueError(f"cro0 requires odd q >= 1, got {q}")
-    if n < 0:
-        raise ValueError(f"cro0 requires n >= 0, got {n}")
     total = Fraction(0)
     for i in range(n + q + 1):
         total += binomial(n + q, i) * falling_factorial(n + q + i, q) \
@@ -412,12 +414,10 @@ def check_cro0(n: int, q: int):
     return total
 
 
-@checker("cro1", _MN_POSITIVE, "scalar")
+@checker("cro1", _MN, "scalar", where=lambda m, n: m + n > 0)
 def check_cro1(m: int, n: int):
     """sum_i C(m+1,i)(n+i+1)E_{n+i}(0)
     + (-1)**(m+n) sum_j C(n+1,j)(m+j+1)E_{m+j}(0) = 0."""
-    if m + n <= 0:
-        raise ValueError("cro1 requires m + n > 0")
     first = sum(binomial(m + 1, i) * (n + i + 1) * euler_zero(n + i)
                 for i in range(m + 2))
     second = sum(binomial(n + 1, j) * (m + j + 1) * euler_zero(m + j)
@@ -428,8 +428,6 @@ def check_cro1(m: int, n: int):
 @checker("cro2", _N, "scalar")
 def check_cro2(n: int):
     """sum_{j<=n+1} C(n+1,j)(n+j+1)E_{n+j}(0) = 0."""
-    if n < 0:
-        raise ValueError(f"cro2 requires n >= 0, got {n}")
     return sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
                for j in range(n + 2))
 
@@ -503,8 +501,8 @@ def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
     return Polynomial(acc)
 
 
-@checker("thm2", _grid("m", "n", "s", "k",
-                       where=lambda m, n, s, k: m + n > 0 and s >= 1))
+@checker("thm2", _grid("m", "n", "s", "k"),
+         where=lambda m, n, s, k: m + n > 0 and s >= 1)
 def check_thm2(m: int, n: int, s: int, k: int):
     """Parity-selected order-k symmetry against the pivot polynomial
 
@@ -522,10 +520,6 @@ def check_thm2(m: int, n: int, s: int, k: int):
     asserts that the derivative sum on the right is identically zero.
     The right side is summed from binomial rows; P is never built.
     """
-    if m + n <= 0:
-        raise ValueError("thm2 requires m + n > 0")
-    if s < 1 or k < 0:
-        raise ValueError(f"thm2 requires s >= 1, k >= 0, got (s={s}, k={k})")
     delta = (-1) ** s - (-1) ** k
     lhs = euler_sum(
         [(delta * binomial(m + 1, i) * binomial(n + i + 1, k)
@@ -542,8 +536,6 @@ def check_thm2_cro1(n: int, k: int):
     k odd:  sum_i ((-1)**i / 2**i) C(n+1,i) C(n+i+1,k) = 0;
     k even: the same weights against ((-1)**i E_{n+i-k+1}(0) + (-1)**n) = 0.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"thm2_cro1 requires n, k >= 0, got ({n}, {k})")
     total = Fraction(0)
     for i in range(n + 2):
         c = binomial(n + 1, i) * binomial(n + i + 1, k)
@@ -565,8 +557,6 @@ def check_thm2_cro2(n: int, k: int):
             ((-1)**i E_{n+i-k+1}(0) + (-1)**n (2**(n+i-k+1) - 1)) = 0;
     k even: the same weights against (2**(n+i-k+1) - 1) = 0.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"thm2_cro2 requires n, k >= 0, got ({n}, {k})")
     total = Fraction(0)
     for i in range(n + 2):
         c = binomial(n + 1, i) * binomial(n + i + 1, k)
@@ -585,37 +575,30 @@ def check_thm2_cro2(n: int, k: int):
 # Parity-filtered identities
 # ---------------------------------------------------------------------------
 
-# k (and l, j) are structurally bounded by m, so they sweep their full
-# stated range rather than a grid axis.
+# k (and l, j) are structurally bounded by m, so they sweep 0..m rather
+# than a grid axis, and ``where`` cuts each down to its stated range.
 
-def _gen_mk(grid):
-    return ({"m": m, "k": k} for m in sorted(set(grid.m))
-            for k in range(m + 1))
-
-
-def _gen_mk_below(grid):
-    return ({"m": m, "k": k} for m in sorted(set(grid.m)) for k in range(m))
-
-
-def _gen_mkl(grid):
-    return ({"m": m, "k": k, "l": l} for m in sorted(set(grid.m))
-            for k in range(m) for l in range(m - k))
+def _per_m(*names):
+    def gen(grid):
+        for m in sorted(set(grid.m)):
+            for combo in itertools.product(range(m + 1), repeat=len(names)):
+                yield {"m": m, **dict(zip(names, combo))}
+    return gen
 
 
+# thm3_1d's reports run j before k, an order the goldens fix
 def _gen_mkj(grid):
     return ({"m": m, "k": k, "j": j} for m in sorted(set(grid.m))
             for j in range(1, m + 1) for k in range(m + 1))
 
 
-@checker("thm3", _gen_mk)
+@checker("thm3", _per_m("k"), where=lambda m, k: k <= m)
 def check_thm3(m: int, k: int):
     """Parity-filtered expansion, 0 <= k <= m:
 
     sum_{i: m+i even} C(m,i) C(m+i,k) E_{m+i-k}(a)
       = sum_j (-1)**(m+j) C(m,j) C(m+j,k) a**(m+j-k).
     """
-    if not 0 <= k <= m:
-        raise ValueError(f"thm3 requires 0 <= k <= m, got (m={m}, k={k})")
     lhs = euler_sum([(binomial(m, i) * binomial(m + i, k), m + i - k)
                      for i in range(m + 1) if (m + i) % 2 == 0])
     rhs = [0] * (m - k) + [(-1) ** (m + j) * binomial(m, j)
@@ -631,52 +614,41 @@ def _thm3_1_sum(m: int, k: int, top: int, shift: int, start: int = 0):
                for i in range(start, m + 1) if (m + i) % 2 == 0)
 
 
-@checker("thm3_1a", _gen_mk, "scalar")
+@checker("thm3_1a", _per_m("k"), "scalar", where=lambda m, k: k <= m)
 def check_thm3_1a(m: int, k: int):
     """0 <= k <= m: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m-k)E_i(0)
     = (-1)**m C(m,k)."""
-    if not 0 <= k <= m:
-        raise ValueError(f"thm3_1a requires 0 <= k <= m, got (m={m}, k={k})")
     return _thm3_1_sum(m, k, m - k, 0) - (-1) ** m * binomial(m, k)
 
 
-@checker("thm3_1b", _gen_mk_below, "scalar")
+@checker("thm3_1b", _per_m("k"), "scalar", where=lambda m, k: k < m)
 def check_thm3_1b(m: int, k: int):
     """0 <= k <= m-1: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m-k-1)E_{i+1}(0)
     = 0."""
-    if not 0 <= k <= m - 1:
-        raise ValueError(
-            f"thm3_1b requires 0 <= k <= m-1, got (m={m}, k={k})")
     return _thm3_1_sum(m, k, m - k - 1, 1)
 
 
-@checker("thm3_1c", _gen_mkl, "scalar")
+@checker("thm3_1c", _per_m("k", "l"), "scalar",
+         where=lambda m, k, l: k + l < m)
 def check_thm3_1c(m: int, k: int, l: int):
     """0 <= l <= m-k-1: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,l)
     E_{m+i-k-l}(0) = 0."""
-    if not (0 <= k and 0 <= l <= m - k - 1):
-        raise ValueError(
-            f"thm3_1c requires 0 <= l <= m-k-1, got (m={m}, k={k}, l={l})")
     return _thm3_1_sum(m, k, l, m - k - l)
 
 
-@checker("thm3_1d", _gen_mkj, "scalar")
+@checker("thm3_1d", _gen_mkj, "scalar",
+         where=lambda m, k, j: 1 <= j <= m and k <= m)
 def check_thm3_1d(m: int, k: int, j: int):
     """1 <= j <= m, 0 <= k <= m: the tail sum from i = j,
     sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m+j-k)E_{i-j}(0),
     equals (-1)**(m+j) C(m,j) C(m+j,k)."""
-    if not (1 <= j <= m and 0 <= k <= m):
-        raise ValueError(f"thm3_1d requires 1 <= j <= m, 0 <= k <= m, "
-                         f"got (m={m}, k={k}, j={j})")
     return (_thm3_1_sum(m, k, m + j - k, -j, start=j)
             - (-1) ** (m + j) * binomial(m, j) * binomial(m + j, k))
 
 
-@checker("rem2_1", _grid("m", where=lambda m: m >= 3), "scalar")
+@checker("rem2_1", _grid("m"), "scalar", where=lambda m: m >= 3)
 def check_rem2_1(m: int):
     """sum_i C(m,i)(m+i)(m+i-1)(m+i-2) E_{m+i-3}(0) = 0 for m >= 3."""
-    if m < 3:
-        raise ValueError(f"rem2_1 requires m >= 3, got {m}")
     return sum(binomial(m, i) * falling_factorial(m + i, 3)
                * euler_zero(m + i - 3) for i in range(m + 1))
 
@@ -692,12 +664,10 @@ def check_fersim(n: int):
             monomial(n, Fraction(2)))
 
 
-@checker("fersim3", _grid("n", "q", where=lambda n, q: q >= 1))
+@checker("fersim3", _grid("n", "q"), where=lambda n, q: q >= 1)
 def check_fersim3(n: int, q: int):
     """Telescoped functional equation:
     (-1)**(q-1) E_n(a+q) + E_n(a) = 2 sum_{i<q} (-1)**i (a+i)**n."""
-    if q < 1:
-        raise ValueError(f"fersim3 requires q >= 1, got {q}")
     lhs = (-1) ** (q - 1) * euler_poly_shifted(n, 1, q) + euler_poly(n)
     rows = [_binomial_row(i, n, 1) for i in range(q)]
     return lhs, Polynomial([2 * sum((-1) ** i * row[j]
@@ -771,8 +741,10 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
     Reports come back in canonical order (id, then ascending parameters),
     independent of how the work is executed. Unknown ids and an unknown
     mode are usage errors, raised before any check runs.
-    Grid values outside a checker's stated domain are skipped for that
-    checker, so a checker may yield no report at all.
+    Grid values outside a checker's stated domain (its ``where`` and the
+    natural-number rule) are skipped for that checker, so a checker may
+    yield no report at all. A checker whose body raises anything but
+    ``ValueError`` fails its report, and the run goes on.
     """
     _require_mode(mode)
     if grid is None:

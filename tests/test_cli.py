@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from eulerferm import cli, padic
-from eulerferm.euler import euler_poly
+from eulerferm import cli, euler, padic
+from eulerferm.euler import EulerCache, euler_poly
 from eulerferm.identities import IdentityReport
+from eulerferm.polynomial import Polynomial
 
 
 def run_cli(capsys, *argv):
@@ -158,7 +159,9 @@ def test_verify_has_no_budget(capsys):
      "error: precision must be <= 1000, got 1000000000\n"),
     (["witt", "--p", "3", "--precision", "1000000000", "--n", "1", "--a", "0"],
      2, "error: precision must be <= 1000, got 1000000000\n"),
-], ids=["cro2", "lem1", "witt"])
+    (["verify", "witt", "--precision", "1001"], 2,
+     "error: precision must be <= 1000, got 1001\n"),
+], ids=["cro2", "lem1", "witt", "verify-witt"])
 def test_huge_precision_is_answered_without_building_p_to_the_n(
         capsys, argv, code, message):
     started = time.perf_counter()
@@ -218,6 +221,28 @@ def test_verify_drops_out_of_domain_values(capsys, argv, count):
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == 0
     assert out.strip().splitlines()[-1] == f"PASS {count}/{count}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "0", "--precision", "0"), "precision must be >= 1, got 0"),
+    (("--n=-1..2",), "ranges must be non-negative"),
+], ids=["precision", "range"])
+def test_verify_bad_grid_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "cro2", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "md"])
+def test_a_crashing_checker_fails_without_a_traceback(capsys, monkeypatch,
+                                                      fmt):
+    # E_0 off by 1/8 makes euler_number(0) raise inside sun_cor
+    cache = EulerCache()
+    cache._euler[0] = Polynomial([Fraction(9, 8)])
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    code, out, err = run_cli(capsys, "verify", "all", "--format", fmt)
+    assert (code, err) == (1, "")
+    assert "AssertionError: euler_number(0) not integral: 9/8" in out
+    assert out.strip().splitlines()[-1].startswith("FAIL ")
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

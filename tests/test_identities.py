@@ -7,16 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from eulerferm import identities as ident
+from eulerferm import euler, identities as ident
 from eulerferm.identities import (
     CHECKER_IDS,
-    EvenKError,
     SweepGrid,
     euler_zero_via_recurrence,
     report_to_dict,
     run_suite,
 )
 from eulerferm.euler import (
+    EulerCache,
     EulerRecurrence,
     EulerSeries,
     euler_poly,
@@ -227,12 +227,50 @@ def test_cro1_symmetric_case_is_twice_cro2():
 # --- usage errors -------------------------------------------------------------
 
 def test_thm1_rejects_even_k():
-    with pytest.raises(EvenKError):
+    with pytest.raises(ValueError,
+                       match=r"^thm1 is not stated at m=1, n=0, q=1, k=2$"):
         ident.check_thm1(1, 0, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thm1 is not stated at m=0, n=0"):
         ident.check_thm1(0, 0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thm1 is not stated at .* q=0"):
         ident.check_thm1(1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("cid", CHECKER_IDS)
+def test_negative_index_is_rejected_by_every_checker(cid):
+    # every catalog index is a natural number: set each int param to -1 in
+    # turn, keeping the others in the domain
+    params = next(iter(ident.CHECKERS[cid].gen(SweepGrid())))
+    check = getattr(ident, f"check_{cid}")
+    assert check(**params).passed
+    ints = [name for name, v in params.items() if isinstance(v, int)]
+    assert ints
+    for name in ints:
+        with pytest.raises(ValueError, match=f"^{cid} is not stated at "):
+            check(**{**params, name: -1})
+
+
+def test_sweep_grid_rejects_negative_axes_and_precision_below_one():
+    with pytest.raises(ValueError, match="^ranges must be non-negative$"):
+        SweepGrid(m=(-1, 2))
+    with pytest.raises(ValueError, match="^precision must be >= 1, got 0$"):
+        SweepGrid(precision=0)
+
+
+def test_a_crashing_checker_fails_its_report_and_the_run_goes_on(
+        monkeypatch):
+    # E_0 off by 1/8 makes euler_number(0) raise inside sun_cor
+    cache = EulerCache()
+    cache._euler[0] = Polynomial([F(9, 8)])
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    reports = run_suite()
+    assert {r.checker for r in reports} == set(CHECKER_IDS)
+    sun_cor = [r for r in reports if r.checker == "sun_cor"]
+    crashed = [r for r in sun_cor if isinstance(r.residual, str)]
+    assert crashed and not any(r.passed for r in crashed)
+    assert crashed[0].residual == \
+        "AssertionError: euler_number(0) not integral: 9/8"
+    assert report_to_dict(crashed[0])["residual"] == crashed[0].residual
 
 
 def test_parameter_range_violations():
