@@ -20,15 +20,15 @@ both sides exactly and returns what its kind asks for:
 
 The body tests no domain, does no timing and builds no report. Its domain
 is stated once, as the predicate ``where``, and every int param must be a
-natural number. The driver ``CHECKERS[cid].run(params, mode)`` rejects a
-mode other than symbolic or pointwise, calls the body, times it,
-dispatches on the mode (scalar and valuation checkers ignore it) and
-builds the ``IdentityReport``; a body that raises anything but
-``ValueError`` fails it with the residual ``"<Type>: <message>"``.
-``gen(grid)`` yields params only inside the domain, and ``run_suite``
-calls ``run`` once per dict. The public ``check_<id>(*args, mode=...)``
-binds its arguments by name, raises ``ValueError`` outside the domain and
-calls the same ``run``.
+natural number. The driver ``CHECKERS[cid].run(params, mode)`` raises
+``ValueError`` for a mode other than symbolic or pointwise and for params
+outside the domain; then it calls the body, times it, dispatches on the
+mode (scalar and valuation checkers ignore it) and builds the
+``IdentityReport``. A body that raises anything but ``ValueError`` fails
+it with the residual ``"<Type>: <message>"``. ``gen(grid)`` yields params
+only inside the domain, and ``run_suite`` calls ``run`` once per dict.
+The public ``check_<id>(*args, mode=...)`` binds its arguments by name
+and calls the same ``run``.
 
 Exact arithmetic stays on the integers where the values are integers.
 Every weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of
@@ -70,7 +70,7 @@ from .euler import (
     power_sum,
 )
 from .numeric import binomial, falling_factorial, format_rational
-from .padic import lem1_defect, witt_defect
+from .padic import lem1_defect, require_odd_prime, witt_defect
 from .polynomial import Polynomial, monomial
 
 __all__ = [
@@ -130,14 +130,7 @@ def _render_residual(residual, mode: str):
 
 def _sample_points(count: int):
     """0, 1, -1, 2, -2, ... -- small numerators keep evaluation cheap."""
-    pts = [Fraction(0)]
-    v = 1
-    while len(pts) < count:
-        pts.append(Fraction(v))
-        if len(pts) < count:
-            pts.append(Fraction(-v))
-        v += 1
-    return pts[:count]
+    return [Fraction((i + 1) // 2 * (-1) ** (i + 1)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +153,16 @@ class SweepGrid:
     lem1_count: int = 5
 
     def __post_init__(self):
+        indices = self.m + self.n + self.q + self.k + self.s
+        if not all(type(v) is int for v in indices + self.p_list + (
+                self.precision, self.lem1_count)):
+            raise ValueError("every grid field but points must hold integers")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
-        if min(self.m + self.n + self.q + self.k + self.s, default=0) < 0:
+        if min(indices, default=0) < 0:
             raise ValueError("ranges must be non-negative")
+        for p in self.p_list:
+            require_odd_prime(p)
         # a swept point is reported as a Fraction, as in a direct call
         object.__setattr__(self, "points", tuple(map(Fraction, self.points)))
 
@@ -194,21 +193,27 @@ def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
             report_params=None):
     """Register the decorated body as checker ``cid``; return check_<cid>.
 
-    ``where(**params)`` states the domain; every catalog index is a natural
-    number, so a negative int param lies outside it too. A direct call
-    outside raises ``ValueError`` (``thm1 is not stated at m=1, n=0, q=1,
-    k=2``) and the sweep skips it, so the body sees only stated params.
+    ``where(**params)`` states the domain. Every catalog index is a natural
+    number, so a param annotated ``int`` or holding an int must be an int
+    >= 0. ``run`` raises ``ValueError`` outside the domain (``thm1 is not
+    stated at m=1, n=0, q=1, k=2``) and the sweep skips it.
     ``rational`` names the arguments that a direct call converts to
     Fraction, as a sweep's points already are. ``report_params(**params)``
     gives the report's params where they are not the body's arguments.
     """
-    def stated(params: dict) -> bool:
-        return (all(v >= 0 for v in params.values() if isinstance(v, int))
-                and (where is None or where(**params)))
-
     def register(body):
+        naturals = {k for k, a in body.__annotations__.items() if a == "int"}
+
+        def stated(params: dict) -> bool:
+            return (all(type(v) is int and v >= 0 for k, v in params.items()
+                        if isinstance(v, int) or k in naturals)
+                    and (where is None or where(**params)))
+
         def run(params: dict, mode: str) -> IdentityReport:
             _require_mode(mode)
+            if not stated(params):
+                raise ValueError(f"{cid} is not stated at " + ", ".join(
+                    f"{k}={v}" for k, v in params.items()))
             if kind != "poly":   # scalar and valuation checkers ignore it
                 mode = "symbolic" if kind == "scalar" else "valuation"
             started = time.perf_counter()
@@ -241,15 +246,11 @@ def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
 
         @wraps(body)
         def check(*args, mode: str = "symbolic", **kwargs) -> IdentityReport:
-            bound = _signature(body).bind(*args, **kwargs)
-            bound.apply_defaults()
-            params = bound.arguments
+            params = _signature(body).bind(*args, **kwargs)
+            params.apply_defaults()
             for name in rational:
-                params[name] = Fraction(params[name])
-            if not stated(params):
-                raise ValueError(f"{cid} is not stated at " + ", ".join(
-                    f"{k}={v}" for k, v in params.items()))
-            return run(params, mode)
+                params.arguments[name] = Fraction(params.arguments[name])
+            return run(params.arguments, mode)
 
         CHECKERS[cid] = Checker(cid, run, lambda g: filter(stated, gen(g)))
         return check
@@ -715,9 +716,7 @@ def _gen_lem1(grid):
 
 def _lem1_params(f, p, precision, index):
     params = {"p": p, "precision": precision, "poly": f.to_coeff_strings()}
-    if index is not None:
-        params["index"] = index
-    return params
+    return params if index is None else {**params, "index": index}
 
 
 @checker("lem1", _gen_lem1, "valuation", report_params=_lem1_params)

@@ -1,6 +1,7 @@
 """Identity checker tests: frozen hand expansions, sweeps, the
 symbolic/pointwise duality, and the specialization cross-links."""
 
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -248,6 +249,27 @@ def test_negative_index_is_rejected_by_every_checker(cid):
     for name in ints:
         with pytest.raises(ValueError, match=f"^{cid} is not stated at "):
             check(**{**params, name: -1})
+    # a param annotated int refuses every other number type too
+    annotated = [name for name, p in inspect.signature(check).parameters.items()
+                 if p.annotation == "int"]
+    assert annotated
+    for name in annotated:
+        for value in (-1.0, F(-1), 1.5, F(1), True):
+            with pytest.raises(ValueError, match=f"^{cid} is not stated at "):
+                check(**{**params, name: value})
+
+
+def test_the_registered_run_tests_the_domain_before_the_body():
+    with pytest.raises(ValueError, match=r"^thm1 is not stated at m=1, n=0, "
+                                         r"q=1, k=-1$"):
+        ident.CHECKERS["thm1"].run({"m": 1, "n": 0, "q": 1, "k": -1},
+                                   "symbolic")
+    with pytest.raises(ValueError, match=r"^wsp9 is not stated at m=0, n=0$"):
+        ident.CHECKERS["wsp9"].run({"m": 0, "n": 0}, "symbolic")
+    with pytest.raises(ValueError, match=r"^thm1 is not stated at .* k=-1.0$"):
+        ident.check_thm1(1, 0, 1, -1.0)
+    with pytest.raises(ValueError, match=r"^cro2 is not stated at n=1.5$"):
+        ident.check_cro2(1.5)
 
 
 def test_sweep_grid_rejects_negative_axes_and_precision_below_one():
@@ -255,6 +277,16 @@ def test_sweep_grid_rejects_negative_axes_and_precision_below_one():
         SweepGrid(m=(-1, 2))
     with pytest.raises(ValueError, match="^precision must be >= 1, got 0$"):
         SweepGrid(precision=0)
+    # a bad prime is refused with the grid, never skipped by a sweep
+    for primes, bad in (((-3, 3), -3), ((3, 2), 2), ((9,), 9)):
+        with pytest.raises(ValueError,
+                           match=f"^p must be an odd prime, got {bad}$"):
+            SweepGrid(p_list=primes)
+    for field, values in (("m", (1.5,)), ("k", (F(1),)), ("p_list", (3.0,)),
+                          ("precision", 2.0), ("lem1_count", True)):
+        with pytest.raises(ValueError, match="^every grid field but points "
+                                             "must hold integers$"):
+            SweepGrid(**{field: values})
 
 
 def test_a_crashing_checker_fails_its_report_and_the_run_goes_on(
