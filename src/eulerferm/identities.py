@@ -21,14 +21,15 @@ both sides exactly and returns what its kind asks for:
 The body tests no domain, does no timing and builds no report. Its domain
 is stated once, as the predicate ``where``, and every int param must be a
 natural number. The driver ``CHECKERS[cid].run(params, mode)`` raises
-``ValueError`` for a mode other than symbolic or pointwise and for params
-outside the domain; then it calls the body, times it, dispatches on the
-mode (scalar and valuation checkers ignore it) and builds the
-``IdentityReport``. A body that raises anything but ``ValueError`` fails
-it with the residual ``"<Type>: <message>"``. ``gen(grid)`` yields params
-only inside the domain, and ``run_suite`` calls ``run`` once per dict.
-The public ``check_<id>(*args, mode=...)`` binds its arguments by name
-and calls the same ``run``.
+``ValueError`` for a mode other than symbolic or pointwise, for params
+whose keys are not the body's parameter names and for params outside the
+domain; then it calls the body, times it, dispatches on the mode (scalar
+and valuation checkers ignore it) and builds the ``IdentityReport``. A
+body that raises anything but ``ValueError`` fails it with the residual
+``"<Type>: <message>"``. ``gen(grid)`` yields params only inside the
+domain, and ``run_suite`` calls ``run`` once per dict. The public
+``check_<id>(*args, mode=...)`` binds its arguments by name and calls the
+same ``run``.
 
 Exact arithmetic stays on the integers where the values are integers.
 Every weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of
@@ -59,11 +60,11 @@ from functools import lru_cache, wraps
 
 from .euler import (
     EulerRecurrence,
-    EulerSeries,
     alt_power_sum,
     bernoulli_poly,
     euler_number,
     euler_poly,
+    euler_poly_by_differences,
     euler_poly_shifted,
     euler_sum,
     euler_zero,
@@ -196,13 +197,18 @@ def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
     ``where(**params)`` states the domain. Every catalog index is a natural
     number, so a param annotated ``int`` or holding an int must be an int
     >= 0. ``run`` raises ``ValueError`` outside the domain (``thm1 is not
-    stated at m=1, n=0, q=1, k=2``) and the sweep skips it.
+    stated at m=1, n=0, q=1, k=2``) and the sweep skips it. It also raises
+    ``ValueError`` when the params' keys are not the body's parameter
+    names (``cro2 takes params n, got none``), read once from its code.
     ``rational`` names the arguments that a direct call converts to
     Fraction, as a sweep's points already are. ``report_params(**params)``
     gives the report's params where they are not the body's arguments.
     """
     def register(body):
         naturals = {k for k, a in body.__annotations__.items() if a == "int"}
+        code = body.__code__
+        names = code.co_varnames[:code.co_argcount]
+        keys = frozenset(names)
 
         def stated(params: dict) -> bool:
             return (all(type(v) is int and v >= 0 for k, v in params.items()
@@ -211,6 +217,9 @@ def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
 
         def run(params: dict, mode: str) -> IdentityReport:
             _require_mode(mode)
+            if params.keys() != keys:
+                raise ValueError(f"{cid} takes params {', '.join(names)}, "
+                                 f"got {', '.join(params) or 'none'}")
             if not stated(params):
                 raise ValueError(f"{cid} is not stated at " + ", ".join(
                     f"{k}={v}" for k, v in params.items()))
@@ -304,20 +313,17 @@ def check_boundary(n: int):
     return r1 if r1 else r2
 
 
-_SERIES = EulerSeries()
 _RECURRENCE = EulerRecurrence()
-
-
-def _series_euler(n: int) -> Polynomial:
-    return _SERIES.euler_poly(n)
 
 
 @checker("gf_consistency", _N)
 def check_gf_consistency(n: int):
-    """The tangent-number E_n equals the power-series-division E_n and,
-    as a lemma, the triangular-recurrence E_n."""
+    """E_n from the tangent-number table equals the E_n that the generating
+    function 2 e^{a t} / (e^t + 1) gives by finite differences,
+    2**n E_n(a) = sum_j (-1)**j c_j (a + j)**n, and, as a lemma, the E_n of
+    the integer recurrence on 2**n E_n. Neither oracle reads the table."""
     e = euler_poly(n)
-    return e, _series_euler(n), e - _RECURRENCE.euler_poly(n)
+    return e, euler_poly_by_differences(n), e - _RECURRENCE.euler_poly(n)
 
 
 @checker("euler_alt_sum", _MN, "scalar", where=lambda m, n: m >= 1)

@@ -1,9 +1,11 @@
 """Euler/Bernoulli generator tests.
 
 Frozen polynomial values are the classical first entries; the production
-E_n, built from tangent numbers, is cross-checked against the triangular
-recurrence, the truncated power-series-division construction and
-``sympy.euler``, none of which shares code with it.
+E_n, built from tangent numbers, is cross-checked against the
+finite-difference E_n, the triangular recurrence on 2**n E_n, the
+truncated power-series-division construction and ``sympy.euler``, none of
+which shares code with it. The recurrence over the rationals is kept here
+as the oracle of the integer one.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from eulerferm.euler import (
     bernoulli_poly,
     euler_number,
     euler_poly,
+    euler_poly_by_differences,
     euler_poly_shifted,
     euler_polys_by_series,
     euler_zero,
@@ -89,6 +92,41 @@ def test_tangent_table_equals_recurrence_table():
     for n in range(61):
         assert cache.euler_poly(n) == recurrence.euler_poly(n), n
     assert recurrence.terms == 61
+
+
+class FractionRecurrence:
+    """E_n(x) = x**n - (1/2) sum_{k<n} C(n, k) E_k(x) over the rationals,
+    the oracle of the integer recurrence on 2**n E_n."""
+
+    def __init__(self):
+        self._table = []
+
+    def euler_poly(self, n):
+        table = self._table
+        while len(table) <= n:
+            m = len(table)
+            acc = Polynomial()
+            for k in range(m):
+                acc = acc + binomial(m, k) * table[k]
+            table.append(monomial(m, F(1)) - F(1, 2) * acc)
+        return table[n]
+
+
+def test_integer_recurrence_equals_fraction_recurrence():
+    integer, rational = EulerRecurrence(), FractionRecurrence()
+    for n in range(61):
+        assert integer.euler_poly(n) == rational.euler_poly(n), n
+    # a smaller n reads the table, it does not grow it
+    assert integer.euler_poly(7) == rational.euler_poly(7)
+    assert integer.terms == 61
+
+
+def test_finite_difference_oracle_equals_tangent_table():
+    cache = EulerCache()
+    for n in range(121):
+        assert euler_poly_by_differences(n) == cache.euler_poly(n), n
+    with pytest.raises(ValueError):
+        euler_poly_by_differences(-1)
 
 
 def test_tangent_table_equals_sympy():

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,6 @@ from eulerferm.identities import (
 from eulerferm.euler import (
     EulerCache,
     EulerRecurrence,
-    EulerSeries,
     euler_poly,
     euler_zero,
 )
@@ -272,6 +272,20 @@ def test_the_registered_run_tests_the_domain_before_the_body():
         ident.check_cro2(1.5)
 
 
+@pytest.mark.parametrize("cid", CHECKER_IDS)
+def test_the_registered_run_refuses_missing_and_extra_params(cid):
+    # a malformed dict is a usage error, never a report
+    params = next(iter(ident.CHECKERS[cid].gen(SweepGrid())))
+    run = ident.CHECKERS[cid].run
+    assert run(params, "symbolic").passed
+    *kept, _ = params
+    for bad in ({}, {k: params[k] for k in kept}, {**params, "x": 1}):
+        with pytest.raises(ValueError, match=f"^{cid} takes params "
+                           f"{', '.join(params)}, got "
+                           f"{', '.join(bad) or 'none'}$"):
+            run(bad, "symbolic")
+
+
 def test_sweep_grid_rejects_negative_axes_and_precision_below_one():
     with pytest.raises(ValueError, match="^ranges must be non-negative$"):
         SweepGrid(m=(-1, 2))
@@ -341,33 +355,34 @@ def test_run_suite_all_pass_and_deterministic():
     assert [r.checker for r in first] == sorted(r.checker for r in first)
 
 
-def test_gf_consistency_builds_each_series_term_once(monkeypatch):
-    series, recurrence = EulerSeries(), EulerRecurrence()
-    monkeypatch.setattr(ident, "_SERIES", series)
-    monkeypatch.setattr(ident, "_RECURRENCE", recurrence)
-    reports = run_suite(["gf_consistency"], SweepGrid(n=tuple(range(10, 21))))
-    assert len(reports) == 11 and all(r.passed for r in reports)
-    assert series.terms == recurrence.terms == 21
-    # each oracle grows one table, not one table per n
-    series, recurrence = EulerSeries(), EulerRecurrence()
-    monkeypatch.setattr(ident, "_SERIES", series)
-    monkeypatch.setattr(ident, "_RECURRENCE", recurrence)
-    reports = run_suite(["gf_consistency"], SweepGrid(n=tuple(range(40, 61))))
-    assert len(reports) == 21 and all(r.passed for r in reports)
-    assert series.terms == recurrence.terms == 61
+def test_gf_consistency_grows_one_recurrence_table(monkeypatch):
+    # the finite-difference oracle is stateless; the recurrence grows one
+    # table, not one table per n
+    for ns, terms in ((range(10, 21), 21), (range(40, 61), 61)):
+        recurrence = EulerRecurrence()
+        monkeypatch.setattr(ident, "_RECURRENCE", recurrence)
+        reports = run_suite(["gf_consistency"], SweepGrid(n=tuple(ns)))
+        assert len(reports) == len(ns) and all(r.passed for r in reports)
+        assert recurrence.terms == terms
 
 
-class _OffAtFive:
+def test_gf_consistency_passes_at_degree_120():
+    for mode in ("symbolic", "pointwise"):
+        assert ident.check_gf_consistency(120, mode=mode).passed
+
+
+def _off_at_five(n):
     """An oracle whose E_5 is off by x; every other entry is true."""
-
-    def euler_poly(self, n):
-        e = euler_poly(n)
-        return e + Polynomial([0, 1]) if n == 5 else e
+    e = euler_poly(n)
+    return e + Polynomial([0, 1]) if n == 5 else e
 
 
-@pytest.mark.parametrize("oracle", ["_SERIES", "_RECURRENCE"])
-def test_gf_consistency_compares_each_oracle(monkeypatch, oracle):
-    monkeypatch.setattr(ident, oracle, _OffAtFive())
+@pytest.mark.parametrize("oracle,fake", [
+    ("euler_poly_by_differences", _off_at_five),
+    ("_RECURRENCE", SimpleNamespace(euler_poly=_off_at_five)),
+], ids=["euler_poly_by_differences", "_RECURRENCE"])
+def test_gf_consistency_compares_each_oracle(monkeypatch, oracle, fake):
+    monkeypatch.setattr(ident, oracle, fake)
     for mode in ("symbolic", "pointwise"):
         reports = run_suite(["gf_consistency"], mode=mode)
         assert [r.params["n"] for r in reports if not r.passed] == [5]

@@ -2,7 +2,8 @@
 weighted E_n sums over one common denominator (and the sun, sun_cor,
 fersim3 and thm3 sides built on them), the p-adic sums of
 polynomials over one common denominator (the literal p**N loop and the
-route by base-p digits), and the E_n table built from tangent numbers.
+route by base-p digits), the E_n table built from tangent numbers, and
+the finite-difference oracle that gf_consistency checks it with.
 
 Each fast path is compared with the construction over Q that it replaced,
 kept here as the reference, and every checker that uses the sums must
@@ -410,3 +411,23 @@ def test_corrupted_tangent_number_fails_gf_consistency(monkeypatch):
     assert gf_failed == [5, 6]
     assert {r.checker for r in reports} - failed == \
         {"complement", "bernoulli_power_sum", "lem1"}
+
+
+def test_corrupted_difference_weight_fails_gf_consistency(monkeypatch):
+    """c_1 one too large makes the finite-difference oracle read
+    2**n E_n(x) - (x + 1)**n for every n >= 1, so gf_consistency fails at
+    each n >= 1 of the desk grid, in both modes; n = 0 has no c_1."""
+    true_weights = euler._difference_weights
+
+    def corrupted(n):
+        weights = true_weights(n)
+        if n >= 1:
+            weights[1] += 1
+        return weights
+
+    monkeypatch.setattr(euler, "_difference_weights", corrupted)
+    assert euler.euler_poly_by_differences(3) != euler_poly(3)
+    for mode in ("symbolic", "pointwise"):
+        reports = run_suite(["gf_consistency"], mode=mode)
+        assert [r.params["n"] for r in reports if not r.passed] == \
+            [1, 2, 3, 4, 5, 6]
