@@ -182,10 +182,8 @@ def _params_text(params: dict) -> str:
 
 
 def _param_str(v) -> str:
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(str(x) for x in v) + "]"
+    if isinstance(v, list):
+        return "[" + ",".join(map(str, v)) + "]"
     return str(v)
 
 
@@ -215,14 +213,14 @@ def _emit_reports(reports, fmt: str) -> None:
     elif fmt == "md":
         print("| id | params | mode | residual | pass |")
         print("| -- | ------ | ---- | -------- | ---- |")
-        for r, d in zip(reports, dicts):
-            print(f"| {d['id']} | {_params_text(r.params)} | {d['mode']} "
+        for d in dicts:
+            print(f"| {d['id']} | {_params_text(d['params'])} | {d['mode']} "
                   f"| {_residual_text(d['residual'])} "
                   f"| {'PASS' if d['pass'] else 'FAIL'} |")
     else:
-        for r, d in zip(reports, dicts):
+        for d in dicts:
             print(f"{'PASS' if d['pass'] else 'FAIL'} {d['id']} "
-                  f"{_params_text(r.params)} "
+                  f"{_params_text(d['params'])} "
                   f"residual={_residual_text(d['residual'])}")
     print(summary)
 

@@ -29,11 +29,7 @@ integer polynomials F_n = 2**n E_n as
 
     F_n = 2**n x**n - sum_{k<n} C(n, k) 2**(n-k-1) F_k
 
-in one append-only table (`EulerRecurrence`). The truncated power-series
-division of the generating function (`EulerSeries`,
-`euler_polys_by_series`) solves the same linear system as the recurrence,
-in `Fraction` arithmetic; it stays only because the benchmark's tracer
-binds `euler_polys_by_series` by name.
+in one append-only table (`EulerRecurrence`).
 
 Weighted sums of E_n(a) and E_n(-a) (`euler_sum`), with integer or
 rational weights, run over the integers: each E_n is also kept as integer
@@ -47,7 +43,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from math import factorial
 
 from .numeric import binomial, common_denominator
 from .polynomial import Polynomial, monomial
@@ -55,7 +50,6 @@ from .polynomial import Polynomial, monomial
 __all__ = [
     "EulerCache",
     "EulerRecurrence",
-    "EulerSeries",
     "tangent_numbers",
     "euler_poly_by_differences",
     "euler_poly",
@@ -313,47 +307,9 @@ class EulerRecurrence:
             return Polynomial([Fraction(c, 1 << n) for c in table[n]])
 
 
-class EulerSeries:
-    """E_n by truncated exact division of 2 e^{a t} / (e^t + 1).
-
-    It reads no tangent number: the numerator coefficient of t**k is the
-    polynomial 2 a**k / k!, the denominator coefficient is 2 for k = 0 and
-    1 / k! for k >= 1, and the quotient is computed term by term. E_n is n!
-    times the quotient coefficient of t**n. One quotient list grows on
-    demand, never past the largest n requested. Times k!, the division at
-    t**k reads E_k + sum_{i>=1} C(k, i) E_(k-i) = 2 a**k, the linear system
-    that `EulerRecurrence` solves, so no checker uses it. It stays only
-    because the benchmark's tracer (benchmarks/tracer.py) binds
-    `euler_polys_by_series` by name.
-    """
-
-    def __init__(self):
-        self._quot: list[Polynomial] = []
-        self._lock = threading.Lock()
-
-    @property
-    def terms(self) -> int:
-        """Number of quotient terms computed so far."""
-        return len(self._quot)
-
-    def euler_poly(self, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        with self._lock:
-            quot = self._quot
-            while len(quot) <= n:
-                k = len(quot)
-                acc = monomial(k, Fraction(2, factorial(k)))
-                for i in range(1, k + 1):
-                    acc = acc - Fraction(1, factorial(i)) * quot[k - i]
-                quot.append(acc * Fraction(1, 2))
-            return factorial(n) * quot[n]
-
-
 def euler_polys_by_series(count: int) -> list[Polynomial]:
-    """E_0 .. E_{count-1} from a fresh `EulerSeries`; kept, with it, only
-    for the benchmark's tracer, which binds this name."""
+    """E_0 .. E_{count-1} read off the series 2 / (e^t + 1) =
+    sum_k (-(e^t - 1) / 2)**k, that is, by `euler_poly_by_differences`."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    series = EulerSeries()
-    return [series.euler_poly(n) for n in range(count)]
+    return [euler_poly_by_differences(n) for n in range(count)]

@@ -19,8 +19,9 @@ both sides exactly and returns what its kind asks for:
   v_p(truncation - exact), which must reach the ``precision`` parameter.
 
 The body tests no domain, does no timing and builds no report. Its domain
-is stated once, as the predicate ``where``, and every int param must be a
-natural number. The driver ``CHECKERS[cid].run(params, mode)`` raises
+is stated once, as the predicate ``where``; every int param must be a
+natural number, and every param annotated ``Fraction`` or ``Polynomial``
+must hold one. The driver ``CHECKERS[cid].run(params, mode)`` raises
 ``ValueError`` for a mode other than symbolic or pointwise, for params
 whose keys are not the body's parameter names and for params outside the
 domain; then it calls the body, times it, dispatches on the mode (scalar
@@ -190,22 +191,28 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
+_TYPED = {"Fraction": Fraction, "Polynomial": Polynomial}
+
+
+def checker(cid: str, gen, kind: str = "poly", where=None,
             report_params=None):
     """Register the decorated body as checker ``cid``; return check_<cid>.
 
     ``where(**params)`` states the domain. Every catalog index is a natural
     number, so a param annotated ``int`` or holding an int must be an int
-    >= 0. ``run`` raises ``ValueError`` outside the domain (``thm1 is not
+    >= 0, and a param annotated ``Fraction`` or ``Polynomial`` must hold
+    one. ``run`` raises ``ValueError`` outside the domain (``thm1 is not
     stated at m=1, n=0, q=1, k=2``) and the sweep skips it. It also raises
     ``ValueError`` when the params' keys are not the body's parameter
     names (``cro2 takes params n, got none``), read once from its code.
-    ``rational`` names the arguments that a direct call converts to
+    A direct call converts an int given for a ``Fraction`` param to
     Fraction, as a sweep's points already are. ``report_params(**params)``
     gives the report's params where they are not the body's arguments.
     """
     def register(body):
-        naturals = {k for k, a in body.__annotations__.items() if a == "int"}
+        hints = body.__annotations__.items()
+        naturals = {k for k, a in hints if a == "int"}
+        typed = [(k, _TYPED[a]) for k, a in hints if a in _TYPED]
         code = body.__code__
         names = code.co_varnames[:code.co_argcount]
         keys = frozenset(names)
@@ -213,6 +220,7 @@ def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
         def stated(params: dict) -> bool:
             return (all(type(v) is int and v >= 0 for k, v in params.items()
                         if isinstance(v, int) or k in naturals)
+                    and all(isinstance(params[k], t) for k, t in typed)
                     and (where is None or where(**params)))
 
         def run(params: dict, mode: str) -> IdentityReport:
@@ -257,8 +265,9 @@ def checker(cid: str, gen, kind: str = "poly", where=None, rational=(),
         def check(*args, mode: str = "symbolic", **kwargs) -> IdentityReport:
             params = _signature(body).bind(*args, **kwargs)
             params.apply_defaults()
-            for name in rational:
-                params.arguments[name] = Fraction(params.arguments[name])
+            for name, t in typed:
+                if t is Fraction and type(params.arguments[name]) is int:
+                    params.arguments[name] = Fraction(params.arguments[name])
             return run(params.arguments, mode)
 
         CHECKERS[cid] = Checker(cid, run, lambda g: filter(stated, gen(g)))
@@ -455,7 +464,7 @@ def check_recurrence_odd(n: int):
     return euler_zero_via_recurrence(n) - euler_zero(2 * n + 1)
 
 
-@checker("sun", _grid("m", "n", a="points"), rational=("a",))
+@checker("sun", _grid("m", "n", a="points"))
 def check_sun(m: int, n: int, a: Fraction):
     """Three-parameter symmetry, symbolic in b with c = 1 - a - b:
 
@@ -695,7 +704,7 @@ def _gen_witt(grid):
                     yield {"n": n, "a": a, "p": p, "precision": grid.precision}
 
 
-@checker("witt", _gen_witt, "valuation", rational=("a",))
+@checker("witt", _gen_witt, "valuation")
 def check_witt(n: int, a: Fraction, p: int, precision: int):
     """v_p(S_N - E_n(a)) >= N, S_N the sum of (x+a)**n (-1)**x over
     x < p**N by base-p digits."""

@@ -47,8 +47,8 @@ def test_criterion_1_value_table():
     ]
     polys_ok = all(euler_poly(n) == expected_polys[n] for n in range(4))
 
-    # expected Euler numbers come from the series-division oracle, an
-    # independent construction path
+    # expected Euler numbers come from the finite-difference oracle, read
+    # off the series of 2 / (e^t + 1); it never reads the tangent numbers
     series = euler_polys_by_series(11)
     oracle = [2 ** n * series[n](F(1, 2)) for n in range(11)]
     frozen = [1, 0, -1, 0, 5, 0, -61, 0, 1385, 0, -50521]

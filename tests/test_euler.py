@@ -2,10 +2,9 @@
 
 Frozen polynomial values are the classical first entries; the production
 E_n, built from tangent numbers, is cross-checked against the
-finite-difference E_n, the triangular recurrence on 2**n E_n, the
-truncated power-series-division construction and ``sympy.euler``, none of
-which shares code with it. The recurrence over the rationals is kept here
-as the oracle of the integer one.
+finite-difference E_n, the triangular recurrence on 2**n E_n and
+``sympy.euler``, none of which shares code with it. The recurrence over
+the rationals is kept here as the oracle of the integer one.
 """
 
 import hashlib
@@ -20,7 +19,6 @@ import sympy
 from eulerferm.euler import (
     EulerCache,
     EulerRecurrence,
-    EulerSeries,
     alt_power_sum,
     bernoulli_poly,
     euler_number,
@@ -138,18 +136,11 @@ def test_tangent_table_equals_sympy():
         assert cache.euler_poly(n) == expected, n
 
 
-def test_series_division_oracle_agrees_with_recurrence():
-    series = euler_polys_by_series(21)
-    for n in range(21):
-        assert series[n] == euler_poly(n), n
-
-
-def test_series_grows_one_quotient_list():
-    series = EulerSeries()
-    assert series.euler_poly(6) == euler_poly(6)
-    assert series.terms == 7
-    assert series.euler_poly(3) == euler_poly(3)
-    assert series.terms == 7
+def test_euler_polys_by_series_equals_table():
+    assert euler_polys_by_series(21) == [euler_poly(n) for n in range(21)]
+    assert euler_polys_by_series(0) == []
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        euler_polys_by_series(-1)
 
 
 def test_euler_numbers_from_series_oracle():

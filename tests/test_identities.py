@@ -468,6 +468,30 @@ def test_direct_calls_report_a_as_a_fraction():
         assert report_to_dict(r)["params"]["a"] == "1"
 
 
+_TYPED_CASES = [
+    *((cid, {**base, "a": a})
+      for cid, base in (("sun", {"m": 1, "n": 0}),
+                        ("witt", {"n": 1, "p": 3, "precision": 2}))
+      for a in (0.5, "1/2", True)),
+    *(("lem1", {"f": f, "p": 3, "precision": 2, "index": None})
+      for f in ("abc", F(1), [F(1)])),
+]
+
+
+@pytest.mark.parametrize("via", ["run", "check"])
+@pytest.mark.parametrize("cid, params", _TYPED_CASES,
+                         ids=[f"{c}-{p.get('a', p.get('f'))!r}"
+                              for c, p in _TYPED_CASES])
+def test_a_typed_param_refuses_other_types(cid, params, via):
+    # a param annotated Fraction or Polynomial must hold one; only a direct
+    # call's int shift is converted, never a bool, float or str
+    with pytest.raises(ValueError, match=f"^{cid} is not stated at "):
+        if via == "run":
+            ident.CHECKERS[cid].run(params, "symbolic")
+        else:
+            getattr(ident, f"check_{cid}")(**params)
+
+
 def test_lem1_reports_the_polynomial_by_its_coefficients():
     r = ident.check_lem1(Polynomial([F(5), F(0), F(1, 2)]), 3, 2)
     assert r.passed
