@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import identities
-from .euler import euler_number, euler_poly
+from .euler import MAX_DEGREE, euler_number, euler_poly
 from .identities import SweepGrid, report_to_dict, run_suite
 from .numeric import format_rational, parse_rational
 from .padic import (
@@ -317,7 +317,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+# the argument that sets the largest E_n a command builds
+_DEGREE_ARGS = {"poly": "n", "eval": "n", "numbers": "max", "witt": "n"}
+
+
 def _run(args) -> int:
+    name = _DEGREE_ARGS.get(args.command)
+    if name and getattr(args, name) > MAX_DEGREE:
+        return _usage_error(f"{name} must be <= {MAX_DEGREE}, "
+                            f"got {getattr(args, name)}")
     if args.command == "poly":
         if args.n < 0:
             return _usage_error("n must be >= 0")

@@ -60,6 +60,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from .euler import (
+    MAX_DEGREE,
     EulerRecurrence,
     alt_power_sum,
     bernoulli_poly,
@@ -152,17 +153,20 @@ class SweepGrid:
                      Fraction(-1), Fraction(-2, 3))
     p_list: tuple = (3, 5, 7)
     precision: int = 2
-    lem1_count: int = 5
 
     def __post_init__(self):
         indices = self.m + self.n + self.q + self.k + self.s
-        if not all(type(v) is int for v in indices + self.p_list + (
-                self.precision, self.lem1_count)):
+        if not all(type(v) is int
+                   for v in indices + self.p_list + (self.precision,)):
             raise ValueError("every grid field but points must hold integers")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
         if min(indices, default=0) < 0:
             raise ValueError("ranges must be non-negative")
+        for axis in ("m", "n"):
+            top = max(getattr(self, axis), default=0)
+            if top > MAX_DEGREE:
+                raise ValueError(f"{axis} must be <= {MAX_DEGREE}, got {top}")
         for p in self.p_list:
             require_odd_prime(p)
         # a swept point is reported as a Fraction, as in a direct call
@@ -722,9 +726,13 @@ def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
     return Polynomial(coeffs)
 
 
+# pseudo-random polynomials that lem1 checks for each prime of a sweep
+_LEM1_COUNT = 5
+
+
 def _gen_lem1(grid):
     for p in sorted(set(grid.p_list)):
-        for index in range(grid.lem1_count):
+        for index in range(_LEM1_COUNT):
             yield {"f": _lem1_poly(p, index), "p": p,
                    "precision": grid.precision, "index": index}
 

@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numeric import (
-    common_denominator,
-    falling_factorial,
-    format_rational,
-    parse_rational,
-)
+from .numeric import common_denominator, falling_factorial, format_rational
 
 __all__ = ["Polynomial", "monomial", "taylor_shift", "X"]
 
@@ -157,13 +152,6 @@ class Polynomial:
     def to_coeff_strings(self) -> list:
         """Lowest-degree-first coefficient list as rational strings."""
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_coeff_strings(cls, items) -> "Polynomial":
-        """Parse the list-of-rational-strings form (the only accepted input)."""
-        if isinstance(items, (str, bytes)):
-            raise ValueError("expected a sequence of rational strings")
-        return cls(tuple(parse_rational(s) for s in items))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

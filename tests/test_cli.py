@@ -320,6 +320,27 @@ def test_witt_budget_binds_only_naive(capsys):
     assert out.strip().endswith("PASS")
 
 
+_WITT_1001 = ["witt", "--p", "3", "--precision", "1", "--n", "1001", "--a", "0"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["poly", "1001"], "n must be <= 1000, got 1001"),
+    (["eval", "1001", "1/2"], "n must be <= 1000, got 1001"),
+    (["numbers", "1001"], "max must be <= 1000, got 1001"),
+    (_WITT_1001, "n must be <= 1000, got 1001"),
+    (_WITT_1001 + ["--naive"], "n must be <= 1000, got 1001"),
+    (["verify", "cro2", "--n", "0..1001"], "n must be <= 1000, got 1001"),
+    (["verify", "wsp7", "--m", "1001"], "m must be <= 1000, got 1001"),
+], ids=["poly", "eval", "numbers", "witt", "witt-naive", "verify-n",
+        "verify-m"])
+def test_degree_above_max_exits_2_before_any_table_grows(
+        capsys, monkeypatch, argv, message):
+    cache = EulerCache()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert cache._euler == {} and cache._zeros == []
+
+
 @pytest.mark.parametrize("naive", [[], ["--naive"]], ids=["digits", "naive"])
 @pytest.mark.parametrize("option,value,message", [
     ("--n", "-1", "n must be >= 0, got -1"),

@@ -4,7 +4,9 @@ Frozen polynomial values are the classical first entries; the production
 E_n, built from tangent numbers, is cross-checked against the
 finite-difference E_n, the triangular recurrence on 2**n E_n and
 ``sympy.euler``, none of which shares code with it. The recurrence over
-the rationals is kept here as the oracle of the integer one.
+the rationals is kept here as the oracle of the integer one. The
+production B_n, read from the same tangent numbers, is cross-checked
+against its defining recurrence over the rationals and ``sympy.bernoulli``.
 """
 
 import hashlib
@@ -117,6 +119,42 @@ def test_integer_recurrence_equals_fraction_recurrence():
     # a smaller n reads the table, it does not grow it
     assert integer.euler_poly(7) == rational.euler_poly(7)
     assert integer.terms == 61
+
+
+class FractionBernoulli:
+    """B_n by sum_{k<=n} C(n+1, k) B_k(x) = (n+1) x**n over the rationals:
+    O(n**3) and reads no tangent number, the oracle of the B_n table."""
+
+    def __init__(self):
+        self._table = []
+
+    def bernoulli_poly(self, n):
+        table = self._table
+        while len(table) <= n:
+            m = len(table)
+            acc = Polynomial()
+            for k in range(m):
+                acc = acc + binomial(m + 1, k) * table[k]
+            table.append((monomial(m, F(m + 1)) - acc) * F(1, m + 1))
+        return table[n]
+
+
+def test_bernoulli_table_equals_recurrence():
+    cache, oracle = EulerCache(), FractionBernoulli()
+    for n in range(61):
+        assert cache.bernoulli_poly(n) == oracle.bernoulli_poly(n), n
+    # B_n reads the column s_k, not the E_n table
+    assert cache._euler == {}
+
+
+def test_bernoulli_table_equals_sympy():
+    # sympy's Bernoulli numbers take B_1 = +1/2, but its B_1(x) is x - 1/2
+    x = sympy.Symbol("x")
+    cache = EulerCache()
+    for n in range(31):
+        coeffs = reversed(sympy.Poly(sympy.bernoulli(n, x), x).all_coeffs())
+        expected = Polynomial([F(int(c.p), int(c.q)) for c in coeffs])
+        assert cache.bernoulli_poly(n) == expected, n
 
 
 def test_finite_difference_oracle_equals_tangent_table():

@@ -18,6 +18,7 @@ from eulerferm.identities import (
     run_suite,
 )
 from eulerferm.euler import (
+    MAX_DEGREE,
     EulerCache,
     EulerRecurrence,
     euler_poly,
@@ -297,10 +298,18 @@ def test_sweep_grid_rejects_negative_axes_and_precision_below_one():
                            match=f"^p must be an odd prime, got {bad}$"):
             SweepGrid(p_list=primes)
     for field, values in (("m", (1.5,)), ("k", (F(1),)), ("p_list", (3.0,)),
-                          ("precision", 2.0), ("lem1_count", True)):
+                          ("precision", 2.0)):
         with pytest.raises(ValueError, match="^every grid field but points "
                                              "must hold integers$"):
             SweepGrid(**{field: values})
+
+
+def test_sweep_grid_rejects_degrees_above_max():
+    assert SweepGrid(m=(MAX_DEGREE,), n=(0, MAX_DEGREE)).n == (0, 1000)
+    for axis in ("m", "n"):
+        with pytest.raises(ValueError,
+                           match=f"^{axis} must be <= 1000, got 1001$"):
+            SweepGrid(**{axis: (0, MAX_DEGREE + 1)})
 
 
 def test_a_crashing_checker_fails_its_report_and_the_run_goes_on(
@@ -339,8 +348,7 @@ def test_parameter_range_violations():
 # --- suite driver --------------------------------------------------------------
 
 SMALL_GRID = SweepGrid(m=(0, 1, 2), n=(0, 1, 2), q=(1, 2), k=(1, 2), s=(1, 2),
-                       points=(F(0), F(1, 2)), p_list=(3, 5), precision=2,
-                       lem1_count=2)
+                       points=(F(0), F(1, 2)), p_list=(3, 5), precision=2)
 
 
 def test_run_suite_all_pass_and_deterministic():

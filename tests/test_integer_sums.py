@@ -383,8 +383,9 @@ def test_corrupted_euler_table_fails_witt(monkeypatch):
 # --- the tangent-number table ---------------------------------------------
 
 class _CorruptedT3(EulerCache):
-    """T_3 reads as 17 instead of 16 where the table reads the tangent
-    numbers, so E_5(0) = s_5 / 32 and every E_n with n >= 5 is wrong."""
+    """T_3 reads as 17 instead of 16 where the tables read the tangent
+    numbers, so E_5(0) = s_5 / 32 and every E_n with n >= 5 is wrong, and
+    so are B_6(0) = -6 s_5 / (64 * 63) and every B_n with n >= 6."""
 
     def __init__(self):
         super().__init__()
@@ -393,24 +394,30 @@ class _CorruptedT3(EulerCache):
 
 
 def test_corrupted_tangent_number_fails_gf_consistency(monkeypatch):
-    """gf_consistency compares the table with two oracles that never read
+    """gf_consistency compares the E table with two oracles that never read
     it, so it fails wherever the corruption shows: n = 5 and 6 on the desk
-    grid.
+    grid. B_n is read from the same s_k, and ``bernoulli_power_sum``, the
+    one Bernoulli certificate, compares B_(n+1) with direct power sums that
+    never read a tangent number: it fails at n = 6 for every m.
 
     Blind spots, which still pass everywhere on the desk grid:
     ``complement`` (in (-1)**n E_n(-a) + E_n(a) the odd s_k cancel, so it
-    cannot see any tangent number), and ``bernoulli_power_sum`` and
-    ``lem1``, which never read E_n. Every other checker fails somewhere.
+    cannot see any tangent number) and ``lem1``, which never reads E_n or
+    B_n. Every other checker fails somewhere.
     """
     monkeypatch.setattr(euler, "_CACHE", _CorruptedT3())
     assert euler.euler_zero(5) == F(-17, 32)
+    assert euler.bernoulli_poly(6).coeffs[0] == F(17, 672)
     reports = run_suite()
     failed = {r.checker for r in reports if not r.passed}
     gf_failed = [r.params["n"] for r in reports
                  if r.checker == "gf_consistency" and not r.passed]
     assert gf_failed == [5, 6]
-    assert {r.checker for r in reports} - failed == \
-        {"complement", "bernoulli_power_sum", "lem1"}
+    power_sum_failed = [(r.params["m"], r.params["n"]) for r in reports
+                        if r.checker == "bernoulli_power_sum"
+                        and not r.passed]
+    assert power_sum_failed == [(m, 6) for m in range(1, 7)]
+    assert {r.checker for r in reports} - failed == {"complement", "lem1"}
 
 
 def test_corrupted_difference_weight_fails_gf_consistency(monkeypatch):

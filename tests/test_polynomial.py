@@ -186,16 +186,6 @@ def test_coeff_strings_round_trip():
     p = Polynomial([Fraction(1, 4), Fraction(0), Fraction(-3, 2), Fraction(1)])
     strings = p.to_coeff_strings()
     assert strings == ["1/4", "0", "-3/2", "1"]
-    assert Polynomial.from_coeff_strings(strings) == p
-
-
-def test_from_coeff_strings_rejects_garbage():
-    with pytest.raises(ValueError):
-        Polynomial.from_coeff_strings(["1/0"])
-    with pytest.raises(ValueError):
-        Polynomial.from_coeff_strings(["x"])
-    with pytest.raises(ValueError):
-        Polynomial.from_coeff_strings("1/2")
 
 
 def test_monomial_rejects_negative_degree():
