@@ -317,28 +317,23 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-# the argument that sets the largest E_n a command builds
+# the argument that sets the largest degree a command reads
 _DEGREE_ARGS = {"poly": "n", "eval": "n", "numbers": "max", "witt": "n"}
 
 
 def _run(args) -> int:
     name = _DEGREE_ARGS.get(args.command)
-    if name and getattr(args, name) > MAX_DEGREE:
-        return _usage_error(f"{name} must be <= {MAX_DEGREE}, "
-                            f"got {getattr(args, name)}")
+    value = getattr(args, name) if name else 0
+    if not 0 <= value <= MAX_DEGREE:
+        bound = ">= 0" if value < 0 else f"<= {MAX_DEGREE}"
+        return _usage_error(f"{name} must be {bound}, got {value}")
     if args.command == "poly":
-        if args.n < 0:
-            return _usage_error("n must be >= 0")
         _print_poly(euler_poly(args.n), args.format)
         return 0
     if args.command == "eval":
-        if args.n < 0:
-            return _usage_error("n must be >= 0")
         print(format_rational(euler_poly(args.n)(args.a)))
         return 0
     if args.command == "numbers":
-        if args.max < 0:
-            return _usage_error("max must be >= 0")
         _print_numbers(args.max, args.format)
         return 0
     if args.command == "verify":

@@ -14,7 +14,9 @@ steps and each E_n costs n + 1 coefficients.
 
 B_n is read from the same s_k by the same expansion: B_0 = 1, and
 B_k(0) = -k s_(k-1) / (2**k (2**k - 1)) for k >= 1, from
-E_(k-1)(0) = -2 (2**k - 1) B_k / k.
+E_(k-1)(0) = -2 (2**k - 1) B_k / k. The scalars build no polynomial:
+E_n(0) = s_n / 2**n, and the Euler number 2**n E_n(1/2) =
+sum_k C(n, k) s_k is an integer by construction.
 
 Two all-integer constructions that read neither the tangent numbers nor
 any other E_k table are kept as cross-check oracles, never as the
@@ -96,16 +98,16 @@ def tangent_numbers():
 
 
 class EulerCache:
-    """Append-only memo tables for E_n and B_n, both expanded by one
-    builder from the column s_k, and the integer view of E_n (numerators
-    over one denominator) that ``euler_sum`` adds up.
-    Shifted E_n(u*a + v) are not memoized: each is one integer Taylor
-    shift of the table entry.
+    """Append-only memo tables: the column s_k, E_n and B_n, both expanded
+    by one builder from s_k, and the integer view of E_n (numerators over
+    one denominator) that ``euler_sum`` adds up. E_n(0) and the Euler
+    numbers are read from s_k alone, so only polynomial reads grow the
+    E_n table. Shifted E_n(u*a + v) are not memoized: each is one integer
+    Taylor shift of the table entry.
 
     Identity sweeps re-request the same E_n thousands of times, so
     memoization is mandatory. A single lock guards table extension, which
-    keeps one shared instance safe under concurrent sweeps; results are
-    deterministic either way.
+    keeps one shared instance safe under concurrent sweeps.
     """
 
     def __init__(self):
@@ -118,6 +120,8 @@ class EulerCache:
 
     def _scaled_zero(self, k: int) -> int:
         """s_k = 2**k E_k(0), the one place the tangent numbers are read."""
+        if k < 0:
+            raise ValueError(f"n must be >= 0, got {k}")
         with self._lock:
             while len(self._zeros) <= k:
                 m = len(self._zeros)
@@ -196,16 +200,17 @@ class EulerCache:
         return Polynomial([Fraction(v, den) for v in acc])
 
     def euler_number(self, n: int) -> int:
-        """2**n * E_n(1/2); always an integer (asserted, not assumed)."""
-        value = 2 ** n * self.euler_poly(n)(Fraction(1, 2))
-        if value.denominator != 1:
-            raise AssertionError(f"euler_number({n}) not integral: {value}")
-        return int(value)
+        """2**n E_n(1/2) = sum_k C(n, k) s_k, an integer by construction."""
+        self._scaled_zero(n)
+        total, c = 0, 1   # c = C(n, k), carried along the row
+        for k, s in enumerate(self._zeros[:n + 1]):
+            total += c * s
+            c = c * (n - k) // (k + 1)
+        return total
 
     def euler_zero(self, n: int) -> Fraction:
-        """E_n(0), read off as the constant coefficient."""
-        p = self.euler_poly(n)
-        return p.coeffs[0] if p.coeffs else Fraction(0)
+        """E_n(0) = s_n / 2**n."""
+        return Fraction(self._scaled_zero(n), 1 << n)
 
 
 _CACHE = EulerCache()

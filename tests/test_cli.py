@@ -11,7 +11,6 @@ import pytest
 from eulerferm import cli, euler, padic
 from eulerferm.euler import EulerCache, euler_poly
 from eulerferm.identities import IdentityReport
-from eulerferm.polynomial import Polynomial
 
 
 def run_cli(capsys, *argv):
@@ -232,16 +231,22 @@ def test_verify_bad_grid_exits_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+class _CrashingCache(EulerCache):
+    """euler_number(0), which sun_cor reads, raises; nothing else does."""
+
+    def euler_number(self, n):
+        if n == 0:
+            raise ZeroDivisionError("euler_number(0) injected")
+        return super().euler_number(n)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv", "md"])
 def test_a_crashing_checker_fails_without_a_traceback(capsys, monkeypatch,
                                                       fmt):
-    # E_0 off by 1/8 makes euler_number(0) raise inside sun_cor
-    cache = EulerCache()
-    cache._euler[0] = Polynomial([Fraction(9, 8)])
-    monkeypatch.setattr(euler, "_CACHE", cache)
+    monkeypatch.setattr(euler, "_CACHE", _CrashingCache())
     code, out, err = run_cli(capsys, "verify", "all", "--format", fmt)
     assert (code, err) == (1, "")
-    assert "AssertionError: euler_number(0) not integral: 9/8" in out
+    assert "ZeroDivisionError: euler_number(0) injected" in out
     assert out.strip().splitlines()[-1].startswith("FAIL ")
 
 
@@ -331,8 +336,14 @@ _WITT_1001 = ["witt", "--p", "3", "--precision", "1", "--n", "1001", "--a", "0"]
     (_WITT_1001 + ["--naive"], "n must be <= 1000, got 1001"),
     (["verify", "cro2", "--n", "0..1001"], "n must be <= 1000, got 1001"),
     (["verify", "wsp7", "--m", "1001"], "m must be <= 1000, got 1001"),
+    (["poly", "-1"], "n must be >= 0, got -1"),
+    (["eval", "-1", "1/2"], "n must be >= 0, got -1"),
+    (["numbers", "-1"], "max must be >= 0, got -1"),
+    (["witt", "--p", "3", "--precision", "1", "--n", "-1", "--a", "0"],
+     "n must be >= 0, got -1"),
 ], ids=["poly", "eval", "numbers", "witt", "witt-naive", "verify-n",
-        "verify-m"])
+        "verify-m", "poly-negative", "eval-negative", "numbers-negative",
+        "witt-negative"])
 def test_degree_above_max_exits_2_before_any_table_grows(
         capsys, monkeypatch, argv, message):
     cache = EulerCache()

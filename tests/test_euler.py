@@ -7,6 +7,10 @@ finite-difference E_n, the triangular recurrence on 2**n E_n and
 the rationals is kept here as the oracle of the integer one. The
 production B_n, read from the same tangent numbers, is cross-checked
 against its defining recurrence over the rationals and ``sympy.bernoulli``.
+The scalars E_n(0) and E_n = 2**n E_n(1/2), read from the same column
+without building E_n, are cross-checked against the constant coefficient
+of the table, against Horner's rule at 1/2 over the rationals (the route
+they replaced) and against ``sympy.euler``.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from eulerferm import euler
 from eulerferm.euler import (
     EulerCache,
     EulerRecurrence,
@@ -32,6 +37,7 @@ from eulerferm.euler import (
     power_sum,
     tangent_numbers,
 )
+from eulerferm.identities import SweepGrid, run_suite
 from eulerferm.numeric import binomial
 from eulerferm.polynomial import Polynomial, monomial
 
@@ -80,6 +86,37 @@ def test_euler_numbers_frozen_and_integral():
         assert euler_number(n) == 0
     for n in range(42):
         assert isinstance(euler_number(n), int)
+
+
+def test_euler_numbers_equal_horner_at_one_half():
+    cache = EulerCache()
+    for n in range(201):
+        value = 2 ** n * cache.euler_poly(n)(F(1, 2))
+        assert value.denominator == 1, n
+        assert cache.euler_number(n) == value, n
+
+
+def test_euler_numbers_equal_sympy():
+    # sympy takes the same convention, E_2 = -1
+    cache = EulerCache()
+    for n in range(61):
+        assert cache.euler_number(n) == sympy.euler(n), n
+
+
+def test_euler_zero_is_the_table_constant_coefficient():
+    cache = EulerCache()
+    for n in range(201):
+        assert cache.euler_zero(n) == cache.euler_poly(n).coeffs[0], n
+
+
+def test_scalar_reads_build_no_polynomial(monkeypatch):
+    cache = EulerCache()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    euler_zero(2001)
+    euler_number(1000)
+    reports = run_suite(["cro2", "recurrence_odd"], SweepGrid(n=(1000,)))
+    assert reports and all(r.passed for r in reports)
+    assert sorted(cache._euler) == []   # the degrees built, if any
 
 
 def test_tangent_numbers_first_values():

@@ -312,19 +312,25 @@ def test_sweep_grid_rejects_degrees_above_max():
             SweepGrid(**{axis: (0, MAX_DEGREE + 1)})
 
 
+class _CrashingCache(EulerCache):
+    """euler_number(0), which sun_cor reads, raises; nothing else does."""
+
+    def euler_number(self, n):
+        if n == 0:
+            raise ZeroDivisionError("euler_number(0) injected")
+        return super().euler_number(n)
+
+
 def test_a_crashing_checker_fails_its_report_and_the_run_goes_on(
         monkeypatch):
-    # E_0 off by 1/8 makes euler_number(0) raise inside sun_cor
-    cache = EulerCache()
-    cache._euler[0] = Polynomial([F(9, 8)])
-    monkeypatch.setattr(euler, "_CACHE", cache)
+    monkeypatch.setattr(euler, "_CACHE", _CrashingCache())
     reports = run_suite()
     assert {r.checker for r in reports} == set(CHECKER_IDS)
     sun_cor = [r for r in reports if r.checker == "sun_cor"]
     crashed = [r for r in sun_cor if isinstance(r.residual, str)]
     assert crashed and not any(r.passed for r in crashed)
     assert crashed[0].residual == \
-        "AssertionError: euler_number(0) not integral: 9/8"
+        "ZeroDivisionError: euler_number(0) injected"
     assert report_to_dict(crashed[0])["residual"] == crashed[0].residual
 
 

@@ -2,7 +2,8 @@
 
 The binomial oracle here is an independently built Pascal triangle; the
 falling-factorial oracle is the q! * C(n, q) identity with both sides
-computed separately.
+computed separately. Rational text and coefficient strings must parse
+back to the values they were formatted from.
 """
 
 import random
@@ -10,6 +11,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerferm.numeric import (
     binomial,
@@ -18,6 +21,7 @@ from eulerferm.numeric import (
     int_pow,
     parse_rational,
 )
+from eulerferm.polynomial import Polynomial
 
 
 def pascal_rows(limit):
@@ -121,3 +125,20 @@ def test_parse_rational_rejects(text):
 def test_format_round_trip():
     for text in ["-3/4", "7", "0", "9999999999999999/7"]:
         assert format_rational(parse_rational(text)) == text
+
+
+_round_trips = settings(max_examples=100, derandomize=True, database=None,
+                        deadline=None)
+
+
+@_round_trips
+@given(q=st.fractions())
+def test_format_parse_round_trip(q):
+    assert parse_rational(format_rational(q)) == q
+
+
+@_round_trips
+@given(coeffs=st.lists(st.one_of(st.integers(), st.fractions()), max_size=8))
+def test_coeff_strings_parse_back(coeffs):
+    p = Polynomial(coeffs)
+    assert Polynomial(map(parse_rational, p.to_coeff_strings())) == p

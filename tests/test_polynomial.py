@@ -1,4 +1,5 @@
-"""Polynomial ring tests over Fraction and nested-Polynomial coefficients.
+"""Polynomial ring tests over int and Fraction coefficients, with the ring
+laws and the homomorphism p -> p(u*x + v) as properties.
 
 The derivative oracle is a one-step formal differentiation written here,
 applied repeatedly. The composition oracles are evaluation consistency at
@@ -163,6 +164,34 @@ def test_compose_affine_equals_horner_by_lines(coeffs, u, v):
 def test_compose_affine_edge_cases(p, u, v):
     assert p.compose_affine(u, v) == \
         compose_by_lines(p, Fraction(u), Fraction(v))
+
+
+# int, Fraction and mixed coefficient lists
+_polys = st.lists(st.one_of(st.integers(-20, 20), _fractions),
+                  max_size=8).map(Polynomial)
+_scalars = st.one_of(st.integers(-5, 5), _fractions)
+_laws = settings(max_examples=100, derandomize=True, database=None,
+                 deadline=None)
+
+
+@_laws
+@given(p=_polys, q=_polys, r=_polys)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p - p == 0
+
+
+@_laws
+@given(p=_polys, q=_polys, u=_scalars, v=_scalars)
+def test_compose_affine_is_a_ring_homomorphism(p, q, u, v):
+    assert (p + q).compose_affine(u, v) == \
+        p.compose_affine(u, v) + q.compose_affine(u, v)
+    assert (p * q).compose_affine(u, v) == \
+        p.compose_affine(u, v) * q.compose_affine(u, v)
 
 
 def test_eval():
