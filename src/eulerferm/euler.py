@@ -37,11 +37,11 @@ integer polynomials F_n = 2**n E_n as
 
 in one append-only table (`EulerRecurrence`).
 
-Weighted sums of E_n(a) and E_n(-a) (`euler_sum`), with integer or
-rational weights, run over the integers: each E_n is also kept as integer
-numerators over the lcm of its coefficient denominators, the weighted
-numerators are added up over one common denominator, and that denominator
-is divided out once at the end.
+Weighted sums, with integer or rational weights, of E_n(a) and E_n(-a)
+(`euler_sum`) and of E_k(0) (`zero_sum`, from s_k alone) share one integer
+core, `_weighted_sum`: each E_n is kept as integer numerators over the lcm
+of its coefficient denominators (E_k(0) as s_k over 2**k), the weighted
+numerators are added over one common denominator, which is divided out once.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ __all__ = [
     "euler_zero",
     "euler_poly_shifted",
     "euler_sum",
+    "zero_sum",
     "bernoulli_poly",
     "alt_power_sum",
     "power_sum",
@@ -95,6 +96,20 @@ def tangent_numbers():
         new.append(2 * new[-1])
         col = new
         yield new[-1]
+
+
+def _weighted_sum(parts) -> list[Fraction]:
+    """Coefficients of sum c P(step * x) over (c, step, (nums, d)) in parts,
+    P with coefficients nums[i] / d: the numerators are summed as integers
+    over den, the lcm of every d * c.denominator, divided out once."""
+    den = math.lcm(*(d * c.denominator for c, _, (_, d) in parts))
+    acc = [0] * max((len(nums) for _, _, (nums, _) in parts), default=0)
+    for c, step, (nums, d) in parts:
+        w = c.numerator * (den // (d * c.denominator))
+        for i, v in enumerate(nums):
+            acc[i] += w * v
+            w *= step   # in P(-x) the sign alternates with the power
+    return [Fraction(v, den) for v in acc]
 
 
 class EulerCache:
@@ -184,20 +199,15 @@ class EulerCache:
 
         Weights c are integers or Fractions. Terms of weight 0 are skipped
         before E_n is looked up, so a binomial weight C(r, k) = 0 with k > r
-        keeps a negative index out. The numerators are summed as integers
-        over den, the lcm of d * c.denominator for every term whose E_n has
-        denominator d, and den is divided out once.
-        """
-        parts = [(c, 1, self.euler_scaled(n)) for c, n in terms if c] + \
-            [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]
-        den = math.lcm(*(d * c.denominator for c, _, (_, d) in parts))
-        acc = [0] * max((len(nums) for _, _, (nums, _) in parts), default=0)
-        for c, step, (nums, d) in parts:
-            w = c.numerator * (den // (d * c.denominator))
-            for i, v in enumerate(nums):
-                acc[i] += w * v
-                w *= step   # in E_n(-a) the sign alternates with the power
-        return Polynomial([Fraction(v, den) for v in acc])
+        keeps a negative index out."""
+        return Polynomial(_weighted_sum(
+            [(c, 1, self.euler_scaled(n)) for c, n in terms if c]
+            + [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]))
+
+    def zero_sum(self, terms) -> Fraction:
+        """sum c E_k(0) over (c, k) in terms; s_k is read only if c != 0."""
+        return (_weighted_sum([(c, 1, ((self._scaled_zero(k),), 1 << k))
+                               for c, k in terms if c]) or [Fraction(0)])[0]
 
     def euler_number(self, n: int) -> int:
         """2**n E_n(1/2) = sum_k C(n, k) s_k, an integer by construction."""
@@ -230,6 +240,10 @@ def euler_poly_shifted(n: int, u, v) -> Polynomial:
 
 def euler_sum(terms=(), neg_terms=()) -> Polynomial:
     return _CACHE.euler_sum(terms, neg_terms)
+
+
+def zero_sum(terms) -> Fraction:
+    return _CACHE.zero_sum(terms)
 
 
 def euler_number(n: int) -> int:

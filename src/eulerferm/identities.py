@@ -32,12 +32,13 @@ domain, and ``run_suite`` calls ``run`` once per dict. The public
 ``check_<id>(*args, mode=...)`` binds its arguments by name and calls the
 same ``run``.
 
-Exact arithmetic stays on the integers where the values are integers.
-Every weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of
-wsp7 and sun, the left sides of complement, wsp9, thm1, thm2 and thm3, and
-the right side of sun_cor) goes through ``euler.euler_sum``, which adds
-the numerators as integers over one common denominator, for integer or
-rational weights alike, and divides it out once at the end. The right
+Exact arithmetic stays on the integers where the values are integers. Every
+weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of wsp7 and
+sun, the left sides of complement, wsp9, thm1, thm2 and thm3, and the right
+side of sun_cor) goes through ``euler.euler_sum``, and every sum of E_k(0)
+(cro0-cro2, recurrence_odd, thm2_cro1/2, thm3_1a-d and rem2_1) through
+``euler.zero_sum``. Both add integer numerators over one common denominator,
+for integer or rational weights alike, and divide it out once. The right
 sides of thm2, thm3 and fersim3 are integer polynomials in a; thm2's and
 fersim3's are summed from binomial rows (c +- a)**e. Every shifted
 E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
@@ -71,6 +72,7 @@ from .euler import (
     euler_sum,
     euler_zero,
     power_sum,
+    zero_sum,
 )
 from .numeric import binomial, falling_factorial, format_rational
 from .padic import lem1_defect, require_odd_prime, witt_defect
@@ -427,29 +429,25 @@ def check_cro0(n: int, q: int):
     derivative symmetry at the origin; q = 1 and q = 3 are the classical
     Kaneko-type and Chen-Sun-type cases.
     """
-    total = Fraction(0)
-    for i in range(n + q + 1):
-        total += binomial(n + q, i) * falling_factorial(n + q + i, q) \
-            * euler_zero(n + i)
-    return total
+    return zero_sum([(binomial(n + q, i) * falling_factorial(n + q + i, q),
+                      n + i) for i in range(n + q + 1)])
 
 
 @checker("cro1", _MN, "scalar", where=lambda m, n: m + n > 0)
 def check_cro1(m: int, n: int):
     """sum_i C(m+1,i)(n+i+1)E_{n+i}(0)
     + (-1)**(m+n) sum_j C(n+1,j)(m+j+1)E_{m+j}(0) = 0."""
-    first = sum(binomial(m + 1, i) * (n + i + 1) * euler_zero(n + i)
-                for i in range(m + 2))
-    second = sum(binomial(n + 1, j) * (m + j + 1) * euler_zero(m + j)
-                 for j in range(n + 2))
-    return first + (-1) ** (m + n) * second
+    return zero_sum([(binomial(m + 1, i) * (n + i + 1), n + i)
+                     for i in range(m + 2)]
+                    + [((-1) ** (m + n) * binomial(n + 1, j) * (m + j + 1),
+                        m + j) for j in range(n + 2)])
 
 
 @checker("cro2", _N, "scalar")
 def check_cro2(n: int):
     """sum_{j<=n+1} C(n+1,j)(n+j+1)E_{n+j}(0) = 0."""
-    return sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
-               for j in range(n + 2))
+    return zero_sum([(binomial(n + 1, j) * (n + j + 1), n + j)
+                     for j in range(n + 2)])
 
 
 def euler_zero_via_recurrence(n: int) -> Fraction:
@@ -457,9 +455,8 @@ def euler_zero_via_recurrence(n: int) -> Fraction:
     -(1 / (2(n+1))) sum_{j<=n} C(n+1,j)(n+j+1)E_{n+j}(0)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    total = sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
-                for j in range(n + 1))
-    return Fraction(-1, 2 * (n + 1)) * total
+    return Fraction(-1, 2 * (n + 1)) * zero_sum(
+        [(binomial(n + 1, j) * (n + j + 1), n + j) for j in range(n + 1)])
 
 
 @checker("recurrence_odd", _N, "scalar")
@@ -556,17 +553,13 @@ def check_thm2_cro1(n: int, k: int):
     k odd:  sum_i ((-1)**i / 2**i) C(n+1,i) C(n+i+1,k) = 0;
     k even: the same weights against ((-1)**i E_{n+i-k+1}(0) + (-1)**n) = 0.
     """
-    total = Fraction(0)
-    for i in range(n + 2):
-        c = binomial(n + 1, i) * binomial(n + i + 1, k)
-        if not c:
-            continue
-        w = Fraction((-1) ** i, 2 ** i) * c
-        if k % 2 == 1:
-            total += w
-        else:
-            total += w * ((-1) ** i * euler_zero(n + i - k + 1) + (-1) ** n)
-    return total
+    ws = [Fraction(binomial(n + 1, i) * binomial(n + i + 1, k), 2 ** i)
+          for i in range(n + 2)]   # the weights without their signs
+    total = sum((-1) ** i * w for i, w in enumerate(ws))
+    if k % 2 == 1:
+        return total
+    return zero_sum([(w, n + i - k + 1) for i, w in enumerate(ws)]) \
+        + (-1) ** n * total
 
 
 @checker("thm2_cro2", _NK, "scalar")
@@ -577,18 +570,13 @@ def check_thm2_cro2(n: int, k: int):
             ((-1)**i E_{n+i-k+1}(0) + (-1)**n (2**(n+i-k+1) - 1)) = 0;
     k even: the same weights against (2**(n+i-k+1) - 1) = 0.
     """
-    total = Fraction(0)
-    for i in range(n + 2):
-        c = binomial(n + 1, i) * binomial(n + i + 1, k)
-        if not c:
-            continue
-        w = (-1) ** i * 3 ** (n - i + 1) * c
-        pow2 = 2 ** (n + i - k + 1) - 1
-        if k % 2 == 1:
-            total += w * ((-1) ** i * euler_zero(n + i - k + 1) + (-1) ** n * pow2)
-        else:
-            total += w * pow2
-    return total
+    ws = [(3 ** (n - i + 1) * binomial(n + 1, i) * binomial(n + i + 1, k),
+           i, n + i - k + 1) for i in range(n + 2)]   # unsigned weights
+    # a zero weight, C(n+i+1, k) = 0, is the one case with e < 0
+    pow2 = sum((-1) ** i * w * (2 ** e - 1) for w, i, e in ws if w)
+    if k % 2 == 0:
+        return pow2
+    return zero_sum([(w, e) for w, _, e in ws]) + (-1) ** n * pow2
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +617,9 @@ def check_thm3(m: int, k: int):
 def _thm3_1_sum(m: int, k: int, top: int, shift: int, start: int = 0):
     """The parity sum of thm3 read off at 0: over start <= i <= m with m+i
     even, sum C(m,i) C(m+i,k) C(m+i-k,top) E_{i+shift}(0)."""
-    return sum(binomial(m, i) * binomial(m + i, k) * binomial(m + i - k, top)
-               * euler_zero(i + shift)
-               for i in range(start, m + 1) if (m + i) % 2 == 0)
+    return zero_sum([(binomial(m, i) * binomial(m + i, k)
+                      * binomial(m + i - k, top), i + shift)
+                     for i in range(start, m + 1) if (m + i) % 2 == 0])
 
 
 @checker("thm3_1a", _per_m("k"), "scalar", where=lambda m, k: k <= m)
@@ -669,8 +657,8 @@ def check_thm3_1d(m: int, k: int, j: int):
 @checker("rem2_1", _grid("m"), "scalar", where=lambda m: m >= 3)
 def check_rem2_1(m: int):
     """sum_i C(m,i)(m+i)(m+i-1)(m+i-2) E_{m+i-3}(0) = 0 for m >= 3."""
-    return sum(binomial(m, i) * falling_factorial(m + i, 3)
-               * euler_zero(m + i - 3) for i in range(m + 1))
+    return zero_sum([(binomial(m, i) * falling_factorial(m + i, 3), m + i - 3)
+                     for i in range(m + 1)])
 
 
 # ---------------------------------------------------------------------------

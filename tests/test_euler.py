@@ -109,13 +109,23 @@ def test_euler_zero_is_the_table_constant_coefficient():
         assert cache.euler_zero(n) == cache.euler_poly(n).coeffs[0], n
 
 
+# the checkers that read only E_k(0), through zero_sum or euler_zero
+_E_ZERO_IDS = ("cro0", "cro1", "cro2", "recurrence_odd", "thm2_cro1",
+               "thm2_cro2", "thm3_1a", "thm3_1b", "thm3_1c", "thm3_1d",
+               "rem2_1")
+
+
 def test_scalar_reads_build_no_polynomial(monkeypatch):
     cache = EulerCache()
     monkeypatch.setattr(euler, "_CACHE", cache)
     euler_zero(2001)
     euler_number(1000)
     reports = run_suite(["cro2", "recurrence_odd"], SweepGrid(n=(1000,)))
-    assert reports and all(r.passed for r in reports)
+    small = SweepGrid(m=tuple(range(9)), n=tuple(range(9)),
+                      q=(1, 2, 3, 4, 5), k=tuple(range(7)))
+    reports += run_suite(_E_ZERO_IDS, small)
+    assert {r.checker for r in reports} == set(_E_ZERO_IDS)
+    assert all(r.passed for r in reports)
     assert sorted(cache._euler) == []   # the degrees built, if any
 
 

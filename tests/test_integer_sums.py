@@ -1,6 +1,7 @@
 """Integer paths: thm2's right side from binomial rows, the
 weighted E_n sums over one common denominator (and the sun, sun_cor,
-fersim3 and thm3 sides built on them), the p-adic sums of
+fersim3 and thm3 sides built on them), the weighted E_k(0) sums of the
+scalar checkers on the same integer core, the p-adic sums of
 polynomials over one common denominator (the literal p**N loop and the
 route by base-p digits), the E_n table built from tangent numbers, and
 the finite-difference oracle that gf_consistency checks it with.
@@ -25,9 +26,11 @@ from eulerferm.euler import (
     euler_poly,
     euler_poly_shifted,
     euler_sum,
+    euler_zero,
+    zero_sum,
 )
 from eulerferm.identities import run_suite
-from eulerferm.numeric import binomial
+from eulerferm.numeric import binomial, falling_factorial
 from eulerferm.padic import (
     MAX_PRECISION,
     fermionic_sum_digits,
@@ -438,3 +441,140 @@ def test_corrupted_difference_weight_fails_gf_consistency(monkeypatch):
         reports = run_suite(["gf_consistency"], mode=mode)
         assert [r.params["n"] for r in reports if not r.passed] == \
             [1, 2, 3, 4, 5, 6]
+
+
+# --- the scalar sums of E_k(0), kept as Fraction loops -------------------
+# each loop is the checker body that zero_sum replaced, as it was written
+
+def _cro0_over_q(n, q):
+    total = Fraction(0)
+    for i in range(n + q + 1):
+        total += binomial(n + q, i) * falling_factorial(n + q + i, q) \
+            * euler_zero(n + i)
+    return total
+
+
+def _cro1_over_q(m, n):
+    first = sum(binomial(m + 1, i) * (n + i + 1) * euler_zero(n + i)
+                for i in range(m + 2))
+    second = sum(binomial(n + 1, j) * (m + j + 1) * euler_zero(m + j)
+                 for j in range(n + 2))
+    return first + (-1) ** (m + n) * second
+
+
+def _cro2_over_q(n):
+    return sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
+               for j in range(n + 2))
+
+
+def _euler_zero_via_recurrence_over_q(n):
+    total = sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
+                for j in range(n + 1))
+    return Fraction(-1, 2 * (n + 1)) * total
+
+
+def _thm2_cro1_over_q(n, k):
+    total = Fraction(0)
+    for i in range(n + 2):
+        c = binomial(n + 1, i) * binomial(n + i + 1, k)
+        if not c:
+            continue
+        w = Fraction((-1) ** i, 2 ** i) * c
+        if k % 2 == 1:
+            total += w
+        else:
+            total += w * ((-1) ** i * euler_zero(n + i - k + 1) + (-1) ** n)
+    return total
+
+
+def _thm2_cro2_over_q(n, k):
+    total = Fraction(0)
+    for i in range(n + 2):
+        c = binomial(n + 1, i) * binomial(n + i + 1, k)
+        if not c:
+            continue
+        w = (-1) ** i * 3 ** (n - i + 1) * c
+        pow2 = 2 ** (n + i - k + 1) - 1
+        if k % 2 == 1:
+            total += w * ((-1) ** i * euler_zero(n + i - k + 1) + (-1) ** n * pow2)
+        else:
+            total += w * pow2
+    return total
+
+
+def _thm3_1_sum_over_q(m, k, top, shift, start=0):
+    return sum(binomial(m, i) * binomial(m + i, k) * binomial(m + i - k, top)
+               * euler_zero(i + shift)
+               for i in range(start, m + 1) if (m + i) % 2 == 0)
+
+
+def _rem2_1_over_q(m):
+    return sum(binomial(m, i) * falling_factorial(m + i, 3)
+               * euler_zero(m + i - 3) for i in range(m + 1))
+
+
+_M12 = range(13)
+
+# id -> (the loop, the params swept, each in the checker's domain)
+_SCALAR_ORACLES = {
+    "cro0": (_cro0_over_q,
+             [(n, q) for n in _M12 for q in range(1, 6) if q % 2]),
+    "cro1": (_cro1_over_q,
+             [(m, n) for m in _M12 for n in _M12 if m + n]),
+    "cro2": (_cro2_over_q, [(n,) for n in _M12]),
+    "recurrence_odd": (
+        lambda n: _euler_zero_via_recurrence_over_q(n)
+        - euler_zero(2 * n + 1), [(n,) for n in _M12]),
+    "thm2_cro1": (_thm2_cro1_over_q,
+                  [(n, k) for n in _M12 for k in range(7)]),
+    "thm2_cro2": (_thm2_cro2_over_q,
+                  [(n, k) for n in _M12 for k in range(7)]),
+    "thm3_1a": (lambda m, k: _thm3_1_sum_over_q(m, k, m - k, 0)
+                - (-1) ** m * binomial(m, k),
+                [(m, k) for m in _M12 for k in range(m + 1)]),
+    "thm3_1b": (lambda m, k: _thm3_1_sum_over_q(m, k, m - k - 1, 1),
+                [(m, k) for m in _M12 for k in range(m)]),
+    "thm3_1c": (lambda m, k, l: _thm3_1_sum_over_q(m, k, l, m - k - l),
+                [(m, k, l) for m in _M12 for k in range(m)
+                 for l in range(m - k)]),
+    "thm3_1d": (lambda m, k, j: _thm3_1_sum_over_q(m, k, m + j - k, -j,
+                                                   start=j)
+                - (-1) ** (m + j) * binomial(m, j) * binomial(m + j, k),
+                [(m, k, j) for m in _M12 for k in range(m + 1)
+                 for j in range(1, m + 1)]),
+    "rem2_1": (_rem2_1_over_q, [(m,) for m in range(3, 13)]),
+}
+
+
+@pytest.mark.parametrize("table", [EulerCache, _CorruptedT3],
+                         ids=["true", "corrupted_t3"])
+def test_scalar_sums_equal_fraction_loops(monkeypatch, table):
+    # the sums are linear in s_k, so the two routes must also agree on a
+    # wrong column, and there every family must show the error somewhere
+    monkeypatch.setattr(euler, "_CACHE", table())
+    for cid, (loop, cases) in _SCALAR_ORACLES.items():
+        body = getattr(ident, f"check_{cid}").__wrapped__
+        residuals = [body(*args) for args in cases]
+        assert residuals == [loop(*args) for args in cases], cid
+        assert any(residuals) == (table is not EulerCache), cid
+    for n in _M12:
+        assert ident.euler_zero_via_recurrence(n) == \
+            _euler_zero_via_recurrence_over_q(n), n
+
+
+def test_zero_sum_equals_plain_sum():
+    rng = random.Random(7170)
+    for _ in range(60):
+        terms = _random_terms(rng)
+        got = zero_sum(terms)
+        assert type(got) is Fraction
+        assert got == sum(c * euler_zero(k) for c, k in terms), terms
+
+
+def test_zero_sum_edge_cases():
+    assert zero_sum([]) == 0
+    # a zero weight keeps a negative index out, as in euler_sum
+    assert zero_sum([(0, -1)]) == 0
+    # Fraction weights, as thm2_cro1's (-1)**i C(n+1,i) C(n+i+1,k) / 2**i
+    assert zero_sum([(F(-3, 4), 5), (F(10, 8), 1), (7, 0)]) == \
+        F(-3, 4) * F(-1, 2) + F(5, 4) * F(-1, 2) + 7

@@ -1,0 +1,83 @@
+"""The mutation matrix: each checker's blind spots, stated as a table.
+
+Every mutant runs the whole catalog on the desk grid in symbolic mode, and
+the set of checkers that still pass everywhere (the survivors) must equal
+the documented blind spots exactly. A new blind spot fails here, and so
+does one that a change silently closes. Reference: DeMillo, Lipton &
+Sayward, "Hints on test data selection" (1978).
+"""
+
+import pytest
+
+from eulerferm import euler
+from eulerferm.euler import EulerCache, tangent_numbers
+from eulerferm.identities import CHECKER_IDS, run_suite
+from eulerferm.polynomial import monomial
+
+# read only E_k(0), from the column s_k, never the E table
+E_ZERO_IDS = {"cro0", "cro1", "cro2", "recurrence_odd", "thm2_cro1",
+              "thm2_cro2", "thm3_1a", "thm3_1b", "thm3_1c", "thm3_1d",
+              "rem2_1"}
+# read neither E_n nor s_k: direct power sums against B_n, and p-adic sums
+# of a given polynomial
+NO_E_IDS = {"bernoulli_power_sum", "lem1"}
+
+
+def _survivors(monkeypatch, cache):
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    failed = {r.checker for r in run_suite() if not r.passed}
+    return set(CHECKER_IDS) - failed
+
+
+class _BumpedCoefficient(EulerCache):
+    """Coefficient i of E_n reads 3 too large; s_k stays true."""
+
+    def __init__(self, n, i):
+        super().__init__()
+        self.n, self.i = n, i
+
+    def euler_poly(self, n):
+        p = super().euler_poly(n)
+        return p + monomial(self.i, 3) if n == self.n else p
+
+
+@pytest.mark.parametrize("n,i", [(n, i) for n in range(7)
+                                 for i in range(n + 1)])
+def test_e_table_mutant_survivors(monkeypatch, n, i):
+    """complement cancels a term of E_n with n + i odd, since
+    (-1)**n (-a)**i + a**i = 0 there; reflection keeps a constant at even
+    n, since E_n(1-a) = E_n(a) holds for E_n + 3. So complement survives
+    12 of the 28 mutants and reflection 4."""
+    expected = E_ZERO_IDS | NO_E_IDS
+    if (n + i) % 2:
+        expected = expected | {"complement"}
+    if i == 0 and n % 2 == 0:
+        expected = expected | {"reflection"}
+    assert _survivors(monkeypatch, _BumpedCoefficient(n, i)) == expected
+
+
+class _BumpedTangent(EulerCache):
+    """T_j reads one too large, so s_(2j-1) and every E_n, B_n and E_k(0)
+    that reads it are wrong."""
+
+    def __init__(self, j):
+        super().__init__()
+        self._tangents = (t + (i == j)
+                          for i, t in enumerate(tangent_numbers(), 1))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_tangent_mutant_survivors(monkeypatch, j):
+    """complement cannot see any tangent number, since the odd s_k cancel in
+    (-1)**n E_n(-a) + E_n(a); lem1 never reads E_n or B_n."""
+    assert _survivors(monkeypatch, _BumpedTangent(j)) == {"complement",
+                                                           "lem1"}
+
+
+def test_t4_mutant_survivors(monkeypatch):
+    """T_4 enters through s_7 alone, which these checkers never reach on
+    the desk grid (n, m <= 6)."""
+    assert _survivors(monkeypatch, _BumpedTangent(4)) == {
+        "bernoulli_power_sum", "boundary", "complement", "euler_alt_sum",
+        "fersim", "fersim3", "gf_consistency", "lem1", "reflection",
+        "thm3_1a", "thm3_1d", "witt"}
