@@ -31,6 +31,7 @@ from .padic import (
     fermionic_sum_naive_mod,
     fermionic_sum_closed,
     witt_defect,
+    witt_sum_naive,
     lem1_defect,
 )
 from .identities import (

@@ -33,11 +33,10 @@ from .padic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     fermionic_sum_closed,
-    fermionic_sum_naive,
     is_odd_prime,
     witt_defect,
+    witt_sum_naive,
 )
-from .polynomial import monomial
 
 FORMATS = ("text", "json", "csv", "md")
 
@@ -256,9 +255,8 @@ def _cmd_witt(args) -> int:
         exact = euler_poly(args.n)(args.a)
         naive = None
         if args.naive:
-            naive = fermionic_sum_naive(
-                monomial(args.n).compose_affine(1, args.a), args.p,
-                args.precision, args.budget)
+            naive = witt_sum_naive(args.n, args.a, args.p, args.precision,
+                                   args.budget)
         # the defect is measured on the naive sum if there is one, else on the
         # digit sum; either sum bounds N before the closed form builds p**N
         defect = witt_defect(args.n, args.a, args.p, args.precision,

@@ -12,11 +12,15 @@ Taylor shifts, then the p-term sum S_1, O(N p d**2) integer operations for
 degree d instead of p^N terms. f is scaled to integer coefficients d*f, d
 the lcm of the coefficient denominators, and d is divided out once.
 
-The naive sum adds the p^N terms one by one, in plain integers by Horner's
-rule for a Polynomial and in its own arithmetic for any other callable. It
-is the oracle of the digit route, and ``witt --naive`` prints it. The
-closed form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n
-telescopes the Euler functional equation instead.
+The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
+``witt --naive`` prints, sums Witt's integrand (x+a)**n with a = r/t as one
+integer power (t*x + r)**n per term and divides by t**n once: it reads no
+Polynomial, no Taylor shift and no Euler table, so it shares no code with the
+digit route or the closed form. ``fermionic_sum_naive``, the library oracle
+of both routes, sums any integrand: in plain integers by Horner's rule for a
+Polynomial and in its own arithmetic for any other callable. The closed
+form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n telescopes
+the Euler functional equation instead.
 
 ``witt_defect`` measures the digit sum of (x+a)**n against E_n(a) from the
 Euler table. The two share no computation, so a wrong E_n shows as a
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .euler import euler_poly
 from .numeric import common_denominator
@@ -50,6 +55,7 @@ __all__ = [
     "fermionic_sum_digits",
     "fermionic_sum_naive",
     "fermionic_sum_naive_mod",
+    "witt_sum_naive",
     "fermionic_sum_closed",
     "witt_defect",
     "lem1_defect",
@@ -153,6 +159,26 @@ def _integer_sum(coeffs, span: int) -> Fraction:
         total += sign * acc
         sign = -sign
     return Fraction(total, d)
+
+
+def witt_sum_naive(n: int, a, p: int, precision: int,
+                   budget: int = DEFAULT_BUDGET) -> Fraction:
+    """The truncated sum of (x+a)**n (-1)**x over x < p**N, term by term.
+
+    With a = r/t, each term is the integer power (t*x + r)**n: the even x
+    and the odd x are summed apart, in C, and (even - odd) is divided by
+    t**n once. Equal to ``fermionic_sum_naive`` of (x+a)**n and to
+    ``fermionic_sum_closed(n, a, p**N)``, from neither's code.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    span = _check_budget(p, precision, budget)
+    a = Fraction(a)
+    r, t = a.numerator, a.denominator
+    stop = r + t * span
+    even = sum(map(pow, range(r, stop, 2 * t), repeat(n)))
+    odd = sum(map(pow, range(r + t, stop, 2 * t), repeat(n)))
+    return Fraction(even - odd, t ** n)
 
 
 def fermionic_sum_digits(f: Polynomial, p: int, precision: int) -> Fraction:

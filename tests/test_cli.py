@@ -371,19 +371,36 @@ def test_witt_bad_argument_exits_2(capsys, naive, option, value, message):
 
 def test_witt_naive_sums_once(capsys, monkeypatch):
     calls = []
-    original = padic.fermionic_sum_naive
+    original = padic.witt_sum_naive
 
     def counted(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[2:4])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fermionic_sum_naive", counted)
-    monkeypatch.setattr(padic, "fermionic_sum_naive", counted)
+    monkeypatch.setattr(cli, "witt_sum_naive", counted)
+    monkeypatch.setattr(padic, "witt_sum_naive", counted)
     code, out, _ = run_cli(capsys, "witt", "--p", "5", "--precision", "2",
                            "--n", "4", "--a", "3/2", "--naive")
     assert code == 0
     assert "(matches closed form)" in out
     assert calls == [(5, 2)]
+
+
+def test_witt_naive_mismatch_fails(capsys, monkeypatch):
+    # a naive sum off by one must fail the certificate, in text and JSON
+    original = padic.witt_sum_naive
+    monkeypatch.setattr(cli, "witt_sum_naive",
+                        lambda *args, **kwargs: original(*args, **kwargs) + 1)
+    argv = ["witt", "--p", "5", "--precision", "2", "--n", "4", "--a", "3/2",
+            "--naive"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "(MISMATCH)" in out
+    assert out.strip().endswith("FAIL")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["naive_matches"] is False and data["pass"] is False
 
 
 def test_witt_defect_below_precision_exits_1(capsys, monkeypatch):

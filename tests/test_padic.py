@@ -22,8 +22,9 @@ from eulerferm.padic import (
     lem1_defect,
     valuation,
     witt_defect,
+    witt_sum_naive,
 )
-from eulerferm.polynomial import Polynomial
+from eulerferm.polynomial import Polynomial, monomial
 
 F = Fraction
 
@@ -124,6 +125,38 @@ def test_naive_equals_closed_on_prime_powers():
                     naive = fermionic_sum_naive(
                         lambda x, a=a, n=n: (x + a) ** n, p, precision)
                     assert naive == fermionic_sum_closed(n, a, span)
+
+
+def test_witt_sum_naive_equals_both_oracles():
+    # the integer-power sum of witt --naive against the Horner loop of
+    # fermionic_sum_naive and the telescoped closed form
+    for p in (3, 5, 7):
+        shifts = [F(0), F(1), F(-1), F(1, 2), F(-9, 2), F(7, 4)]
+        if p != 3:
+            shifts.append(F(-2, 3))
+        for precision in (1, 2, 3):
+            for n in range(9):
+                for a in shifts:
+                    got = witt_sum_naive(n, a, p, precision)
+                    want = fermionic_sum_naive(monomial(n).compose_affine(1, a),
+                                               p, precision)
+                    assert got == want, (p, precision, n, a)
+                    assert got == fermionic_sum_closed(n, a, p ** precision)
+
+
+def test_witt_sum_naive_edges():
+    # 0**0 = 1: all p**N terms of n = 0 are +-1, and they sum to 1
+    for p, precision in [(3, 1), (3, 2), (5, 2)]:
+        assert witt_sum_naive(0, 0, p, precision) == 1
+    messages = []
+    for naive in (lambda: witt_sum_naive(1, 0, 3, 2, budget=8),
+                  lambda: fermionic_sum_naive(monomial(1), 3, 2, budget=8)):
+        with pytest.raises(BudgetExceeded) as caught:
+            naive()
+        messages.append(str(caught.value))
+    assert messages == ["p**N = 9 exceeds budget 8"] * 2
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        witt_sum_naive(-1, 0, 3, 2)
 
 
 def test_witt_defect_examples():
