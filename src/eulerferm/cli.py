@@ -34,6 +34,7 @@ from .padic import (
     BudgetExceeded,
     fermionic_sum_closed,
     is_odd_prime,
+    require_integral_shift,
     witt_defect,
     witt_sum_naive,
 )
@@ -255,6 +256,8 @@ def _cmd_witt(args) -> int:
         exact = euler_poly(args.n)(args.a)
         naive = None
         if args.naive:
+            # a bad shift is refused before the p**N terms are summed
+            require_integral_shift(args.a, args.p)
             naive = witt_sum_naive(args.n, args.a, args.p, args.precision,
                                    args.budget)
         # the defect is measured on the naive sum if there is one, else on the

@@ -51,6 +51,7 @@ __all__ = [
     "MAX_PRECISION",
     "is_odd_prime",
     "require_odd_prime",
+    "require_integral_shift",
     "valuation",
     "fermionic_sum_digits",
     "fermionic_sum_naive",
@@ -94,6 +95,18 @@ def is_odd_prime(p: int) -> bool:
 def require_odd_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def require_integral_shift(a, p: int) -> Fraction:
+    """The shift a as a Fraction, if p is an odd prime and a is p-integral;
+    a fermionic sum has no shift with p in its denominator."""
+    require_odd_prime(p)
+    a = Fraction(a)
+    if a.denominator % p == 0:
+        raise DenominatorNotInvertible(
+            f"shift {a} is not a {p}-adic integer (p divides the denominator)"
+        )
+    return a
 
 
 def valuation(r, p: int):
@@ -275,11 +288,7 @@ def witt_defect(n: int, a, p: int, precision: int, truncated=None):
         raise ValueError(f"n must be >= 0, got {n}")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    a = Fraction(a)
-    if a.denominator % p == 0:
-        raise DenominatorNotInvertible(
-            f"shift {a} is not a {p}-adic integer (p divides the denominator)"
-        )
+    a = require_integral_shift(a, p)
     if truncated is None:
         truncated = fermionic_sum_digits(monomial(n).compose_affine(1, a), p,
                                          precision)

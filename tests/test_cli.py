@@ -316,6 +316,24 @@ def test_witt_budget_exceeded_exits_2(capsys):
     assert err == "error: p**N = 9 exceeds budget 8\n"
 
 
+def test_witt_naive_refuses_a_bad_shift_before_summing(capsys, monkeypatch):
+    # the shift error wins over the budget error, and no term is summed
+    def summed(*args, **kwargs):
+        raise AssertionError("witt_sum_naive called")
+
+    monkeypatch.setattr(cli, "witt_sum_naive", summed)
+    shift = "error: shift 1/3 is not a 3-adic integer " \
+        "(p divides the denominator)\n"
+    for budget in ["8", "10000000"]:
+        assert run_cli(capsys, "witt", "--p", "3", "--precision", "14",
+                       "--n", "8", "--a", "1/3", "--naive",
+                       "--budget", budget) == (2, "", shift)
+    # p is checked first, so --p 9 keeps its message
+    assert run_cli(capsys, "witt", "--p", "9", "--precision", "2", "--n", "1",
+                   "--a", "1/9", "--naive") == (
+        2, "", "error: p must be an odd prime, got 9\n")
+
+
 def test_witt_budget_binds_only_naive(capsys):
     # without --naive the defect is measured on the digit sum, which sums no
     # p**N terms

@@ -334,6 +334,18 @@ def test_a_crashing_checker_fails_its_report_and_the_run_goes_on(
     assert report_to_dict(crashed[0])["residual"] == crashed[0].residual
 
 
+def test_equal_sides_pass_with_an_empty_residual():
+    # fersim3's left side carries Fraction coefficients and its right side
+    # ints; equal sides are the zero residual without a subtraction
+    for n, q in [(0, 1), (4, 3), (7, 2)]:
+        lhs, rhs = ident.check_fersim3.__wrapped__(n, q)
+        assert all(type(c) is Fraction for c in lhs.coeffs)
+        assert all(type(c) is int for c in rhs.coeffs)
+        report = ident.check_fersim3(n, q)
+        assert report.passed and report.residual.is_zero()
+        assert report_to_dict(report)["residual"] == []
+
+
 def test_parameter_range_violations():
     with pytest.raises(ValueError):
         ident.check_cro0(2, 2)       # even q

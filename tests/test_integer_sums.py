@@ -1,4 +1,4 @@
-"""Integer paths: thm2's right side from binomial rows, the
+"""Integer paths: thm2's right side read off packed integers, the
 weighted E_n sums over one common denominator (and the sun, sun_cor,
 fersim3 and thm3 sides built on them), the weighted E_k(0) sums of the
 scalar checkers on the same integer core, the p-adic sums of
@@ -73,10 +73,61 @@ def test_integer_pivot_equals_rational_pivot(s):
                     assert rows(a0) == want, (m, n, s, k, a0)
 
 
+def _pivot_by_rows(m, n, s, k):
+    """thm2's right side as the sum over (sign, l, i) of two binomial rows,
+    the slow path: each term of [t**k] (t+u)**M (t+w)**M2 =
+    sum_i C(M,i) C(M2,k-i) u**(M-i) w**(M2-k+i) is a product of two rows,
+    with u, w equal to sign*a plus an integer."""
+    acc = [0] * max(0, m + n + 3 - k)
+    for sign, M, M2, weight in ((1, m + 1, n + 1, 2),
+                                (-1, n + 1, m + 1, 2 * (-1) ** (m + n))):
+        for l in range(1, s + 1):
+            for i in range(max(0, k - M2), min(M, k) + 1):
+                c = (-1) ** l * weight * binomial(M, i) * binomial(M2, k - i)
+                row_w = ident._binomial_row(l - s - 1, M2 - k + i, sign)
+                for j, x in enumerate(ident._binomial_row(l, M - i, sign)):
+                    x *= c
+                    for jj, y in enumerate(row_w):
+                        acc[j + jj] += x * y
+    return Polynomial(acc)
+
+
+def test_packed_pivot_equals_row_sum():
+    # every (m, n) up to 24 at two seeded (s, k), and every (s, k) up to
+    # m, n = 4: the row sum costs about s k M M2 steps a call
+    rng = random.Random(24)
+    cases = [(m, n, rng.randint(0, 8), rng.randint(0, 10))
+             for m in range(25) for n in range(25) for _ in range(2)]
+    cases += [(m, n, s, k) for m in range(5) for n in range(5)
+              for s in range(9) for k in range(11)]
+    cases.append((24, 24, 8, 10))   # the widest digits of the grid
+    for case in cases:
+        got = ident._pivot_taylor_sum(*case)
+        assert all(type(c) is int for c in got.coeffs)
+        assert got == _pivot_by_rows(*case), case
+
+
+@pytest.mark.parametrize("s", [50, 1000])
+@pytest.mark.parametrize("m,n", [(0, 1), (3, 2), (6, 6)])
+def test_packed_pivot_at_digit_width_edge(m, n, s):
+    # large s widens every digit: bits grows with bitlen(s + 1)
+    for k in range(5):
+        assert ident._pivot_taylor_sum(m, n, s, k) == _pivot_by_rows(m, n, s, k)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(m=st.integers(0, 12), n=st.integers(0, 12), s=st.integers(0, 200),
+       k=st.integers(0, 12))
+@example(m=12, n=12, s=200, k=0)
+def test_packed_pivot_equals_row_sum_property(m, n, s, k):
+    assert ident._pivot_taylor_sum(m, n, s, k) == _pivot_by_rows(m, n, s, k)
+
+
 @pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
-@pytest.mark.parametrize("row", [(1, 2, 1), (1, 2, -1), (-2, 1, 1)])
-def test_corrupted_binomial_row_fails_thm2(monkeypatch, mode, row):
-    # one row, (sign*a + c)**e, reads its coefficient of a off by one
+@pytest.mark.parametrize("row", [(1, 2, 1), (2, 3, 1), (2, 5, 1)])
+def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row):
+    # one row, (a + c)**e, reads its coefficient of a off by one; fersim3
+    # reads the rows (i, n, 1) with i < q
     clean = ident._binomial_row
 
     def corrupted(c, e, sign):
@@ -85,8 +136,25 @@ def test_corrupted_binomial_row_fails_thm2(monkeypatch, mode, row):
             coeffs[1] += 1
         return coeffs
 
-    assert all(r.passed for r in run_suite(["thm2"], mode=mode))
+    assert all(r.passed for r in run_suite(["fersim3"], mode=mode))
     monkeypatch.setattr(ident, "_binomial_row", corrupted)
+    assert not all(r.passed for r in run_suite(["fersim3"], mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+@pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2, 1), (1, 2, 2)])
+def test_corrupted_shift_sum_fails_thm2(monkeypatch, mode, shape):
+    # one packed sum G at (M, M2, s) reads its coefficient g_1 off by one
+    clean = ident._shift_sum
+
+    def corrupted(M, M2, s, bits):
+        digits = clean(M, M2, s, bits)
+        if (M, M2, s) == shape:
+            digits[1] += 1
+        return digits
+
+    assert all(r.passed for r in run_suite(["thm2"], mode=mode))
+    monkeypatch.setattr(ident, "_shift_sum", corrupted)
     assert not all(r.passed for r in run_suite(["thm2"], mode=mode))
 
 

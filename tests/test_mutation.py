@@ -9,7 +9,7 @@ Sayward, "Hints on test data selection" (1978).
 
 import pytest
 
-from eulerferm import euler
+from eulerferm import euler, identities as ident
 from eulerferm.euler import EulerCache, tangent_numbers
 from eulerferm.identities import CHECKER_IDS, run_suite
 from eulerferm.polynomial import monomial
@@ -54,6 +54,20 @@ def test_e_table_mutant_survivors(monkeypatch, n, i):
     if i == 0 and n % 2 == 0:
         expected = expected | {"reflection"}
     assert _survivors(monkeypatch, _BumpedCoefficient(n, i)) == expected
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+def test_a_failing_report_carries_the_whole_residual(monkeypatch, mode):
+    # E_2 + 3a makes wsp7 at m = n = 1 read -6a; symbolic mode reports the
+    # body's lhs - rhs, pointwise mode its first nonzero difference
+    monkeypatch.setattr(euler, "_CACHE", _BumpedCoefficient(2, 1))
+    lhs, rhs = ident.check_wsp7.__wrapped__(1, 1)
+    report = ident.check_wsp7(1, 1, mode=mode)
+    assert not report.passed
+    if mode == "symbolic":
+        assert report.residual == lhs - rhs == monomial(1, -6)
+    else:
+        assert report.residual == lhs(1) - rhs(1) == -6
 
 
 class _BumpedTangent(EulerCache):
