@@ -39,9 +39,9 @@ in one append-only table (`EulerRecurrence`).
 
 Weighted sums, with integer or rational weights, of E_n(a) and E_n(-a)
 (`euler_sum`) and of E_k(0) (`zero_sum`, from s_k alone) share one integer
-core, `_weighted_sum`: each E_n is kept as integer numerators over the lcm
-of its coefficient denominators (E_k(0) as s_k over 2**k), the weighted
-numerators are added over one common denominator, which is divided out once.
+core, `_weighted_sum`: the integer numerators of each E_n over its own
+denominator (E_k(0) as s_k over 2**k) are weighted and added over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .numeric import binomial, common_denominator
+from .numeric import binomial
 from .polynomial import Polynomial
 
 __all__ = [
@@ -98,10 +98,10 @@ def tangent_numbers():
         yield new[-1]
 
 
-def _weighted_sum(parts) -> list[Fraction]:
-    """Coefficients of sum c P(step * x) over (c, step, (nums, d)) in parts,
-    P with coefficients nums[i] / d: the numerators are summed as integers
-    over den, the lcm of every d * c.denominator, divided out once."""
+def _weighted_sum(parts) -> tuple[list[int], int]:
+    """sum c P(step * x) over (c, step, (nums, d)) in parts, P with
+    coefficients nums[i] / d, as integer numerators acc over den, the lcm
+    of every d * c.denominator: coefficient i is acc[i] / den."""
     den = math.lcm(*(d * c.denominator for c, _, (_, d) in parts))
     acc = [0] * max((len(nums) for _, _, (nums, _) in parts), default=0)
     for c, step, (nums, d) in parts:
@@ -109,13 +109,13 @@ def _weighted_sum(parts) -> list[Fraction]:
         for i, v in enumerate(nums):
             acc[i] += w * v
             w *= step   # in P(-x) the sign alternates with the power
-    return [Fraction(v, den) for v in acc]
+    return acc, den
 
 
 class EulerCache:
-    """Append-only memo tables: the column s_k, E_n and B_n, both expanded
-    by one builder from s_k, and the integer view of E_n (numerators over
-    one denominator) that ``euler_sum`` adds up. E_n(0) and the Euler
+    """Append-only memo tables: the column s_k, and E_n and B_n, both
+    expanded by one builder from s_k as integer numerators over one
+    denominator, which ``euler_sum`` adds up. E_n(0) and the Euler
     numbers are read from s_k alone, so only polynomial reads grow the
     E_n table. Shifted E_n(u*a + v) are not memoized: each is one integer
     Taylor shift of the table entry.
@@ -130,38 +130,42 @@ class EulerCache:
         self._zeros: list[int] = []
         self._euler: dict[int, Polynomial] = {}
         self._bernoulli: dict[int, Polynomial] = {}
-        self._scaled: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.RLock()
 
-    def _scaled_zero(self, k: int) -> int:
-        """s_k = 2**k E_k(0), the one place the tangent numbers are read."""
-        if k < 0:
-            raise ValueError(f"n must be >= 0, got {k}")
+    def _column(self, *ks: int) -> list[int]:
+        """The column s_0, s_1, ..., s_k = 2**k E_k(0), extended once past
+        every k in ks: the one place the tangent numbers are read."""
+        if min(ks, default=0) < 0:
+            raise ValueError(f"n must be >= 0, got {min(ks)}")
         with self._lock:
-            while len(self._zeros) <= k:
+            while len(self._zeros) <= max(ks, default=0):
                 m = len(self._zeros)
                 if m % 2:
                     j = (m + 1) // 2
                     self._zeros.append((-1) ** j * next(self._tangents))
                 else:
                     self._zeros.append(1 if m == 0 else 0)
-            return self._zeros[k]
+            return self._zeros
 
     def _appell(self, table: dict, n: int, at_zero) -> Polynomial:
         """P_n(x) = sum_i C(n, i) P_(n-i)(0) x**i, memoized in ``table``;
         ``at_zero(k)`` is P_k(0) as a pair (numerator, denominator)."""
         with self._lock:
             if n not in table:
-                table[n] = Polynomial([
-                    Fraction(binomial(n, i) * num, den) for i, (num, den)
-                    in enumerate(map(at_zero, range(n, -1, -1)))])
+                pairs = list(map(at_zero, range(n, -1, -1)))
+                den = math.lcm(*(d for _, d in pairs))
+                table[n] = Polynomial.scaled(
+                    [binomial(n, i) * num * (den // d)
+                     for i, (num, d) in enumerate(pairs)], den)
             return table[n]
 
     def _bernoulli_at_zero(self, k: int) -> tuple[int, int]:
         """B_k(0) from E_(k-1)(0) = -2 (2**k - 1) B_k / k, and B_0 = 1."""
         if k == 0:
             return 1, 1
-        return -k * self._scaled_zero(k - 1), (1 << k) * ((1 << k) - 1)
+        num, den = -k * self._column(k - 1)[k - 1], (1 << k) * ((1 << k) - 1)
+        g = math.gcd(num, den)   # in lowest terms, the lcm in _appell is small
+        return num // g, den // g
 
     def euler_poly(self, n: int) -> Polynomial:
         """E_n as a monic degree-n polynomial with dyadic-rational
@@ -169,7 +173,7 @@ class EulerCache:
         if n < 0:
             raise ValueError(f"euler_poly: n must be >= 0, got {n}")
         return self._appell(self._euler, n,
-                            lambda k: (self._scaled_zero(k), 1 << k))
+                            lambda k: (self._column(k)[k], 1 << k))
 
     def bernoulli_poly(self, n: int) -> Polynomial:
         """B_n from the same s_k, never through ``euler_poly``."""
@@ -182,17 +186,9 @@ class EulerCache:
         return self.euler_poly(n).compose_affine(u, v)
 
     def euler_scaled(self, n: int) -> tuple[tuple[int, ...], int]:
-        """E_n as (numerators, d): coefficient i of E_n is numerators[i] / d.
-
-        d is the lcm of the coefficient denominators, read from the table
-        entry: for a true E_n it divides 2**n, but that is not assumed.
-        """
-        with self._lock:
-            got = self._scaled.get(n)
-            if got is None:
-                got = common_denominator(self.euler_poly(n).coeffs)
-                self._scaled[n] = got
-            return got
+        """E_n as (nums, den), read off the table entry, not assumed dyadic."""
+        p = self.euler_poly(n)
+        return p.nums, p.den
 
     def euler_sum(self, terms=(), neg_terms=()) -> Polynomial:
         """sum c E_n(a) over (c, n) in terms + sum c E_n(-a) over neg_terms.
@@ -200,27 +196,30 @@ class EulerCache:
         Weights c are integers or Fractions. Terms of weight 0 are skipped
         before E_n is looked up, so a binomial weight C(r, k) = 0 with k > r
         keeps a negative index out."""
-        return Polynomial(_weighted_sum(
+        return Polynomial.scaled(*_weighted_sum(
             [(c, 1, self.euler_scaled(n)) for c, n in terms if c]
             + [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]))
 
     def zero_sum(self, terms) -> Fraction:
-        """sum c E_k(0) over (c, k) in terms; s_k is read only if c != 0."""
-        return (_weighted_sum([(c, 1, ((self._scaled_zero(k),), 1 << k))
-                               for c, k in terms if c]) or [Fraction(0)])[0]
+        """sum c E_k(0) over (c, k) in terms; s_k is read only if c != 0,
+        and the column is extended once for all of them."""
+        terms = [(c, k) for c, k in terms if c]
+        zeros = self._column(*(k for _, k in terms))
+        acc, den = _weighted_sum([(c, 1, ((zeros[k],), 1 << k))
+                                  for c, k in terms])
+        return Fraction(sum(acc), den)   # acc is [] or the constant term
 
     def euler_number(self, n: int) -> int:
         """2**n E_n(1/2) = sum_k C(n, k) s_k, an integer by construction."""
-        self._scaled_zero(n)
         total, c = 0, 1   # c = C(n, k), carried along the row
-        for k, s in enumerate(self._zeros[:n + 1]):
+        for k, s in enumerate(self._column(n)[:n + 1]):
             total += c * s
             c = c * (n - k) // (k + 1)
         return total
 
     def euler_zero(self, n: int) -> Fraction:
         """E_n(0) = s_n / 2**n."""
-        return Fraction(self._scaled_zero(n), 1 << n)
+        return Fraction(self._column(n)[n], 1 << n)
 
 
 _CACHE = EulerCache()
@@ -280,9 +279,14 @@ def power_sum(m: int, n: int):
 
 
 def _difference_weights(n: int) -> list[int]:
-    """c_j = sum_{k=j..n} 2**(n-k) C(k, j) for j = 0..n."""
-    return [sum(math.comb(k, j) << (n - k) for k in range(j, n + 1))
-            for j in range(n + 1)]
+    """c_j = sum_{k=j..n} 2**(n-k) C(k, j) = 2**(n+1) - sum_{i<=j} C(n+1, i)
+    for j = 0..n, as sum_j c_j y**j = (2**(n+1) - (1+y)**(n+1)) / (1 - y)."""
+    weights, rest, c = [], 1 << (n + 1), 1   # c = C(n+1, j)
+    for j in range(n + 1):
+        rest -= c
+        weights.append(rest)
+        c = c * (n + 1 - j) // (j + 1)
+    return weights
 
 
 def euler_poly_by_differences(n: int) -> Polynomial:
@@ -300,8 +304,8 @@ def euler_poly_by_differences(n: int) -> Polynomial:
         for e in range(n + 1):   # w = (-1)**j c_j j**e
             acc[n - e] += w
             w *= j
-    return Polynomial([Fraction(math.comb(n, i) * v, 1 << n)
-                       for i, v in enumerate(acc)])
+    return Polynomial.scaled([math.comb(n, i) * v for i, v in enumerate(acc)],
+                             1 << n)
 
 
 class EulerRecurrence:
@@ -335,7 +339,7 @@ class EulerRecurrence:
                     for i, c in enumerate(f):
                         acc[i] -= w * c
                 table.append(acc)
-            return Polynomial([Fraction(c, 1 << n) for c in table[n]])
+            return Polynomial.scaled(table[n], 1 << n)
 
 
 def euler_polys_by_series(count: int) -> list[Polynomial]:

@@ -498,9 +498,9 @@ def check_sun_cor(m: int, n: int):
 # thm2's pivot polynomial, read off packed integers
 # ---------------------------------------------------------------------------
 
-def _binomial_row(c: int, e: int, sign: int) -> list:
-    """Coefficients of (sign*a + c)**e in a, lowest degree first."""
-    return [math.comb(e, j) * c ** (e - j) * sign ** j for j in range(e + 1)]
+def _binomial_row(c: int, e: int) -> list:
+    """Coefficients of (a + c)**e in a, lowest degree first."""
+    return [math.comb(e, j) * c ** (e - j) for j in range(e + 1)]
 
 
 def _shift_sum(M: int, M2: int, s: int, bits: int) -> list:
@@ -696,7 +696,7 @@ def check_fersim3(n: int, q: int):
     """Telescoped functional equation:
     (-1)**(q-1) E_n(a+q) + E_n(a) = 2 sum_{i<q} (-1)**i (a+i)**n."""
     lhs = (-1) ** (q - 1) * euler_poly_shifted(n, 1, q) + euler_poly(n)
-    rows = [_binomial_row(i, n, 1) for i in range(q)]
+    rows = [_binomial_row(i, n) for i in range(q)]
     return lhs, Polynomial([2 * sum((-1) ** i * row[j]
                                     for i, row in enumerate(rows))
                             for j in range(n + 1)])

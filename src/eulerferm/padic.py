@@ -208,7 +208,7 @@ def fermionic_sum_digits(f: Polynomial, p: int, precision: int) -> Fraction:
     if precision > MAX_PRECISION:
         raise ValueError(
             f"precision must be <= {MAX_PRECISION}, got {precision}")
-    nums, d = common_denominator(f.coeffs)
+    nums, d = f.nums, f.den
     for _ in range(precision - 1):
         nums = _fold_digit(nums, p)
     total = 0

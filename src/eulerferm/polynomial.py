@@ -1,18 +1,20 @@
-"""Dense univariate polynomials with exact int or Fraction coefficients.
-
-Instances are normalized on construction: the highest-index stored
-coefficient is nonzero, and the zero polynomial stores no coefficients.
-``degree`` of the zero polynomial is ``None`` -- a sentinel, never a number
-that participates in arithmetic.
+"""Dense univariate polynomials over Q as integer numerators ``nums`` over
+one denominator ``den`` > 0, the layout of FLINT's fmpq_poly. Instances are
+in normal form: no trailing zero numerator, gcd(den, *nums) == 1, and the
+zero polynomial is ((), 1), whose ``degree`` is ``None`` -- a sentinel,
+never a number. So equality compares (nums, den), and every operation works
+in integers, with one gcd at the end. ``coeffs`` reads the coefficients as
+ints if den == 1, else as Fractions.
 
 ``*`` between two Polynomials is ring multiplication (convolution); an int
 or Fraction scales every coefficient. ``compose_affine`` is an integer
-Taylor shift over one common denominator; its loop, ``taylor_shift``, also
-serves the p-adic sums by base-p digits.
+Taylor shift; its loop, ``taylor_shift``, also serves the p-adic sums by
+base-p digits.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .numeric import common_denominator, falling_factorial, format_rational
@@ -21,79 +23,90 @@ __all__ = ["Polynomial", "monomial", "taylor_shift", "X"]
 
 
 class Polynomial:
-    """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of x**i."""
+    """Immutable dense polynomial; coefficient i is ``nums[i] / den``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs=()):   # int or Fraction, lowest degree first
+        _store(self, *common_denominator(tuple(coeffs)))
+
+    @classmethod
+    def scaled(cls, nums, den: int = 1) -> "Polynomial":
+        """Coefficients nums[i] / den, for ints nums and den > 0."""
+        return _store(object.__new__(cls), nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients, lowest first: ints if den == 1, else Fractions."""
+        return self.nums if self.den == 1 else tuple(
+            Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self):
         """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         # scalar comparison: p == 0, p == Fraction(3, 2), ...
-        if not self.coeffs:
+        if not self.nums:
             return not other
-        return len(self.coeffs) == 1 and self.coeffs[0] == other
+        return len(self.nums) == 1 and Fraction(self.nums[0], self.den) == other
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
+        a, b = self, other
+        if len(a.nums) < len(b.nums):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        out = [c * fa for c in a.nums]
+        for i, c in enumerate(b.nums):
+            out[i] += c * fb
+        return Polynomial.scaled(out, a.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _store(object.__new__(Polynomial), [-c for c in self.nums],
+                      self.den, reduced=True)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else Polynomial((-other,)))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
+        if not isinstance(other, Polynomial):   # an int or Fraction scalar
+            if other in (1, -1):
+                return self if other == 1 else -self
+            return Polynomial.scaled([c * other.numerator for c in self.nums],
+                                     self.den * other.denominator)
+        a, b = self.nums, other.nums
         if not a or not b:
             return Polynomial()
-        out = [None] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
-                prod = ca * cb
-                k = i + j
-                out[k] = prod if out[k] is None else out[k] + prod
-        return Polynomial(out)
+                out[i + j] += ca * cb
+        return Polynomial.scaled(out, self.den * other.den)
 
-    def __rmul__(self, other):
-        return Polynomial(tuple(other * c for c in self.coeffs))
+    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
@@ -112,52 +125,48 @@ class Polynomial:
         """Formal k-th derivative: x**i maps to i(i-1)...(i-k+1) x**(i-k)."""
         if k < 0:
             raise ValueError(f"derivative order must be >= 0, got {k}")
-        if k == 0:
-            return self
-        if k >= len(self.coeffs):
-            return Polynomial()
-        return Polynomial(tuple(
-            falling_factorial(i, k) * self.coeffs[i]
-            for i in range(k, len(self.coeffs))
-        ))
+        return Polynomial.scaled([falling_factorial(i, k) * self.nums[i]
+                                  for i in range(k, len(self.nums))], self.den)
 
     def compose_affine(self, u, v) -> "Polynomial":
         """p(u*x + v), expanded exactly, for rational u, v.
 
-        An integer Taylor shift: with d the lcm of the coefficient
-        denominators and v = r/t, t**n * d * p((y + r)/t) is an integer
-        polynomial in y, shifted by the integer r with O(n**2) integer
-        additions. Substituting y = t*u*x scales coefficient i by
-        (t*u)**i, and the common denominator is divided out once.
+        An integer Taylor shift: with v = r/t, t**n * den * p((y + r)/t) is
+        an integer polynomial in y, shifted by the integer r with O(n**2)
+        integer additions. Substituting y = t*u*x scales coefficient i by
+        (t*u)**i, and the denominator grows by (t * u.denominator)**n.
         """
-        if not self.coeffs:
+        if not self.nums:
             return self
-        nums, d = common_denominator(self.coeffs)
         u, v = Fraction(u), Fraction(v)
         r, t = v.numerator, v.denominator
-        n = len(nums) - 1
-        acc = taylor_shift([c * t ** (n - i) for i, c in enumerate(nums)], r)
+        n = len(self.nums) - 1
+        acc = taylor_shift([c * t ** (n - i) for i, c in enumerate(self.nums)],
+                           r)
         w, s = u.numerator, u.denominator
-        den = d * (t * s) ** n
-        return Polynomial([Fraction(c * (t * w) ** i * s ** (n - i), den)
-                           for i, c in enumerate(acc)])
+        return Polynomial.scaled([c * (t * w) ** i * s ** (n - i)
+                                  for i, c in enumerate(acc)],
+                                 self.den * (t * s) ** n)
 
     def __call__(self, t):
-        """Evaluate at t by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        """Evaluate at a rational t = r/s by Horner's rule on the numerators,
+        s**n den p(t) = sum_i nums[i] r**i s**(n-i), as one Fraction."""
+        r, s = t.numerator, t.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * r + c * scale
+            scale *= s   # s**(n+1) at the end
+        return Fraction(acc * s, self.den * scale)
 
     def to_coeff_strings(self) -> list:
         """Lowest-degree-first coefficient list as rational strings."""
         return [format_rational(c) for c in self.coeffs]
 
     def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial.scaled({list(self.nums)!r}, {self.den})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -169,6 +178,18 @@ class Polynomial:
         for text, neg in parts[1:]:
             out += (" - " if neg else " + ") + text
         return out
+
+
+def _store(p: Polynomial, nums, den: int, reduced=False) -> Polynomial:
+    """Set p to nums / den in normal form; ``reduced`` skips the gcd."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = 1 if reduced else math.gcd(den, *nums)
+    object.__setattr__(p, "nums", tuple(c // g for c in nums) if g > 1
+                       else tuple(nums))
+    object.__setattr__(p, "den", den // g)
+    return p
 
 
 def _term_str(c, i: int) -> str:
@@ -199,4 +220,4 @@ def monomial(k: int, coeff=1) -> Polynomial:
     return Polynomial((0,) * k + (coeff,))
 
 
-X = Polynomial((Fraction(0), Fraction(1)))
+X = Polynomial((0, 1))

@@ -16,6 +16,7 @@ they replaced) and against ``sympy.euler``.
 import hashlib
 import itertools
 import json
+import math
 import threading
 from fractions import Fraction
 
@@ -210,6 +211,21 @@ def test_finite_difference_oracle_equals_tangent_table():
         assert euler_poly_by_differences(n) == cache.euler_poly(n), n
     with pytest.raises(ValueError):
         euler_poly_by_differences(-1)
+
+
+def _difference_weights_by_double_sum(n):
+    """c_j = sum_{k=j..n} 2**(n-k) C(k, j), summed as written."""
+    return [sum(math.comb(k, j) << (n - k) for k in range(j, n + 1))
+            for j in range(n + 1)]
+
+
+def test_difference_weights_equal_double_sum():
+    # the closed form c_j = 2**(n+1) - sum_{i<=j} C(n+1, i) against the
+    # definition; c_n = 1 and c_0 = 2**(n+1) - 1 at every n
+    for n in [*range(61), 119, 150, 199]:
+        weights = euler._difference_weights(n)
+        assert weights == _difference_weights_by_double_sum(n), n
+        assert weights[0] == (1 << (n + 1)) - 1 and weights[-1] == 1
 
 
 def test_tangent_table_equals_sympy():

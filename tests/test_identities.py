@@ -22,6 +22,7 @@ from eulerferm.euler import (
     EulerCache,
     EulerRecurrence,
     euler_poly,
+    euler_poly_shifted,
     euler_zero,
 )
 from eulerferm.polynomial import Polynomial
@@ -335,12 +336,17 @@ def test_a_crashing_checker_fails_its_report_and_the_run_goes_on(
 
 
 def test_equal_sides_pass_with_an_empty_residual():
-    # fersim3's left side carries Fraction coefficients and its right side
-    # ints; equal sides are the zero residual without a subtraction
+    # fersim3's left side is summed from dyadic E_n, whose denominators are
+    # powers of two (above 1 for odd n), and its right side from integer
+    # rows; both reduce to the same integer numerators over den 1, so equal
+    # sides are the zero residual without a subtraction
     for n, q in [(0, 1), (4, 3), (7, 2)]:
         lhs, rhs = ident.check_fersim3.__wrapped__(n, q)
-        assert all(type(c) is Fraction for c in lhs.coeffs)
-        assert all(type(c) is int for c in rhs.coeffs)
+        dens = [euler_poly(n).den, euler_poly_shifted(n, 1, q).den]
+        assert all(d & (d - 1) == 0 and (d > 1) == (n % 2) for d in dens)
+        assert lhs.den == rhs.den == 1
+        assert lhs.nums == rhs.nums
+        assert all(type(c) is int for c in lhs.nums + rhs.nums)
         report = ident.check_fersim3(n, q)
         assert report.passed and report.residual.is_zero()
         assert report_to_dict(report)["residual"] == []

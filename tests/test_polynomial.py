@@ -4,17 +4,111 @@ laws and the homomorphism p -> p(u*x + v) as properties.
 The derivative oracle is a one-step formal differentiation written here,
 applied repeatedly. The composition oracles are evaluation consistency at
 random rational points, and the Horner-by-line composition that the integer
-Taylor shift replaced, kept here.
+Taylor shift replaced, kept here. ``FractionPolynomial``, one Fraction or int
+per coefficient, is the layout that the integer numerators over one
+denominator replaced; it is the oracle of every operation, and each result
+must also be in normal form.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eulerferm.numeric import falling_factorial, format_rational
 from eulerferm.polynomial import Polynomial, X, monomial
+
+
+class FractionPolynomial:
+    """Dense polynomial with one int or Fraction per coefficient:
+    ``coeffs[i]`` is the coefficient of x**i, trailing zeros dropped."""
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            other = FractionPolynomial((other,))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return FractionPolynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPolynomial(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            return FractionPolynomial(tuple(c * other for c in self.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FractionPolynomial()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FractionPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        result = FractionPolynomial((1,))
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def derivative(self, k=1):
+        return FractionPolynomial(tuple(
+            falling_factorial(i, k) * self.coeffs[i]
+            for i in range(k, len(self.coeffs))))
+
+    def compose_affine(self, u, v):
+        """p(u*x + v) by Horner's rule over the line u*x + v."""
+        line = FractionPolynomial((Fraction(v), Fraction(u)))
+        acc = FractionPolynomial()
+        for c in reversed(self.coeffs):
+            acc = acc * line + c
+        return acc
+
+    def __call__(self, t):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * t + c
+        return acc
+
+    def to_coeff_strings(self):
+        return [format_rational(c) for c in self.coeffs]
+
+
+def assert_normal(p):
+    """Integer numerators, no trailing zero, den > 0 and
+    gcd(den, *nums) == 1; so the zero polynomial is ((), 1)."""
+    assert type(p.nums) is tuple and all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert p.coeffs == tuple(Fraction(c, p.den) for c in p.nums)
+    assert all(type(c) is (int if p.den == 1 else Fraction) for c in p.coeffs)
 
 
 def diff_once(p):
@@ -98,7 +192,6 @@ def test_derivative_composes():
 
 
 def test_derivative_of_monomial_closed_form():
-    from eulerferm.numeric import falling_factorial
     for m in range(9):
         for k in range(m + 2):
             expected = (monomial(m - k, Fraction(falling_factorial(m, k)))
@@ -220,3 +313,93 @@ def test_coeff_strings_round_trip():
 def test_monomial_rejects_negative_degree():
     with pytest.raises(ValueError):
         monomial(-1)
+
+
+# --- the integer numerators over one denominator -------------------------
+
+def test_normal_form_examples():
+    assert Polynomial().nums == () and Polynomial().den == 1
+    assert Polynomial([0, Fraction(0, 5)]).den == 1
+    p = Polynomial([Fraction(1, 2), Fraction(-3, 4), 0])
+    assert (p.nums, p.den) == ((2, -3), 4)
+    assert Polynomial.scaled([6, -9, 0, 0], 12) == p
+    zero = Polynomial.scaled([0, 0], 8)
+    assert (zero.nums, zero.den) == ((), 1)
+    assert Polynomial.scaled([4, 8]) == Polynomial([4, 8])
+    assert X.nums == (0, 1) and X.den == 1
+    # a sum and a product may cancel the whole denominator
+    assert (p + Polynomial([Fraction(1, 2), Fraction(3, 4)])).den == 1
+    assert (Polynomial.scaled([1, 1], 2) * Polynomial([2, 2])).den == 1
+    assert Polynomial.scaled([2, 4], 1).derivative().nums == (4,)
+    half_square = Polynomial.scaled([0, 0, 1], 2).derivative()
+    assert (half_square.nums, half_square.den) == ((0, 1), 1)
+
+
+def test_multiplying_by_one_keeps_the_instance():
+    p = Polynomial.scaled([3, -6, 1], 8)
+    assert p * 1 is p and 1 * p is p
+    assert (p * -1).nums == (-3, 6, -1) and (p * -1).den == 8
+    scaled = p * Fraction(8, 3)
+    assert (scaled.nums, scaled.den) == ((3, -6, 1), 3)
+
+
+def test_eval_builds_one_fraction():
+    p = Polynomial.scaled([1, -3, 0, 2], 4)
+    for t in (0, 3, -2, Fraction(1, 2), Fraction(-5, 3)):
+        got = p(t)
+        assert type(got) is Fraction
+        assert got == sum(Fraction(c, 4) * Fraction(t) ** i
+                          for i, c in enumerate(p.nums))
+    assert Polynomial()(Fraction(2, 3)) == 0
+
+
+_coeff_lists = st.lists(st.one_of(st.integers(-20, 20), _fractions),
+                        max_size=9)
+_points = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-9, 9),
+                              st.integers(1, 9)))
+
+
+def _same(got, oracle):
+    assert_normal(got)
+    assert got.coeffs == oracle.coeffs
+    assert got.to_coeff_strings() == oracle.to_coeff_strings()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, c=_scalars, u=_scalars, v=_scalars,
+       t=_points, k=st.integers(0, 4))
+@example(a=[], b=[], c=0, u=0, v=0, t=0, k=0)
+@example(a=[Fraction(1, 2), Fraction(3, 4)],
+         b=[Fraction(-1, 2), Fraction(1, 4)], c=Fraction(4, 3),
+         u=Fraction(1, 2), v=Fraction(-1, 2), t=Fraction(2, 3), k=1)
+def test_integer_layout_agrees_with_fraction_coefficients(a, b, c, u, v, t,
+                                                           k):
+    p, q = Polynomial(a), Polynomial(b)
+    fp, fq = FractionPolynomial(a), FractionPolynomial(b)
+    _same(p, fp)
+    _same(Polynomial.scaled(p.nums, p.den), fp)
+    for got, want in [(p + q, fp + fq), (p - q, fp - fq), (p * q, fp * fq),
+                      (-p, -fp), (p + c, fp + c), (c - p, c - fp),
+                      (p * c, fp * c), (c * p, c * fp), (p ** 2, fp ** 2),
+                      (p.compose_affine(u, v), fp.compose_affine(u, v)),
+                      (p.derivative(k), fp.derivative(k))]:
+        _same(got, want)
+    assert p(t) == fp(t)
+    assert str(p) == str(Polynomial(fp.coeffs))
+    assert (p == q) == (fp == fq)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(nums=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9),
+       den=st.integers(1, 10 ** 4), scale=st.integers(1, 50))
+@example(nums=[], den=7, scale=1)
+@example(nums=[0, 0, 0], den=4, scale=3)
+def test_scaled_constructor_is_normal(nums, den, scale):
+    p = Polynomial.scaled(nums, den)
+    assert_normal(p)
+    assert p == Polynomial([Fraction(c, den) for c in nums])
+    # the same polynomial over a multiple of the denominator reads the same
+    again = Polynomial.scaled([c * scale for c in nums], den * scale)
+    assert (again.nums, again.den) == (p.nums, p.den)
+    assert hash(again) == hash(p)
