@@ -121,8 +121,13 @@ class EulerCache:
     Taylor shift of the table entry.
 
     Identity sweeps re-request the same E_n thousands of times, so
-    memoization is mandatory. A single lock guards table extension, which
-    keeps one shared instance safe under concurrent sweeps.
+    memoization is mandatory, and a hit is one ``dict.get`` (or one length
+    test of the column) with no lock. A single lock serializes every
+    extension, which keeps one shared instance safe under concurrent
+    sweeps. Hits need no lock because the tables only grow: a table entry
+    is stored once it is complete and never replaced, and the column is
+    only appended to, so a reader sees either a finished entry or none,
+    and takes the lock only for none.
     """
 
     def __init__(self):
@@ -137,8 +142,11 @@ class EulerCache:
         every k in ks: the one place the tangent numbers are read."""
         if min(ks, default=0) < 0:
             raise ValueError(f"n must be >= 0, got {min(ks)}")
+        top = max(ks, default=0)
+        if top < len(self._zeros):
+            return self._zeros
         with self._lock:
-            while len(self._zeros) <= max(ks, default=0):
+            while len(self._zeros) <= top:
                 m = len(self._zeros)
                 if m % 2:
                     j = (m + 1) // 2
@@ -148,8 +156,9 @@ class EulerCache:
             return self._zeros
 
     def _appell(self, table: dict, n: int, at_zero) -> Polynomial:
-        """P_n(x) = sum_i C(n, i) P_(n-i)(0) x**i, memoized in ``table``;
-        ``at_zero(k)`` is P_k(0) as a pair (numerator, denominator)."""
+        """P_n(x) = sum_i C(n, i) P_(n-i)(0) x**i, built into ``table`` if
+        it is not there yet; ``at_zero(k)`` is P_k(0) as a pair
+        (numerator, denominator)."""
         with self._lock:
             if n not in table:
                 pairs = list(map(at_zero, range(n, -1, -1)))
@@ -158,6 +167,10 @@ class EulerCache:
                     [binomial(n, i) * num * (den // d)
                      for i, (num, d) in enumerate(pairs)], den)
             return table[n]
+
+    def _euler_at_zero(self, k: int) -> tuple[int, int]:
+        """E_k(0) = s_k / 2**k."""
+        return self._column(k)[k], 1 << k
 
     def _bernoulli_at_zero(self, k: int) -> tuple[int, int]:
         """B_k(0) from E_(k-1)(0) = -2 (2**k - 1) B_k / k, and B_0 = 1."""
@@ -170,23 +183,30 @@ class EulerCache:
     def euler_poly(self, n: int) -> Polynomial:
         """E_n as a monic degree-n polynomial with dyadic-rational
         coefficients: coefficient i is C(n, n-i) s_(n-i) / 2**(n-i)."""
-        if n < 0:
-            raise ValueError(f"euler_poly: n must be >= 0, got {n}")
-        return self._appell(self._euler, n,
-                            lambda k: (self._column(k)[k], 1 << k))
+        p = self._euler.get(n)
+        if p is None:
+            if n < 0:
+                raise ValueError(f"euler_poly: n must be >= 0, got {n}")
+            p = self._appell(self._euler, n, self._euler_at_zero)
+        return p
 
     def bernoulli_poly(self, n: int) -> Polynomial:
         """B_n from the same s_k, never through ``euler_poly``."""
-        if n < 0:
-            raise ValueError(f"bernoulli_poly: n must be >= 0, got {n}")
-        return self._appell(self._bernoulli, n, self._bernoulli_at_zero)
+        p = self._bernoulli.get(n)
+        if p is None:
+            if n < 0:
+                raise ValueError(f"bernoulli_poly: n must be >= 0, got {n}")
+            p = self._appell(self._bernoulli, n, self._bernoulli_at_zero)
+        return p
 
     def euler_poly_shifted(self, n: int, u, v) -> Polynomial:
         """E_n(u*a + v) expanded as a polynomial in a."""
         return self.euler_poly(n).compose_affine(u, v)
 
     def euler_scaled(self, n: int) -> tuple[tuple[int, ...], int]:
-        """E_n as (nums, den), read off the table entry, not assumed dyadic."""
+        """E_n as (nums, den), read off the table entry, not assumed dyadic.
+        It reads through ``euler_poly``, so a subclass that overrides that
+        method (a corrupted table in the tests) is summed as it reads."""
         p = self.euler_poly(n)
         return p.nums, p.den
 

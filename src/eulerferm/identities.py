@@ -44,7 +44,9 @@ summed from binomial rows (a + c)**e, and thm2's is read off two packed
 integers, sum_l (-1)**l (y+l)**M (y+l-s-1)**M2 at y = 2**bits, one
 coefficient per base-2**bits digit. Every shifted
 E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
-shift over one common denominator; sun composes its whole right side once.
+shift over one common denominator; sun builds each weight from integer
+powers of a's numerator and denominator and composes its whole right side
+once.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -201,6 +203,10 @@ def _require_mode(mode: str) -> None:
 
 _TYPED = {"Fraction": Fraction, "Polynomial": Polynomial}
 
+# the residual of equal sides and thm1's right side; Polynomial is
+# immutable, so one instance serves every report
+_ZERO = Polynomial()
+
 
 def checker(cid: str, gen, kind: str = "poly", where=None,
             report_params=None):
@@ -259,7 +265,7 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
                     lhs, rhs, *lemmas = result
                     # both sides are normalized, so equal coefficient tuples
                     # are exactly the zero residual
-                    residual = Polynomial() if lhs == rhs else lhs - rhs
+                    residual = _ZERO if lhs == rhs else lhs - rhs
                     passed = residual.is_zero() and not any(lemmas)
             except ValueError:
                 raise
@@ -422,7 +428,7 @@ def check_thm1(m: int, n: int, q: int, k: int):
           n + q + i - k) for i in range(m + q + 1)],
         [((-1) ** n * binomial(n + q, j) * binomial(m + q + j, k),
           m + q + j - k) for j in range(n + q + 1)])
-    return lhs, Polynomial()
+    return lhs, _ZERO
 
 
 @checker("cro0", _grid("n", "q"), "scalar", where=lambda n, q: q % 2 == 1)
@@ -447,11 +453,20 @@ def check_cro1(m: int, n: int):
                         m + j) for j in range(n + 2)])
 
 
+def _cro2_terms(n: int, count: int) -> list:
+    """(C(n+1,j)(n+j+1), n+j) for j < count, with C(n+1, j) carried along
+    the row."""
+    terms, c = [], 1
+    for j in range(count):
+        terms.append((c * (n + j + 1), n + j))
+        c = c * (n + 1 - j) // (j + 1)
+    return terms
+
+
 @checker("cro2", _N, "scalar")
 def check_cro2(n: int):
     """sum_{j<=n+1} C(n+1,j)(n+j+1)E_{n+j}(0) = 0."""
-    return zero_sum([(binomial(n + 1, j) * (n + j + 1), n + j)
-                     for j in range(n + 2)])
+    return zero_sum(_cro2_terms(n, n + 2))
 
 
 def euler_zero_via_recurrence(n: int) -> Fraction:
@@ -459,14 +474,22 @@ def euler_zero_via_recurrence(n: int) -> Fraction:
     -(1 / (2(n+1))) sum_{j<=n} C(n+1,j)(n+j+1)E_{n+j}(0)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return Fraction(-1, 2 * (n + 1)) * zero_sum(
-        [(binomial(n + 1, j) * (n + j + 1), n + j) for j in range(n + 1)])
+    return Fraction(-1, 2 * (n + 1)) * zero_sum(_cro2_terms(n, n + 1))
 
 
 @checker("recurrence_odd", _N, "scalar")
 def check_recurrence_odd(n: int):
     """The recurrence value agrees with the directly generated E_{2n+1}(0)."""
     return euler_zero_via_recurrence(n) - euler_zero(2 * n + 1)
+
+
+def _sun_weights(m: int, a: Fraction) -> list:
+    """(-1)**m C(m,i) a**(m-i) for i = 0..m. With a = r/t in lowest terms,
+    each weight is one Fraction((-1)**m C(m,i) r**(m-i), t**(m-i)) of
+    integer powers."""
+    r, t, sign = a.numerator, a.denominator, (-1) ** m
+    return [Fraction(sign * math.comb(m, i) * r ** (m - i), t ** (m - i))
+            for i in range(m + 1)]
 
 
 @checker("sun", _grid("m", "n", a="points"))
@@ -476,10 +499,8 @@ def check_sun(m: int, n: int, a: Fraction):
     (-1)**m sum_i C(m,i) a**(m-i) E_{n+i}(b)
       = (-1)**n sum_j C(n,j) a**(n-j) E_{m+j}(c).
     """
-    lhs = euler_sum([((-1) ** m * binomial(m, i) * a ** (m - i), n + i)
-                     for i in range(m + 1)])
-    rhs = euler_sum([((-1) ** n * binomial(n, j) * a ** (n - j), m + j)
-                     for j in range(n + 1)])
+    lhs = euler_sum(zip(_sun_weights(m, a), range(n, n + m + 1)))
+    rhs = euler_sum(zip(_sun_weights(n, a), range(m, m + n + 1)))
     return lhs, rhs.compose_affine(-1, 1 - a)
 
 

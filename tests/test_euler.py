@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -325,23 +326,84 @@ def test_fresh_cache_matches_default():
     assert cache.euler_number(10) == -50521
 
 
+class _CountingLock:
+    """Wraps a lock and counts how often it is taken."""
+
+    def __init__(self, lock):
+        self.lock, self.taken = lock, 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+# the public reads of a cache at index n, by name
+_READS = {
+    "euler_poly": lambda c, n: c.euler_poly(n),
+    "bernoulli_poly": lambda c, n: c.bernoulli_poly(n),
+    "euler_sum": lambda c, n: c.euler_sum([(1, n)], [(F(-2, 3), n)]),
+    "zero_sum": lambda c, n: c.zero_sum([(binomial(n, k), k)
+                                         for k in range(n + 1)]),
+    "euler_zero": lambda c, n: c.euler_zero(n),
+    "euler_number": lambda c, n: c.euler_number(n),
+}
+
+
+def test_warm_reads_take_no_lock():
+    cache = EulerCache()
+    lock = cache._lock = _CountingLock(cache._lock)
+    for n in range(41):
+        cache.euler_poly(n)
+        cache.bernoulli_poly(n)
+    assert lock.taken > 0
+    lock.taken = 0
+    for n in range(41):
+        for read in _READS.values():
+            read(cache, n)
+    assert lock.taken == 0
+    # a miss on each of the three tables extends it under the lock
+    for miss in (lambda: cache.euler_poly(41), lambda: cache.bernoulli_poly(41),
+                 lambda: cache.euler_zero(42)):
+        lock.taken = 0
+        miss()
+        assert lock.taken > 0
+
+
 def test_concurrent_cache_use_is_deterministic():
     cache = EulerCache()
     results = {}
     start = threading.Barrier(4)
+    names = list(_READS)
 
     def worker(tag):
+        # each thread starts the rotation of reads at its own name, and
+        # every other thread walks n downwards, so misses interleave
+        order = range(136) if tag % 2 == 0 else range(135, -1, -1)
+        reads = names[tag:] + names[:tag]
         start.wait()
-        results[tag] = [cache.euler_poly(n) for n in range(136)]
+        results[tag] = {(name, n): _READS[name](cache, n)
+                        for n in order for name in reads}
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    expected = [euler_poly(n) for n in range(136)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    serial = EulerCache()
+    expected = {(name, n): read(serial, n)
+                for name, read in _READS.items() for n in range(136)}
     digest = hashlib.sha256(json.dumps(
-        [p.to_coeff_strings() for p in expected]).encode()).hexdigest()
+        [expected["euler_poly", n].to_coeff_strings()
+         for n in range(136)]).encode()).hexdigest()
     assert digest == EULER_0_TO_135_SHA256
     assert len(results) == 4
     for tag in results:

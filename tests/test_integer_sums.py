@@ -279,6 +279,41 @@ def test_sun_sides_equal_rational_loops(monkeypatch, table):
                 assert got == _sun_over_q(m, n, a), (m, n, a)
 
 
+def _sun_weights_over_q(m, a):
+    """sun's weights as they were built, from Fraction powers of a."""
+    return [(-1) ** m * binomial(m, i) * a ** (m - i) for i in range(m + 1)]
+
+
+def test_sun_weights_equal_fraction_powers():
+    points = (F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5, 2), F(-7, 3))
+    for m in range(11):
+        for a in points:
+            got, want = ident._sun_weights(m, a), _sun_weights_over_q(m, a)
+            assert got == want, (m, a)
+            for n in range(11):
+                indices = range(n, n + m + 1)
+                assert euler_sum(zip(got, indices)) == \
+                    euler_sum(zip(want, indices)), (m, n, a)
+
+
+def _sun_weights_lagging_t(m, a):
+    """The power of t lags one step behind the power of r: t**(m-i-1) in
+    place of t**(m-i), for every i < m. (t**(m-i+1) at every i would
+    divide both sides by t, which sun cannot see.)"""
+    r, t = a.numerator, a.denominator
+    return [(-1) ** m * binomial(m, i)
+            * F(r ** (m - i), t ** max(m - i - 1, 0)) for i in range(m + 1)]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+def test_lagging_t_power_fails_sun(monkeypatch, mode):
+    monkeypatch.setattr(ident, "_sun_weights", _sun_weights_lagging_t)
+    reports = run_suite(["sun"], mode=mode)
+    failed = {r.params["a"] for r in reports if not r.passed}
+    # an integer a has t = 1, where the two powers agree
+    assert failed == {F(1, 2), F(-2, 3)}
+
+
 @pytest.mark.parametrize("table", _TABLES, ids=["true", "corrupted_e5"])
 def test_sun_cor_equals_horner_sum(monkeypatch, table):
     monkeypatch.setattr(euler, "_CACHE", table())
@@ -545,6 +580,14 @@ def _cro1_over_q(m, n):
 def _cro2_over_q(n):
     return sum(binomial(n + 1, j) * (n + j + 1) * euler_zero(n + j)
                for j in range(n + 2))
+
+
+def test_cro2_row_equals_per_term_binomials():
+    for n in range(80):
+        for count in (n + 1, n + 2):
+            assert ident._cro2_terms(n, count) == [
+                (binomial(n + 1, j) * (n + j + 1), n + j)
+                for j in range(count)], (n, count)
 
 
 def _euler_zero_via_recurrence_over_q(n):
