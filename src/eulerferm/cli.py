@@ -13,20 +13,28 @@ Exit codes: 0 = all requested checks pass, 1 = at least one identity or
 valuation failure, 2 = usage/parse error. Output is deterministic: stable
 ordering and no timestamps (elapsed_ms appears in JSON but carries no
 ordering weight).
+
+``verify`` runs every check before it writes a byte, so a usage error
+found by any checker still exits 2 with empty stdout. Then it writes the
+reports one by one, each rendered and dropped before the next: the bytes
+are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
+memory is one report's. ``verify --stats`` adds per-checker counts and
+times, the table sizes and the peak RSS on stderr; stdout stays the same
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import identities
-from .euler import MAX_DEGREE, euler_number, euler_poly
+from .euler import MAX_DEGREE, euler_number, euler_poly, table_sizes
 from .identities import SweepGrid, report_to_dict, run_suite
 from .numeric import format_rational, parse_rational
 from .padic import (
@@ -130,6 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p", type=_parse_primes, dest="p_list")
     p_ver.add_argument("--precision", type=int)
     p_ver.add_argument("--format", choices=FORMATS, default="text")
+    p_ver.add_argument("--stats", action="store_true",
+                       help="write per-checker counts and times, table "
+                            "sizes and peak RSS to stderr")
 
     p_witt = sub.add_parser("witt", help="p-adic convergence certificate")
     p_witt.add_argument("--p", type=int, required=True)
@@ -193,36 +204,100 @@ def _residual_text(rendered) -> str:
     return str(rendered)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested under ``indent``.
+
+    ``json.dumps`` leaves its C encoder whenever ``indent`` is set, so each
+    report is rendered here instead: strings by the C string encoder that
+    ``json.dumps`` uses under its default ``ensure_ascii=True``, numbers by
+    their own ``repr``, lists and dicts one item per line.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):   # before int: bool is an int subclass
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    if not items:
+        return brackets
+    sep = ",\n" + inner
+    return (f"{brackets[0]}\n{inner}{sep.join(items)}\n"
+            f"{indent}{brackets[1]}")
+
+
 def _emit_reports(reports, fmt: str) -> None:
-    dicts = [report_to_dict(r) for r in reports]
-    passed = sum(1 for r in reports if r.passed)
-    summary = (f"PASS {passed}/{len(reports)}" if passed == len(reports)
-               else f"FAIL {len(reports) - passed}/{len(reports)}")
+    """Write each report as it is reached, then the summary line: the bytes
+    of one batch rendering, with one report's projection alive at a time."""
+    write = sys.stdout.write
     if fmt == "json":
-        print(json.dumps(dicts, indent=2))
+        write("[")
     elif fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["id", "params", "mode", "residual", "pass",
                          "elapsed_ms"])
-        for d in dicts:
+    elif fmt == "md":
+        write("| id | params | mode | residual | pass |\n"
+              "| -- | ------ | ---- | -------- | ---- |\n")
+    passed = 0
+    for i, report in enumerate(reports):
+        d = report_to_dict(report)
+        passed += d["pass"]
+        if fmt == "json":
+            write(f"{',' if i else ''}\n  {_json_text(d, '  ')}")
+        elif fmt == "csv":
             writer.writerow([d["id"], json.dumps(d["params"]), d["mode"],
                              json.dumps(d["residual"]), d["pass"],
                              f"{d['elapsed_ms']:.3f}"])
-        sys.stdout.write(out.getvalue())
-    elif fmt == "md":
-        print("| id | params | mode | residual | pass |")
-        print("| -- | ------ | ---- | -------- | ---- |")
-        for d in dicts:
-            print(f"| {d['id']} | {_params_text(d['params'])} | {d['mode']} "
+        elif fmt == "md":
+            write(f"| {d['id']} | {_params_text(d['params'])} | {d['mode']} "
                   f"| {_residual_text(d['residual'])} "
-                  f"| {'PASS' if d['pass'] else 'FAIL'} |")
-    else:
-        for d in dicts:
-            print(f"{'PASS' if d['pass'] else 'FAIL'} {d['id']} "
+                  f"| {'PASS' if d['pass'] else 'FAIL'} |\n")
+        else:
+            write(f"{'PASS' if d['pass'] else 'FAIL'} {d['id']} "
                   f"{_params_text(d['params'])} "
-                  f"residual={_residual_text(d['residual'])}")
-    print(summary)
+                  f"residual={_residual_text(d['residual'])}\n")
+    total = len(reports)
+    if fmt == "json":
+        write("\n]\n" if total else "]\n")
+    write(f"PASS {passed}/{total}\n" if passed == total
+          else f"FAIL {total - passed}/{total}\n")
+
+
+def _print_stats(reports) -> None:
+    """Per checker: reports, passes, total and largest elapsed_ms, and the
+    params of the slowest report; then the table sizes and the peak RSS.
+    All of it goes to stderr, so stdout stays the same bytes."""
+    import resource   # only here: the module is POSIX-only
+
+    by_checker = {}
+    for r in reports:
+        by_checker.setdefault(r.checker, []).append(r)
+    for cid, group in by_checker.items():
+        slowest = max(group, key=lambda r: r.elapsed_ms)
+        print(f"{cid}: {len(group)} reports, "
+              f"{sum(r.passed for r in group)} pass, "
+              f"{sum(r.elapsed_ms for r in group):.3f} ms total, "
+              f"{slowest.elapsed_ms:.3f} ms max at "
+              f"{_params_text(report_to_dict(slowest)['params'])}",
+              file=sys.stderr)
+    sizes = {**table_sizes(), "recurrence": identities._RECURRENCE.terms}
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    print("tables: " + ", ".join(f"{k} {v}" for k, v in sizes.items())
+          + f"; peak RSS {peak:.1f} MB", file=sys.stderr)
 
 
 def _usage_error(message) -> int:
@@ -248,6 +323,8 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"nothing checked: no grid value lies in the "
                             f"domain of {', '.join(sorted(set(ids)))}")
     _emit_reports(reports, args.format)
+    if args.stats:
+        _print_stats(reports)
     return 0 if all(r.passed for r in reports) else 1
 
 

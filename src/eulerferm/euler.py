@@ -69,6 +69,7 @@ __all__ = [
     "alt_power_sum",
     "power_sum",
     "euler_polys_by_series",
+    "table_sizes",
 ]
 
 # Largest n that the CLI and sweep grids accept: `poly 1000` takes about
@@ -241,6 +242,12 @@ class EulerCache:
         """E_n(0) = s_n / 2**n."""
         return Fraction(self._column(n)[n], 1 << n)
 
+    def table_sizes(self) -> dict[str, int]:
+        """How far each table has grown: E_n and B_n entries, and the
+        length of the column s_k."""
+        return {"E_n": len(self._euler), "B_n": len(self._bernoulli),
+                "tangent column": len(self._zeros)}
+
 
 _CACHE = EulerCache()
 
@@ -271,6 +278,10 @@ def euler_number(n: int) -> int:
 
 def euler_zero(n: int) -> Fraction:
     return _CACHE.euler_zero(n)
+
+
+def table_sizes() -> dict[str, int]:
+    return _CACHE.table_sizes()
 
 
 def alt_power_sum(m: int, n: int):

@@ -160,7 +160,10 @@ def test_verify_has_no_budget(capsys):
      2, "error: precision must be <= 1000, got 1000000000\n"),
     (["verify", "witt", "--precision", "1001"], 2,
      "error: precision must be <= 1000, got 1001\n"),
-], ids=["cro2", "lem1", "witt", "verify-witt"])
+    # lem1's body raises after ten checkers have run, before any output
+    (["verify", "all", "--precision", "1001"], 2,
+     "error: precision must be <= 1000, got 1001\n"),
+], ids=["cro2", "lem1", "witt", "verify-witt", "verify-all"])
 def test_huge_precision_is_answered_without_building_p_to_the_n(
         capsys, argv, code, message):
     started = time.perf_counter()

@@ -408,3 +408,34 @@ def test_concurrent_cache_use_is_deterministic():
     assert len(results) == 4
     for tag in results:
         assert results[tag] == expected
+
+
+def test_column_extension_is_serialized():
+    # thread A parks inside the column's extension, at the second tangent
+    # number; thread B, asking for the same column, must wait for A's lock
+    # rather than step into the shared generator
+    cache = EulerCache()
+    parked, release = threading.Event(), threading.Event()
+
+    def tangents():
+        for j, t in enumerate(tangent_numbers(), 1):
+            if j == 2:
+                parked.set()
+                release.wait(10)
+            yield t
+
+    cache._tangents = tangents()
+    a = threading.Thread(target=cache._column, args=(9,))
+    a.start()
+    try:
+        assert parked.wait(10)
+        b = threading.Thread(target=cache._column, args=(9,))
+        b.start()
+        b.join(0.2)
+        assert b.is_alive()
+    finally:
+        release.set()
+    a.join(10)
+    b.join(10)
+    assert not a.is_alive() and not b.is_alive()
+    assert cache._zeros == EulerCache()._column(9)

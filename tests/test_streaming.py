@@ -1,0 +1,214 @@
+"""`verify` writes each report as it reaches it: the bytes equal those of
+the batch rendering below (a list of every report's dict, then one
+``json.dumps(..., indent=2)``), which stays here as the oracle; its memory
+does not hold the whole output; and ``--stats`` adds to stderr only."""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import re
+import sys
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulerferm import cli, euler
+from eulerferm.cli import _params_text, _residual_text
+from eulerferm.identities import (
+    CHECKER_IDS,
+    IdentityReport,
+    report_to_dict,
+    run_suite,
+)
+from eulerferm.polynomial import Polynomial
+from test_cli import _CrashingCache
+from test_golden import _ELAPSED, THM2_ARGV
+from test_mutation import _BumpedCoefficient
+
+FORMATS = ("text", "json", "csv", "md")
+
+
+def batch_emit_reports(reports, fmt: str) -> None:
+    """The rendering that built every dict, then the whole output."""
+    dicts = [report_to_dict(r) for r in reports]
+    passed = sum(1 for r in reports if r.passed)
+    summary = (f"PASS {passed}/{len(reports)}" if passed == len(reports)
+               else f"FAIL {len(reports) - passed}/{len(reports)}")
+    if fmt == "json":
+        print(json.dumps(dicts, indent=2))
+    elif fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["id", "params", "mode", "residual", "pass",
+                         "elapsed_ms"])
+        for d in dicts:
+            writer.writerow([d["id"], json.dumps(d["params"]), d["mode"],
+                             json.dumps(d["residual"]), d["pass"],
+                             f"{d['elapsed_ms']:.3f}"])
+        sys.stdout.write(out.getvalue())
+    elif fmt == "md":
+        print("| id | params | mode | residual | pass |")
+        print("| -- | ------ | ---- | -------- | ---- |")
+        for d in dicts:
+            print(f"| {d['id']} | {_params_text(d['params'])} | {d['mode']} "
+                  f"| {_residual_text(d['residual'])} "
+                  f"| {'PASS' if d['pass'] else 'FAIL'} |")
+    else:
+        for d in dicts:
+            print(f"{'PASS' if d['pass'] else 'FAIL'} {d['id']} "
+                  f"{_params_text(d['params'])} "
+                  f"residual={_residual_text(d['residual'])}")
+    print(summary)
+
+
+def _stdout_of(emit, *args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(*args)
+    return out.getvalue()
+
+
+def _assert_same(streamed: str, batch: str) -> None:
+    # names the first line that differs; pytest's own diff of two outputs
+    # of half a megabyte takes minutes
+    if streamed != batch:
+        pairs = zip(streamed.splitlines(True), batch.splitlines(True))
+        line = next(((i, s, b) for i, (s, b) in enumerate(pairs) if s != b),
+                    None)
+        pytest.fail(f"line {line[0]}: streamed {line[1]!r}, batch {line[2]!r}"
+                    if line else "one output is a prefix of the other")
+
+
+def _streamed_and_batch(monkeypatch, argv, fmt):
+    """The output of ``cli.main(argv)`` and the oracle's rendering of the
+    same reports, elapsed_ms included."""
+    seen = []
+
+    def recording_run_suite(ids, grid):
+        seen.extend(run_suite(ids, grid))
+        return seen
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
+    streamed = _stdout_of(cli.main, [*argv, "--format", fmt])
+    return streamed, _stdout_of(batch_emit_reports, seen, fmt)
+
+
+RUNS = {
+    "desk": (None, ["verify", "all"]),
+    "thm2": (None, THM2_ARGV),
+    # string residuals
+    "crash": (_CrashingCache, ["verify", "all"]),
+    # E_2 + 3a: failing reports with nonempty residual lists
+    "corrupt": (lambda: _BumpedCoefficient(2, 1), ["verify", "all"]),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_streamed_output_equals_batch_rendering(monkeypatch, run, fmt):
+    cache, argv = RUNS[run]
+    if cache is not None:
+        monkeypatch.setattr(euler, "_CACHE", cache())
+    streamed, batch = _streamed_and_batch(monkeypatch, argv, fmt)
+    _assert_same(streamed, batch)
+    passing = run in ("desk", "thm2")
+    assert streamed.splitlines()[-1].startswith("PASS" if passing else "FAIL")
+
+
+_PARAM_VALUES = st.one_of(
+    st.booleans(), st.integers(), st.text(),
+    st.fractions(max_denominator=10 ** 6),
+    st.lists(st.one_of(st.integers(), st.fractions(max_denominator=100)),
+             max_size=4))
+
+_RESIDUALS = st.one_of(
+    st.tuples(st.sampled_from(["symbolic", "pointwise"]),
+              st.lists(st.fractions(max_denominator=10 ** 6), max_size=5)
+              .map(Polynomial)),
+    st.tuples(st.sampled_from(["scalar", "pointwise"]),
+              st.fractions(max_denominator=10 ** 6)),
+    st.tuples(st.just("valuation"),
+              st.one_of(st.integers(0, 10 ** 4), st.just(math.inf))),
+    # an error report's "<Type>: <message>"
+    st.tuples(st.sampled_from(["symbolic", "scalar", "valuation"]), st.text()),
+)
+
+_REPORTS = st.builds(
+    lambda checker, params, mode_residual, passed, elapsed: IdentityReport(
+        checker, params, *mode_residual, passed, elapsed),
+    st.text(), st.dictionaries(st.text(), _PARAM_VALUES, max_size=4),
+    _RESIDUALS, st.booleans(),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(reports=st.lists(_REPORTS, max_size=4))
+def test_streamed_rendering_of_arbitrary_reports(reports):
+    # unicode, quotes, backslashes and control characters in ids, param
+    # names, param values and error residuals; an empty list too
+    for fmt in FORMATS:
+        _assert_same(_stdout_of(cli._emit_reports, reports, fmt),
+                     _stdout_of(batch_emit_reports, reports, fmt))
+
+
+def test_json_output_holds_one_report_at_a_time():
+    # the batch rendering peaks at 4.9 MB here: every dict, the pure-Python
+    # encoder's chunks and the whole output string at once
+    argv = ["verify", "all", "--format", "json"]
+    with open(os.devnull, "w") as devnull, \
+            contextlib.redirect_stdout(devnull):
+        assert cli.main(argv) == 0   # the tables are filled before measuring
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def _without_elapsed(text: str) -> str:
+    return _ELAPSED["json"].sub("", text)
+
+
+def test_stats_go_to_stderr_only(capsys):
+    argv = ["verify", "all", "--format", "json"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main([*argv, "--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert plain.err == ""
+    _assert_same(_without_elapsed(with_stats.out), _without_elapsed(plain.out))
+
+    reports = json.loads(plain.out.rpartition("]")[0] + "]")
+    *rows, tables = with_stats.err.splitlines()
+    assert [row.split(":")[0] for row in rows] == sorted(
+        {r["id"] for r in reports}) == sorted(CHECKER_IDS)
+    for row in rows:
+        cid = row.split(":")[0]
+        count = sum(r["id"] == cid for r in reports)
+        assert row.startswith(f"{cid}: {count} reports, {count} pass, ")
+        assert re.fullmatch(rf"{cid}: .* ms total, [\d.]+ ms max at \S.*",
+                            row)
+    assert re.fullmatch(r"tables: E_n \d+, B_n \d+, tangent column \d+, "
+                        r"recurrence \d+; peak RSS [\d.]+ MB", tables)
+
+
+def test_stats_name_each_checkers_slowest_report(capsys, monkeypatch):
+    fake = [IdentityReport("wsp7", {"m": 0, "n": 1}, "symbolic",
+                           Fraction(0), True, 0.5),
+            IdentityReport("wsp7", {"m": 2, "n": Fraction(1, 3)}, "symbolic",
+                           Fraction(1), False, 2.25),
+            IdentityReport("wsp7", {"m": 3, "n": 0}, "symbolic",
+                           Fraction(0), True, 1.0)]
+    monkeypatch.setattr(cli, "run_suite", lambda ids, grid: fake)
+    assert cli.main(["verify", "wsp7", "--stats"]) == 1
+    row = capsys.readouterr().err.splitlines()[0]
+    assert row == ("wsp7: 3 reports, 2 pass, 3.750 ms total, "
+                   "2.250 ms max at m=2 n=1/3")
