@@ -41,7 +41,15 @@ Weighted sums, with integer or rational weights, of E_n(a) and E_n(-a)
 (`euler_sum`) and of E_k(0) (`zero_sum`, from s_k alone) share one integer
 core, `_weighted_sum`: the integer numerators of each E_n over its own
 denominator (E_k(0) as s_k over 2**k) are weighted and added over one
-common denominator.
+common denominator. The binomial E-sums of the symmetry theorems,
+
+    A_c(M, N, k)(x) = sum_{i<=M} C(M, i) c**(M-i) C(N+i, k) E_(N+i-k)(x),
+
+are memoized on the same core (`EulerCache.binomial_sum`) until a sweep drops
+them (`drop_binomial_sums`): a miss whose two Pascal neighbours are cached is
+A_c(M, N, k) = c A_c(M-1, N, k) + A_c(M-1, N+1, k), from
+C(M, i) = C(M-1, i) + C(M-1, i-1), and any other miss is the direct
+(M+1)-term sum. `binomial_sums` adds weighted A_c at a and at -a.
 """
 
 from __future__ import annotations
@@ -65,6 +73,8 @@ __all__ = [
     "euler_poly_shifted",
     "euler_sum",
     "zero_sum",
+    "binomial_sums",
+    "drop_binomial_sums",
     "bernoulli_poly",
     "alt_power_sum",
     "power_sum",
@@ -119,7 +129,10 @@ class EulerCache:
     denominator, which ``euler_sum`` adds up. E_n(0) and the Euler
     numbers are read from s_k alone, so only polynomial reads grow the
     E_n table. Shifted E_n(u*a + v) are not memoized: each is one integer
-    Taylor shift of the table entry.
+    Taylor shift of the table entry. The binomial E-sums A_c(M, N, k) have
+    a memo of their own (``binomial_sum``), which grows like the others
+    but is dropped whole by ``drop_binomial_sums``; an entry is in normal
+    form, so it is the same whichever route built it.
 
     Identity sweeps re-request the same E_n thousands of times, so
     memoization is mandatory, and a hit is one ``dict.get`` (or one length
@@ -136,6 +149,7 @@ class EulerCache:
         self._zeros: list[int] = []
         self._euler: dict[int, Polynomial] = {}
         self._bernoulli: dict[int, Polynomial] = {}
+        self._sums: dict[tuple, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.RLock()
 
     def _column(self, *ks: int) -> list[int]:
@@ -221,6 +235,68 @@ class EulerCache:
             [(c, 1, self.euler_scaled(n)) for c, n in terms if c]
             + [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]))
 
+    def binomial_sum(self, M: int, N: int, k: int,
+                     c=1) -> tuple[tuple[int, ...], int]:
+        """A_c(M, N, k) = sum_{i<=M} C(M, i) c**(M-i) C(N+i, k) E_(N+i-k)
+        as (nums, den) in normal form, for an int or Fraction c.
+
+        A miss is built under the lock: by Pascal's rule from
+        A_c(M-1, N, k) and A_c(M-1, N+1, k) if both are cached, else
+        directly from the M + 1 table entries, read through
+        ``euler_scaled``. Neither route fills in missing neighbours, and
+        both give the direct sum exactly, on any table, since the rule acts
+        on C(M, i) alone."""
+        key = (M, N, k, c)
+        entry = self._sums.get(key)
+        if entry is None:
+            if min(M, N, k) < 0:
+                raise ValueError(
+                    f"binomial_sum: need M, N, k >= 0, got ({M}, {N}, {k})")
+            with self._lock:
+                left = self._sums.get((M - 1, N, k, c))
+                right = self._sums.get((M - 1, N + 1, k, c))
+                if left is not None and right is not None:
+                    acc, den = _weighted_sum(self._pascal_step(c, left, right))
+                else:
+                    acc, den = self._direct_sum(M, N, k, c)
+                p = Polynomial.scaled(acc, den)
+                entry = self._sums[key] = (p.nums, p.den)
+        return entry
+
+    @staticmethod
+    def _pascal_step(c, left, right) -> list:
+        """The parts of c A_c(M-1, N, k) + A_c(M-1, N+1, k)."""
+        return [(c, 1, left), (1, 1, right)]
+
+    def _direct_sum(self, M: int, N: int, k: int, c) -> tuple[list[int], int]:
+        """A_c(M, N, k) term by term. With c = r/t, term i has the integer
+        weight C(M, i) C(N+i, k) r**(M-i) t**i, and t**M divides out once;
+        a zero weight, C(N+i, k) = 0 for N + i < k, reads no E_n."""
+        r, t = c.numerator, c.denominator
+        parts = []
+        for i in range(M + 1):
+            w = math.comb(M, i) * math.comb(N + i, k) * r ** (M - i) * t ** i
+            if w:
+                parts.append((w, 1, self.euler_scaled(N + i - k)))
+        acc, den = _weighted_sum(parts)
+        return acc, den * t ** M
+
+    def binomial_sums(self, terms=(), neg_terms=()) -> Polynomial:
+        """sum w A_c(M, N, k)(a) over (w, M, N, k, c) in terms
+        + sum w A_c(M, N, k)(-a) over neg_terms; a term of weight 0 reads
+        nothing."""
+        return Polynomial.scaled(*_weighted_sum(
+            [(w, 1, self.binomial_sum(M, N, k, c))
+             for w, M, N, k, c in terms if w]
+            + [(w, -1, self.binomial_sum(M, N, k, c))
+               for w, M, N, k, c in neg_terms if w]))
+
+    def drop_binomial_sums(self) -> None:
+        """Empty the memo of ``binomial_sum``; a sweep calls this when it
+        ends, so the memo holds one checker's sums at most."""
+        with self._lock:
+            self._sums = {}
+
     def zero_sum(self, terms) -> Fraction:
         """sum c E_k(0) over (c, k) in terms; s_k is read only if c != 0,
         and the column is extended once for all of them."""
@@ -270,6 +346,14 @@ def euler_sum(terms=(), neg_terms=()) -> Polynomial:
 
 def zero_sum(terms) -> Fraction:
     return _CACHE.zero_sum(terms)
+
+
+def binomial_sums(terms=(), neg_terms=()) -> Polynomial:
+    return _CACHE.binomial_sums(terms, neg_terms)
+
+
+def drop_binomial_sums() -> None:
+    _CACHE.drop_binomial_sums()
 
 
 def euler_number(n: int) -> int:

@@ -32,21 +32,25 @@ domain, and ``run_suite`` calls ``run`` once per dict. The public
 ``check_<id>(*args, mode=...)`` binds its arguments by name and calls the
 same ``run``.
 
-Exact arithmetic stays on the integers where the values are integers. Every
-weighted sum of E_n(a) and E_n(-a) in the catalog (both sides of wsp7 and
-sun, the left sides of complement, wsp9, thm1, thm2 and thm3, and the right
-side of sun_cor) goes through ``euler.euler_sum``, and every sum of E_k(0)
-(cro0-cro2, recurrence_odd, thm2_cro1/2, thm3_1a-d and rem2_1) through
-``euler.zero_sum``. Both add integer numerators over one common denominator,
-for integer or rational weights alike, and divide it out once. The right
-sides of thm2, thm3 and fersim3 are integer polynomials in a; fersim3's is
-summed from binomial rows (a + c)**e, and thm2's is read off two packed
-integers, sum_l (-1)**l (y+l)**M (y+l-s-1)**M2 at y = 2**bits, one
-coefficient per base-2**bits digit. Every shifted
+Exact arithmetic stays on the integers where the values are integers. The
+symmetry theorems read the binomial E-sums
+A_c(M, N, k) = sum_i C(M,i) c**(M-i) C(N+i,k) E_(N+i-k) from one memo,
+``euler.binomial_sums``: both sides of wsp7 (c = 1) and sun (c = a), and the
+left sides of thm1 (c = 1) and thm2 (c = s + 1), each at a and at -a. A sum
+that several reports read, or a report and its transpose, is built once in a
+sweep, and ``run_suite`` drops the memo when each checker's sweep ends. The
+other weighted sums of E_n(a) and E_n(-a) (the left sides of complement,
+wsp9 and thm3, and the right side of sun_cor) go through
+``euler.euler_sum``, and every sum of E_k(0) (cro0-cro2, recurrence_odd,
+thm2_cro1/2, thm3_1a-d and rem2_1) through ``euler.zero_sum``. All of them
+add integer numerators over one common denominator, for integer or rational
+weights alike, and divide it out once. The right sides of thm2, thm3 and
+fersim3 are integer polynomials in a; fersim3's is summed from binomial rows
+(a + c)**e, and thm2's is read off two packed integers,
+sum_l (-1)**l (y+l)**M (y+l-s-1)**M2 at y = 2**bits, one coefficient per
+base-2**bits digit, kept for the sweep like the E-sums. Every shifted
 E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
-shift over one common denominator; sun builds each weight from integer
-powers of a's numerator and denominator and composes its whole right side
-once.
+shift over one common denominator; sun composes its whole right side once.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -69,6 +73,8 @@ from .euler import (
     EulerRecurrence,
     alt_power_sum,
     bernoulli_poly,
+    binomial_sums,
+    drop_binomial_sums,
     euler_number,
     euler_poly,
     euler_poly_by_differences,
@@ -382,12 +388,10 @@ def check_bernoulli_power_sum(m: int, n: int):
 
 @checker("wsp7", _MN)
 def check_wsp7(m: int, n: int):
-    """(-1)**m sum_i C(m,i) E_{n+i}(a) = (-1)**n sum_j C(n,j) E_{m+j}(-a)."""
-    lhs = euler_sum([((-1) ** m * binomial(m, i), n + i)
-                     for i in range(m + 1)])
-    rhs = euler_sum(neg_terms=[((-1) ** n * binomial(n, j), m + j)
-                               for j in range(n + 1)])
-    return lhs, rhs
+    """(-1)**m sum_i C(m,i) E_{n+i}(a) = (-1)**n sum_j C(n,j) E_{m+j}(-a),
+    that is, (-1)**m A_1(m, n, 0)(a) = (-1)**n A_1(n, m, 0)(-a)."""
+    return (binomial_sums([((-1) ** m, m, n, 0, 1)]),
+            binomial_sums(neg_terms=[((-1) ** n, n, m, 0, 1)]))
 
 
 @checker("wsp9", _MN, where=lambda m, n: m + n > 0)
@@ -420,14 +424,12 @@ def check_thm1(m: int, n: int, q: int, k: int):
     (-1)**m sum_{i<=m+q} C(m+q,i) C(n+q+i,k) E_{n+q+i-k}(a)
       + (-1)**n sum_{j<=n+q} C(n+q,j) C(m+q+j,k) E_{m+q+j-k}(-a) = 0.
 
-    Summands with k > n+q+i (resp. m+q+j) vanish through the binomial zero
-    convention before any negative-index Euler polynomial is constructed.
+    The sums are A_1(m+q, n+q, k)(a) and A_1(n+q, m+q, k)(-a). Summands
+    with k > n+q+i (resp. m+q+j) vanish before any negative-index Euler
+    polynomial is constructed.
     """
-    lhs = euler_sum(
-        [((-1) ** m * binomial(m + q, i) * binomial(n + q + i, k),
-          n + q + i - k) for i in range(m + q + 1)],
-        [((-1) ** n * binomial(n + q, j) * binomial(m + q + j, k),
-          m + q + j - k) for j in range(n + q + 1)])
+    lhs = binomial_sums([((-1) ** m, m + q, n + q, k, 1)],
+                        [((-1) ** n, n + q, m + q, k, 1)])
     return lhs, _ZERO
 
 
@@ -483,24 +485,18 @@ def check_recurrence_odd(n: int):
     return euler_zero_via_recurrence(n) - euler_zero(2 * n + 1)
 
 
-def _sun_weights(m: int, a: Fraction) -> list:
-    """(-1)**m C(m,i) a**(m-i) for i = 0..m. With a = r/t in lowest terms,
-    each weight is one Fraction((-1)**m C(m,i) r**(m-i), t**(m-i)) of
-    integer powers."""
-    r, t, sign = a.numerator, a.denominator, (-1) ** m
-    return [Fraction(sign * math.comb(m, i) * r ** (m - i), t ** (m - i))
-            for i in range(m + 1)]
-
-
 @checker("sun", _grid("m", "n", a="points"))
 def check_sun(m: int, n: int, a: Fraction):
     """Three-parameter symmetry, symbolic in b with c = 1 - a - b:
 
     (-1)**m sum_i C(m,i) a**(m-i) E_{n+i}(b)
       = (-1)**n sum_j C(n,j) a**(n-j) E_{m+j}(c).
+
+    The sums are A_a(m, n, 0) and A_a(n, m, 0); the right one is composed
+    with b -> 1 - a - b once.
     """
-    lhs = euler_sum(zip(_sun_weights(m, a), range(n, n + m + 1)))
-    rhs = euler_sum(zip(_sun_weights(n, a), range(m, m + n + 1)))
+    lhs = binomial_sums([((-1) ** m, m, n, 0, a)])
+    rhs = binomial_sums([((-1) ** n, n, m, 0, a)])
     return lhs, rhs.compose_affine(-1, 1 - a)
 
 
@@ -524,14 +520,20 @@ def _binomial_row(c: int, e: int) -> list:
     return [math.comb(e, j) * c ** (e - j) for j in range(e + 1)]
 
 
-def _shift_sum(M: int, M2: int, s: int, bits: int) -> list:
+def _shift_sum(M: int, M2: int, s: int, bits: int) -> tuple:
     """Coefficients g_0..g_(M+M2) of
     G(y) = sum_{l=1}^{s} (-1)**l (y+l)**M (y+l-s-1)**M2, lowest first.
 
     G is evaluated at y = 2**bits as one integer (Kronecker substitution)
     and read back as balanced base-2**bits digits. Both |l| and |l-s-1| are
     at most s, so |g_j| <= s (s+1)**(M+M2) < 2**(bits-1) once
-    bits >= (M+M2) bitlen(s+1) + bitlen(s) + 2, and every digit is exact.
+    bits >= ``_shift_bits(M, M2, s)``, and every digit is exact.
+
+    The digits are checked against G at y0 = 1, -1 and 2, and a mismatch
+    raises ``ArithmeticError``. A width too narrow for the digits leaves
+    carries c_j between them, which move the value at y0 by
+    (y0 - 2**bits) C(y0), C(z) = sum_j c_j z**j; that is zero at all three
+    points only if (z - 1)(z + 1)(z - 2) divides C.
     """
     y = 1 << bits
     total = sum((-1) ** l * pow(y + l, M) * pow(y + l - s - 1, M2)
@@ -541,7 +543,34 @@ def _shift_sum(M: int, M2: int, s: int, bits: int) -> list:
     half = y >> 1
     total += half * (((1 << bits * count) - 1) // (y - 1))
     mask = y - 1
-    return [((total >> bits * j) & mask) - half for j in range(count)]
+    digits = tuple(((total >> bits * j) & mask) - half for j in range(count))
+    for y0 in (1, -1, 2):
+        at = 0
+        for c in reversed(digits):
+            at = at * y0 + c
+        if at != sum((-1) ** l * (y0 + l) ** M * (y0 + l - s - 1) ** M2
+                     for l in range(1, s + 1)):
+            raise ArithmeticError(f"shift sum digits at (M, M2, s) = "
+                                  f"({M}, {M2}, {s}) overflow {bits} bits")
+    return digits
+
+
+def _shift_bits(M: int, M2: int, s: int) -> int:
+    """A digit width that holds every coefficient of ``_shift_sum``."""
+    return (M + M2) * (s + 1).bit_length() + s.bit_length() + 2
+
+
+# ``_shift_sum``'s digits by (M, M2, s), kept until a sweep ends: thm2 reads
+# the same G for every k, and its G2 at (m, n) is its G1 at (n, m)
+_SHIFT_SUMS: dict = {}
+
+
+def _shift_digits(M: int, M2: int, s: int) -> tuple:
+    digits = _SHIFT_SUMS.get((M, M2, s))
+    if digits is None:
+        digits = _SHIFT_SUMS[M, M2, s] = _shift_sum(M, M2, s,
+                                                    _shift_bits(M, M2, s))
+    return digits
 
 
 def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
@@ -549,13 +578,12 @@ def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
     integer polynomial 2 [t**k] (G1(a+t) + (-1)**(m+n) G2(t-a)), where G1
     and G2 are ``_shift_sum``'s G at (M, M2) = (m+1, n+1) and (n+1, m+1).
     Coefficient i is 2 C(i+k,k) (g1[i+k] + (-1)**(m+n+i) g2[i+k])."""
-    bits = (m + n + 2) * (s + 1).bit_length() + s.bit_length() + 2
-    g1 = _shift_sum(m + 1, n + 1, s, bits)
-    g2 = _shift_sum(n + 1, m + 1, s, bits)
+    g1 = _shift_digits(m + 1, n + 1, s)
+    g2 = _shift_digits(n + 1, m + 1, s)
     sign = (-1) ** (m + n)
-    return Polynomial([2 * math.comb(i + k, k)
-                       * (g1[i + k] + sign * (-1) ** i * g2[i + k])
-                       for i in range(max(0, m + n + 3 - k))])
+    return Polynomial.scaled([2 * math.comb(i + k, k)
+                              * (g1[i + k] + sign * (-1) ** i * g2[i + k])
+                              for i in range(max(0, m + n + 3 - k))])
 
 
 @checker("thm2", _grid("m", "n", "s", "k"),
@@ -575,14 +603,13 @@ def check_thm2(m: int, n: int, s: int, k: int):
 
     delta = (-1)**s - (-1)**k in {+2, -2, 0}. For delta = 0 the check
     asserts that the derivative sum on the right is identically zero.
-    The right side is read off two packed integers; P is never built.
+    The left side is delta (A_(s+1)(m+1, n+1, k)(a)
+    + (-1)**(m+n) A_(s+1)(n+1, m+1, k)(-a)), and the right side is read off
+    two packed integers; P is never built.
     """
     delta = (-1) ** s - (-1) ** k
-    lhs = euler_sum(
-        [(delta * binomial(m + 1, i) * binomial(n + i + 1, k)
-          * (s + 1) ** (m - i + 1), n + i - k + 1) for i in range(m + 2)],
-        [(delta * (-1) ** (m + n) * binomial(n + 1, j) * binomial(m + j + 1, k)
-          * (s + 1) ** (n - j + 1), m + j - k + 1) for j in range(n + 2)])
+    lhs = binomial_sums([(delta, m + 1, n + 1, k, s + 1)],
+                        [(delta * (-1) ** (m + n), n + 1, m + 1, k, s + 1)])
     return lhs, _pivot_taylor_sum(m, n, s, k)
 
 
@@ -808,6 +835,12 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
     reports: list[IdentityReport] = []
     for cid in sorted(set(ids)):
         entry = CHECKERS[cid]
-        for params in entry.gen(grid):
-            reports.append(entry.run(params, mode))
+        try:
+            for params in entry.gen(grid):
+                reports.append(entry.run(params, mode))
+        finally:
+            # the sweep's memos of binomial E-sums and shift sums go with it,
+            # so that what they hold stays bounded by one checker's grid
+            drop_binomial_sums()
+            _SHIFT_SUMS.clear()
     return reports

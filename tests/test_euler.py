@@ -349,6 +349,9 @@ _READS = {
                                          for k in range(n + 1)]),
     "euler_zero": lambda c, n: c.euler_zero(n),
     "euler_number": lambda c, n: c.euler_number(n),
+    # A_c(M, N, 1) with M = n // 12 and N = n % 12: read upwards, an entry's
+    # Pascal neighbours n - 12 and n - 11 are cached; read downwards, not
+    "binomial_sum": lambda c, n: c.binomial_sum(n // 12, n % 12, 1, F(-3, 2)),
 }
 
 
@@ -358,15 +361,17 @@ def test_warm_reads_take_no_lock():
     for n in range(41):
         cache.euler_poly(n)
         cache.bernoulli_poly(n)
+        _READS["binomial_sum"](cache, n)
     assert lock.taken > 0
     lock.taken = 0
     for n in range(41):
         for read in _READS.values():
             read(cache, n)
     assert lock.taken == 0
-    # a miss on each of the three tables extends it under the lock
+    # a miss on each of the four tables extends it under the lock
     for miss in (lambda: cache.euler_poly(41), lambda: cache.bernoulli_poly(41),
-                 lambda: cache.euler_zero(42)):
+                 lambda: cache.euler_zero(42),
+                 lambda: _READS["binomial_sum"](cache, 41)):
         lock.taken = 0
         miss()
         assert lock.taken > 0

@@ -1,6 +1,8 @@
 """Integer paths: thm2's right side read off packed integers, the
 weighted E_n sums over one common denominator (and the sun, sun_cor,
-fersim3 and thm3 sides built on them), the weighted E_k(0) sums of the
+fersim3 and thm3 sides built on them), the memo of binomial E-sums
+A_c(M, N, k) by its two routes (and the wsp7, thm1, thm2 and sun sides
+read from it), the weighted E_k(0) sums of the
 scalar checkers on the same integer core, the p-adic sums of
 polynomials over one common denominator (the literal p**N loop and the
 route by base-p digits), the E_n table built from tangent numbers, and
@@ -30,7 +32,7 @@ from eulerferm.euler import (
     euler_zero,
     zero_sum,
 )
-from eulerferm.identities import run_suite
+from eulerferm.identities import SweepGrid, run_suite
 from eulerferm.numeric import binomial, falling_factorial
 from eulerferm.padic import (
     MAX_PRECISION,
@@ -150,18 +152,44 @@ def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row):
 @pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
 @pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2, 1), (1, 2, 2)])
 def test_corrupted_shift_sum_fails_thm2(monkeypatch, mode, shape):
-    # one packed sum G at (M, M2, s) reads its coefficient g_1 off by one
+    # one packed sum G at (M, M2, s) reads its coefficient g_1 off by one;
+    # the digits are a tuple, so the sweep's memo cannot be edited in place
     clean = ident._shift_sum
 
     def corrupted(M, M2, s, bits):
         digits = clean(M, M2, s, bits)
         if (M, M2, s) == shape:
-            digits[1] += 1
+            digits = digits[:1] + (digits[1] + 1,) + digits[2:]
         return digits
 
     assert all(r.passed for r in run_suite(["thm2"], mode=mode))
     monkeypatch.setattr(ident, "_shift_sum", corrupted)
-    assert not all(r.passed for r in run_suite(["thm2"], mode=mode))
+    failed = [r for r in run_suite(["thm2"], mode=mode) if not r.passed]
+    assert failed and not any(isinstance(r.residual, str) for r in failed)
+
+
+def test_shift_sum_checks_its_digits():
+    # at (M, M2, s) = (5, 5, 3) the safe width is 34 bits, and the digits
+    # are exact down to 13; every narrower width carries between digits
+    # (at 11 bits the carries add up to zero, so G(1) alone misses them)
+    assert ident._shift_bits(5, 5, 3) == 34
+    exact = ident._shift_sum(5, 5, 3, 34)
+    assert ident._shift_sum(5, 5, 3, 13) == exact
+    for bits in range(4, 13):
+        with pytest.raises(ArithmeticError, match="overflow"):
+            ident._shift_sum(5, 5, 3, bits)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+def test_overflowing_shift_width_fails_thm2(monkeypatch, mode):
+    monkeypatch.setattr(ident, "_shift_bits", lambda M, M2, s: 12)
+    reports = run_suite(["thm2"], mode=mode)
+    failed = [r for r in reports if not r.passed]
+    assert failed and all(r.residual.startswith("ArithmeticError: shift sum")
+                          for r in failed)
+    # the widest shape of the desk grid, (M, M2, s) = (7, 7, 3), overflows
+    assert {(r.params["m"], r.params["n"], r.params["s"])
+            for r in failed} >= {(6, 6, 3)}
 
 
 def _random_terms(rng):
@@ -279,41 +307,178 @@ def test_sun_sides_equal_rational_loops(monkeypatch, table):
                 assert got == _sun_over_q(m, n, a), (m, n, a)
 
 
-def _sun_weights_over_q(m, a):
-    """sun's weights as they were built, from Fraction powers of a."""
-    return [(-1) ** m * binomial(m, i) * a ** (m - i) for i in range(m + 1)]
+def _binomial_sum_over_q(M, N, k, c):
+    """A_c(M, N, k) as the checkers' term lists summed it: one Fraction
+    weight C(M,i) c**(M-i) C(N+i,k) per E_(N+i-k)."""
+    return euler_sum([(binomial(M, i) * F(c) ** (M - i) * binomial(N + i, k),
+                       N + i - k) for i in range(M + 1)])
 
 
 def test_sun_weights_equal_fraction_powers():
+    # the direct route weights E_(N+i-k) by the integers
+    # C(M,i) C(N+i,k) r**(M-i) t**i over t**M, for c = r/t
     points = (F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5, 2), F(-7, 3))
+    cache = EulerCache()
     for m in range(11):
-        for a in points:
-            got, want = ident._sun_weights(m, a), _sun_weights_over_q(m, a)
-            assert got == want, (m, a)
-            for n in range(11):
-                indices = range(n, n + m + 1)
-                assert euler_sum(zip(got, indices)) == \
-                    euler_sum(zip(want, indices)), (m, n, a)
+        for n in range(11):
+            for a in points:
+                cache.drop_binomial_sums()
+                got = Polynomial.scaled(*cache.binomial_sum(m, n, 0, a))
+                assert got == _binomial_sum_over_q(m, n, 0, a), (m, n, a)
 
 
-def _sun_weights_lagging_t(m, a):
-    """The power of t lags one step behind the power of r: t**(m-i-1) in
-    place of t**(m-i), for every i < m. (t**(m-i+1) at every i would
-    divide both sides by t, which sun cannot see.)"""
-    r, t = a.numerator, a.denominator
-    return [(-1) ** m * binomial(m, i)
-            * F(r ** (m - i), t ** max(m - i - 1, 0)) for i in range(m + 1)]
+# the weights c of the four checkers that read the table: wsp7 and thm1
+# read c = 1, thm2 c = s + 1, sun c = a
+_SUM_WEIGHTS = (1, 2, 3, 4) + _SUN_POINTS
+
+
+def _counting_steps(monkeypatch, cache) -> list:
+    """Patch ``cache`` to log each Pascal step it takes; return the log."""
+    steps, step = [], cache._pascal_step
+    monkeypatch.setattr(cache, "_pascal_step",
+                        lambda *args: steps.append(args) or step(*args))
+    return steps
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=["true", "corrupted_e5"])
+def test_both_binomial_sum_routes_equal_the_term_list(monkeypatch, table):
+    cache = table()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    steps = _counting_steps(monkeypatch, cache)
+    for c in _SUM_WEIGHTS:
+        for k in (0, 1, 3):
+            for M in range(11):
+                for N in range(11):
+                    want = _binomial_sum_over_q(M, N, k, c)
+                    cache.drop_binomial_sums()
+                    taken = len(steps)
+                    direct = cache.binomial_sum(M, N, k, c)
+                    assert len(steps) == taken
+                    assert Polynomial.scaled(*direct) == want, (M, N, k, c)
+                    if M:
+                        cache.drop_binomial_sums()
+                        cache.binomial_sum(M - 1, N, k, c)
+                        cache.binomial_sum(M - 1, N + 1, k, c)
+                        by_pascal = cache.binomial_sum(M, N, k, c)
+                        assert len(steps) == taken + 1
+                        # both routes store the same normal form
+                        assert by_pascal == direct, (M, N, k, c)
+    # the sums compared read the table's E_5, wrong on the corrupted one
+    assert Polynomial.scaled(*cache.binomial_sum(0, 5, 0)) == euler_poly(5)
+    true_e5 = EulerCache().euler_poly(5)
+    assert (euler_poly(5) == true_e5) == (table is EulerCache)
+
+
+def test_a_sweep_builds_only_the_sums_it_reads(monkeypatch):
+    cache = EulerCache()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    steps = _counting_steps(monkeypatch, cache)
+    sums, direct = [], cache._direct_sum
+    monkeypatch.setattr(cache, "_direct_sum",
+                        lambda *args: sums.append(args) or direct(*args))
+    # A_1(30, 30, 0) serves both of wsp7's sides, and no neighbour of it
+    # is filled in
+    run_suite(["wsp7"], SweepGrid(m=(30,), n=(30,)))
+    assert sums == [(30, 30, 0, 1)] and not steps
+    # on the desk grid, each A_1(M, N, 0) with M, N <= 6 is built once; the
+    # sweep ends with the table and thm2's shift sums dropped
+    sums.clear()
+    run_suite(["wsp7", "thm2"])
+    built = [args[:3] for args in sums if args[3] == 1]
+    assert len(built) + sum(c == 1 for c, _, _ in steps) == 49
+    assert cache._sums == {} and ident._SHIFT_SUMS == {}
+
+
+def test_binomial_sum_rejects_negative_indices():
+    for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="need M, N, k >= 0"):
+            EulerCache().binomial_sum(*args)
+
+
+# the sides that wsp7, thm1, thm2 and sun built from term lists before they
+# read the table, kept as the oracle of the table's sides
+
+def _wsp7_over_terms(m, n):
+    lhs = euler_sum([((-1) ** m * binomial(m, i), n + i)
+                     for i in range(m + 1)])
+    rhs = euler_sum(neg_terms=[((-1) ** n * binomial(n, j), m + j)
+                               for j in range(n + 1)])
+    return lhs, rhs
+
+
+def _thm1_over_terms(m, n, q, k):
+    lhs = euler_sum(
+        [((-1) ** m * binomial(m + q, i) * binomial(n + q + i, k),
+          n + q + i - k) for i in range(m + q + 1)],
+        [((-1) ** n * binomial(n + q, j) * binomial(m + q + j, k),
+          m + q + j - k) for j in range(n + q + 1)])
+    return (lhs,)
+
+
+def _thm2_lhs_over_terms(m, n, s, k):
+    delta = (-1) ** s - (-1) ** k
+    lhs = euler_sum(
+        [(delta * binomial(m + 1, i) * binomial(n + i + 1, k)
+          * (s + 1) ** (m - i + 1), n + i - k + 1) for i in range(m + 2)],
+        [(delta * (-1) ** (m + n) * binomial(n + 1, j) * binomial(m + j + 1, k)
+          * (s + 1) ** (n - j + 1), m + j - k + 1) for j in range(n + 2)])
+    return (lhs,)
+
+
+def _sun_over_terms(m, n, a):
+    lhs = euler_sum([((-1) ** m * binomial(m, i) * a ** (m - i), n + i)
+                     for i in range(m + 1)])
+    rhs = euler_sum([((-1) ** n * binomial(n, j) * a ** (n - j), m + j)
+                     for j in range(n + 1)])
+    return lhs, rhs.compose_affine(-1, 1 - a)
+
+
+@pytest.mark.parametrize("route", ["sweep", "direct"])
+@pytest.mark.parametrize("table", _TABLES, ids=["true", "corrupted_e5"])
+def test_table_sides_equal_the_term_lists(monkeypatch, table, route):
+    # "sweep" keeps the table across the calls, in a sweep's order, so that
+    # most entries come by Pascal's rule; "direct" empties it before each
+    # call, so that every entry is a direct sum
+    cache = table()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    steps = _counting_steps(monkeypatch, cache)
+    cases = [(ident.check_wsp7, _wsp7_over_terms, (m, n))
+             for m in range(11) for n in range(11)]
+    cases += [(ident.check_thm1, _thm1_over_terms, (m, n, q, k))
+              for m in range(11) for n in range(11) for q in (1, 2, 3)
+              for k in (1, 3)]
+    cases += [(ident.check_thm2, _thm2_lhs_over_terms, (m, n, s, k))
+              for m in range(11) for n in range(11) for s in (1, 2, 3)
+              for k in range(4)]
+    cases += [(ident.check_sun, _sun_over_terms, (m, n, a))
+              for m in range(11) for n in range(11) for a in _SUN_POINTS]
+    body = None
+    for check, oracle, args in cases:
+        if route == "direct" or check is not body:
+            cache.drop_binomial_sums()
+        body = check
+        want = oracle(*args)   # thm1's and thm2's: the left side alone
+        assert check.__wrapped__(*args)[:len(want)] == want, (check, args)
+    assert bool(steps) == (route == "sweep")
+
+
+class _LaggingT(EulerCache):
+    """c's Pascal step with the power of t dropped: for c = r/t, the left
+    neighbour is weighted by r, as if t's power lagged one step behind."""
+
+    @staticmethod
+    def _pascal_step(c, left, right):
+        return [(c.numerator, 1, left), (1, 1, right)]
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
 def test_lagging_t_power_fails_sun(monkeypatch, mode):
-    monkeypatch.setattr(ident, "_sun_weights", _sun_weights_lagging_t)
-    reports = run_suite(["sun"], mode=mode)
-    failed = {r.params["a"] for r in reports if not r.passed}
-    # an integer a has t = 1, where the two powers agree
-    assert failed == {F(1, 2), F(-2, 3)}
-
-
+    monkeypatch.setattr(euler, "_CACHE", _LaggingT())
+    reports = run_suite(["sun", "thm1", "thm2", "wsp7"], mode=mode)
+    failed = {(r.checker, r.params.get("a")) for r in reports if not r.passed}
+    # an integer a has t = 1, where the two steps agree; wsp7, thm1 and
+    # thm2 read integer weights c only
+    assert failed == {("sun", F(1, 2)), ("sun", F(-2, 3))}
 @pytest.mark.parametrize("table", _TABLES, ids=["true", "corrupted_e5"])
 def test_sun_cor_equals_horner_sum(monkeypatch, table):
     monkeypatch.setattr(euler, "_CACHE", table())

@@ -1,6 +1,8 @@
 """The mutation matrix: each checker's blind spots, stated as a table.
 
-Every mutant runs the whole catalog on the desk grid in symbolic mode, and
+The mutants corrupt the E_n table, the tangent numbers, the Pascal step of
+the binomial E-sums and the digit fold of the p-adic certificates. Every
+mutant runs the whole catalog on the desk grid in symbolic mode, and
 the set of checkers that still pass everywhere (the survivors) must equal
 the documented blind spots exactly. A new blind spot fails here, and so
 does one that a change silently closes. Reference: DeMillo, Lipton &
@@ -9,10 +11,10 @@ Sayward, "Hints on test data selection" (1978).
 
 import pytest
 
-from eulerferm import euler, identities as ident
+from eulerferm import euler, identities as ident, padic
 from eulerferm.euler import EulerCache, tangent_numbers
 from eulerferm.identities import CHECKER_IDS, run_suite
-from eulerferm.polynomial import monomial
+from eulerferm.polynomial import monomial, taylor_shift
 
 # read only E_k(0), from the column s_k, never the E table
 E_ZERO_IDS = {"cro0", "cro1", "cro2", "recurrence_odd", "thm2_cro1",
@@ -95,3 +97,58 @@ def test_t4_mutant_survivors(monkeypatch):
         "bernoulli_power_sum", "boundary", "complement", "euler_alt_sum",
         "fersim", "fersim3", "gf_consistency", "lem1", "reflection",
         "thm3_1a", "thm3_1d", "witt"}
+
+
+class _PascalAtOne(EulerCache):
+    """At c = 1 the Pascal step reads its left neighbour twice:
+    2 A_1(M-1, N, k) in place of A_1(M-1, N, k) + A_1(M-1, N+1, k)."""
+
+    @staticmethod
+    def _pascal_step(c, left, right):
+        return [(c, 1, left), (1, 1, left if c == 1 else right)]
+
+
+class _PascalSwapped(EulerCache):
+    """The Pascal step weights the wrong neighbour by c:
+    c A_c(M-1, N+1, k) + A_c(M-1, N, k), which is right only at c = 1."""
+
+    @staticmethod
+    def _pascal_step(c, left, right):
+        return [(c, 1, right), (1, 1, left)]
+
+
+@pytest.mark.parametrize("cache,failed", [
+    (_PascalAtOne, {"wsp7", "thm1", "sun"}),   # sun at a = 1
+    (_PascalSwapped, {"thm2", "sun"}),         # sun at every a but 1
+], ids=["at_one", "swapped"])
+def test_pascal_step_mutant_survivors(monkeypatch, cache, failed):
+    """wsp7 and thm1 read A_c(M, N, k) at c = 1, thm2 at c = s + 1 and sun
+    at c = a. An entry that no Pascal step builds is a direct sum, so a
+    wrong step shows where a report reads entries built both ways."""
+    assert _survivors(monkeypatch, cache()) == set(CHECKER_IDS) - failed
+
+
+_FOLD = padic._fold_digit
+
+
+def _fold_times_p(nums, p):
+    return [c * p for c in _FOLD(nums, p)]
+
+
+def _fold_unsigned(nums, p):
+    """sum_j f(j + p*y) with every j added, not (-1)**j f(j + p*y)."""
+    shifted, folded = list(nums), list(nums)
+    for _ in range(1, p):
+        taylor_shift(shifted, 1)
+        folded = [a + b for a, b in zip(folded, shifted)]
+    return [c * p ** k for k, c in enumerate(folded)]
+
+
+@pytest.mark.parametrize("fold", [_fold_times_p, _fold_unsigned],
+                         ids=["times_p", "unsigned"])
+def test_certifier_mutant_survivors(monkeypatch, fold):
+    """The digit fold of the p-adic sums (``padic._fold_digit``), which
+    witt and lem1 read at precision 2 and no other checker reads."""
+    monkeypatch.setattr(padic, "_fold_digit", fold)
+    assert _survivors(monkeypatch, EulerCache()) == \
+        set(CHECKER_IDS) - {"witt", "lem1"}

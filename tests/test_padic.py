@@ -11,11 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from eulerferm import padic
 from eulerferm.euler import euler_poly
+from eulerferm.identities import run_suite
 from eulerferm.padic import (
     BudgetExceeded,
     DenominatorNotInvertible,
     fermionic_sum_closed,
+    fermionic_sum_digits,
     fermionic_sum_naive,
     fermionic_sum_naive_mod,
     is_odd_prime,
@@ -176,6 +179,48 @@ def test_witt_defect_meets_precision():
                     continue
                 for precision in (1, 2, 3):
                     assert witt_defect(n, a, p, precision) >= precision
+
+
+# --- sharpness: the certificates' bound N is attained ---------------------
+
+_SHARP_CASES = [(p, N) for p in (3, 5, 7) for N in (2, 3, 4)]
+
+
+def _witt_defects_at_n_one():
+    """witt's defect at n = 1, a = 0, where S_N - E_1(0) = p**N / 2."""
+    return {(p, N): witt_defect(1, 0, p, N) for p, N in _SHARP_CASES}
+
+
+def _desk_minima():
+    """The least defect of witt and lem1 for each prime of the desk grid."""
+    least = {}
+    for r in run_suite(["witt", "lem1"]):
+        key = r.checker, r.params["p"]
+        least[key] = min(least.get(key, math.inf), r.residual)
+    return least
+
+
+def test_witt_defect_is_sharp_at_n_one():
+    for p, N in _SHARP_CASES:
+        assert fermionic_sum_digits(monomial(1), p, N) - euler_poly(1)(0) \
+            == F(p ** N, 2)
+    assert _witt_defects_at_n_one() == {(p, N): N for p, N in _SHARP_CASES}
+
+
+def test_desk_grid_defects_are_sharp():
+    # the desk grid's precision is 2
+    assert _desk_minima() == {(cid, p): 2 for cid in ("witt", "lem1")
+                              for p in (3, 5, 7)}
+
+
+def test_a_valuation_one_too_large_fails_the_sharpness_tests(monkeypatch):
+    true_witt, true_minima = _witt_defects_at_n_one(), _desk_minima()
+    valuation = padic.valuation
+    monkeypatch.setattr(padic, "valuation", lambda r, p: valuation(r, p) + 1)
+    assert all(_witt_defects_at_n_one()[case] == true_witt[case] + 1
+               for case in _SHARP_CASES)
+    assert all(v == true_minima[key] + 1
+               for key, v in _desk_minima().items())
 
 
 def test_witt_defect_rejects_bad_p():
