@@ -18,9 +18,9 @@ ordering weight).
 found by any checker still exits 2 with empty stdout. Then it writes the
 reports one by one, each rendered and dropped before the next: the bytes
 are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
-memory is one report's. ``verify --stats`` adds per-checker counts and
-times, the table sizes and the peak RSS on stderr; stdout stays the same
-bytes.
+memory is one report's, and a JSON report is read off its six fixed keys.
+``verify --stats`` adds per-checker counts and times, the table sizes and
+the peak RSS on stderr; stdout stays the same bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import identities
 from .euler import MAX_DEGREE, euler_number, euler_poly, table_sizes
-from .identities import SweepGrid, report_to_dict, run_suite
+from .identities import (SweepGrid, _jsonable, _render_residual,
+                         report_to_dict, run_suite)
 from .numeric import format_rational, parse_rational
 from .padic import (
     DEFAULT_BUDGET,
@@ -204,14 +205,9 @@ def _residual_text(rendered) -> str:
     return str(rendered)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for a value nested under ``indent``.
-
-    ``json.dumps`` leaves its C encoder whenever ``indent`` is set, so each
-    report is rendered here instead: strings by the C string encoder that
-    ``json.dumps`` uses under its default ``ensure_ascii=True``, numbers by
-    their own ``repr``, lists and dicts one item per line.
-    """
+def _json_value(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a leaf or list under ``indent``:
+    ``json.dumps`` leaves its C encoder whenever ``indent`` is set."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, bool):   # before int: bool is an int subclass
@@ -221,25 +217,28 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, float):
         return float.__repr__(value)
     inner = indent + "  "
-    if isinstance(value, list):
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    elif isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                 for k, v in value.items()]
-        brackets = "{}"
-    else:
-        raise TypeError(f"not JSON serializable: {type(value).__name__}")
-    if not items:
-        return brackets
-    sep = ",\n" + inner
-    return (f"{brackets[0]}\n{inner}{sep.join(items)}\n"
-            f"{indent}{brackets[1]}")
+    items = (",\n" + inner).join([_json_value(v, inner) for v in value])
+    return f"[\n{inner}{items}\n{indent}]" if value else "[]"
+
+
+def _json_report(r) -> str:
+    """``report_to_dict(r)`` as ``json.dumps`` writes it one level deep."""
+    params = ",\n      ".join([
+        f"{encode_basestring_ascii(k)}: {_json_value(_jsonable(v), '      ')}"
+        for k, v in r.params.items()])
+    params = f"{{\n      {params}\n    }}" if params else "{}"
+    residual = _json_value(_render_residual(r.residual, r.mode), "    ")
+    return (f'{{\n    "id": {encode_basestring_ascii(r.checker)},\n'
+            f'    "params": {params},\n'
+            f'    "mode": {encode_basestring_ascii(r.mode)},\n'
+            f'    "residual": {residual},\n'
+            f'    "pass": {_json_value(r.passed, "")},\n'
+            f'    "elapsed_ms": {_json_value(r.elapsed_ms, "")}\n  }}')
 
 
 def _emit_reports(reports, fmt: str) -> None:
     """Write each report as it is reached, then the summary line: the bytes
-    of one batch rendering, with one report's projection alive at a time."""
+    of one batch rendering, with one report's rendering alive at a time."""
     write = sys.stdout.write
     if fmt == "json":
         write("[")
@@ -252,10 +251,10 @@ def _emit_reports(reports, fmt: str) -> None:
               "| -- | ------ | ---- | -------- | ---- |\n")
     passed = 0
     for i, report in enumerate(reports):
-        d = report_to_dict(report)
-        passed += d["pass"]
+        passed += report.passed
+        d = None if fmt == "json" else report_to_dict(report)
         if fmt == "json":
-            write(f"{',' if i else ''}\n  {_json_text(d, '  ')}")
+            write(f"{',' if i else ''}\n  {_json_report(report)}")
         elif fmt == "csv":
             writer.writerow([d["id"], json.dumps(d["params"]), d["mode"],
                              json.dumps(d["residual"]), d["pass"],

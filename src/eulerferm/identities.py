@@ -21,16 +21,16 @@ both sides exactly and returns what its kind asks for:
 The body tests no domain, does no timing and builds no report. Its domain
 is stated once, as the predicate ``where``; every int param must be a
 natural number, and every param annotated ``Fraction`` or ``Polynomial``
-must hold one. The driver ``CHECKERS[cid].run(params, mode)`` raises
-``ValueError`` for a mode other than symbolic or pointwise, for params
-whose keys are not the body's parameter names and for params outside the
-domain; then it calls the body, times it, dispatches on the mode (scalar
-and valuation checkers ignore it) and builds the ``IdentityReport``. A
-body that raises anything but ``ValueError`` fails it with the residual
-``"<Type>: <message>"``. ``gen(grid)`` yields params only inside the
-domain, and ``run_suite`` calls ``run`` once per dict. The public
-``check_<id>(*args, mode=...)`` binds its arguments by name and calls the
-same ``run``.
+must hold one. The driver ``CHECKERS[cid].run(params, mode)`` first
+raises ``ValueError`` for a mode other than symbolic or pointwise, for
+params whose keys are not the body's parameter names and for params
+outside the domain; then its judging step calls the body, times it,
+dispatches on the mode (scalar and valuation checkers ignore it) and builds
+the ``IdentityReport``, failing it with ``"<Type>: <message>"`` if the body
+raises anything but ``ValueError``. ``gen(grid)`` yields params only inside
+the domain, and ``run_suite`` calls ``run(params, mode, swept=True)``, the
+judging step alone, once per dict. ``check_<id>(*args, mode=...)`` binds
+its arguments by name and calls ``run`` with every entry check.
 
 Exact arithmetic stays on the integers where the values are integers. The
 symmetry theorems read the binomial E-sums
@@ -38,7 +38,7 @@ A_c(M, N, k) = sum_i C(M,i) c**(M-i) C(N+i,k) E_(N+i-k) from one memo,
 ``euler.binomial_sums``: both sides of wsp7 (c = 1) and sun (c = a), and the
 left sides of thm1 (c = 1) and thm2 (c = s + 1), each at a and at -a. A sum
 that several reports read, or a report and its transpose, is built once in a
-sweep, and ``run_suite`` drops the memo when each checker's sweep ends. The
+sweep, and the memo is dropped when each sweep, or direct call, ends. The
 other weighted sums of E_n(a) and E_n(-a) (the left sides of complement,
 wsp9 and thm3, and the right side of sun_cor) go through
 ``euler.euler_sum``, and every sum of E_k(0) (cro0-cro2, recurrence_odd,
@@ -225,9 +225,10 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
     stated at m=1, n=0, q=1, k=2``) and the sweep skips it. It also raises
     ``ValueError`` when the params' keys are not the body's parameter
     names (``cro2 takes params n, got none``), read once from its code.
-    A direct call converts an int given for a ``Fraction`` param to
-    Fraction, as a sweep's points already are. ``report_params(**params)``
-    gives the report's params where they are not the body's arguments.
+    ``swept=True`` skips these checks, and the mode's, for params that
+    ``gen`` has filtered; any other call drops the sweep memos when its
+    body returns. ``check_<cid>`` turns an int given for a ``Fraction``
+    param to one. ``report_params(**params)`` maps params to the report's.
     """
     def register(body):
         hints = body.__annotations__.items()
@@ -243,14 +244,15 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
                     and all(isinstance(params[k], t) for k, t in typed)
                     and (where is None or where(**params)))
 
-        def run(params: dict, mode: str) -> IdentityReport:
-            _require_mode(mode)
-            if params.keys() != keys:
-                raise ValueError(f"{cid} takes params {', '.join(names)}, "
-                                 f"got {', '.join(params) or 'none'}")
-            if not stated(params):
-                raise ValueError(f"{cid} is not stated at " + ", ".join(
-                    f"{k}={v}" for k, v in params.items()))
+        def run(params: dict, mode: str, swept=False) -> IdentityReport:
+            if not swept:   # run_suite has checked the mode, gen the domain
+                _require_mode(mode)
+                if params.keys() != keys:
+                    raise ValueError(f"{cid} takes params {', '.join(names)}, "
+                                     f"got {', '.join(params) or 'none'}")
+                if not stated(params):
+                    raise ValueError(f"{cid} is not stated at " + ", ".join(
+                        f"{k}={v}" for k, v in params.items()))
             if kind != "poly":   # scalar and valuation checkers ignore it
                 mode = "symbolic" if kind == "scalar" else "valuation"
             started = time.perf_counter()
@@ -278,6 +280,9 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
             except Exception as exc:
                 # one broken checker fails its own report, not the whole run
                 residual, passed = f"{type(exc).__name__}: {exc}", False
+            finally:
+                if not swept:   # a direct call is a sweep of one report
+                    _drop_sweep_memos()
             elapsed = (time.perf_counter() - started) * 1000.0
             if report_params is not None:
                 params = report_params(**params)
@@ -837,10 +842,14 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
         entry = CHECKERS[cid]
         try:
             for params in entry.gen(grid):
-                reports.append(entry.run(params, mode))
-        finally:
-            # the sweep's memos of binomial E-sums and shift sums go with it,
-            # so that what they hold stays bounded by one checker's grid
-            drop_binomial_sums()
-            _SHIFT_SUMS.clear()
+                reports.append(entry.run(params, mode, swept=True))
+        finally:   # the sweep's memos go with it
+            _drop_sweep_memos()
     return reports
+
+
+def _drop_sweep_memos() -> None:
+    """Drop the memos of binomial E-sums and shift sums, so that what they
+    hold stays bounded by one checker's grid, or by one direct call."""
+    drop_binomial_sums()
+    _SHIFT_SUMS.clear()

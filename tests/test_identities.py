@@ -25,7 +25,7 @@ from eulerferm.euler import (
     euler_poly_shifted,
     euler_zero,
 )
-from eulerferm.polynomial import Polynomial
+from eulerferm.polynomial import Polynomial, monomial
 
 F = Fraction
 
@@ -286,6 +286,90 @@ def test_the_registered_run_refuses_missing_and_extra_params(cid):
                            f"{', '.join(params)}, got "
                            f"{', '.join(bad) or 'none'}$"):
             run(bad, "symbolic")
+
+
+def test_a_sweep_tests_each_reports_domain_once():
+    # a throwaway checker whose ``where`` counts its calls: run_suite asks
+    # it once per params that gen yields, and never runs the body outside
+    # the domain; a direct call still asks it and refuses
+    asked, ran = [], []
+
+    def where(n):
+        asked.append(n)
+        return n % 2 == 0
+
+    try:
+        @ident.checker("_counted", lambda grid: ({"n": n} for n in grid.n),
+                       "scalar", where=where)
+        def check_counted(n: int):
+            ran.append(n)
+            return 0
+
+        reports = run_suite(["_counted"], SweepGrid(n=tuple(range(7))))
+        assert asked == [0, 1, 2, 3, 4, 5, 6]
+        assert ran == [0, 2, 4, 6]
+        assert [r.params for r in reports] == [{"n": n} for n in ran]
+        assert all(r.passed for r in reports)
+        with pytest.raises(ValueError, match=r"^_counted is not stated at n=1$"):
+            check_counted(1)
+        assert asked[7:] == [1] and ran == [0, 2, 4, 6]
+    finally:
+        del ident.CHECKERS["_counted"]
+
+
+@pytest.mark.parametrize("cid", CHECKER_IDS)
+def test_every_gen_yields_its_bodys_parameter_names(cid):
+    # a sweep does not test the keys again, so gen must name them right
+    names = list(inspect.signature(getattr(ident, f"check_{cid}")).parameters)
+    swept = list(ident.CHECKERS[cid].gen(SweepGrid()))
+    assert swept
+    assert all(list(params) == names for params in swept)
+
+
+# each kind's false twin: the true result with one thing wrong
+_FALSE_TWINS = {
+    "poly": lambda lhs, rhs, *lemmas: (
+        lhs + monomial(max(lhs.degree or 0, rhs.degree or 0) + 1),
+        rhs, *lemmas),
+    "scalar": lambda residual: residual + 1,
+    "valuation": lambda defect: defect - 1,
+}
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+@pytest.mark.parametrize("cid", CHECKER_IDS)
+def test_a_false_twin_fails_through_the_sweep(monkeypatch, cid, mode):
+    # every checker's body is swapped for one whose result is perturbed, so
+    # each branch of the judging step must turn it into FAIL
+    true = run_suite([cid], mode=mode)
+    kind = {"valuation": "valuation", "symbolic": "scalar",
+            "pointwise": "poly"}[run_suite([cid], mode="pointwise")[0].mode]
+    body = getattr(ident, f"check_{cid}").__wrapped__
+    twin = _FALSE_TWINS[kind]
+
+    def false_twin(**params):
+        result = body(**params)
+        return twin(*result) if kind == "poly" else twin(result)
+
+    # the twin names no parameters of its own, so only a sweep, which takes
+    # gen's keys as they come, can run it
+    false_twin.__annotations__ = body.__annotations__
+    monkeypatch.setitem(ident.CHECKERS, cid, ident.CHECKERS[cid])
+    ident.checker(cid, ident.CHECKERS[cid].gen, kind,
+                  report_params=ident._lem1_params if cid == "lem1" else None
+                  )(false_twin)
+    false = run_suite([cid], mode=mode)
+    assert [r.params for r in false] == [r.params for r in true]
+    assert all(r.passed for r in true)
+    if kind == "valuation":
+        # a defect above N still clears N after the twin's -1; the desk
+        # grid holds defects of exactly N for every prime
+        assert [r.passed for r in false] == [
+            r.residual - 1 >= r.params["precision"] for r in true]
+        assert not all(r.passed for r in false)
+    else:
+        assert not any(r.passed for r in false)
+        assert not any(isinstance(r.residual, str) for r in false)
 
 
 def test_sweep_grid_rejects_negative_axes_and_precision_below_one():

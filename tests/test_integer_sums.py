@@ -389,6 +389,26 @@ def test_a_sweep_builds_only_the_sums_it_reads(monkeypatch):
     assert cache._sums == {} and ident._SHIFT_SUMS == {}
 
 
+def test_direct_calls_leave_no_memo(monkeypatch):
+    # a direct call is a sweep of one report: the memos its body builds
+    # are dropped when it returns, by either entry
+    cache = EulerCache()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    thm2 = next(iter(ident.CHECKERS["thm2"].gen(SweepGrid())))
+    ident.check_wsp7.__wrapped__(3, 4)
+    ident.check_thm2.__wrapped__(**thm2)
+    assert cache._sums and ident._SHIFT_SUMS   # what the bodies build
+    for m in range(31):
+        for n in range(31):
+            assert ident.check_wsp7(m, n).passed
+    assert ident.check_thm2(**thm2).passed
+    assert cache._sums == {} and ident._SHIFT_SUMS == {}
+    assert ident.CHECKERS["sun"].run({"m": 3, "n": 2, "a": F(1, 2)},
+                                     "pointwise").passed
+    assert ident.CHECKERS["thm2"].run(thm2, "symbolic").passed
+    assert cache._sums == {} and ident._SHIFT_SUMS == {}
+
+
 def test_binomial_sum_rejects_negative_indices():
     for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
         with pytest.raises(ValueError, match="need M, N, k >= 0"):

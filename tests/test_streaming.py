@@ -15,7 +15,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerferm import cli, euler
@@ -121,11 +121,14 @@ def test_streamed_output_equals_batch_rendering(monkeypatch, run, fmt):
     assert streamed.splitlines()[-1].startswith("PASS" if passing else "FAIL")
 
 
-_PARAM_VALUES = st.one_of(
-    st.booleans(), st.integers(), st.text(),
-    st.fractions(max_denominator=10 ** 6),
-    st.lists(st.one_of(st.integers(), st.fractions(max_denominator=100)),
-             max_size=4))
+# leaves of every JSON type a param renders to, and lists (and tuples,
+# rendered as lists) of them nested to any depth, empty ones included
+_PARAM_VALUES = st.recursive(
+    st.one_of(st.booleans(), st.integers(), st.integers(max_value=-1),
+              st.text(), st.fractions(max_denominator=10 ** 6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=8)
 
 _RESIDUALS = st.one_of(
     st.tuples(st.sampled_from(["symbolic", "pointwise"]),
@@ -147,11 +150,16 @@ _REPORTS = st.builds(
     st.floats(min_value=0, allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(reports=st.lists(_REPORTS, max_size=4))
+@example(reports=[IdentityReport(
+    "lem1", {"poly": [[True, -3, []], (False, Fraction(-1, 2)), [[-7]]],
+             "": [], "b": False, "n": -1},
+    "valuation", math.inf, False, 0.0)])
 def test_streamed_rendering_of_arbitrary_reports(reports):
     # unicode, quotes, backslashes and control characters in ids, param
-    # names, param values and error residuals; an empty list too
+    # names, param values and error residuals; bools and negative ints in
+    # nested lists; an empty list too
     for fmt in FORMATS:
         _assert_same(_stdout_of(cli._emit_reports, reports, fmt),
                      _stdout_of(batch_emit_reports, reports, fmt))
