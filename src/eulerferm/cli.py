@@ -42,7 +42,6 @@ from .padic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     fermionic_sum_closed,
-    is_odd_prime,
     require_integral_shift,
     witt_defect,
     witt_sum_naive,
@@ -66,23 +65,25 @@ def _parse_range(text: str) -> tuple:
             f"expected 'lo..hi' or a single integer, got {text!r}") from None
 
 
-def _parse_points(text: str) -> tuple:
+def _rational_arg(text: str) -> Fraction:
     try:
-        return tuple(parse_rational(part) for part in text.split(","))
+        return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_points(text: str) -> tuple:
+    return tuple(map(_rational_arg, text.split(",")))
+
+
 def _parse_primes(text: str) -> tuple:
+    """Comma-separated integers; ``SweepGrid`` checks that each is an odd
+    prime."""
     try:
-        ps = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-    for p in ps:
-        if not is_odd_prime(p):
-            raise argparse.ArgumentTypeError(f"not an odd prime: {p}")
-    return ps
 
 
 def _budget_arg(text: str) -> int:
@@ -94,13 +95,6 @@ def _budget_arg(text: str) -> int:
     if budget < 1:
         raise argparse.ArgumentTypeError(f"budget must be >= 1, got {budget}")
     return budget
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # lets bare negative rationals like -1/2 (or lists like -2/3,0) pass as
@@ -116,18 +110,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("poly", help="print E_n(x)")
+    p_poly.set_defaults(run=_cmd_poly, degree="n")
     p_poly.add_argument("n", type=int)
     p_poly.add_argument("--format", choices=FORMATS, default="text")
 
     p_eval = sub.add_parser("eval", help="print E_n(a)")
+    p_eval.set_defaults(run=_cmd_eval, degree="n")
     p_eval.add_argument("n", type=int)
     p_eval.add_argument("a", type=_rational_arg)
 
     p_num = sub.add_parser("numbers", help="table of Euler numbers E_0..E_max")
+    p_num.set_defaults(run=_cmd_numbers, degree="max")
     p_num.add_argument("max", type=int)
     p_num.add_argument("--format", choices=FORMATS, default="text")
 
     p_ver = sub.add_parser("verify", help="run identity checkers")
+    p_ver.set_defaults(run=_cmd_verify, degree=None)
     p_ver.add_argument("ids", nargs="+",
                        help="checker ids, or 'all' for the whole catalog")
     p_ver.add_argument("--m", type=_parse_range)
@@ -144,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "sizes and peak RSS to stderr")
 
     p_witt = sub.add_parser("witt", help="p-adic convergence certificate")
+    p_witt.set_defaults(run=_cmd_witt, degree="n")
     p_witt.add_argument("--p", type=int, required=True)
     p_witt.add_argument("--precision", type=int, required=True)
     p_witt.add_argument("--n", type=int, required=True)
@@ -160,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_poly(p, fmt: str) -> None:
+def _cmd_poly(args) -> int:
+    p, fmt = euler_poly(args.n), args.format
     if fmt == "json":
         print(json.dumps(p.to_coeff_strings()))
     elif fmt == "csv":
@@ -169,10 +169,17 @@ def _print_poly(p, fmt: str) -> None:
         print(f"`{p}`")
     else:
         print(p)
+    return 0
 
 
-def _print_numbers(limit: int, fmt: str) -> None:
-    rows = [(n, euler_number(n)) for n in range(limit + 1)]
+def _cmd_eval(args) -> int:
+    print(format_rational(euler_poly(args.n)(args.a)))
+    return 0
+
+
+def _cmd_numbers(args) -> int:
+    rows = [(n, euler_number(n)) for n in range(args.max + 1)]
+    fmt = args.format
     if fmt == "json":
         print(json.dumps([{"n": n, "euler_number": v} for n, v in rows]))
     elif fmt == "csv":
@@ -187,6 +194,7 @@ def _print_numbers(limit: int, fmt: str) -> None:
     else:
         for n, v in rows:
             print(f"{n}\t{v}")
+    return 0
 
 
 def _params_text(params: dict) -> str:
@@ -394,30 +402,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-# the argument that sets the largest degree a command reads
-_DEGREE_ARGS = {"poly": "n", "eval": "n", "numbers": "max", "witt": "n"}
-
-
 def _run(args) -> int:
-    name = _DEGREE_ARGS.get(args.command)
-    value = getattr(args, name) if name else 0
+    """Check the degree before any table grows, then run the subcommand's
+    handler; both are set on its subparser, as ``run`` and ``degree`` (the
+    argument that sets the largest degree the command reads, if any)."""
+    value = getattr(args, args.degree) if args.degree else 0
     if not 0 <= value <= MAX_DEGREE:
         bound = ">= 0" if value < 0 else f"<= {MAX_DEGREE}"
-        return _usage_error(f"{name} must be {bound}, got {value}")
-    if args.command == "poly":
-        _print_poly(euler_poly(args.n), args.format)
-        return 0
-    if args.command == "eval":
-        print(format_rational(euler_poly(args.n)(args.a)))
-        return 0
-    if args.command == "numbers":
-        _print_numbers(args.max, args.format)
-        return 0
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "witt":
-        return _cmd_witt(args)
-    return 2
+        return _usage_error(f"{args.degree} must be {bound}, got {value}")
+    return args.run(args)
 
 
 def entrypoint() -> None:

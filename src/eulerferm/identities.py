@@ -565,17 +565,11 @@ def _shift_bits(M: int, M2: int, s: int) -> int:
     return (M + M2) * (s + 1).bit_length() + s.bit_length() + 2
 
 
-# ``_shift_sum``'s digits by (M, M2, s), kept until a sweep ends: thm2 reads
-# the same G for every k, and its G2 at (m, n) is its G1 at (n, m)
-_SHIFT_SUMS: dict = {}
-
-
+# ``_shift_sum``'s digits, kept until a sweep ends: thm2 reads the same G
+# for every k, and its G2 at (m, n) is its G1 at (n, m)
+@lru_cache(maxsize=None)
 def _shift_digits(M: int, M2: int, s: int) -> tuple:
-    digits = _SHIFT_SUMS.get((M, M2, s))
-    if digits is None:
-        digits = _SHIFT_SUMS[M, M2, s] = _shift_sum(M, M2, s,
-                                                    _shift_bits(M, M2, s))
-    return digits
+    return _shift_sum(M, M2, s, _shift_bits(M, M2, s))
 
 
 def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
@@ -852,4 +846,4 @@ def _drop_sweep_memos() -> None:
     """Drop the memos of binomial E-sums and shift sums, so that what they
     hold stays bounded by one checker's grid, or by one direct call."""
     drop_binomial_sums()
-    _SHIFT_SUMS.clear()
+    _shift_digits.cache_clear()

@@ -9,8 +9,8 @@ A Polynomial integrand is summed by base-p digits. For odd p, x = j + p*y
 with 0 <= j < p gives (-1)**x = (-1)**j (-1)**y, so S_N(f) = S_{N-1}(g) with
 g(y) = sum_{j<p} (-1)**j f(j + p*y): N - 1 such levels of p - 1 integer
 Taylor shifts, then the p-term sum S_1, O(N p d**2) integer operations for
-degree d instead of p^N terms. f is scaled to integer coefficients d*f, d
-the lcm of the coefficient denominators, and d is divided out once.
+degree d instead of p^N terms. f is summed as its integer numerators, and
+its one denominator is divided out once.
 
 The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
 ``witt --naive`` prints, sums Witt's integrand (x+a)**n with a = r/t as one
@@ -41,7 +41,6 @@ from fractions import Fraction
 from itertools import repeat
 
 from .euler import euler_poly
-from .numeric import common_denominator
 from .polynomial import Polynomial, monomial, taylor_shift
 
 __all__ = [
@@ -150,7 +149,7 @@ def fermionic_sum_naive(f, p: int, precision: int, budget: int = DEFAULT_BUDGET)
     """
     span = _check_budget(p, precision, budget)
     if isinstance(f, Polynomial):
-        return _integer_sum(f.coeffs, span)
+        return _integer_sum(f, span)
     total = 0
     sign = 1
     for x in range(span):
@@ -159,10 +158,11 @@ def fermionic_sum_naive(f, p: int, precision: int, budget: int = DEFAULT_BUDGET)
     return total
 
 
-def _integer_sum(coeffs, span: int) -> Fraction:
-    """sum_{x < span} f(x) (-1)**x for f with rational coefficients: the
-    terms d*f(x) are integers, d the lcm of the denominators."""
-    nums, d = common_denominator(coeffs[::-1])   # Horner: highest first
+def _integer_sum(f: Polynomial, span: int) -> Fraction:
+    """sum_{x < span} f(x) (-1)**x for a Polynomial f: the terms den*f(x)
+    are integers, summed by Horner's rule on the stored numerators, and
+    den is divided out once."""
+    nums = f.nums[::-1]   # Horner: highest first
     total = 0
     sign = 1
     for x in range(span):
@@ -171,7 +171,7 @@ def _integer_sum(coeffs, span: int) -> Fraction:
             acc = acc * x + c
         total += sign * acc
         sign = -sign
-    return Fraction(total, d)
+    return Fraction(total, f.den)
 
 
 def witt_sum_naive(n: int, a, p: int, precision: int,
@@ -238,22 +238,23 @@ def fermionic_sum_naive_mod(f: Polynomial, p: int, precision: int,
                             budget: int = DEFAULT_BUDGET) -> int:
     """The same truncated sum carried out mod p**N: its residue in [0, p**N).
 
-    Restricted to polynomial integrands with p-integral coefficients; must
-    agree with ``fermionic_sum_naive`` reduced mod p**N (tested, not assumed).
+    Restricted to polynomial integrands with p-integral coefficients, which
+    is p not dividing ``f.den``: in normal form no prime of ``den`` divides
+    every numerator. The numerators are scaled by one inverse of ``den``
+    mod p**N. Must agree with ``fermionic_sum_naive`` reduced mod p**N
+    (tested, not assumed).
     """
     modulus = _check_budget(p, precision, budget)
-    coeffs = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise DenominatorNotInvertible(
-                f"{c} is not a {p}-adic integer (p divides the denominator)"
-            )
-        coeffs.append(c.numerator * pow(c.denominator, -1, modulus) % modulus)
+    if f.den % p == 0:
+        raise DenominatorNotInvertible(
+            f"a coefficient of {f} is not a {p}-adic integer")
+    inverse = pow(f.den, -1, modulus)
+    nums = [c * inverse % modulus for c in f.nums]
     total = 0
     sign = 1
     for x in range(modulus):
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(nums):
             acc = (acc * x + c) % modulus
         total = (total + sign * acc) % modulus
         sign = -sign
@@ -283,12 +284,11 @@ def witt_defect(n: int, a, p: int, precision: int, truncated=None):
     already summed S_N (``witt --naive``) passes it as ``truncated``, and
     the sum is not repeated. The shift a must be p-integral.
     """
-    require_odd_prime(p)
+    a = require_integral_shift(a, p)   # which checks p first
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    a = require_integral_shift(a, p)
     if truncated is None:
         truncated = fermionic_sum_digits(monomial(n).compose_affine(1, a), p,
                                          precision)
@@ -302,15 +302,15 @@ def lem1_defect(f: Polynomial, p: int, precision: int):
     over x in [0, p**N), both S1 and S- must approach -S + 2 f(0); returns the
     minimum of the two defects v_p(S1 - target) and v_p(S- - target). When f
     is an even function the sharper statement S -> f(0) is folded in as well.
-    Coefficients must be p-integral. The three sums are separate digit sums
+    Coefficients must be p-integral: p must not divide ``f.den``, since in
+    normal form each prime of ``den`` stays in the reduced denominator of
+    some coefficient. The three sums are separate digit sums
     (``fermionic_sum_digits``), which also check N.
     """
     require_odd_prime(p)
-    for c in f.coeffs:
-        if Fraction(c).denominator % p == 0:
-            raise DenominatorNotInvertible(
-                f"coefficient {c} is not a {p}-adic integer"
-            )
+    if f.den % p == 0:
+        raise DenominatorNotInvertible(
+            f"a coefficient of {f} is not a {p}-adic integer")
     f_neg = f.compose_affine(-1, 0)
     s, s_shift, s_neg = (fermionic_sum_digits(g, p, precision)
                          for g in (f, f.compose_affine(1, 1), f_neg))

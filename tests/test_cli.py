@@ -133,10 +133,11 @@ def test_verify_malformed_range_exits_2():
     assert err.value.code == 2
 
 
-def test_verify_even_prime_exits_2():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["verify", "witt", "--p", "2"])
-    assert err.value.code == 2
+def test_verify_even_prime_exits_2(capsys):
+    # argparse parses the integers; SweepGrid rejects the even prime, in
+    # the words witt uses
+    assert run_cli(capsys, "verify", "witt", "--p", "2") == (
+        2, "", "error: p must be an odd prime, got 2\n")
 
 
 def test_verify_has_no_budget(capsys):
@@ -306,6 +307,12 @@ def test_witt_rejects_non_integral_shift(capsys):
                            "--n", "1", "--a", "1/3")
     assert code == 2
     assert "not a 3-adic integer" in err
+    # both routes check p, then the shift, then N
+    for naive in [], ["--naive"]:
+        assert run_cli(capsys, "witt", "--p", "3", "--precision", "0",
+                       "--n", "1", "--a", "1/3", *naive) == (
+            2, "", "error: shift 1/3 is not a 3-adic integer "
+                   "(p divides the denominator)\n")
 
 
 def test_witt_budget_exceeded_exits_2(capsys):

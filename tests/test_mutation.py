@@ -1,7 +1,8 @@
 """The mutation matrix: each checker's blind spots, stated as a table.
 
 The mutants corrupt the E_n table, the tangent numbers, the Pascal step of
-the binomial E-sums and the digit fold of the p-adic certificates. Every
+the binomial E-sums, the digit fold of the p-adic certificates, the integer
+core of the E-sums and the Taylor shift under ``compose_affine``. Every
 mutant runs the whole catalog on the desk grid in symbolic mode, and
 the set of checkers that still pass everywhere (the survivors) must equal
 the documented blind spots exactly. A new blind spot fails here, and so
@@ -9,12 +10,14 @@ does one that a change silently closes. Reference: DeMillo, Lipton &
 Sayward, "Hints on test data selection" (1978).
 """
 
+from fractions import Fraction
+
 import pytest
 
-from eulerferm import euler, identities as ident, padic
+from eulerferm import euler, identities as ident, padic, polynomial
 from eulerferm.euler import EulerCache, tangent_numbers
 from eulerferm.identities import CHECKER_IDS, run_suite
-from eulerferm.polynomial import monomial, taylor_shift
+from eulerferm.polynomial import Polynomial, monomial, taylor_shift
 
 # read only E_k(0), from the column s_k, never the E table
 E_ZERO_IDS = {"cro0", "cro1", "cro2", "recurrence_odd", "thm2_cro1",
@@ -152,3 +155,45 @@ def test_certifier_mutant_survivors(monkeypatch, fold):
     monkeypatch.setattr(padic, "_fold_digit", fold)
     assert _survivors(monkeypatch, EulerCache()) == \
         set(CHECKER_IDS) - {"witt", "lem1"}
+
+
+_WEIGHTED_SUM = euler._weighted_sum
+_COMPOSE_AFFINE = Polynomial.compose_affine
+
+
+def _weighted_sum_without_step(parts):
+    """sum c P(x): each P(step * x) read as P(x), so P(-x) is lost."""
+    return _WEIGHTED_SUM([(c, 1, p) for c, _, p in parts])
+
+
+def _compose_negated_shift(poly, u, v):
+    """p(u*x - v) in place of p(u*x + v)."""
+    return _COMPOSE_AFFINE(poly, u, -Fraction(v))
+
+
+def _shift_one_further(nums, r):
+    """The coefficients of p(y + r + 1) in place of p(y + r)."""
+    return taylor_shift(nums, r + 1)
+
+
+# the checkers that read a shifted E_n, or a digit sum through the shift
+_SHIFT_READERS = {"fersim", "fersim3", "lem1", "reflection", "sun", "witt"}
+
+
+@pytest.mark.parametrize("patches,failed", [
+    ([(euler, "_weighted_sum", _weighted_sum_without_step)],
+     {"complement", "thm1", "thm2", "wsp7", "wsp9"}),
+    ([(Polynomial, "compose_affine", _compose_negated_shift)],
+     _SHIFT_READERS),
+    # padic binds taylor_shift by name, so both bindings are patched
+    ([(polynomial, "taylor_shift", _shift_one_further),
+      (padic, "taylor_shift", _shift_one_further)], _SHIFT_READERS),
+], ids=["step_ignored", "v_negated", "shift_r_plus_1"])
+def test_shared_core_mutant_survivors(monkeypatch, patches, failed):
+    """Cores that many checkers share. Ignoring ``_weighted_sum``'s step
+    reads each E(-a) term as E(a), which the checkers with a side at -a
+    see. The integer Taylor shift serves every shifted E_n and, through
+    the digit fold, every p-adic sum."""
+    for owner, name, mutant in patches:
+        monkeypatch.setattr(owner, name, mutant)
+    assert _survivors(monkeypatch, EulerCache()) == set(CHECKER_IDS) - failed

@@ -13,7 +13,7 @@ import pytest
 
 from eulerferm import padic
 from eulerferm.euler import euler_poly
-from eulerferm.identities import run_suite
+from eulerferm.identities import SweepGrid, run_suite
 from eulerferm.padic import (
     BudgetExceeded,
     DenominatorNotInvertible,
@@ -191,10 +191,11 @@ def _witt_defects_at_n_one():
     return {(p, N): witt_defect(1, 0, p, N) for p, N in _SHARP_CASES}
 
 
-def _desk_minima():
-    """The least defect of witt and lem1 for each prime of the desk grid."""
+def _desk_minima(precision):
+    """The least defect of witt and lem1 for each prime of the desk grid,
+    at precision N."""
     least = {}
-    for r in run_suite(["witt", "lem1"]):
+    for r in run_suite(["witt", "lem1"], SweepGrid(precision=precision)):
         key = r.checker, r.params["p"]
         least[key] = min(least.get(key, math.inf), r.residual)
     return least
@@ -207,20 +208,26 @@ def test_witt_defect_is_sharp_at_n_one():
     assert _witt_defects_at_n_one() == {(p, N): N for p, N in _SHARP_CASES}
 
 
+# the desk grid's precision, and two above it
+_DESK_PRECISIONS = (2, 3, 4)
+
+
 def test_desk_grid_defects_are_sharp():
-    # the desk grid's precision is 2
-    assert _desk_minima() == {(cid, p): 2 for cid in ("witt", "lem1")
-                              for p in (3, 5, 7)}
+    for N in _DESK_PRECISIONS:
+        assert _desk_minima(N) == {(cid, p): N for cid in ("witt", "lem1")
+                                   for p in (3, 5, 7)}
 
 
 def test_a_valuation_one_too_large_fails_the_sharpness_tests(monkeypatch):
-    true_witt, true_minima = _witt_defects_at_n_one(), _desk_minima()
+    true_witt = _witt_defects_at_n_one()
+    true_minima = {N: _desk_minima(N) for N in _DESK_PRECISIONS}
     valuation = padic.valuation
     monkeypatch.setattr(padic, "valuation", lambda r, p: valuation(r, p) + 1)
     assert all(_witt_defects_at_n_one()[case] == true_witt[case] + 1
                for case in _SHARP_CASES)
-    assert all(v == true_minima[key] + 1
-               for key, v in _desk_minima().items())
+    for N in _DESK_PRECISIONS:
+        assert all(v == true_minima[N][key] + 1
+                   for key, v in _desk_minima(N).items())
 
 
 def test_witt_defect_rejects_bad_p():
@@ -248,6 +255,16 @@ def test_mod_path_agrees_with_exact_path():
 def test_mod_path_rejects_non_integral():
     with pytest.raises(DenominatorNotInvertible):
         fermionic_sum_naive_mod(Polynomial([F(1, 3)]), 3, 2)
+    # p-integrality is read off the normal form's one denominator: a bad
+    # coefficient that is not the first is found, and a composite
+    # denominator prime to p is accepted
+    with pytest.raises(DenominatorNotInvertible):
+        fermionic_sum_naive_mod(Polynomial([1, F(1, 3)]), 3, 2)
+    f = Polynomial([F(1, 2), F(1, 4)])
+    exact = fermionic_sum_naive(f, 3, 2)
+    assert f.den == 4
+    assert fermionic_sum_naive_mod(f, 3, 2) == \
+        exact.numerator * pow(exact.denominator, -1, 9) % 9
 
 
 def test_lem1_defect_examples():
@@ -272,6 +289,10 @@ def test_lem1_defect_randomized_family():
 def test_lem1_defect_rejects_non_integral_coefficients():
     with pytest.raises(DenominatorNotInvertible):
         lem1_defect(Polynomial([F(1, 5), F(1)]), 5, 2)
+    with pytest.raises(DenominatorNotInvertible):
+        lem1_defect(Polynomial([1, F(1, 3)]), 3, 2)
+    # p-integral over the composite denominator 4
+    assert lem1_defect(Polynomial([F(1, 2), F(1, 4)]), 3, 2) >= 2
 
 
 def test_closed_sum_is_witt_value_at_full_limit():
