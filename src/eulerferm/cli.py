@@ -337,7 +337,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witt(args) -> int:
     try:
-        exact = euler_poly(args.n)(args.a)
         naive = None
         if args.naive:
             # a bad shift is refused before the p**N terms are summed
@@ -349,6 +348,7 @@ def _cmd_witt(args) -> int:
         defect = witt_defect(args.n, args.a, args.p, args.precision,
                              truncated=naive)
         closed = fermionic_sum_closed(args.n, args.a, args.p ** args.precision)
+        exact = euler_poly(args.n)(args.a)   # once p and the shift are checked
     except (ValueError, BudgetExceeded) as exc:
         return _usage_error(exc)
 

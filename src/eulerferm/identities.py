@@ -45,12 +45,12 @@ wsp9 and thm3, and the right side of sun_cor) go through
 thm2_cro1/2, thm3_1a-d and rem2_1) through ``euler.zero_sum``. All of them
 add integer numerators over one common denominator, for integer or rational
 weights alike, and divide it out once. The right sides of thm2, thm3 and
-fersim3 are integer polynomials in a; fersim3's is summed from binomial rows
-(a + c)**e, and thm2's is read off two packed integers,
-sum_l (-1)**l (y+l)**M (y+l-s-1)**M2 at y = 2**bits, one coefficient per
-base-2**bits digit, kept for the sweep like the E-sums. Every shifted
-E_n(u*a + v) comes from ``Polynomial.compose_affine``, an integer Taylor
-shift over one common denominator; sun composes its whole right side once.
+fersim3 are integer polynomials in a, summed from binomial rows
+(a + c)**e; thm2's reads the coefficients of
+sum_l (-1)**l (y+l)**M (y+l-s-1)**M2, kept for the sweep like the E-sums.
+Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
+integer Taylor shift over one common denominator; sun composes its whole
+right side once.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -517,7 +517,7 @@ def check_sun_cor(m: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# thm2's pivot polynomial, read off packed integers
+# thm2's pivot polynomial, summed from binomial rows
 # ---------------------------------------------------------------------------
 
 def _binomial_row(c: int, e: int) -> list:
@@ -525,51 +525,26 @@ def _binomial_row(c: int, e: int) -> list:
     return [math.comb(e, j) * c ** (e - j) for j in range(e + 1)]
 
 
-def _shift_sum(M: int, M2: int, s: int, bits: int) -> tuple:
+def _shift_sum(M: int, M2: int, s: int) -> tuple:
     """Coefficients g_0..g_(M+M2) of
-    G(y) = sum_{l=1}^{s} (-1)**l (y+l)**M (y+l-s-1)**M2, lowest first.
-
-    G is evaluated at y = 2**bits as one integer (Kronecker substitution)
-    and read back as balanced base-2**bits digits. Both |l| and |l-s-1| are
-    at most s, so |g_j| <= s (s+1)**(M+M2) < 2**(bits-1) once
-    bits >= ``_shift_bits(M, M2, s)``, and every digit is exact.
-
-    The digits are checked against G at y0 = 1, -1 and 2, and a mismatch
-    raises ``ArithmeticError``. A width too narrow for the digits leaves
-    carries c_j between them, which move the value at y0 by
-    (y0 - 2**bits) C(y0), C(z) = sum_j c_j z**j; that is zero at all three
-    points only if (z - 1)(z + 1)(z - 2) divides C.
-    """
-    y = 1 << bits
-    total = sum((-1) ** l * pow(y + l, M) * pow(y + l - s - 1, M2)
-                for l in range(1, s + 1))
-    # lift every digit by 2**(bits-1) so that all of them read non-negative
-    count = M + M2 + 1
-    half = y >> 1
-    total += half * (((1 << bits * count) - 1) // (y - 1))
-    mask = y - 1
-    digits = tuple(((total >> bits * j) & mask) - half for j in range(count))
-    for y0 in (1, -1, 2):
-        at = 0
-        for c in reversed(digits):
-            at = at * y0 + c
-        if at != sum((-1) ** l * (y0 + l) ** M * (y0 + l - s - 1) ** M2
-                     for l in range(1, s + 1)):
-            raise ArithmeticError(f"shift sum digits at (M, M2, s) = "
-                                  f"({M}, {M2}, {s}) overflow {bits} bits")
-    return digits
+    G(y) = sum_{l=1}^{s} (-1)**l (y+l)**M (y+l-s-1)**M2, lowest first: each
+    term convolves the binomial rows of (y+l)**M and (y+l-s-1)**M2. The
+    top coefficient, sum_l (-1)**l, is kept where it is zero."""
+    g = [0] * (M + M2 + 1)
+    for l in range(1, s + 1):
+        row2 = _binomial_row(l - s - 1, M2)
+        for i, x in enumerate(_binomial_row(l, M)):
+            x = -x if l & 1 else x
+            for j, y in enumerate(row2, i):
+                g[j] += x * y
+    return tuple(g)
 
 
-def _shift_bits(M: int, M2: int, s: int) -> int:
-    """A digit width that holds every coefficient of ``_shift_sum``."""
-    return (M + M2) * (s + 1).bit_length() + s.bit_length() + 2
-
-
-# ``_shift_sum``'s digits, kept until a sweep ends: thm2 reads the same G
-# for every k, and its G2 at (m, n) is its G1 at (n, m)
+# ``_shift_sum``'s coefficients, kept until a sweep ends: thm2 reads the
+# same G for every k, and its G2 at (m, n) is its G1 at (n, m)
 @lru_cache(maxsize=None)
 def _shift_digits(M: int, M2: int, s: int) -> tuple:
-    return _shift_sum(M, M2, s, _shift_bits(M, M2, s))
+    return _shift_sum(M, M2, s)
 
 
 def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
@@ -603,8 +578,8 @@ def check_thm2(m: int, n: int, s: int, k: int):
     delta = (-1)**s - (-1)**k in {+2, -2, 0}. For delta = 0 the check
     asserts that the derivative sum on the right is identically zero.
     The left side is delta (A_(s+1)(m+1, n+1, k)(a)
-    + (-1)**(m+n) A_(s+1)(n+1, m+1, k)(-a)), and the right side is read off
-    two packed integers; P is never built.
+    + (-1)**(m+n) A_(s+1)(n+1, m+1, k)(-a)), and the right side is summed
+    from binomial rows; P is never built.
     """
     delta = (-1) ** s - (-1) ** k
     lhs = binomial_sums([(delta, m + 1, n + 1, k, s + 1)],

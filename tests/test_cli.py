@@ -344,6 +344,20 @@ def test_witt_naive_refuses_a_bad_shift_before_summing(capsys, monkeypatch):
         2, "", "error: p must be an odd prime, got 9\n")
 
 
+@pytest.mark.parametrize("p,a,message", [
+    ("9", "0", "p must be an odd prime, got 9"),
+    ("3", "1/3", "shift 1/3 is not a 3-adic integer "
+                 "(p divides the denominator)"),
+], ids=["p", "shift"])
+def test_witt_refuses_before_building_e_n(capsys, monkeypatch, p, a, message):
+    # a bad p or shift exits 2 before E_1000 is built
+    cache = EulerCache()
+    monkeypatch.setattr(euler, "_CACHE", cache)
+    assert run_cli(capsys, "witt", "--p", p, "--precision", "1",
+                   "--n", "1000", "--a", a) == (2, "", f"error: {message}\n")
+    assert cache.table_sizes()["E_n"] == 0
+
+
 def test_witt_budget_binds_only_naive(capsys):
     # without --naive the defect is measured on the digit sum, which sums no
     # p**N terms

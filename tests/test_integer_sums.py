@@ -1,4 +1,4 @@
-"""Integer paths: thm2's right side read off packed integers, the
+"""Integer paths: thm2's right side summed from binomial rows, the
 weighted E_n sums over one common denominator (and the sun, sun_cor,
 fersim3 and thm3 sides built on them), the memo of binomial E-sums
 A_c(M, N, k) by its two routes (and the wsp7, thm1, thm2 and sun sides
@@ -108,7 +108,7 @@ def test_packed_pivot_equals_row_sum():
              for m in range(25) for n in range(25) for _ in range(2)]
     cases += [(m, n, s, k) for m in range(5) for n in range(5)
               for s in range(9) for k in range(11)]
-    cases.append((24, 24, 8, 10))   # the widest digits of the grid
+    cases.append((24, 24, 8, 10))   # the largest coefficients of the grid
     for case in cases:
         got = ident._pivot_taylor_sum(*case)
         assert all(type(c) is int for c in got.coeffs)
@@ -118,7 +118,8 @@ def test_packed_pivot_equals_row_sum():
 @pytest.mark.parametrize("s", [50, 1000])
 @pytest.mark.parametrize("m,n", [(0, 1), (3, 2), (6, 6)])
 def test_packed_pivot_at_digit_width_edge(m, n, s):
-    # large s widens every digit: bits grows with bitlen(s + 1)
+    # large s: each G sums s row products, with coefficients up to
+    # s (s+1)**(M+M2)
     for k in range(5):
         assert ident._pivot_taylor_sum(m, n, s, k) == _pivot_by_rows(m, n, s, k)
 
@@ -132,10 +133,15 @@ def test_packed_pivot_equals_row_sum_property(m, n, s, k):
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
-@pytest.mark.parametrize("row", [(1, 2), (2, 3), (2, 5)])
-def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row):
+@pytest.mark.parametrize("row,fails", [
+    ((1, 2), {"fersim3", "thm2"}), ((2, 3), {"fersim3", "thm2"}),
+    ((2, 5), {"fersim3", "thm2"}), ((-1, 3), {"thm2"}), ((-3, 2), {"thm2"})],
+    ids=[f"row{i}" for i in range(5)])
+def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row, fails):
     # one row, (a + c)**e, reads its coefficient of a off by one; fersim3
-    # reads the rows (i, n) with i < q
+    # reads the rows (i, n) with i < q, and thm2's shift sums the rows
+    # (l, M) and (l - s - 1, M2) with 1 <= l <= s, so a negative c reaches
+    # thm2 alone
     clean = ident._binomial_row
 
     def corrupted(c, e):
@@ -144,52 +150,31 @@ def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row):
             coeffs[1] += 1
         return coeffs
 
-    assert all(r.passed for r in run_suite(["fersim3"], mode=mode))
+    ids = ["fersim3", "thm2"]
+    assert all(r.passed for r in run_suite(ids, mode=mode))
     monkeypatch.setattr(ident, "_binomial_row", corrupted)
-    assert not all(r.passed for r in run_suite(["fersim3"], mode=mode))
+    assert {r.checker for r in run_suite(ids, mode=mode)
+            if not r.passed} == fails
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
 @pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2, 1), (1, 2, 2)])
 def test_corrupted_shift_sum_fails_thm2(monkeypatch, mode, shape):
-    # one packed sum G at (M, M2, s) reads its coefficient g_1 off by one;
-    # the digits are a tuple, so the sweep's memo cannot be edited in place
+    # one shift sum G at (M, M2, s) reads its coefficient g_1 off by one;
+    # the coefficients are a tuple, so the sweep's memo cannot be edited in
+    # place
     clean = ident._shift_sum
 
-    def corrupted(M, M2, s, bits):
-        digits = clean(M, M2, s, bits)
+    def corrupted(M, M2, s):
+        coeffs = clean(M, M2, s)
         if (M, M2, s) == shape:
-            digits = digits[:1] + (digits[1] + 1,) + digits[2:]
-        return digits
+            coeffs = coeffs[:1] + (coeffs[1] + 1,) + coeffs[2:]
+        return coeffs
 
     assert all(r.passed for r in run_suite(["thm2"], mode=mode))
     monkeypatch.setattr(ident, "_shift_sum", corrupted)
     failed = [r for r in run_suite(["thm2"], mode=mode) if not r.passed]
     assert failed and not any(isinstance(r.residual, str) for r in failed)
-
-
-def test_shift_sum_checks_its_digits():
-    # at (M, M2, s) = (5, 5, 3) the safe width is 34 bits, and the digits
-    # are exact down to 13; every narrower width carries between digits
-    # (at 11 bits the carries add up to zero, so G(1) alone misses them)
-    assert ident._shift_bits(5, 5, 3) == 34
-    exact = ident._shift_sum(5, 5, 3, 34)
-    assert ident._shift_sum(5, 5, 3, 13) == exact
-    for bits in range(4, 13):
-        with pytest.raises(ArithmeticError, match="overflow"):
-            ident._shift_sum(5, 5, 3, bits)
-
-
-@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
-def test_overflowing_shift_width_fails_thm2(monkeypatch, mode):
-    monkeypatch.setattr(ident, "_shift_bits", lambda M, M2, s: 12)
-    reports = run_suite(["thm2"], mode=mode)
-    failed = [r for r in reports if not r.passed]
-    assert failed and all(r.residual.startswith("ArithmeticError: shift sum")
-                          for r in failed)
-    # the widest shape of the desk grid, (M, M2, s) = (7, 7, 3), overflows
-    assert {(r.params["m"], r.params["n"], r.params["s"])
-            for r in failed} >= {(6, 6, 3)}
 
 
 def _random_terms(rng):
@@ -370,7 +355,7 @@ def test_both_binomial_sum_routes_equal_the_term_list(monkeypatch, table):
 
 
 def _shift_sums() -> int:
-    """How many packed shift sums thm2's memo holds."""
+    """How many shift sums thm2's memo holds."""
     return ident._shift_digits.cache_info().currsize
 
 
