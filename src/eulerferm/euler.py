@@ -38,10 +38,11 @@ integer polynomials F_n = 2**n E_n as
 in one append-only table (`EulerRecurrence`).
 
 Weighted sums, with integer or rational weights, of E_n(a) and E_n(-a)
-(`euler_sum`) and of E_k(0) (`zero_sum`, from s_k alone) share one integer
-core, `_weighted_sum`: the integer numerators of each E_n over its own
-denominator (E_k(0) as s_k over 2**k) are weighted and added over one
-common denominator. The binomial E-sums of the symmetry theorems,
+(`euler_sum`) are added on one integer core, `_weighted_sum`, which takes
+Polynomials and returns one: their numerators are weighted and added over
+one common denominator. Sums of E_k(0) (`zero_sum`) build no polynomial:
+they add the integers s_k over one lcm. The binomial E-sums of the
+symmetry theorems,
 
     A_c(M, N, k)(x) = sum_{i<=M} C(M, i) c**(M-i) C(N+i, k) E_(N+i-k)(x),
 
@@ -82,9 +83,9 @@ __all__ = [
     "table_sizes",
 ]
 
-# Largest n that the CLI and sweep grids accept: `poly 1000` takes about
-# 0.4 s in a fresh interpreter (2 vCPU, Python 3.11), and the cost of E_n
-# grows faster than n**2.
+# Largest n, or grid index, that the CLI and sweep grids accept: `poly 1000`
+# takes about 0.4 s in a fresh interpreter (2 vCPU, Python 3.11), and the
+# cost of E_n grows faster than n**2.
 MAX_DEGREE = 1000
 
 
@@ -109,30 +110,31 @@ def tangent_numbers():
         yield new[-1]
 
 
-def _weighted_sum(parts) -> tuple[list[int], int]:
-    """sum c P(step * x) over (c, step, (nums, d)) in parts, P with
-    coefficients nums[i] / d, as integer numerators acc over den, the lcm
-    of every d * c.denominator: coefficient i is acc[i] / den."""
-    den = math.lcm(*(d * c.denominator for c, _, (_, d) in parts))
-    acc = [0] * max((len(nums) for _, _, (nums, _) in parts), default=0)
-    for c, step, (nums, d) in parts:
-        w = c.numerator * (den // (d * c.denominator))
-        for i, v in enumerate(nums):
+def _weighted_sum(parts) -> Polynomial:
+    """sum c P(step * x) over (c, step, P) in parts, for Polynomials P and
+    int or Fraction weights c: the numerators of each P are weighted and
+    added as integers over den, the lcm of every P.den * c.denominator,
+    which is divided out once."""
+    den = math.lcm(*(p.den * c.denominator for c, _, p in parts))
+    acc = [0] * max((len(p.nums) for _, _, p in parts), default=0)
+    for c, step, p in parts:
+        w = c.numerator * (den // (p.den * c.denominator))
+        for i, v in enumerate(p.nums):
             acc[i] += w * v
             w *= step   # in P(-x) the sign alternates with the power
-    return acc, den
+    return Polynomial.scaled(acc, den)
 
 
 class EulerCache:
     """Append-only memo tables: the column s_k, and E_n and B_n, both
     expanded by one builder from s_k as integer numerators over one
-    denominator, which ``euler_sum`` adds up. E_n(0) and the Euler
-    numbers are read from s_k alone, so only polynomial reads grow the
-    E_n table. Shifted E_n(u*a + v) are not memoized: each is one integer
-    Taylor shift of the table entry. The binomial E-sums A_c(M, N, k) have
-    a memo of their own (``binomial_sum``), which grows like the others
-    but is dropped whole by ``drop_binomial_sums``; an entry is in normal
-    form, so it is the same whichever route built it.
+    denominator. E_n(0) and the Euler numbers are read from s_k alone, so
+    only polynomial reads grow the E_n table. Shifted E_n(u*a + v) are not
+    memoized: each is one integer Taylor shift of the table entry. The
+    binomial E-sums A_c(M, N, k) have a memo of their own
+    (``binomial_sum``), which grows like the others but is dropped whole
+    by ``drop_binomial_sums``; an entry is a Polynomial, in normal form,
+    so it is the same whichever route built it.
 
     Identity sweeps re-request the same E_n thousands of times, so
     memoization is mandatory, and a hit is one ``dict.get`` (or one length
@@ -149,7 +151,7 @@ class EulerCache:
         self._zeros: list[int] = []
         self._euler: dict[int, Polynomial] = {}
         self._bernoulli: dict[int, Polynomial] = {}
-        self._sums: dict[tuple, tuple[tuple[int, ...], int]] = {}
+        self._sums: dict[tuple, Polynomial] = {}
         self._lock = threading.RLock()
 
     def _column(self, *ks: int) -> list[int]:
@@ -218,32 +220,25 @@ class EulerCache:
         """E_n(u*a + v) expanded as a polynomial in a."""
         return self.euler_poly(n).compose_affine(u, v)
 
-    def euler_scaled(self, n: int) -> tuple[tuple[int, ...], int]:
-        """E_n as (nums, den), read off the table entry, not assumed dyadic.
-        It reads through ``euler_poly``, so a subclass that overrides that
-        method (a corrupted table in the tests) is summed as it reads."""
-        p = self.euler_poly(n)
-        return p.nums, p.den
-
     def euler_sum(self, terms=(), neg_terms=()) -> Polynomial:
         """sum c E_n(a) over (c, n) in terms + sum c E_n(-a) over neg_terms.
 
         Weights c are integers or Fractions. Terms of weight 0 are skipped
         before E_n is looked up, so a binomial weight C(r, k) = 0 with k > r
-        keeps a negative index out."""
-        return Polynomial.scaled(*_weighted_sum(
-            [(c, 1, self.euler_scaled(n)) for c, n in terms if c]
-            + [(c, -1, self.euler_scaled(n)) for c, n in neg_terms if c]))
+        keeps a negative index out. E_n is read through ``euler_poly``, so
+        an override of it (a corrupted table) is summed as it reads."""
+        return _weighted_sum(
+            [(c, 1, self.euler_poly(n)) for c, n in terms if c]
+            + [(c, -1, self.euler_poly(n)) for c, n in neg_terms if c])
 
-    def binomial_sum(self, M: int, N: int, k: int,
-                     c=1) -> tuple[tuple[int, ...], int]:
-        """A_c(M, N, k) = sum_{i<=M} C(M, i) c**(M-i) C(N+i, k) E_(N+i-k)
-        as (nums, den) in normal form, for an int or Fraction c.
+    def binomial_sum(self, M: int, N: int, k: int, c=1) -> Polynomial:
+        """A_c(M, N, k) = sum_{i<=M} C(M, i) c**(M-i) C(N+i, k) E_(N+i-k),
+        for an int or Fraction c.
 
         A miss is built under the lock: by Pascal's rule from
         A_c(M-1, N, k) and A_c(M-1, N+1, k) if both are cached, else
         directly from the M + 1 table entries, read through
-        ``euler_scaled``. Neither route fills in missing neighbours, and
+        ``euler_poly``. Neither route fills in missing neighbours, and
         both give the direct sum exactly, on any table, since the rule acts
         on C(M, i) alone."""
         key = (M, N, k, c)
@@ -256,11 +251,10 @@ class EulerCache:
                 left = self._sums.get((M - 1, N, k, c))
                 right = self._sums.get((M - 1, N + 1, k, c))
                 if left is not None and right is not None:
-                    acc, den = _weighted_sum(self._pascal_step(c, left, right))
+                    entry = _weighted_sum(self._pascal_step(c, left, right))
                 else:
-                    acc, den = self._direct_sum(M, N, k, c)
-                p = Polynomial.scaled(acc, den)
-                entry = self._sums[key] = (p.nums, p.den)
+                    entry = self._direct_sum(M, N, k, c)
+                self._sums[key] = entry
         return entry
 
     @staticmethod
@@ -268,7 +262,7 @@ class EulerCache:
         """The parts of c A_c(M-1, N, k) + A_c(M-1, N+1, k)."""
         return [(c, 1, left), (1, 1, right)]
 
-    def _direct_sum(self, M: int, N: int, k: int, c) -> tuple[list[int], int]:
+    def _direct_sum(self, M: int, N: int, k: int, c) -> Polynomial:
         """A_c(M, N, k) term by term. With c = r/t, term i has the integer
         weight C(M, i) C(N+i, k) r**(M-i) t**i, and t**M divides out once;
         a zero weight, C(N+i, k) = 0 for N + i < k, reads no E_n."""
@@ -277,19 +271,18 @@ class EulerCache:
         for i in range(M + 1):
             w = math.comb(M, i) * math.comb(N + i, k) * r ** (M - i) * t ** i
             if w:
-                parts.append((w, 1, self.euler_scaled(N + i - k)))
-        acc, den = _weighted_sum(parts)
-        return acc, den * t ** M
+                parts.append((w, 1, self.euler_poly(N + i - k)))
+        return _weighted_sum(parts) * Fraction(1, t ** M)   # self at t = 1
 
     def binomial_sums(self, terms=(), neg_terms=()) -> Polynomial:
         """sum w A_c(M, N, k)(a) over (w, M, N, k, c) in terms
         + sum w A_c(M, N, k)(-a) over neg_terms; a term of weight 0 reads
         nothing."""
-        return Polynomial.scaled(*_weighted_sum(
+        return _weighted_sum(
             [(w, 1, self.binomial_sum(M, N, k, c))
              for w, M, N, k, c in terms if w]
             + [(w, -1, self.binomial_sum(M, N, k, c))
-               for w, M, N, k, c in neg_terms if w]))
+               for w, M, N, k, c in neg_terms if w])
 
     def drop_binomial_sums(self) -> None:
         """Empty the memo of ``binomial_sum``; a sweep calls this when it
@@ -298,13 +291,14 @@ class EulerCache:
             self._sums = {}
 
     def zero_sum(self, terms) -> Fraction:
-        """sum c E_k(0) over (c, k) in terms; s_k is read only if c != 0,
-        and the column is extended once for all of them."""
+        """sum c E_k(0) over (c, k) in terms, as the integers c s_k over the
+        lcm of every 2**k c.denominator; s_k is read only if c != 0, and
+        the column is extended once for all of them."""
         terms = [(c, k) for c, k in terms if c]
         zeros = self._column(*(k for _, k in terms))
-        acc, den = _weighted_sum([(c, 1, ((zeros[k],), 1 << k))
-                                  for c, k in terms])
-        return Fraction(sum(acc), den)   # acc is [] or the constant term
+        den = math.lcm(*(c.denominator << k for c, k in terms))
+        return Fraction(sum(c.numerator * (den // (c.denominator << k))
+                            * zeros[k] for c, k in terms), den)
 
     def euler_number(self, n: int) -> int:
         """2**n E_n(1/2) = sum_k C(n, k) s_k, an integer by construction."""

@@ -8,10 +8,12 @@ both sides exactly and returns what its kind asks for:
   objects in the free argument ``a`` (or ``b``). In symbolic mode (the
   primary route) the residual lhs - rhs must be the zero polynomial -- a
   certificate valid over every commutative ring containing the rationals.
-  In pointwise mode (independent oracle) both sides are evaluated at
-  degree + 1 distinct rational points 0, 1, -1, 2, -2, ... and every
-  difference must vanish, which certifies the same polynomial identity by
-  interpolation without ever forming the residual polynomial. Lemma
+  In pointwise mode both sides are evaluated at degree + 1 distinct
+  rational points 0, 1, -1, 2, -2, ... and every difference must vanish,
+  which certifies the same polynomial identity by interpolation without
+  ever forming the residual polynomial. It runs the same bodies, so it is
+  no independent oracle: each shared-core mutant of the tests fails the
+  same checkers in both modes (ROADMAP item 7). Lemma
   residuals are internal sub-checks; they must vanish too, but the reported
   residual stays the main one.
 * ``"scalar"``: the exact residual of a numeric identity, which must be 0.
@@ -85,7 +87,7 @@ from .euler import (
     zero_sum,
 )
 from .numeric import binomial, falling_factorial, format_rational
-from .padic import lem1_defect, require_odd_prime, witt_defect
+from .padic import MAX_PRECISION, lem1_defect, require_odd_prime, witt_defect
 from .polynomial import Polynomial, monomial
 
 __all__ = [
@@ -173,9 +175,12 @@ class SweepGrid:
             raise ValueError("every grid field but points must hold integers")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
+        if self.precision > MAX_PRECISION:
+            raise ValueError(f"precision must be <= {MAX_PRECISION}, "
+                             f"got {self.precision}")
         if min(indices, default=0) < 0:
             raise ValueError("ranges must be non-negative")
-        for axis in ("m", "n"):
+        for axis in ("m", "n", "q", "k", "s"):
             top = max(getattr(self, axis), default=0)
             if top > MAX_DEGREE:
                 raise ValueError(f"{axis} must be <= {MAX_DEGREE}, got {top}")
@@ -335,7 +340,10 @@ def check_reflection(n: int):
 
 @checker("complement", _N)
 def check_complement(n: int):
-    """(-1)**n E_n(-a) + E_n(a) = 2 a**n."""
+    """(-1)**n E_n(-a) + E_n(a) = 2 a**n. The terms C(n, k) E_k(0) a**(n-k)
+    with odd k cancel, and E_k(0) = 0 at every even k >= 2, so this reads
+    only s_0 of the tangent column: gf_consistency certifies the tangent
+    numbers."""
     return euler_sum([(1, n)], [((-1) ** n, n)]), monomial(n, Fraction(2))
 
 
@@ -540,10 +548,10 @@ def _shift_sum(M: int, M2: int, s: int) -> tuple:
     return tuple(g)
 
 
-# ``_shift_sum``'s coefficients, kept until a sweep ends: thm2 reads the
-# same G for every k, and its G2 at (m, n) is its G1 at (n, m)
+# ``_shift_sum``, memoized until a sweep ends: thm2 reads the same G for
+# every k, and its G2 at (m, n) is its G1 at (n, m)
 @lru_cache(maxsize=None)
-def _shift_digits(M: int, M2: int, s: int) -> tuple:
+def _cached_shift_sum(M: int, M2: int, s: int) -> tuple:
     return _shift_sum(M, M2, s)
 
 
@@ -552,8 +560,8 @@ def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
     integer polynomial 2 [t**k] (G1(a+t) + (-1)**(m+n) G2(t-a)), where G1
     and G2 are ``_shift_sum``'s G at (M, M2) = (m+1, n+1) and (n+1, m+1).
     Coefficient i is 2 C(i+k,k) (g1[i+k] + (-1)**(m+n+i) g2[i+k])."""
-    g1 = _shift_digits(m + 1, n + 1, s)
-    g2 = _shift_digits(n + 1, m + 1, s)
+    g1 = _cached_shift_sum(m + 1, n + 1, s)
+    g2 = _cached_shift_sum(n + 1, m + 1, s)
     sign = (-1) ** (m + n)
     return Polynomial.scaled([2 * math.comb(i + k, k)
                               * (g1[i + k] + sign * (-1) ** i * g2[i + k])
@@ -821,4 +829,4 @@ def _drop_sweep_memos() -> None:
     """Drop the memos of binomial E-sums and shift sums, so that what they
     hold stays bounded by one checker's grid, or by one direct call."""
     drop_binomial_sums()
-    _shift_digits.cache_clear()
+    _cached_shift_sum.cache_clear()

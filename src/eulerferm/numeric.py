@@ -41,13 +41,6 @@ def int_pow(base: Fraction, e: int) -> Fraction:
     return Fraction(base) ** e
 
 
-def common_denominator(values) -> tuple[tuple[int, ...], int]:
-    """(numerators, d) with values[i] == numerators[i] / d, where d is the
-    lcm of the denominators of the int or Fraction values (1 for none)."""
-    d = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'num' or 'num/den' with an optional leading '-'.
 

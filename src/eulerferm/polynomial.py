@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .numeric import common_denominator, falling_factorial, format_rational
+from .numeric import falling_factorial, format_rational
 
 __all__ = ["Polynomial", "monomial", "taylor_shift", "X"]
 
@@ -28,7 +28,10 @@ class Polynomial:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):   # int or Fraction, lowest degree first
-        _store(self, *common_denominator(tuple(coeffs)))
+        coeffs = tuple(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _store(self, [c.numerator * (den // c.denominator) for c in coeffs],
+               den)
 
     @classmethod
     def scaled(cls, nums, den: int = 1) -> "Polynomial":

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerferm import cli, euler, padic
+from eulerferm import cli, euler, identities as ident, padic
 from eulerferm.euler import EulerCache, euler_poly
 from eulerferm.identities import IdentityReport
 
@@ -154,14 +154,16 @@ def test_verify_has_no_budget(capsys):
 
 
 @pytest.mark.parametrize("argv,code,message", [
-    (["verify", "cro2", "--n", "0..1", "--precision", "1000000000"], 0, ""),
+    # the grid refuses it whether or not a selected checker reads it
+    (["verify", "cro2", "--n", "0..1", "--precision", "1000000000"], 2,
+     "error: precision must be <= 1000, got 1000000000\n"),
     (["verify", "lem1", "--precision", "1000000000"], 2,
      "error: precision must be <= 1000, got 1000000000\n"),
     (["witt", "--p", "3", "--precision", "1000000000", "--n", "1", "--a", "0"],
      2, "error: precision must be <= 1000, got 1000000000\n"),
     (["verify", "witt", "--precision", "1001"], 2,
      "error: precision must be <= 1000, got 1001\n"),
-    # lem1's body raises after ten checkers have run, before any output
+    # the grid refuses it before any checker runs
     (["verify", "all", "--precision", "1001"], 2,
      "error: precision must be <= 1000, got 1001\n"),
 ], ids=["cro2", "lem1", "witt", "verify-witt", "verify-all"])
@@ -171,6 +173,25 @@ def test_huge_precision_is_answered_without_building_p_to_the_n(
     got, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 1.0
     assert (got, err) == (code, message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "all", "--precision", "1001"],
+     "precision must be <= 1000, got 1001"),
+    (["verify", "thm1", "--q", "1001"], "q must be <= 1000, got 1001"),
+], ids=["precision", "q"])
+def test_a_refused_grid_runs_no_checker(capsys, monkeypatch, argv, message):
+    # every checker is swapped for one that logs each sweep and report
+    calls = []
+    for cid in list(ident.CHECKERS):
+        monkeypatch.setitem(ident.CHECKERS, cid, ident.Checker(
+            cid, lambda *args, cid=cid: calls.append(cid),
+            lambda grid, cid=cid: calls.append(cid) or iter(())))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert calls == []
+    # the same command on a grid it accepts reaches the checkers
+    run_cli(capsys, *argv[:2])
+    assert calls
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -378,14 +399,18 @@ _WITT_1001 = ["witt", "--p", "3", "--precision", "1", "--n", "1001", "--a", "0"]
     (_WITT_1001 + ["--naive"], "n must be <= 1000, got 1001"),
     (["verify", "cro2", "--n", "0..1001"], "n must be <= 1000, got 1001"),
     (["verify", "wsp7", "--m", "1001"], "m must be <= 1000, got 1001"),
+    (["verify", "thm1", "--m", "1", "--n", "0", "--q", "1500", "--k", "1"],
+     "q must be <= 1000, got 1500"),
+    (["verify", "thm1", "--k", "1001"], "k must be <= 1000, got 1001"),
+    (["verify", "thm2", "--s", "1001"], "s must be <= 1000, got 1001"),
     (["poly", "-1"], "n must be >= 0, got -1"),
     (["eval", "-1", "1/2"], "n must be >= 0, got -1"),
     (["numbers", "-1"], "max must be >= 0, got -1"),
     (["witt", "--p", "3", "--precision", "1", "--n", "-1", "--a", "0"],
      "n must be >= 0, got -1"),
 ], ids=["poly", "eval", "numbers", "witt", "witt-naive", "verify-n",
-        "verify-m", "poly-negative", "eval-negative", "numbers-negative",
-        "witt-negative"])
+        "verify-m", "verify-q", "verify-k", "verify-s", "poly-negative",
+        "eval-negative", "numbers-negative", "witt-negative"])
 def test_degree_above_max_exits_2_before_any_table_grows(
         capsys, monkeypatch, argv, message):
     cache = EulerCache()
