@@ -229,6 +229,18 @@ def _json_value(value, indent: str) -> str:
     return f"[\n{inner}{items}\n{indent}]" if value else "[]"
 
 
+def _json_line(value) -> str:
+    """``json.dumps(value)`` for a leaf, or a list or dict of them, with the
+    default separators ", " and ": "."""
+    if isinstance(value, dict):
+        return "{" + ", ".join([
+            f"{encode_basestring_ascii(k)}: {_json_line(v)}"
+            for k, v in value.items()]) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join([_json_line(v) for v in value]) + "]"
+    return _json_value(value, "")
+
+
 def _json_report(r) -> str:
     """``report_to_dict(r)`` as ``json.dumps`` writes it one level deep."""
     params = ",\n      ".join([
@@ -260,13 +272,17 @@ def _emit_reports(reports, fmt: str) -> None:
     passed = 0
     for i, report in enumerate(reports):
         passed += report.passed
-        d = None if fmt == "json" else report_to_dict(report)
+        d = None if fmt in ("json", "csv") else report_to_dict(report)
         if fmt == "json":
             write(f"{',' if i else ''}\n  {_json_report(report)}")
         elif fmt == "csv":
-            writer.writerow([d["id"], json.dumps(d["params"]), d["mode"],
-                             json.dumps(d["residual"]), d["pass"],
-                             f"{d['elapsed_ms']:.3f}"])
+            writer.writerow([
+                report.checker,
+                _json_line({k: _jsonable(v)
+                            for k, v in report.params.items()}),
+                report.mode,
+                _json_line(_render_residual(report.residual, report.mode)),
+                report.passed, f"{report.elapsed_ms:.3f}"])
         elif fmt == "md":
             write(f"| {d['id']} | {_params_text(d['params'])} | {d['mode']} "
                   f"| {_residual_text(d['residual'])} "

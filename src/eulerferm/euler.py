@@ -50,7 +50,8 @@ are memoized on the same core (`EulerCache.binomial_sum`) until a sweep drops
 them (`drop_binomial_sums`): a miss whose two Pascal neighbours are cached is
 A_c(M, N, k) = c A_c(M-1, N, k) + A_c(M-1, N+1, k), from
 C(M, i) = C(M-1, i) + C(M-1, i-1), and any other miss is the direct
-(M+1)-term sum. `binomial_sums` adds weighted A_c at a and at -a.
+(M+1)-term sum. `binomial_sum` reads one entry as stored, and
+`binomial_sums` adds weighted A_c at a and at -a.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
     "euler_poly_shifted",
     "euler_sum",
     "zero_sum",
+    "binomial_sum",
     "binomial_sums",
     "drop_binomial_sums",
     "bernoulli_poly",
@@ -340,6 +342,10 @@ def euler_sum(terms=(), neg_terms=()) -> Polynomial:
 
 def zero_sum(terms) -> Fraction:
     return _CACHE.zero_sum(terms)
+
+
+def binomial_sum(M: int, N: int, k: int, c=1) -> Polynomial:
+    return _CACHE.binomial_sum(M, N, k, c)
 
 
 def binomial_sums(terms=(), neg_terms=()) -> Polynomial:

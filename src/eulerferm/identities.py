@@ -36,9 +36,11 @@ its arguments by name and calls ``run`` with every entry check.
 
 Exact arithmetic stays on the integers where the values are integers. The
 symmetry theorems read the binomial E-sums
-A_c(M, N, k) = sum_i C(M,i) c**(M-i) C(N+i,k) E_(N+i-k) from one memo,
-``euler.binomial_sums``: both sides of wsp7 (c = 1) and sun (c = a), and the
-left sides of thm1 (c = 1) and thm2 (c = s + 1), each at a and at -a. A sum
+A_c(M, N, k) = sum_i C(M,i) c**(M-i) C(N+i,k) E_(N+i-k) from one memo: a
+side that is one entry up to sign reads it as stored (``euler.binomial_sum``:
+the left side of wsp7, c = 1, and both sides of sun, c = a), and
+``euler.binomial_sums`` adds weighted entries at a and at -a (the right side
+of wsp7, and the left sides of thm1, c = 1, and thm2, c = s + 1). A sum
 that several reports read, or a report and its transpose, is built once in a
 sweep, and the memo is dropped when each sweep, or direct call, ends. The
 other weighted sums of E_n(a) and E_n(-a) (the left sides of complement,
@@ -48,8 +50,9 @@ thm2_cro1/2, thm3_1a-d and rem2_1) through ``euler.zero_sum``. All of them
 add integer numerators over one common denominator, for integer or rational
 weights alike, and divide it out once. The right sides of thm2, thm3 and
 fersim3 are integer polynomials in a, summed from binomial rows
-(a + c)**e; thm2's reads the coefficients of
-sum_l (-1)**l (y+l)**M (y+l-s-1)**M2, kept for the sweep like the E-sums.
+(a + c)**e (fersim3's as the column sums of its signed rows); thm2's reads
+the coefficients of sum_l (-1)**l (y+l)**M (y+l-s-1)**M2, kept for the
+sweep like the E-sums.
 Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
@@ -69,12 +72,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from operator import neg
 
 from .euler import (
     MAX_DEGREE,
     EulerRecurrence,
     alt_power_sum,
     bernoulli_poly,
+    binomial_sum,
     binomial_sums,
     drop_binomial_sums,
     euler_number,
@@ -403,7 +408,7 @@ def check_bernoulli_power_sum(m: int, n: int):
 def check_wsp7(m: int, n: int):
     """(-1)**m sum_i C(m,i) E_{n+i}(a) = (-1)**n sum_j C(n,j) E_{m+j}(-a),
     that is, (-1)**m A_1(m, n, 0)(a) = (-1)**n A_1(n, m, 0)(-a)."""
-    return (binomial_sums([((-1) ** m, m, n, 0, 1)]),
+    return ((-1) ** m * binomial_sum(m, n, 0),
             binomial_sums(neg_terms=[((-1) ** n, n, m, 0, 1)]))
 
 
@@ -505,11 +510,11 @@ def check_sun(m: int, n: int, a: Fraction):
     (-1)**m sum_i C(m,i) a**(m-i) E_{n+i}(b)
       = (-1)**n sum_j C(n,j) a**(n-j) E_{m+j}(c).
 
-    The sums are A_a(m, n, 0) and A_a(n, m, 0); the right one is composed
-    with b -> 1 - a - b once.
+    The sums are A_a(m, n, 0) and A_a(n, m, 0), read as stored and negated
+    at most; the right one is composed with b -> 1 - a - b once.
     """
-    lhs = binomial_sums([((-1) ** m, m, n, 0, a)])
-    rhs = binomial_sums([((-1) ** n, n, m, 0, a)])
+    lhs = (-1) ** m * binomial_sum(m, n, 0, a)
+    rhs = (-1) ** n * binomial_sum(n, m, 0, a)
     return lhs, rhs.compose_affine(-1, 1 - a)
 
 
@@ -727,9 +732,8 @@ def check_fersim3(n: int, q: int):
     (-1)**(q-1) E_n(a+q) + E_n(a) = 2 sum_{i<q} (-1)**i (a+i)**n."""
     lhs = (-1) ** (q - 1) * euler_poly_shifted(n, 1, q) + euler_poly(n)
     rows = [_binomial_row(i, n) for i in range(q)]
-    return lhs, Polynomial([2 * sum((-1) ** i * row[j]
-                                    for i, row in enumerate(rows))
-                            for j in range(n + 1)])
+    signed = [map(neg, row) if i % 2 else row for i, row in enumerate(rows)]
+    return lhs, Polynomial.scaled([2 * c for c in map(sum, zip(*signed))])
 
 
 # ---------------------------------------------------------------------------

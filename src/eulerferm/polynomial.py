@@ -8,14 +8,17 @@ ints if den == 1, else as Fractions.
 
 ``*`` between two Polynomials is ring multiplication (convolution); an int
 or Fraction scales every coefficient. ``compose_affine`` is an integer
-Taylor shift; its loop, ``taylor_shift``, also serves the p-adic sums by
-base-p digits.
+Taylor shift, ``taylor_shift``, between two scalings by power lists; the
+shift's O(n**2) additions run as n prefix sums (``itertools.accumulate``),
+so its inner loop is C.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import floordiv, mul, neg
 
 from .numeric import falling_factorial, format_rational
 
@@ -137,18 +140,17 @@ class Polynomial:
         An integer Taylor shift: with v = r/t, t**n * den * p((y + r)/t) is
         an integer polynomial in y, shifted by the integer r with O(n**2)
         integer additions. Substituting y = t*u*x scales coefficient i by
-        (t*u)**i, and the denominator grows by (t * u.denominator)**n.
+        (t*u)**i, and the denominator grows by (t * u.denominator)**n. Both
+        scalings multiply by power lists and skip a factor equal to 1.
         """
         if not self.nums:
             return self
         u, v = Fraction(u), Fraction(v)
         r, t = v.numerator, v.denominator
-        n = len(self.nums) - 1
-        acc = taylor_shift([c * t ** (n - i) for i, c in enumerate(self.nums)],
-                           r)
         w, s = u.numerator, u.denominator
-        return Polynomial.scaled([c * (t * w) ** i * s ** (n - i)
-                                  for i, c in enumerate(acc)],
+        n = len(self.nums) - 1
+        acc = taylor_shift(_scale(self.nums, 1, t), r)
+        return Polynomial.scaled(_scale(acc, t * w, s),
                                  self.den * (t * s) ** n)
 
     def __call__(self, t):
@@ -205,15 +207,49 @@ def _term_str(c, i: int) -> str:
     return f"{body}*{power}"
 
 
-def taylor_shift(nums: list, r: int) -> list:
-    """The integer coefficients of p(y + r), lowest first, from those of p:
-    O(n**2) integer additions, made in place on ``nums``, which is returned."""
+def _powers(r: int, n: int) -> list:
+    """[1, r, r**2, ..., r**n]."""
+    return list(accumulate(repeat(r, n), mul, initial=1))
+
+
+def _scale(nums, a: int, b: int):
+    """nums[i] * a**i * b**(n-i), with n = len(nums) - 1, as a list; a
+    factor equal to 1 is skipped, and with a == b == 1 nums is returned.
+    a = -1 negates the odd coefficients."""
     n = len(nums) - 1
-    if r:
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                nums[j] += r * nums[j + 1]
+    if a == -1:
+        nums = list(nums)
+        nums[1::2] = map(neg, nums[1::2])
+    elif a != 1:
+        nums = list(map(mul, nums, _powers(a, n)))
+    if b != 1:
+        nums = list(map(mul, nums, reversed(_powers(b, n))))
     return nums
+
+
+def taylor_shift(nums, r: int) -> list:
+    """The integer coefficients of p(y + r), lowest first, from those of p,
+    as a new list.
+
+    p(y + r) = q(y/r + 1) with q(z) = p(r*z): coefficient i is scaled by
+    r**i, q(z + 1) is the unit shift, and coefficient j is divided by r**j,
+    exactly. The unit shift is the classical n**2/2 additions (von zur
+    Gathen & Gerhard, ISSAC 1997) in n C-level passes: on the coefficients
+    read highest first, each pass takes the prefix sums (``accumulate``) and
+    the last of them is final.
+    """
+    n = len(nums) - 1
+    if not r or n < 1:
+        return list(nums)
+    row = _scale(nums, r, 1)[::-1]
+    out = []
+    for _ in range(n):
+        row = list(accumulate(row))
+        out.append(row.pop())
+    out.append(row[0])
+    if r in (1, -1):   # dividing by (-1)**j is multiplying by it
+        return _scale(out, r, 1)
+    return list(map(floordiv, out, _powers(r, n)))
 
 
 def monomial(k: int, coeff=1) -> Polynomial:

@@ -41,7 +41,7 @@ from eulerferm.padic import (
     lem1_defect,
     valuation,
 )
-from eulerferm.polynomial import Polynomial, monomial, taylor_shift
+from eulerferm.polynomial import Polynomial, monomial
 
 F = Fraction
 
@@ -633,14 +633,13 @@ def _drop_one_level(monkeypatch):
 
 
 def _flip_odd_digits(monkeypatch):
-    def folded_with_odd_j_added(nums, p):
-        shifted, folded = list(nums), list(nums)
-        for _ in range(1, p):
-            taylor_shift(shifted, 1)
-            folded = [a + b for a, b in zip(folded, shifted)]
-        return [c * p ** k for k, c in enumerate(folded)]
+    rows = padic._fold_rows
 
-    monkeypatch.setattr(padic, "_fold_digit", folded_with_odd_j_added)
+    def rows_with_odd_j_added(sums, p):
+        return rows([sum(j ** e for j in range(p))
+                     for e in range(len(sums))], p)
+
+    monkeypatch.setattr(padic, "_fold_rows", rows_with_odd_j_added)
 
 
 @pytest.mark.parametrize("mutate", [_drop_one_level, _flip_odd_digits],

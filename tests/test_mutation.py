@@ -131,28 +131,37 @@ def test_pascal_step_mutant_survivors(monkeypatch, cache, failed):
     assert _survivors(monkeypatch, cache()) == set(CHECKER_IDS) - failed
 
 
-_FOLD = padic._fold_digit
+_ROWS = padic._fold_rows
+_SUMS = padic._alternating_power_sums
 
 
-def _fold_times_p(nums, p):
-    return [c * p for c in _FOLD(nums, p)]
+def _rows_times_p(sums, p):
+    """Every weight of the fold times p, so each level reads p g."""
+    return [[w * p for w in row] for row in _ROWS(sums, p)]
 
 
-def _fold_unsigned(nums, p):
-    """sum_j f(j + p*y) with every j added, not (-1)**j f(j + p*y)."""
-    shifted, folded = list(nums), list(nums)
-    for _ in range(1, p):
-        taylor_shift(shifted, 1)
-        folded = [a + b for a, b in zip(folded, shifted)]
-    return [c * p ** k for k, c in enumerate(folded)]
+def _rows_unsigned(sums, p):
+    """The fold's weights from sum_j j**e, every j added, in place of
+    A_e = sum_j (-1)**j j**e: each level reads sum_j f(j + p*y)."""
+    return _ROWS([sum(j ** e for j in range(p)) for e in range(len(sums))],
+                 p)
 
 
-@pytest.mark.parametrize("fold", [_fold_times_p, _fold_unsigned],
-                         ids=["times_p", "unsigned"])
-def test_certifier_mutant_survivors(monkeypatch, fold):
-    """The digit fold of the p-adic sums (``padic._fold_digit``), which
+def _sums_without_j0(p, d):
+    """A_0 summed without its j = 0 term: 0 in place of 1, in the fold's
+    weights and in the last level's sum alike."""
+    sums = _SUMS(p, d)
+    return [sums[0] - 1, *sums[1:]] if sums else sums
+
+
+@pytest.mark.parametrize("name,mutant", [
+    ("_fold_rows", _rows_times_p), ("_fold_rows", _rows_unsigned),
+    ("_alternating_power_sums", _sums_without_j0)],
+    ids=["times_p", "unsigned", "a0_without_j0"])
+def test_certifier_mutant_survivors(monkeypatch, name, mutant):
+    """The weights of the digit fold of the p-adic sums (``padic``), which
     witt and lem1 read at precision 2 and no other checker reads."""
-    monkeypatch.setattr(padic, "_fold_digit", fold)
+    monkeypatch.setattr(padic, name, mutant)
     assert _survivors(monkeypatch, EulerCache()) == \
         set(CHECKER_IDS) - {"witt", "lem1"}
 
@@ -176,7 +185,8 @@ def _shift_one_further(nums, r):
     return taylor_shift(nums, r + 1)
 
 
-# the checkers that read a shifted E_n, or a digit sum through the shift
+# the checkers that read a shifted E_n, or shift a polynomial before its
+# digit sum: lem1's f(x + 1) and witt's (x + a)**n
 _SHIFT_READERS = {"fersim", "fersim3", "lem1", "reflection", "sun", "witt"}
 
 
@@ -185,15 +195,15 @@ _SHIFT_READERS = {"fersim", "fersim3", "lem1", "reflection", "sun", "witt"}
      {"complement", "thm1", "thm2", "wsp7", "wsp9"}),
     ([(Polynomial, "compose_affine", _compose_negated_shift)],
      _SHIFT_READERS),
-    # padic binds taylor_shift by name, so both bindings are patched
-    ([(polynomial, "taylor_shift", _shift_one_further),
-      (padic, "taylor_shift", _shift_one_further)], _SHIFT_READERS),
+    # compose_affine reads taylor_shift from its module; padic's fold reads
+    # weight rows and no shift, so lem1 and witt see it through compose_affine
+    ([(polynomial, "taylor_shift", _shift_one_further)], _SHIFT_READERS),
 ], ids=["step_ignored", "v_negated", "shift_r_plus_1"])
 def test_shared_core_mutant_survivors(monkeypatch, patches, failed):
     """Cores that many checkers share. Ignoring ``_weighted_sum``'s step
     reads each E(-a) term as E(a), which the checkers with a side at -a
-    see. The integer Taylor shift serves every shifted E_n and, through
-    the digit fold, every p-adic sum."""
+    see. The integer Taylor shift serves every shifted E_n and every
+    polynomial that lem1 and witt shift before their digit sums."""
     for owner, name, mutant in patches:
         monkeypatch.setattr(owner, name, mutant)
     assert _survivors(monkeypatch, EulerCache()) == set(CHECKER_IDS) - failed

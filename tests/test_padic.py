@@ -2,7 +2,9 @@
 
 Frozen sums were computed by hand as short alternating series; the
 naive/closed equivalence is the oracle pairing: a p**N-term exact sweep
-against the two-term Euler-polynomial closed form.
+against the two-term Euler-polynomial closed form. The digit fold's weight
+rows are checked against the p - 1 unit Taylor shifts, each a double loop,
+that they replaced.
 """
 
 import math
@@ -265,6 +267,35 @@ def test_mod_path_rejects_non_integral():
     assert f.den == 4
     assert fermionic_sum_naive_mod(f, 3, 2) == \
         exact.numerator * pow(exact.denominator, -1, 9) % 9
+
+
+def fold_by_shifts(nums, p):
+    """g(y) = sum_{j<p} (-1)**j f(j + p*y) by the fold that the weight rows
+    replaced: F(t) = sum_j (-1)**j f(t + j) by p - 1 unit Taylor shifts,
+    each n**2/2 in-place additions, then coefficient k times p**k."""
+    shifted, folded = list(nums), list(nums)
+    n = len(nums) - 1
+    for j in range(1, p):
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                shifted[k] += shifted[k + 1]
+        sign = -1 if j % 2 else 1
+        for k, c in enumerate(shifted):
+            folded[k] += sign * c
+    return [c * p ** k for k, c in enumerate(folded)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 43])
+def test_fold_equals_the_unit_shifts(p):
+    rng = random.Random(p)
+    for d in range(-1, 13):
+        sums = padic._alternating_power_sums(p, d)
+        assert sums == [sum((-1) ** j * j ** e for j in range(p))
+                        for e in range(d + 1)]
+        rows = padic._fold_rows(sums, p)
+        for _ in range(3):
+            nums = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(d + 1)]
+            assert padic._fold_digit(nums, rows) == fold_by_shifts(nums, p)
 
 
 def test_lem1_defect_examples():

@@ -3,11 +3,13 @@ laws and the homomorphism p -> p(u*x + v) as properties.
 
 The derivative oracle is a one-step formal differentiation written here,
 applied repeatedly. The composition oracles are evaluation consistency at
-random rational points, and the Horner-by-line composition that the integer
-Taylor shift replaced, kept here. ``FractionPolynomial``, one Fraction or int
-per coefficient, is the layout that the integer numerators over one
-denominator replaced; it is the oracle of every operation, and each result
-must also be in normal form.
+random rational points, plain Fraction evaluation of both sides, and the
+Horner-by-line composition that the integer Taylor shift replaced, kept
+here. The shift itself is checked against the double loop of n**2/2
+in-place additions that its prefix-sum passes replaced.
+``FractionPolynomial``, one Fraction or int per coefficient, is the layout
+that the integer numerators over one denominator replaced; it is the oracle
+of every operation, and each result must also be in normal form.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerferm.numeric import falling_factorial, format_rational
-from eulerferm.polynomial import Polynomial, X, monomial
+from eulerferm.polynomial import Polynomial, X, monomial, taylor_shift
 
 
 class FractionPolynomial:
@@ -222,6 +224,47 @@ def test_compose_affine_eval_consistency():
         v = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         t = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         assert p.compose_affine(u, v)(t) == p(u * t + v)
+
+
+def _fraction_value(coeffs, x):
+    """sum_i c_i x**i in Fraction arithmetic, term by term."""
+    return sum(Fraction(c) * x ** i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("v", [0, 1, -1, Fraction(1, 2), Fraction(-7, 4),
+                               Fraction(97, 3), 10 ** 9,
+                               Fraction(-10 ** 9, 7)])
+def test_compose_affine_equals_fraction_evaluation(v):
+    rng = random.Random(str(v))
+    for n in range(-1, 61, 4):
+        p = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                        for _ in range(n + 1)])
+        for u in (1, -1, 2, Fraction(-3, 5)):
+            got = p.compose_affine(u, v)
+            for x in (Fraction(1), Fraction(-2, 3), Fraction(5, 7)):
+                assert _fraction_value(got.coeffs, x) == \
+                    _fraction_value(p.coeffs, u * x + v)
+
+
+def taylor_shift_by_loops(nums, r):
+    """p(y + r) by the double loop that the prefix-sum passes replaced:
+    nums[j] += r * nums[j+1] for j from n-1 down to i, for each i < n."""
+    nums = list(nums)
+    n = len(nums) - 1
+    if r:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                nums[j] += r * nums[j + 1]
+    return nums
+
+
+@pytest.mark.parametrize("r", [0, 1, -1, 2, -2, 97, -97, 10 ** 9, -10 ** 9])
+def test_taylor_shift_equals_the_double_loop(r):
+    rng = random.Random(r)
+    for n in [*range(-1, 61), 200, 200, 200]:
+        nums = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n + 1))
+        got = taylor_shift(nums, r)
+        assert type(got) is list and got == taylor_shift_by_loops(nums, r)
 
 
 def compose_by_lines(p, u, v):
