@@ -18,7 +18,10 @@ ordering weight).
 found by any checker still exits 2 with empty stdout. Then it writes the
 reports one by one, each rendered and dropped before the next: the bytes
 are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
-memory is one report's, and a JSON report is read off its six fixed keys.
+memory is one report's. A JSON report is read off its six fixed keys, with
+no dict built: an int or Fraction param, and the zero residual of a passing
+report, are rendered by their exact type, and any other value by the
+encoder's rules.
 ``verify --stats`` adds per-checker counts and times, the table sizes and
 the peak RSS on stderr; stdout stays the same bytes.
 """
@@ -46,6 +49,7 @@ from .padic import (
     witt_defect,
     witt_sum_naive,
 )
+from .polynomial import Polynomial
 
 FORMATS = ("text", "json", "csv", "md")
 
@@ -241,13 +245,43 @@ def _json_line(value) -> str:
     return _json_value(value, "")
 
 
+def _json_param(value, indent: str) -> str:
+    """A report param as ``_json_value(_jsonable(value), indent)`` renders
+    it. Nearly every param is an int or a Fraction, so these two are read
+    off their exact type: an int as its digits, a Fraction as its quoted
+    ``format_rational``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is Fraction:
+        return f'"{format_rational(value)}"'
+    return _json_value(_jsonable(value), indent)
+
+
+def _json_residual(residual, mode: str) -> str:
+    """``_json_value(_render_residual(residual, mode), "    ")``, with the
+    residual of a passing report read off without rendering it: outside
+    valuation mode, a zero Polynomial is ``[]`` and a Fraction is its
+    quoted ``format_rational``."""
+    if mode != "valuation":
+        kind = type(residual)
+        if kind is Polynomial and not residual.nums:
+            return "[]"
+        if kind is Fraction:
+            return f'"{format_rational(residual)}"'
+    return _json_value(_render_residual(residual, mode), "    ")
+
+
 def _json_report(r) -> str:
-    """``report_to_dict(r)`` as ``json.dumps`` writes it one level deep."""
+    """``report_to_dict(r)`` as ``json.dumps(..., indent=2)`` writes it one
+    level deep, with no dict built: the six keys are fixed, and each param
+    and the residual are rendered by their exact type (``_json_param``,
+    ``_json_residual``)."""
     params = ",\n      ".join([
-        f"{encode_basestring_ascii(k)}: {_json_value(_jsonable(v), '      ')}"
+        f"{encode_basestring_ascii(k)}: {_json_param(v, '      ')}"
         for k, v in r.params.items()])
     params = f"{{\n      {params}\n    }}" if params else "{}"
-    residual = _json_value(_render_residual(r.residual, r.mode), "    ")
+    residual = _json_residual(r.residual, r.mode)
     return (f'{{\n    "id": {encode_basestring_ascii(r.checker)},\n'
             f'    "params": {params},\n'
             f'    "mode": {encode_basestring_ascii(r.mode)},\n'

@@ -174,28 +174,31 @@ class EulerCache:
                     self._zeros.append(1 if m == 0 else 0)
             return self._zeros
 
-    def _appell(self, table: dict, n: int, at_zero) -> Polynomial:
+    def _appell(self, table: dict, n: int, at_zero, zeros) -> Polynomial:
         """P_n(x) = sum_i C(n, i) P_(n-i)(0) x**i, built into ``table`` if
-        it is not there yet; ``at_zero(k)`` is P_k(0) as a pair
-        (numerator, denominator)."""
+        it is not there yet; ``at_zero(zeros, k)`` is P_k(0) as a pair
+        (numerator, denominator), read from the column ``zeros``, which
+        the caller has extended once for every k <= n."""
         with self._lock:
             if n not in table:
-                pairs = list(map(at_zero, range(n, -1, -1)))
+                pairs = [at_zero(zeros, k) for k in range(n, -1, -1)]
                 den = math.lcm(*(d for _, d in pairs))
                 table[n] = Polynomial.scaled(
                     [binomial(n, i) * num * (den // d)
                      for i, (num, d) in enumerate(pairs)], den)
             return table[n]
 
-    def _euler_at_zero(self, k: int) -> tuple[int, int]:
+    @staticmethod
+    def _euler_at_zero(zeros: list, k: int) -> tuple[int, int]:
         """E_k(0) = s_k / 2**k."""
-        return self._column(k)[k], 1 << k
+        return zeros[k], 1 << k
 
-    def _bernoulli_at_zero(self, k: int) -> tuple[int, int]:
+    @staticmethod
+    def _bernoulli_at_zero(zeros: list, k: int) -> tuple[int, int]:
         """B_k(0) from E_(k-1)(0) = -2 (2**k - 1) B_k / k, and B_0 = 1."""
         if k == 0:
             return 1, 1
-        num, den = -k * self._column(k - 1)[k - 1], (1 << k) * ((1 << k) - 1)
+        num, den = -k * zeros[k - 1], (1 << k) * ((1 << k) - 1)
         g = math.gcd(num, den)   # in lowest terms, the lcm in _appell is small
         return num // g, den // g
 
@@ -206,16 +209,19 @@ class EulerCache:
         if p is None:
             if n < 0:
                 raise ValueError(f"euler_poly: n must be >= 0, got {n}")
-            p = self._appell(self._euler, n, self._euler_at_zero)
+            p = self._appell(self._euler, n, self._euler_at_zero,
+                             self._column(n))
         return p
 
     def bernoulli_poly(self, n: int) -> Polynomial:
-        """B_n from the same s_k, never through ``euler_poly``."""
+        """B_n from the same s_k, never through ``euler_poly``; it reads
+        s_0..s_(n-1)."""
         p = self._bernoulli.get(n)
         if p is None:
             if n < 0:
                 raise ValueError(f"bernoulli_poly: n must be >= 0, got {n}")
-            p = self._appell(self._bernoulli, n, self._bernoulli_at_zero)
+            p = self._appell(self._bernoulli, n, self._bernoulli_at_zero,
+                             self._column(n - 1) if n else [])
         return p
 
     def euler_poly_shifted(self, n: int, u, v) -> Polynomial:
@@ -243,15 +249,18 @@ class EulerCache:
         ``euler_poly``. Neither route fills in missing neighbours, and
         both give the direct sum exactly, on any table, since the rule acts
         on C(M, i) alone."""
-        key = (M, N, k, c)
+        # c is keyed as the ints r/t in lowest terms, so c = 2 and
+        # c = Fraction(2) share an entry and no lookup hashes a Fraction
+        r, t = c.numerator, c.denominator
+        key = (M, N, k, r, t)
         entry = self._sums.get(key)
         if entry is None:
             if min(M, N, k) < 0:
                 raise ValueError(
                     f"binomial_sum: need M, N, k >= 0, got ({M}, {N}, {k})")
             with self._lock:
-                left = self._sums.get((M - 1, N, k, c))
-                right = self._sums.get((M - 1, N + 1, k, c))
+                left = self._sums.get((M - 1, N, k, r, t))
+                right = self._sums.get((M - 1, N + 1, k, r, t))
                 if left is not None and right is not None:
                     entry = _weighted_sum(self._pascal_step(c, left, right))
                 else:

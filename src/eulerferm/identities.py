@@ -52,7 +52,9 @@ weights alike, and divide it out once. The right sides of thm2, thm3 and
 fersim3 are integer polynomials in a, summed from binomial rows
 (a + c)**e (fersim3's as the column sums of its signed rows); thm2's reads
 the coefficients of sum_l (-1)**l (y+l)**M (y+l-s-1)**M2, kept for the
-sweep like the E-sums.
+sweep like the E-sums. witt and lem1 keep the weights of the p-adic digit
+fold of the last (p, degree) they summed for the sweep too
+(``padic.fermionic_sum_digits``).
 Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
@@ -269,7 +271,10 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
             try:
                 result = body(**params)
                 if kind == "scalar":
-                    residual, passed = Fraction(result), result == 0
+                    # most bodies return a Fraction, which is used as it is
+                    residual = (result if type(result) is Fraction
+                                else Fraction(result))
+                    passed = result == 0
                 elif kind == "valuation":
                     residual, passed = result, result >= params["precision"]
                 elif mode == "pointwise":
@@ -749,11 +754,17 @@ def _gen_witt(grid):
                     yield {"n": n, "a": a, "p": p, "precision": grid.precision}
 
 
+# the digit fold's weights of the last (p, degree) summed, kept until a sweep
+# ends: witt's sweep visits each (p, n) in one run, and lem1's three sums of
+# one report share a degree
+_FOLD_WEIGHTS: dict = {}
+
+
 @checker("witt", _gen_witt, "valuation")
 def check_witt(n: int, a: Fraction, p: int, precision: int):
     """v_p(S_N - E_n(a)) >= N, S_N the sum of (x+a)**n (-1)**x over
     x < p**N by base-p digits."""
-    return witt_defect(n, a, p, precision)
+    return witt_defect(n, a, p, precision, weights=_FOLD_WEIGHTS)
 
 
 def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
@@ -787,7 +798,7 @@ def _lem1_params(f, p, precision, index):
 def check_lem1(f: Polynomial, p: int, precision: int, index=None):
     """Reflection/shift functional-equation defect >= N for one polynomial;
     ``index`` numbers the suite's pseudo-random polynomials."""
-    return lem1_defect(f, p, precision)
+    return lem1_defect(f, p, precision, weights=_FOLD_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +841,9 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
 
 
 def _drop_sweep_memos() -> None:
-    """Drop the memos of binomial E-sums and shift sums, so that what they
-    hold stays bounded by one checker's grid, or by one direct call."""
+    """Drop the memos of binomial E-sums, shift sums and fold weights, so
+    that what they hold stays bounded by one checker's grid, or by one
+    direct call."""
     drop_binomial_sums()
     _cached_shift_sum.cache_clear()
+    _FOLD_WEIGHTS.clear()

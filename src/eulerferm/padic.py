@@ -9,8 +9,10 @@ A Polynomial integrand is summed by base-p digits. For odd p, x = j + p*y
 with 0 <= j < p gives (-1)**x = (-1)**j (-1)**y, so S_N(f) = S_{N-1}(g) with
 g(y) = sum_{j<p} (-1)**j f(j + p*y). Expanding (j + p*y)**i, each
 coefficient g_k = p**k sum_{i>=k} C(i, k) A_(i-k) f_i reads one weight row,
-with A_e = sum_{j<p} (-1)**j j**e, and S_1(g) = sum_i A_i g_i. The rows are
-built once per sum and read at each of its N - 1 levels: O(p d + N d**2)
+with A_e = sum_{j<p} (-1)**j j**e, and S_1(g) = sum_i A_i g_i. The rows
+depend on p and the degree alone. A sum reads them at each of its N - 1
+levels, and a sweep keeps those of the last (p, degree) for its next sum,
+so that witt's sweep builds them once per (p, degree): O(p d + N d**2)
 integer operations for degree d instead of p^N terms, and no Taylor shift.
 f is summed as its integer numerators, and its one denominator is divided
 out once.
@@ -198,12 +200,19 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     return Fraction(even - odd, t ** n)
 
 
-def fermionic_sum_digits(f: Polynomial, p: int, precision: int) -> Fraction:
+def fermionic_sum_digits(f: Polynomial, p: int, precision: int,
+                         weights=None) -> Fraction:
     """The truncated sum of ``fermionic_sum_naive`` for a Polynomial f,
     summed by base-p digits: S_N(f) = S_1(g) after N - 1 ``_fold_digit``
     levels, and S_1(g) = sum_{j<p} (-1)**j g(j) = sum_i A_i g_i, with
-    A_e = ``_alternating_power_sums``. The weight rows of the fold are built
-    once and read at every level.
+    A_e = ``_alternating_power_sums``. The weight rows of the fold depend
+    on p and the degree alone; they are read at every level.
+
+    ``weights`` is a dict that a sweep keeps from one sum to the next: it
+    holds the A_e and the rows of the last (p, degree) summed, so that the
+    sums of a sweep that visits each (p, degree) in one run build them once
+    per (p, degree). Without it they are built for this sum alone, and the
+    call keeps nothing.
 
     Exact and equal to the naive sum, with no p**N-term loop and no budget;
     N is at most ``MAX_PRECISION``.
@@ -215,12 +224,26 @@ def fermionic_sum_digits(f: Polynomial, p: int, precision: int) -> Fraction:
         raise ValueError(
             f"precision must be <= {MAX_PRECISION}, got {precision}")
     nums = f.nums
-    sums = _alternating_power_sums(p, len(nums) - 1)
-    if precision > 1:
-        rows = _fold_rows(sums, p)
-        for _ in range(precision - 1):
-            nums = _fold_digit(nums, rows)
+    sums, rows = _fold_weights(p, len(nums) - 1, precision > 1, weights)
+    for _ in range(precision - 1):
+        nums = _fold_digit(nums, rows)
     return Fraction(sum(map(mul, sums, nums)), f.den)
+
+
+def _fold_weights(p: int, d: int, rows: bool, memo) -> tuple:
+    """(A_e for e <= d, and the rows of ``_fold_rows`` if ``rows`` else
+    None), read from ``memo`` where it holds them. What is built replaces
+    what ``memo`` held, so it keeps one degree's rows at most, as many as
+    one sum builds."""
+    key = (p, d, rows)
+    entry = None if memo is None else memo.get(key)
+    if entry is None:
+        sums = _alternating_power_sums(p, d)
+        entry = sums, _fold_rows(sums, p) if rows else None
+        if memo is not None:
+            memo.clear()
+            memo[key] = entry
+    return entry
 
 
 def _alternating_power_sums(p: int, d: int) -> list:
@@ -287,14 +310,16 @@ def fermionic_sum_closed(n: int, a, q: int):
     return ((-1) ** (q - 1) * e(a + q) + e(a)) / 2
 
 
-def witt_defect(n: int, a, p: int, precision: int, truncated=None):
+def witt_defect(n: int, a, p: int, precision: int, truncated=None,
+                weights=None):
     """Valuation certificate for the integral representation of E_n(a).
 
     Returns v_p(S_N - E_n(a)), where S_N is the sum of (x+a)**n (-1)**x over
     x < p**N, summed by base-p digits, and E_n comes from the Euler table;
     the contract (asserted by callers) is defect >= N. A caller that has
     already summed S_N (``witt --naive``) passes it as ``truncated``, and
-    the sum is not repeated. The shift a must be p-integral.
+    the sum is not repeated; a sweep passes its fold ``weights``
+    (``fermionic_sum_digits``). The shift a must be p-integral.
     """
     a = require_integral_shift(a, p)   # which checks p first
     if n < 0:
@@ -303,11 +328,11 @@ def witt_defect(n: int, a, p: int, precision: int, truncated=None):
         raise ValueError(f"precision must be >= 1, got {precision}")
     if truncated is None:
         truncated = fermionic_sum_digits(monomial(n).compose_affine(1, a), p,
-                                         precision)
+                                         precision, weights)
     return valuation(truncated - euler_poly(n)(a), p)
 
 
-def lem1_defect(f: Polynomial, p: int, precision: int):
+def lem1_defect(f: Polynomial, p: int, precision: int, weights=None):
     """Valuation defect of the reflection/shift functional equation.
 
     For S1 = sum f(x+1)(-1)**x, S- = sum f(-x)(-1)**x and S = sum f(x)(-1)**x
@@ -317,14 +342,17 @@ def lem1_defect(f: Polynomial, p: int, precision: int):
     Coefficients must be p-integral: p must not divide ``f.den``, since in
     normal form each prime of ``den`` stays in the reduced denominator of
     some coefficient. The three sums are separate digit sums
-    (``fermionic_sum_digits``), which also check N.
+    (``fermionic_sum_digits``), which also check N; they have one degree,
+    so they share their fold ``weights``, which a sweep may pass.
     """
     require_odd_prime(p)
     if f.den % p == 0:
         raise DenominatorNotInvertible(
             f"a coefficient of {f} is not a {p}-adic integer")
     f_neg = f.compose_affine(-1, 0)
-    s, s_shift, s_neg = (fermionic_sum_digits(g, p, precision)
+    if weights is None:   # a plain call still builds them once for all three
+        weights = {}
+    s, s_shift, s_neg = (fermionic_sum_digits(g, p, precision, weights)
                          for g in (f, f.compose_affine(1, 1), f_neg))
     f0 = f(0)
     target = -s + 2 * f0

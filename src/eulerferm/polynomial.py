@@ -191,8 +191,8 @@ def _store(p: Polynomial, nums, den: int, reduced=False) -> Polynomial:
     while nums and not nums[-1]:
         nums.pop()
     g = 1 if reduced else math.gcd(den, *nums)
-    object.__setattr__(p, "nums", tuple(c // g for c in nums) if g > 1
-                       else tuple(nums))
+    object.__setattr__(p, "nums", tuple(map(floordiv, nums, repeat(g)))
+                       if g > 1 else tuple(nums))
     object.__setattr__(p, "den", den // g)
     return p
 

@@ -444,3 +444,20 @@ def test_column_extension_is_serialized():
     b.join(10)
     assert not a.is_alive() and not b.is_alive()
     assert cache._zeros == EulerCache()._column(9)
+
+
+def test_a_table_build_reads_the_column_once():
+    # an E_n or B_n build extends the column once and reads every s_k it
+    # needs from it: s_0..s_n for E_n, s_0..s_(n-1) for B_n
+    cache = EulerCache()
+    calls, column = [], cache._column
+    cache._column = lambda *ks: calls.append(ks) or column(*ks)
+    assert cache.euler_poly(40) == EulerCache().euler_poly(40)
+    assert calls == [(40,)]
+    calls.clear()
+    assert cache.bernoulli_poly(41) == EulerCache().bernoulli_poly(41)
+    assert calls == [(40,)]
+    # B_0 = 1 reads no s_k, and the column stays empty
+    fresh = EulerCache()
+    assert fresh.bernoulli_poly(0) == 1
+    assert fresh.table_sizes()["tangent column"] == 0

@@ -385,18 +385,149 @@ def test_direct_calls_leave_no_memo(monkeypatch):
     cache = EulerCache()
     monkeypatch.setattr(euler, "_CACHE", cache)
     thm2 = next(iter(ident.CHECKERS["thm2"].gen(SweepGrid())))
+    lem1 = next(iter(ident.CHECKERS["lem1"].gen(SweepGrid())))
     ident.check_wsp7.__wrapped__(3, 4)
     ident.check_thm2.__wrapped__(**thm2)
-    assert cache._sums and _shift_sums()   # what the bodies build
+    ident.check_witt.__wrapped__(4, F(1, 2), 5, 2)
+    # what the bodies build
+    assert cache._sums and _shift_sums() and ident._FOLD_WEIGHTS
     for m in range(31):
         for n in range(31):
             assert ident.check_wsp7(m, n).passed
     assert ident.check_thm2(**thm2).passed
     assert cache._sums == {} and not _shift_sums()
+    assert ident.check_lem1.__wrapped__(**lem1) >= 2
+    assert ident._FOLD_WEIGHTS
+    assert ident.check_witt(4, F(1, 2), 5, 2).passed
+    assert ident._FOLD_WEIGHTS == {}
     assert ident.CHECKERS["sun"].run({"m": 3, "n": 2, "a": F(1, 2)},
                                      "pointwise").passed
     assert ident.CHECKERS["thm2"].run(thm2, "symbolic").passed
+    ident.check_witt.__wrapped__(4, F(1, 2), 5, 2)
+    assert ident.CHECKERS["lem1"].run(lem1, "symbolic").passed
     assert cache._sums == {} and not _shift_sums()
+    assert ident._FOLD_WEIGHTS == {}
+
+
+# the catalog grid of the benchmark, at its fixed points
+_CATALOG_GRID = SweepGrid(m=tuple(range(9)), n=tuple(range(9)),
+                          points=(F(0), F(1), F(-1, 4), F(1, 2), F(3, 4)))
+
+
+def test_int_and_fraction_weights_share_an_entry():
+    cache = EulerCache()
+    entry = cache.binomial_sum(3, 2, 0, 2)
+    assert cache.binomial_sum(3, 2, 0, F(2)) is entry
+    assert len(cache._sums) == 1
+    cache.binomial_sum(2, 2, 1, F(2))
+    cache.binomial_sum(2, 3, 1, F(2))
+    steps = []
+    step = cache._pascal_step
+    cache._pascal_step = lambda *args: steps.append(args) or step(*args)
+    # a Pascal step reads the neighbours that c = Fraction(2) stored, at c = 2
+    assert cache.binomial_sum(3, 2, 1, 2) == _binomial_sum_over_q(3, 2, 1, 2)
+    assert len(steps) == 1 and len(cache._sums) == 4
+
+
+def test_binomial_sum_lookups_hash_no_fraction(monkeypatch):
+    cache = EulerCache()
+    c = F(-3, 4)
+    want = [_binomial_sum_over_q(M, 2, 0, c) for M in range(4)]
+
+    def no_hash(self):
+        raise AssertionError("a memo lookup hashed a Fraction")
+
+    monkeypatch.setattr(F, "__hash__", no_hash)
+    # direct misses, Pascal steps from cached neighbours, and hits
+    got = [cache.binomial_sum(M, N, 0, c) for M in range(4) for N in (2, 3)]
+    got += [cache.binomial_sum(M, 2, 0, c) for M in range(4)]
+    monkeypatch.undo()
+    assert got[0:8:2] == got[8:] == want
+
+
+def test_sun_memo_holds_one_entry_per_sum_it_reads(monkeypatch):
+    # sun reads A_a(m, n, 0) and A_a(n, m, 0): on the catalog grid the
+    # distinct sums are those with m, n in 0..8 at each of the 5 points
+    held = []
+
+    class Recording(EulerCache):
+        def drop_binomial_sums(self):
+            held.append(len(self._sums))
+            super().drop_binomial_sums()
+
+    monkeypatch.setattr(euler, "_CACHE", Recording())
+    reports = run_suite(["sun"], _CATALOG_GRID)
+    assert len(reports) == 405 and all(r.passed for r in reports)
+    assert held == [9 * 9 * 5]
+
+
+def _counting_fold_weights(monkeypatch) -> list:
+    """Log each build of the fold's A_e and rows as (kind, p, degree,
+    entries the sweep memo held then); return the log."""
+    built = []
+    sums, rows = padic._alternating_power_sums, padic._fold_rows
+
+    def counted_sums(p, d):
+        built.append(("sums", p, d, len(ident._FOLD_WEIGHTS)))
+        return sums(p, d)
+
+    def counted_rows(a, p):
+        built.append(("rows", p, len(a) - 1, len(ident._FOLD_WEIGHTS)))
+        return rows(a, p)
+
+    monkeypatch.setattr(padic, "_alternating_power_sums", counted_sums)
+    monkeypatch.setattr(padic, "_fold_rows", counted_rows)
+    return built
+
+
+def test_a_sweep_builds_the_fold_weights_once_per_prime_and_degree(
+        monkeypatch):
+    built = _counting_fold_weights(monkeypatch)
+    reports = run_suite(["witt"], _CATALOG_GRID)
+    assert len(reports) == 135 and all(r.passed for r in reports)
+    # witt sums (x + a)**n, of degree n: 3 primes times n in 0..8, each
+    # (p, n) at its 5 points in one run
+    for kind in ("sums", "rows"):
+        keys = [(p, d) for k, p, d, _ in built if k == kind]
+        assert sorted(keys) == [(p, d) for p in (3, 5, 7) for d in range(9)]
+    # the memo holds the last (p, degree) alone, and the sweep drops it
+    assert max(held for *_, held in built) <= 1
+    assert ident._FOLD_WEIGHTS == {}
+    # lem1's three sums of one report, f(x), f(x + 1) and f(-x), have one
+    # degree, and build their weights once
+    built.clear()
+    reports = run_suite(["lem1"], _CATALOG_GRID)
+    assert len(reports) == 15 and all(r.passed for r in reports)
+    assert len(built) <= 2 * 15
+    assert ident._FOLD_WEIGHTS == {}
+
+
+def test_a_plain_digit_sum_keeps_no_weights(monkeypatch):
+    built = _counting_fold_weights(monkeypatch)
+    f = Polynomial([F(1, 2), 3, F(-5, 4)])
+    for _ in range(2):
+        assert fermionic_sum_digits(f, 5, 3) == padic._integer_sum(f, 5 ** 3)
+        assert ident._FOLD_WEIGHTS == {}
+    assert [kind for kind, *_ in built] == ["sums", "rows"] * 2
+    # lem1_defect's three sums share one build, kept by neither call
+    built.clear()
+    assert lem1_defect(f, 5, 3) >= 3
+    assert [kind for kind, *_ in built] == ["sums", "rows"]
+    # and at N = 1 no rows are built
+    built.clear()
+    fermionic_sum_digits(f, 5, 1)
+    assert [kind for kind, *_ in built] == ["sums"]
+
+
+def test_one_weights_memo_serves_every_precision():
+    # a memo that held the weights of N = 1, which has no rows, serves a
+    # sum at N > 1 with rows, and back; it holds one entry throughout
+    weights = {}
+    for f in (Polynomial([F(1, 2), 3, F(-5, 4)]), Polynomial([7, F(1, 3)])):
+        for precision in (1, 3, 1, 2, 2):
+            got = fermionic_sum_digits(f, 5, precision, weights)
+            assert got == padic._integer_sum(f, 5 ** precision)
+            assert len(weights) == 1
 
 
 def test_binomial_sum_rejects_negative_indices():
@@ -629,7 +760,8 @@ def test_digit_sum_rejects_bad_arguments():
 def _drop_one_level(monkeypatch):
     original = padic.fermionic_sum_digits
     monkeypatch.setattr(padic, "fermionic_sum_digits",
-                        lambda f, p, precision: original(f, p, precision - 1))
+                        lambda f, p, precision, *weights:
+                        original(f, p, precision - 1, *weights))
 
 
 def _flip_odd_digits(monkeypatch):
@@ -649,6 +781,8 @@ def test_broken_digit_route_fails(monkeypatch, mutate, cid):
     mutate(monkeypatch)
     reports = run_suite([cid])
     assert reports and not all(r.passed for r in reports)
+    # by a defect below N, not by an error report
+    assert not any(isinstance(r.residual, str) for r in reports)
 
 
 class _CorruptedEuler(EulerCache):

@@ -16,7 +16,7 @@ import pytest
 
 from eulerferm import euler, identities as ident, padic, polynomial
 from eulerferm.euler import EulerCache, tangent_numbers
-from eulerferm.identities import CHECKER_IDS, run_suite
+from eulerferm.identities import CHECKER_IDS, CHECKERS, SweepGrid, run_suite
 from eulerferm.polynomial import Polynomial, monomial, taylor_shift
 
 # read only E_k(0), from the column s_k, never the E table
@@ -162,6 +162,23 @@ def test_certifier_mutant_survivors(monkeypatch, name, mutant):
     """The weights of the digit fold of the p-adic sums (``padic``), which
     witt and lem1 read at precision 2 and no other checker reads."""
     monkeypatch.setattr(padic, name, mutant)
+    assert _survivors(monkeypatch, EulerCache()) == \
+        set(CHECKER_IDS) - {"witt", "lem1"}
+
+
+@pytest.mark.parametrize("cid", ["witt", "lem1"])
+def test_fold_mutant_is_read_after_a_plain_digit_sum(monkeypatch, cid):
+    """A plain digit sum keeps no weights, so the report that follows it
+    builds its own rows, with the mutant, though the plain sum read the
+    same (p, degree); and so does the sweep after it."""
+    # witt at n = 4 and lem1's polynomial 1 (of degree 1), both at p = 3,
+    # are reports that the mutant fails
+    params = [params for params in CHECKERS[cid].gen(
+        SweepGrid(n=(4,), p_list=(3,))) if params.get("index", 1) == 1][0]
+    degree = 4 if cid == "witt" else params["f"].degree
+    padic.fermionic_sum_digits(monomial(degree), 3, 2)
+    monkeypatch.setattr(padic, "_fold_rows", _rows_times_p)
+    assert not CHECKERS[cid].run(params, "symbolic").passed
     assert _survivors(monkeypatch, EulerCache()) == \
         set(CHECKER_IDS) - {"witt", "lem1"}
 

@@ -156,10 +156,18 @@ _REPORTS = st.builds(
     "lem1", {"poly": [[True, -3, []], (False, Fraction(-1, 2)), [[-7]]],
              "": [], "b": False, "n": -1},
     "valuation", math.inf, False, 0.0)])
+@example(reports=[
+    IdentityReport("sun", {"m": 3, "n": 0, "a": Fraction(-1, 4)}, "symbolic",
+                   Polynomial(), True, 1.5),
+    IdentityReport("boundary", {"n": True}, "symbolic", Fraction(0), True,
+                   0.0),
+    IdentityReport("witt", {"a": Fraction(3, 4)}, "valuation", 2, True, 0.0)])
 def test_streamed_rendering_of_arbitrary_reports(reports):
     # unicode, quotes, backslashes and control characters in ids, param
     # names, param values and error residuals; bools and negative ints in
-    # nested lists; an empty list too
+    # nested lists; an empty list too; and the typed leaves of passing
+    # reports: int and Fraction params, a zero Polynomial and a zero
+    # Fraction residual
     for fmt in FORMATS:
         _assert_same(_stdout_of(cli._emit_reports, reports, fmt),
                      _stdout_of(batch_emit_reports, reports, fmt))
