@@ -18,10 +18,11 @@ ordering weight).
 found by any checker still exits 2 with empty stdout. Then it writes the
 reports one by one, each rendered and dropped before the next: the bytes
 are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
-memory is one report's. A JSON report is read off its six fixed keys, with
-no dict built: an int or Fraction param, and the zero residual of a passing
-report, are rendered by their exact type, and any other value by the
-encoder's rules.
+memory is one report's. Every format reads a report's own fields, and a
+value renders by its type alone: JSON reports and CSV cells through one
+leaf encoder, ``_json``, which reads an int, Fraction, str or bool and a
+zero Polynomial off its exact type and maps any other value by
+``identities._jsonable``; text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes and
 the peak RSS on stderr; stdout stays the same bytes.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -38,8 +40,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import identities
 from .euler import MAX_DEGREE, euler_number, euler_poly, table_sizes
-from .identities import (SweepGrid, _jsonable, _render_residual,
-                         report_to_dict, run_suite)
+from .identities import SweepGrid, _jsonable, run_suite
 from .numeric import format_rational, parse_rational
 from .padic import (
     DEFAULT_BUDGET,
@@ -201,133 +202,94 @@ def _cmd_numbers(args) -> int:
     return 0
 
 
+def _text(value) -> str:
+    """A param or residual as text and md show it: a list or tuple as
+    ``[a,b]``, a Polynomial as its JSON coefficient list (``0`` when it is
+    zero), and anything else as ``str``."""
+    if isinstance(value, Polynomial):
+        return json.dumps(value.to_coeff_strings()) if value.nums else "0"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(str, _jsonable(value))) + "]"
+    return str(value)
+
+
 def _params_text(params: dict) -> str:
-    return " ".join(f"{k}={_param_str(v)}" for k, v in params.items())
+    return " ".join([f"{k}={_text(v)}" for k, v in params.items()])
 
 
-def _param_str(v) -> str:
-    if isinstance(v, list):
-        return "[" + ",".join(map(str, v)) + "]"
-    return str(v)
-
-
-def _residual_text(rendered) -> str:
-    if isinstance(rendered, list):
-        return json.dumps(rendered) if rendered else "0"
-    return str(rendered)
-
-
-def _json_value(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for a leaf or list under ``indent``:
-    ``json.dumps`` leaves its C encoder whenever ``indent`` is set."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):   # before int: bool is an int subclass
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    inner = indent + "  "
-    items = (",\n" + inner).join([_json_value(v, inner) for v in value])
-    return f"[\n{inner}{items}\n{indent}]" if value else "[]"
-
-
-def _json_line(value) -> str:
-    """``json.dumps(value)`` for a leaf, or a list or dict of them, with the
-    default separators ", " and ": "."""
-    if isinstance(value, dict):
-        return "{" + ", ".join([
-            f"{encode_basestring_ascii(k)}: {_json_line(v)}"
-            for k, v in value.items()]) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join([_json_line(v) for v in value]) + "]"
-    return _json_value(value, "")
-
-
-def _json_param(value, indent: str) -> str:
-    """A report param as ``_json_value(_jsonable(value), indent)`` renders
-    it. Nearly every param is an int or a Fraction, so these two are read
-    off their exact type: an int as its digits, a Fraction as its quoted
-    ``format_rational``."""
+def _json(value, indent=None) -> str:
+    """``json.dumps(_jsonable(value))``, or with ``indent``, the prefix of
+    the line the value starts on, ``json.dumps(..., indent=2)`` as it
+    appears at that depth; a dict (a report's params) maps its values.
+    An int, Fraction, str or bool and the zero Polynomial, the leaves of
+    nearly every report, are read off their exact type: ``json.dumps``
+    leaves its C encoder whenever ``indent`` is set."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is Fraction:
         return f'"{format_rational(value)}"'
-    return _json_value(_jsonable(value), indent)
-
-
-def _json_residual(residual, mode: str) -> str:
-    """``_json_value(_render_residual(residual, mode), "    ")``, with the
-    residual of a passing report read off without rendering it: outside
-    valuation mode, a zero Polynomial is ``[]`` and a Fraction is its
-    quoted ``format_rational``."""
-    if mode != "valuation":
-        kind = type(residual)
-        if kind is Polynomial and not residual.nums:
-            return "[]"
-        if kind is Fraction:
-            return f'"{format_rational(residual)}"'
-    return _json_value(_render_residual(residual, mode), "    ")
-
-
-def _json_report(r) -> str:
-    """``report_to_dict(r)`` as ``json.dumps(..., indent=2)`` writes it one
-    level deep, with no dict built: the six keys are fixed, and each param
-    and the residual are rendered by their exact type (``_json_param``,
-    ``_json_residual``)."""
-    params = ",\n      ".join([
-        f"{encode_basestring_ascii(k)}: {_json_param(v, '      ')}"
-        for k, v in r.params.items()])
-    params = f"{{\n      {params}\n    }}" if params else "{}"
-    residual = _json_residual(r.residual, r.mode)
-    return (f'{{\n    "id": {encode_basestring_ascii(r.checker)},\n'
-            f'    "params": {params},\n'
-            f'    "mode": {encode_basestring_ascii(r.mode)},\n'
-            f'    "residual": {residual},\n'
-            f'    "pass": {_json_value(r.passed, "")},\n'
-            f'    "elapsed_ms": {_json_value(r.elapsed_ms, "")}\n  }}')
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is Polynomial and not value.nums:
+        return "[]"
+    inner = None if indent is None else indent + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in value.items()]
+        ends = "{}"
+    else:
+        value = _jsonable(value)
+        if type(value) is not list:
+            return json.dumps(value)
+        items = [_json(v, inner) for v in value]
+        ends = "[]"
+    if not items:
+        return ends
+    if indent is None:
+        return ends[0] + ", ".join(items) + ends[1]
+    sep = ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(items)}\n{indent}{ends[1]}"
 
 
 def _emit_reports(reports, fmt: str) -> None:
     """Write each report as it is reached, then the summary line: the bytes
-    of one batch rendering, with one report's rendering alive at a time."""
+    of one batch rendering, with one report's rendering alive at a time.
+    Every format reads the report's own fields."""
     write = sys.stdout.write
     if fmt == "json":
         write("[")
+        for i, r in enumerate(reports):
+            write(f'{"," if i else ""}\n  {{\n'
+                  f'    "id": {_json(r.checker)},\n'
+                  f'    "params": {_json(r.params, "    ")},\n'
+                  f'    "mode": {_json(r.mode)},\n'
+                  f'    "residual": {_json(r.residual, "    ")},\n'
+                  f'    "pass": {_json(r.passed)},\n'
+                  f'    "elapsed_ms": {r.elapsed_ms!r}\n  }}')
+        write("\n]\n" if reports else "]\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "params", "mode", "residual", "pass",
                          "elapsed_ms"])
+        for r in reports:
+            writer.writerow([r.checker, _json(r.params), r.mode,
+                             _json(r.residual), r.passed,
+                             f"{r.elapsed_ms:.3f}"])
     elif fmt == "md":
         write("| id | params | mode | residual | pass |\n"
               "| -- | ------ | ---- | -------- | ---- |\n")
-    passed = 0
-    for i, report in enumerate(reports):
-        passed += report.passed
-        d = None if fmt in ("json", "csv") else report_to_dict(report)
-        if fmt == "json":
-            write(f"{',' if i else ''}\n  {_json_report(report)}")
-        elif fmt == "csv":
-            writer.writerow([
-                report.checker,
-                _json_line({k: _jsonable(v)
-                            for k, v in report.params.items()}),
-                report.mode,
-                _json_line(_render_residual(report.residual, report.mode)),
-                report.passed, f"{report.elapsed_ms:.3f}"])
-        elif fmt == "md":
-            write(f"| {d['id']} | {_params_text(d['params'])} | {d['mode']} "
-                  f"| {_residual_text(d['residual'])} "
-                  f"| {'PASS' if d['pass'] else 'FAIL'} |\n")
-        else:
-            write(f"{'PASS' if d['pass'] else 'FAIL'} {d['id']} "
-                  f"{_params_text(d['params'])} "
-                  f"residual={_residual_text(d['residual'])}\n")
-    total = len(reports)
-    if fmt == "json":
-        write("\n]\n" if total else "]\n")
+        for r in reports:
+            write(f"| {r.checker} | {_params_text(r.params)} | {r.mode} "
+                  f"| {_text(r.residual)} "
+                  f"| {'PASS' if r.passed else 'FAIL'} |\n")
+    else:
+        for r in reports:
+            write(f"{'PASS' if r.passed else 'FAIL'} {r.checker} "
+                  f"{_params_text(r.params)} residual={_text(r.residual)}\n")
+    total, passed = len(reports), sum(r.passed for r in reports)
     write(f"PASS {passed}/{total}\n" if passed == total
           else f"FAIL {total - passed}/{total}\n")
 
@@ -347,7 +309,7 @@ def _print_stats(reports) -> None:
               f"{sum(r.passed for r in group)} pass, "
               f"{sum(r.elapsed_ms for r in group):.3f} ms total, "
               f"{slowest.elapsed_ms:.3f} ms max at "
-              f"{_params_text(report_to_dict(slowest)['params'])}",
+              f"{_params_text(slowest.params)}",
               file=sys.stderr)
     sizes = {**table_sizes(), "recurrence": identities._RECURRENCE.terms}
     # ru_maxrss counts KiB on Linux and bytes on macOS
@@ -404,36 +366,34 @@ def _cmd_witt(args) -> int:
 
     naive_matches = None if naive is None else naive == closed
     passed = defect >= args.precision and naive_matches is not False
-    defect_str = "inf" if defect == float("inf") else str(int(defect))
+    fields = {
+        "p": args.p, "precision": args.precision, "n": args.n,
+        "a": format_rational(args.a),
+        "closed_sum": format_rational(closed),
+        "euler_value": format_rational(exact),
+        "defect": "inf" if defect == math.inf else int(defect),
+        "naive_matches": naive_matches,
+        "pass": passed,
+    }
 
     if args.format == "json":
-        print(json.dumps({
-            "p": args.p, "precision": args.precision, "n": args.n,
-            "a": format_rational(args.a),
-            "closed_sum": format_rational(closed),
-            "euler_value": format_rational(exact),
-            "defect": defect_str if defect == float("inf") else int(defect),
-            "naive_matches": naive_matches,
-            "pass": passed,
-        }))
+        print(json.dumps(fields))
     elif args.format == "csv":
-        print("p,precision,n,a,closed_sum,euler_value,defect,naive_matches,pass")
-        print(f"{args.p},{args.precision},{args.n},{format_rational(args.a)},"
-              f"{format_rational(closed)},{format_rational(exact)},"
-              f"{defect_str},{naive_matches},{passed}")
+        print(",".join(fields))
+        print(",".join(map(str, fields.values())))
     elif args.format == "md":
         print("| p | N | n | a | S_N | E_n(a) | defect | pass |")
         print("| - | - | - | - | --- | ------ | ------ | ---- |")
         print(f"| {args.p} | {args.precision} | {args.n} "
-              f"| {format_rational(args.a)} | {format_rational(closed)} "
-              f"| {format_rational(exact)} | {defect_str} "
+              f"| {fields['a']} | {fields['closed_sum']} "
+              f"| {fields['euler_value']} | {fields['defect']} "
               f"| {'PASS' if passed else 'FAIL'} |")
     else:
         print(f"p = {args.p}, N = {args.precision}, n = {args.n}, "
-              f"a = {format_rational(args.a)}")
-        print(f"S_N (closed)  = {format_rational(closed)}")
-        print(f"E_n(a)        = {format_rational(exact)}")
-        print(f"defect v_p    = {defect_str}")
+              f"a = {fields['a']}")
+        print(f"S_N (closed)  = {fields['closed_sum']}")
+        print(f"E_n(a)        = {fields['euler_value']}")
+        print(f"defect v_p    = {fields['defect']}")
         if naive is not None:
             verdict = "matches closed form" if naive_matches else "MISMATCH"
             print(f"naive sum     = {format_rational(naive)} ({verdict})")

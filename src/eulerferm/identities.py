@@ -121,35 +121,32 @@ class IdentityReport:
 
 
 def report_to_dict(report: IdentityReport) -> dict:
-    """JSON-ready projection: {id, params, mode, residual, pass, elapsed_ms}."""
+    """JSON-ready projection: {id, params, mode, residual, pass,
+    elapsed_ms}, each param and the residual mapped by ``_jsonable``."""
     return {
         "id": report.checker,
         "params": {k: _jsonable(v) for k, v in report.params.items()},
         "mode": report.mode,
-        "residual": _render_residual(report.residual, report.mode),
+        "residual": _jsonable(report.residual),
         "pass": report.passed,
         "elapsed_ms": report.elapsed_ms,
     }
 
 
 def _jsonable(value):
-    if isinstance(value, bool) or isinstance(value, int):
+    """A param or residual as JSON holds it, decided by its type alone: an
+    int or bool as it is, a Fraction as its rational string, a Polynomial
+    as its coefficient strings, a list or tuple item by item, and anything
+    else as ``str`` (an error report's message, a valuation of ``inf``)."""
+    if isinstance(value, int):   # bool is an int subclass
         return value
     if isinstance(value, Fraction):
         return format_rational(value)
+    if isinstance(value, Polynomial):
+        return value.to_coeff_strings()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return str(value)
-
-
-def _render_residual(residual, mode: str):
-    if isinstance(residual, str):   # an error report's "<Type>: <message>"
-        return residual
-    if mode == "valuation":
-        return "inf" if residual == math.inf else int(residual)
-    if isinstance(residual, Polynomial):
-        return residual.to_coeff_strings()
-    return format_rational(residual)
 
 
 def _sample_points(count: int):

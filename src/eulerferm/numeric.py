@@ -58,5 +58,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Canonical text form: 'num' or 'num/den' with positive denominator."""
+    """Canonical text form: 'num' or 'num/den' with positive denominator.
+    An int or a Fraction is written as it is; anything else, a bool
+    included, goes through ``Fraction`` first."""
+    if type(value) is Fraction or type(value) is int:
+        return str(value)
     return str(Fraction(value))

@@ -142,3 +142,12 @@ def test_format_parse_round_trip(q):
 def test_coeff_strings_parse_back(coeffs):
     p = Polynomial(coeffs)
     assert Polynomial(map(parse_rational, p.to_coeff_strings())) == p
+
+
+def test_format_rational_of_each_type():
+    # a Fraction or an int is written as it is; a bool or a float is read
+    # as the rational it stands for
+    assert format_rational(Fraction(-6, 4)) == "-3/2"
+    assert format_rational(7) == "7"
+    assert (format_rational(True), format_rational(False)) == ("1", "0")
+    assert format_rational(0.75) == "3/4"

@@ -1,7 +1,9 @@
 """`verify` writes each report as it reaches it: the bytes equal those of
 the batch rendering below (a list of every report's dict, then one
-``json.dumps(..., indent=2)``), which stays here as the oracle; its memory
-does not hold the whole output; and ``--stats`` adds to stderr only."""
+``json.dumps(..., indent=2)`` or one table), which stays here as the
+oracle and calls none of the writer's code; its memory holds one report's
+rendering, not the whole output, in every format; and ``--stats`` adds to
+stderr only."""
 
 import contextlib
 import csv
@@ -19,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerferm import cli, euler
-from eulerferm.cli import _params_text, _residual_text
 from eulerferm.identities import (
     CHECKER_IDS,
     IdentityReport,
+    SweepGrid,
     report_to_dict,
     run_suite,
 )
@@ -32,6 +34,22 @@ from test_golden import _ELAPSED, THM2_ARGV
 from test_mutation import _BumpedCoefficient
 
 FORMATS = ("text", "json", "csv", "md")
+
+
+def _params_text(params: dict) -> str:
+    return " ".join(f"{k}={_param_str(v)}" for k, v in params.items())
+
+
+def _param_str(v) -> str:
+    if isinstance(v, list):
+        return "[" + ",".join(map(str, v)) + "]"
+    return str(v)
+
+
+def _residual_text(rendered) -> str:
+    if isinstance(rendered, list):
+        return json.dumps(rendered) if rendered else "0"
+    return str(rendered)
 
 
 def batch_emit_reports(reports, fmt: str) -> None:
@@ -173,20 +191,51 @@ def test_streamed_rendering_of_arbitrary_reports(reports):
                      _stdout_of(batch_emit_reports, reports, fmt))
 
 
-def test_json_output_holds_one_report_at_a_time():
-    # the batch rendering peaks at 4.9 MB here: every dict, the pure-Python
-    # encoder's chunks and the whole output string at once
-    argv = ["verify", "all", "--format", "json"]
+def _traced_peak(call, *args) -> int:
+    """The tracemalloc peak of ``call(*args)`` with stdout sent nowhere."""
     with open(os.devnull, "w") as devnull, \
             contextlib.redirect_stdout(devnull):
-        assert cli.main(argv) == 0   # the tables are filled before measuring
         tracemalloc.start()
         try:
-            assert cli.main(argv) == 0
+            call(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    return peak
+
+
+def test_json_output_holds_one_report_at_a_time():
+    # in every format; the batch rendering of JSON peaks at 4.9 MB here:
+    # every dict, the pure-Python encoder's chunks and the whole output
+    # string at once
+    with open(os.devnull, "w") as devnull, \
+            contextlib.redirect_stdout(devnull):
+        # the tables are filled before measuring
+        assert cli.main(["verify", "all"]) == 0
+    peaks = {fmt: _traced_peak(cli.main, ["verify", "all", "--format", fmt])
+             for fmt in FORMATS}
+    assert max(peaks.values()) < 2 * 2 ** 20, peaks
+
+
+@pytest.fixture(scope="module")
+def small_and_large_reports():
+    """The reports at m, n in 0..4 (900) and in 0..14 (8,335)."""
+    return [run_suite(CHECKER_IDS, SweepGrid(m=tuple(range(top + 1)),
+                                             n=tuple(range(top + 1))))
+            for top in (4, 14)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_writer_memory_does_not_grow_with_the_grid(small_and_large_reports,
+                                                   fmt):
+    # one report's rendering is alive at a time, so nine times the reports
+    # add nothing that grows with them: an output joined before it is
+    # written would add about 1.5 MB
+    small, large = small_and_large_reports
+    _traced_peak(cli._emit_reports, small, fmt)   # warm the writer up
+    growth = (_traced_peak(cli._emit_reports, large, fmt)
+              - _traced_peak(cli._emit_reports, small, fmt))
+    assert growth < 64 * 2 ** 10, growth
 
 
 def _without_elapsed(text: str) -> str:
