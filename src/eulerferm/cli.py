@@ -19,10 +19,11 @@ found by any checker still exits 2 with empty stdout. Then it writes the
 reports one by one, each rendered and dropped before the next: the bytes
 are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
 memory is one report's. Every format reads a report's own fields, and a
-value renders by its type alone: JSON reports and CSV cells through one
+value renders by its type alone: in JSON reports and CSV cells through one
 leaf encoder, ``_json``, which reads an int, Fraction, str or bool and a
 zero Polynomial off its exact type and maps any other value by
-``identities._jsonable``; text and md through ``_text``.
+``identities._jsonable`` (the writer lays out the params object itself);
+in text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes and
 the peak RSS on stderr; stdout stays the same bytes.
 """
@@ -218,12 +219,12 @@ def _params_text(params: dict) -> str:
 
 
 def _json(value, indent=None) -> str:
-    """``json.dumps(_jsonable(value))``, or with ``indent``, the prefix of
-    the line the value starts on, ``json.dumps(..., indent=2)`` as it
-    appears at that depth; a dict (a report's params) maps its values.
-    An int, Fraction, str or bool and the zero Polynomial, the leaves of
-    nearly every report, are read off their exact type: ``json.dumps``
-    leaves its C encoder whenever ``indent`` is set."""
+    """``json.dumps(_jsonable(value))``, the one-line form of a CSV cell;
+    or with ``indent``, the prefix of the line the value starts on,
+    ``json.dumps(..., indent=2)`` as it appears at that depth. An int,
+    Fraction, str or bool and the zero Polynomial, the leaves of nearly
+    every report, are read off their exact type: ``json.dumps`` leaves its
+    C encoder whenever ``indent`` is set, and costs a call per leaf."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -235,23 +236,12 @@ def _json(value, indent=None) -> str:
         return "true" if value else "false"
     if kind is Polynomial and not value.nums:
         return "[]"
-    inner = None if indent is None else indent + "  "
-    if kind is dict:
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                 for k, v in value.items()]
-        ends = "{}"
-    else:
-        value = _jsonable(value)
-        if type(value) is not list:
-            return json.dumps(value)
-        items = [_json(v, inner) for v in value]
-        ends = "[]"
-    if not items:
-        return ends
-    if indent is None:
-        return ends[0] + ", ".join(items) + ends[1]
-    sep = ",\n" + inner
-    return f"{ends[0]}\n{inner}{sep.join(items)}\n{indent}{ends[1]}"
+    value = _jsonable(value)
+    if indent is None or type(value) is not list or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    items = (",\n" + inner).join([_json(v, inner) for v in value])
+    return f"[\n{inner}{items}\n{indent}]"
 
 
 def _emit_reports(reports, fmt: str) -> None:
@@ -262,12 +252,18 @@ def _emit_reports(reports, fmt: str) -> None:
     if fmt == "json":
         write("[")
         for i, r in enumerate(reports):
+            # the params object is laid out here: a dict inside it is a
+            # value like any other, which _json maps by _jsonable
+            params = ",\n      ".join(
+                [f"{encode_basestring_ascii(k)}: {_json(v, '      ')}"
+                 for k, v in r.params.items()])
+            params = f"{{\n      {params}\n    }}" if params else "{}"
             write(f'{"," if i else ""}\n  {{\n'
-                  f'    "id": {_json(r.checker)},\n'
-                  f'    "params": {_json(r.params, "    ")},\n'
-                  f'    "mode": {_json(r.mode)},\n'
+                  f'    "id": {encode_basestring_ascii(r.checker)},\n'
+                  f'    "params": {params},\n'
+                  f'    "mode": {encode_basestring_ascii(r.mode)},\n'
                   f'    "residual": {_json(r.residual, "    ")},\n'
-                  f'    "pass": {_json(r.passed)},\n'
+                  f'    "pass": {"true" if r.passed else "false"},\n'
                   f'    "elapsed_ms": {r.elapsed_ms!r}\n  }}')
         write("\n]\n" if reports else "]\n")
     elif fmt == "csv":
@@ -275,7 +271,9 @@ def _emit_reports(reports, fmt: str) -> None:
         writer.writerow(["id", "params", "mode", "residual", "pass",
                          "elapsed_ms"])
         for r in reports:
-            writer.writerow([r.checker, _json(r.params), r.mode,
+            params = ", ".join([f"{encode_basestring_ascii(k)}: {_json(v)}"
+                                for k, v in r.params.items()])
+            writer.writerow([r.checker, "{" + params + "}", r.mode,
                              _json(r.residual), r.passed,
                              f"{r.elapsed_ms:.3f}"])
     elif fmt == "md":

@@ -180,6 +180,9 @@ _REPORTS = st.builds(
     IdentityReport("boundary", {"n": True}, "symbolic", Fraction(0), True,
                    0.0),
     IdentityReport("witt", {"a": Fraction(3, 4)}, "valuation", 2, True, 0.0)])
+@example(reports=[IdentityReport(
+    "lem1", {"d": {"x": Fraction(1, 2), "y": [1]}, "l": [{"z": 1}], "e": {}},
+    "symbolic", Polynomial([1, 2]), False, 0.0)])
 def test_streamed_rendering_of_arbitrary_reports(reports):
     # unicode, quotes, backslashes and control characters in ids, param
     # names, param values and error residuals; bools and negative ints in
@@ -191,17 +194,18 @@ def test_streamed_rendering_of_arbitrary_reports(reports):
                      _stdout_of(batch_emit_reports, reports, fmt))
 
 
-def _traced_peak(call, *args) -> int:
-    """The tracemalloc peak of ``call(*args)`` with stdout sent nowhere."""
+def _traced_peak(call, *args) -> tuple:
+    """``call(*args)``'s result and its tracemalloc peak, with stdout sent
+    nowhere."""
     with open(os.devnull, "w") as devnull, \
             contextlib.redirect_stdout(devnull):
         tracemalloc.start()
         try:
-            call(*args)
+            result = call(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    return peak
+    return result, peak
 
 
 def test_json_output_holds_one_report_at_a_time():
@@ -212,8 +216,12 @@ def test_json_output_holds_one_report_at_a_time():
             contextlib.redirect_stdout(devnull):
         # the tables are filled before measuring
         assert cli.main(["verify", "all"]) == 0
-    peaks = {fmt: _traced_peak(cli.main, ["verify", "all", "--format", fmt])
-             for fmt in FORMATS}
+    statuses, peaks = {}, {}
+    for fmt in FORMATS:
+        statuses[fmt], peaks[fmt] = _traced_peak(
+            cli.main, ["verify", "all", "--format", fmt])
+    # a run that stopped early would write little and peak low
+    assert statuses == dict.fromkeys(FORMATS, 0)
     assert max(peaks.values()) < 2 * 2 ** 20, peaks
 
 
@@ -233,8 +241,8 @@ def test_writer_memory_does_not_grow_with_the_grid(small_and_large_reports,
     # written would add about 1.5 MB
     small, large = small_and_large_reports
     _traced_peak(cli._emit_reports, small, fmt)   # warm the writer up
-    growth = (_traced_peak(cli._emit_reports, large, fmt)
-              - _traced_peak(cli._emit_reports, small, fmt))
+    growth = (_traced_peak(cli._emit_reports, large, fmt)[1]
+              - _traced_peak(cli._emit_reports, small, fmt)[1])
     assert growth < 64 * 2 ** 10, growth
 
 
