@@ -6,8 +6,8 @@ poly N        print E_N(x)
 eval N A      print E_N(a) at a rational point
 numbers MAX   table n -> Euler number E_n for n <= MAX
 verify IDS..  run identity checkers over a bounded grid; exit 0 iff all pass
-witt          truncated sum (by base-p digits) vs E_n(a) valuation certificate,
-              with the closed-form sum beside it
+witt          valuation certificate of the truncated sum (by base-p digits,
+              or term by term with --naive) vs E_n(a), closed form beside it
 
 Exit codes: 0 = all requested checks pass, 1 = at least one identity or
 valuation failure, 2 = usage/parse error. Output is deterministic: stable

@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import repeat
 
 from .numeric import binomial
 from .polynomial import Polynomial
@@ -378,28 +379,27 @@ def table_sizes() -> dict[str, int]:
 
 
 def alt_power_sum(m: int, n: int):
-    """Direct alternating power sum: sum_{j=1}^{m} (-1)**j * j**n.
+    """Direct alternating power sum: sum_{j=0}^{m} (-1)**j * j**n, with
+    0**0 = 1, for m >= 0. alt_power_sum(q - 1, n) is the truncated
+    fermionic sum of x**n over x < q.
 
-    Closed form (checked elsewhere): ((-1)**m E_n(m+1) + E_n(0)) / 2.
+    Closed form (checked elsewhere): ((-1)**m E_n(m+1) + E_n(0)) / 2, which
+    is ``padic.fermionic_sum_closed(n, 0, m + 1)``.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"alt_power_sum: need m >= 1, n >= 0, got ({m}, {n})")
-    total = 0
-    sign = -1
-    for j in range(1, m + 1):
-        total += sign * j ** n
-        sign = -sign
-    return total
+    if m < 0 or n < 0:
+        raise ValueError(f"alt_power_sum: need m >= 0, n >= 0, got ({m}, {n})")
+    return (sum(map(pow, range(0, m + 1, 2), repeat(n)))
+            - sum(map(pow, range(1, m + 1, 2), repeat(n))))
 
 
 def power_sum(m: int, n: int):
-    """Direct power sum: sum_{j=1}^{m} j**n.
+    """Direct power sum: sum_{j=0}^{m} j**n, with 0**0 = 1, for m >= 0.
 
     Closed form (checked elsewhere): (B_{n+1}(m+1) - B_{n+1}(0)) / (n+1).
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"power_sum: need m >= 1, n >= 0, got ({m}, {n})")
-    return sum(j ** n for j in range(1, m + 1))
+    if m < 0 or n < 0:
+        raise ValueError(f"power_sum: need m >= 0, n >= 0, got ({m}, {n})")
+    return sum(map(pow, range(m + 1), repeat(n)))
 
 
 def _difference_weights(n: int) -> list[int]:

@@ -94,7 +94,8 @@ from .euler import (
     zero_sum,
 )
 from .numeric import binomial, falling_factorial, format_rational
-from .padic import MAX_PRECISION, lem1_defect, require_odd_prime, witt_defect
+from .padic import (fermionic_sum_closed, lem1_defect, require_odd_prime,
+                    require_precision, witt_defect)
 from .polynomial import Polynomial, monomial
 
 __all__ = [
@@ -177,11 +178,7 @@ class SweepGrid:
         if not all(type(v) is int
                    for v in indices + self.p_list + (self.precision,)):
             raise ValueError("every grid field but points must hold integers")
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
-        if self.precision > MAX_PRECISION:
-            raise ValueError(f"precision must be <= {MAX_PRECISION}, "
-                             f"got {self.precision}")
+        require_precision(self.precision)
         if min(indices, default=0) < 0:
             raise ValueError("ranges must be non-negative")
         for axis in ("m", "n", "q", "k", "s"):
@@ -379,27 +376,19 @@ def check_gf_consistency(n: int):
 
 @checker("euler_alt_sum", _MN, "scalar", where=lambda m, n: m >= 1)
 def check_euler_alt_sum(m: int, n: int):
-    """sum_{j=0..m} (-1)**j j**n = ((-1)**m E_n(m+1) + E_n(0)) / 2.
-
-    The closed form covers the sum from j = 0; its j = 0 term is the empty
-    power 0**n, which is 1 exactly when n = 0, so that term is added to the
-    direct tail computed by ``alt_power_sum`` (which starts at j = 1).
+    """sum_{j=0..m} (-1)**j j**n = ((-1)**m E_n(m+1) + E_n(0)) / 2, with
+    0**0 = 1: the direct sum against Witt's closed form of the truncated
+    fermionic sum of x**n over x < m + 1, the one ``witt --naive`` prints.
     """
-    direct = (1 if n == 0 else 0) + alt_power_sum(m, n)
-    closed = ((-1) ** m * euler_poly(n)(Fraction(m + 1)) + euler_zero(n)) / 2
-    return direct - closed
+    return alt_power_sum(m, n) - fermionic_sum_closed(n, 0, m + 1)
 
 
 @checker("bernoulli_power_sum", _MN, "scalar", where=lambda m, n: m >= 1)
 def check_bernoulli_power_sum(m: int, n: int):
-    """sum_{j=0..m} j**n = (B_{n+1}(m+1) - B_{n+1}(0)) / (n+1).
-
-    Same empty-power convention as ``check_euler_alt_sum``: the j = 0 term
-    contributes 1 exactly when n = 0.
-    """
-    direct = (1 if n == 0 else 0) + power_sum(m, n)
+    """sum_{j=0..m} j**n = (B_{n+1}(m+1) - B_{n+1}(0)) / (n+1), with
+    0**0 = 1."""
     b = bernoulli_poly(n + 1)
-    return direct - (b(Fraction(m + 1)) - b(Fraction(0))) / (n + 1)
+    return power_sum(m, n) - (b(Fraction(m + 1)) - b(Fraction(0))) / (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
-from .euler import euler_poly
+from .euler import alt_power_sum, euler_poly
 from .polynomial import Polynomial, monomial
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "is_odd_prime",
     "require_odd_prime",
     "require_integral_shift",
+    "require_precision",
     "valuation",
     "fermionic_sum_digits",
     "fermionic_sum_naive",
@@ -130,6 +131,15 @@ def _int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def require_precision(precision: int) -> None:
+    """A digit sum's N: at least 1 and at most ``MAX_PRECISION``."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    if precision > MAX_PRECISION:
+        raise ValueError(
+            f"precision must be <= {MAX_PRECISION}, got {precision}")
 
 
 def _check_budget(p: int, precision: int, budget: int) -> int:
@@ -218,11 +228,7 @@ def fermionic_sum_digits(f: Polynomial, p: int, precision: int,
     N is at most ``MAX_PRECISION``.
     """
     require_odd_prime(p)
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    if precision > MAX_PRECISION:
-        raise ValueError(
-            f"precision must be <= {MAX_PRECISION}, got {precision}")
+    require_precision(precision)
     nums = f.nums
     sums, rows = _fold_weights(p, len(nums) - 1, precision > 1, weights)
     for _ in range(precision - 1):
@@ -247,9 +253,9 @@ def _fold_weights(p: int, d: int, rows: bool, memo) -> tuple:
 
 
 def _alternating_power_sums(p: int, d: int) -> list:
-    """A_e = sum_{j<p} (-1)**j j**e for e = 0..d, with 0**0 = 1."""
-    return [sum(map(pow, range(0, p, 2), repeat(e)))
-            - sum(map(pow, range(1, p, 2), repeat(e))) for e in range(d + 1)]
+    """A_e = sum_{j<p} (-1)**j j**e for e = 0..d, with 0**0 = 1: the
+    truncated sum of x**e over x < p, ``euler.alt_power_sum(p - 1, e)``."""
+    return [alt_power_sum(p - 1, e) for e in range(d + 1)]
 
 
 def _fold_rows(sums: list, p: int) -> list:

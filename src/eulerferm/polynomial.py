@@ -44,6 +44,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):   # pickle and copy rebuild through scaled
+        return Polynomial.scaled, (self.nums, self.den)
+
     @property
     def coeffs(self) -> tuple:
         """Coefficients, lowest first: ints if den == 1, else Fractions."""
@@ -135,7 +138,7 @@ class Polynomial:
                                   for i in range(k, len(self.nums))], self.den)
 
     def compose_affine(self, u, v) -> "Polynomial":
-        """p(u*x + v), expanded exactly, for rational u, v.
+        """p(u*x + v), expanded exactly, for int or Fraction u, v.
 
         An integer Taylor shift: with v = r/t, t**n * den * p((y + r)/t) is
         an integer polynomial in y, shifted by the integer r with O(n**2)
@@ -145,7 +148,6 @@ class Polynomial:
         """
         if not self.nums:
             return self
-        u, v = Fraction(u), Fraction(v)
         r, t = v.numerator, v.denominator
         w, s = u.numerator, u.denominator
         n = len(self.nums) - 1

@@ -288,23 +288,29 @@ def test_power_sum_values():
     assert power_sum(4, 1) == 10
     assert power_sum(3, 2) == 14
     assert alt_power_sum(3, 2) == -6
-    for n in range(6):
+    # the j = 0 term is 0**n, so 1 at n = 0 and 0 beyond
+    assert alt_power_sum(1, 0) == 0
+    for n in range(1, 6):
         assert alt_power_sum(1, n) == -1
+    for n in range(6):
+        assert power_sum(0, n) == alt_power_sum(0, n) == (1 if n == 0 else 0)
 
 
 def test_power_sum_closed_forms():
-    for m in range(1, 13):
+    for m in range(13):
         for n in range(7):
             b = bernoulli_poly(n + 1)
             closed = (b(F(m + 1)) - b(F(0))) / (n + 1)
-            assert (1 if n == 0 else 0) + power_sum(m, n) == closed
+            assert power_sum(m, n) == closed
             closed_alt = ((-1) ** m * euler_poly(n)(F(m + 1)) + euler_zero(n)) / 2
-            assert (1 if n == 0 else 0) + alt_power_sum(m, n) == closed_alt
+            assert alt_power_sum(m, n) == closed_alt
 
 
 def test_power_sum_preconditions():
     with pytest.raises(ValueError):
-        power_sum(0, 3)
+        power_sum(-1, 3)
+    with pytest.raises(ValueError):
+        alt_power_sum(-1, 0)
     with pytest.raises(ValueError):
         alt_power_sum(1, -1)
     with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """The mutation matrix: each checker's blind spots, stated as a table.
 
 The mutants corrupt the E_n table, the tangent numbers, the Pascal step of
-the binomial E-sums, the digit fold of the p-adic certificates, the integer
-core of the E-sums and the Taylor shift under ``compose_affine``. Every
-mutant runs the whole catalog on the desk grid in symbolic mode, and
-the set of checkers that still pass everywhere (the survivors) must equal
-the documented blind spots exactly. A new blind spot fails here, and so
-does one that a change silently closes. Reference: DeMillo, Lipton &
-Sayward, "Hints on test data selection" (1978).
+the binomial E-sums, the digit fold of the p-adic certificates, the
+alternating power sums, the integer core of the E-sums and the Taylor shift
+under ``compose_affine``. Every mutant runs the whole catalog on the desk
+grid in symbolic mode, and the set of checkers that still pass everywhere
+(the survivors) must equal the documented blind spots exactly. A new blind
+spot fails here, and so does one that a change silently closes. Reference:
+DeMillo, Lipton & Sayward, "Hints on test data selection" (1978).
 """
 
+import copy
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,6 +76,9 @@ def test_a_failing_report_carries_the_whole_residual(monkeypatch, mode):
         assert report.residual == lhs - rhs == monomial(1, -6)
     else:
         assert report.residual == lhs(1) - rhs(1) == -6
+    for copied in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                   copy.deepcopy(report)):
+        assert copied == report
 
 
 class _BumpedTangent(EulerCache):
@@ -181,6 +187,37 @@ def test_fold_mutant_is_read_after_a_plain_digit_sum(monkeypatch, cid):
     assert not CHECKERS[cid].run(params, "symbolic").passed
     assert _survivors(monkeypatch, EulerCache()) == \
         set(CHECKER_IDS) - {"witt", "lem1"}
+
+
+_ALT_POWER_SUM = euler.alt_power_sum
+
+
+def _alt_sum_a0_plus_one(m, n):
+    """The j = 0 term counted twice at n = 0, where 0**0 = 1."""
+    return _ALT_POWER_SUM(m, n) + (n == 0)
+
+
+def _alt_sum_without_top(m, n):
+    """The sum stopped at j = m - 1: its top term (-1)**m m**n dropped."""
+    return _ALT_POWER_SUM(m, n) - (-1) ** m * m ** n
+
+
+@pytest.mark.parametrize("mutant", [_alt_sum_a0_plus_one,
+                                    _alt_sum_without_top],
+                         ids=["a0_plus_one", "top_dropped"])
+def test_alt_power_sum_mutant_survivors(monkeypatch, mutant):
+    """``alt_power_sum`` is the one builder of alternating power sums: the
+    direct side of euler_alt_sum, and the A_e = alt_power_sum(p - 1, e) of
+    the p-adic digit fold that witt and lem1 read. The mutant replaces it
+    in every module of the package that binds the name."""
+    binders = {name for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "eulerferm"
+               and getattr(module, "alt_power_sum", None) is _ALT_POWER_SUM}
+    assert {"eulerferm.identities", "eulerferm.padic"} <= binders
+    for name in binders:
+        monkeypatch.setattr(sys.modules[name], "alt_power_sum", mutant)
+    assert _survivors(monkeypatch, EulerCache()) == \
+        set(CHECKER_IDS) - {"euler_alt_sum", "lem1", "witt"}
 
 
 _WEIGHTED_SUM = euler._weighted_sum

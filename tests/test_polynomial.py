@@ -12,7 +12,9 @@ that the integer numerators over one denominator replaced; it is the oracle
 of every operation, and each result must also be in normal form.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -144,6 +146,17 @@ def test_immutability():
     p = X + 1
     with pytest.raises(AttributeError):
         p.coeffs = (1,)
+
+
+@pytest.mark.parametrize("p", [
+    Polynomial(), Polynomial([3, 0, -7]),
+    Polynomial([Fraction(1, 2), 0, Fraction(-3, 8)])],
+    ids=["zero", "integer", "dyadic"])
+def test_pickle_and_copy_round_trip(p):
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(q) is Polynomial and q == p
+        with pytest.raises(AttributeError):
+            q.den = 1
 
 
 def test_ring_identities():
