@@ -6,8 +6,9 @@ poly N        print E_N(x)
 eval N A      print E_N(a) at a rational point
 numbers MAX   table n -> Euler number E_n for n <= MAX
 verify IDS..  run identity checkers over a bounded grid; exit 0 iff all pass
-witt          valuation certificate of the truncated sum (by base-p digits,
-              or term by term with --naive) vs E_n(a), closed form beside it
+witt          valuation certificate of the truncated sum (from the p-adic
+              moments, or term by term with --naive) vs E_n(a), closed form
+              beside it
 
 Exit codes: 0 = all requested checks pass, 1 = at least one identity or
 valuation failure, 2 = usage/parse error. Output is deterministic: stable
@@ -354,7 +355,7 @@ def _cmd_witt(args) -> int:
             naive = witt_sum_naive(args.n, args.a, args.p, args.precision,
                                    args.budget)
         # the defect is measured on the naive sum if there is one, else on the
-        # digit sum; either sum bounds N before the closed form builds p**N
+        # moments; either route bounds N before the closed form builds p**N
         defect = witt_defect(args.n, args.a, args.p, args.precision,
                              truncated=naive)
         closed = fermionic_sum_closed(args.n, args.a, args.p ** args.precision)

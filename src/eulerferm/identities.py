@@ -52,9 +52,8 @@ weights alike, and divide it out once. The right sides of thm2, thm3 and
 fersim3 are integer polynomials in a, summed from binomial rows
 (a + c)**e (fersim3's as the column sums of its signed rows); thm2's reads
 the coefficients of sum_l (-1)**l (y+l)**M (y+l-s-1)**M2, kept for the
-sweep like the E-sums. witt and lem1 keep the weights of the p-adic digit
-fold of the last (p, degree) they summed for the sweep too
-(``padic.fermionic_sum_digits``).
+sweep like the E-sums. witt and lem1 keep the p-adic moment vector of the
+last (p, N) they read for the sweep too (``padic._moments``).
 Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
@@ -740,17 +739,16 @@ def _gen_witt(grid):
                     yield {"n": n, "a": a, "p": p, "precision": grid.precision}
 
 
-# the digit fold's weights of the last (p, degree) summed, kept until a sweep
-# ends: witt's sweep visits each (p, n) in one run, and lem1's three sums of
-# one report share a degree
-_FOLD_WEIGHTS: dict = {}
+# the moment vector of the last (p, N) read, kept until a sweep ends: it
+# serves every degree up to the one it was built to
+_MOMENTS: dict = {}
 
 
 @checker("witt", _gen_witt, "valuation")
 def check_witt(n: int, a: Fraction, p: int, precision: int):
     """v_p(S_N - E_n(a)) >= N, S_N the sum of (x+a)**n (-1)**x over
-    x < p**N by base-p digits."""
-    return witt_defect(n, a, p, precision, weights=_FOLD_WEIGHTS)
+    x < p**N from the moments by the binomial theorem."""
+    return witt_defect(n, a, p, precision, moments=_MOMENTS)
 
 
 def _lem1_poly(p: int, index: int, max_degree: int = 8) -> Polynomial:
@@ -784,7 +782,7 @@ def _lem1_params(f, p, precision, index):
 def check_lem1(f: Polynomial, p: int, precision: int, index=None):
     """Reflection/shift functional-equation defect >= N for one polynomial;
     ``index`` numbers the suite's pseudo-random polynomials."""
-    return lem1_defect(f, p, precision, weights=_FOLD_WEIGHTS)
+    return lem1_defect(f, p, precision, moments=_MOMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -827,9 +825,9 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
 
 
 def _drop_sweep_memos() -> None:
-    """Drop the memos of binomial E-sums, shift sums and fold weights, so
+    """Drop the memos of binomial E-sums, shift sums and moments, so
     that what they hold stays bounded by one checker's grid, or by one
     direct call."""
     drop_binomial_sums()
     _cached_shift_sum.cache_clear()
-    _FOLD_WEIGHTS.clear()
+    _MOMENTS.clear()

@@ -5,17 +5,15 @@ of S_N = sum_{x=0}^{p^N - 1} f(x) (-1)**x. This module never produces an
 approximate value for that limit: truncations are computed exactly, and
 convergence is reported as a valuation certificate v_p(S_N - exact) >= N.
 
-A Polynomial integrand is summed by base-p digits. For odd p, x = j + p*y
-with 0 <= j < p gives (-1)**x = (-1)**j (-1)**y, so S_N(f) = S_{N-1}(g) with
-g(y) = sum_{j<p} (-1)**j f(j + p*y). Expanding (j + p*y)**i, each
-coefficient g_k = p**k sum_{i>=k} C(i, k) A_(i-k) f_i reads one weight row,
-with A_e = sum_{j<p} (-1)**j j**e, and S_1(g) = sum_i A_i g_i. The rows
-depend on p and the degree alone. A sum reads them at each of its N - 1
-levels, and a sweep keeps those of the last (p, degree) for its next sum,
-so that witt's sweep builds them once per (p, degree): O(p d + N d**2)
-integer operations for degree d instead of p^N terms, and no Taylor shift.
-f is summed as its integer numerators, and its one denominator is divided
-out once.
+A Polynomial integrand is summed by its moments mu_k = S_N(x**k), since
+S_N(f) = sum_i f_i mu_i. For odd p, base-p digits x = j + p*y give
+(-1)**x = (-1)**j (-1)**y, so S_N(x**k) = sum_{i<=k} p**i C(k, i) A_(k-i)
+S_(N-1)(x**i) with A_e = sum_{j<p} (-1)**j j**e = S_1(x**e): the vector
+starts at A and takes N - 1 steps. It depends on p and N alone, and a sweep
+keeps the vector of the last (p, N) for its next sum, built to the largest
+degree read so far: O(p d + N d**2) integer operations for degree d instead
+of p^N terms, then O(d) per sum. f is summed as its integer numerators, and
+its one denominator is divided out once.
 
 The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
 ``witt --naive`` prints, sums Witt's integrand (x+a)**n with a = r/t as one
@@ -27,12 +25,12 @@ Polynomial and in its own arithmetic for any other callable. The closed
 form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n telescopes
 the Euler functional equation instead.
 
-``witt_defect`` measures the digit sum of (x+a)**n against E_n(a) from the
-Euler table. The two share no computation, so a wrong E_n shows as a
-defect below N. ``lem1_defect`` compares three digit sums with one another
-and never looks at E_n. A budget caps p^N only where p^N terms are summed
-one by one; the digit sum, whose cost grows as N**2, takes N up to
-``MAX_PRECISION``.
+``witt_defect`` measures the sum of (x+a)**n, which the binomial theorem
+reads off the moments, against E_n(a) from the Euler table. The two share
+no computation, so a wrong E_n shows as a defect below N. ``lem1_defect``
+compares three sums of one moment vector with one another and never looks
+at E_n. A budget caps p^N only where p^N terms are summed one by one; the
+moments take N up to ``MAX_PRECISION``.
 
 p is always an odd prime; p = 2 is rejected. Shifts and
 coefficients must be p-integral rationals (denominator coprime to p), which
@@ -47,7 +45,7 @@ from itertools import repeat
 from operator import mul
 
 from .euler import alt_power_sum, euler_poly
-from .polynomial import Polynomial, monomial
+from .polynomial import Polynomial
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -71,8 +69,8 @@ __all__ = [
 # Guard for the naive p^N-term sweeps.
 DEFAULT_BUDGET = 10 ** 7
 
-# Largest N of a digit sum: its cost grows as N**2 (0.06-0.08 s for degree 8
-# at p = 7 and N = 1000 on a 2-vCPU VM with Python 3.11).
+# Largest N of a digit sum: one moment vector per (p, N) costs
+# O(p d + N d**2) for degree d, then O(d) per sum.
 MAX_PRECISION = 1000
 
 
@@ -211,45 +209,48 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
 
 
 def fermionic_sum_digits(f: Polynomial, p: int, precision: int,
-                         weights=None) -> Fraction:
+                         moments=None) -> Fraction:
     """The truncated sum of ``fermionic_sum_naive`` for a Polynomial f,
-    summed by base-p digits: S_N(f) = S_1(g) after N - 1 ``_fold_digit``
-    levels, and S_1(g) = sum_{j<p} (-1)**j g(j) = sum_i A_i g_i, with
-    A_e = ``_alternating_power_sums``. The weight rows of the fold depend
-    on p and the degree alone; they are read at every level.
-
-    ``weights`` is a dict that a sweep keeps from one sum to the next: it
-    holds the A_e and the rows of the last (p, degree) summed, so that the
-    sums of a sweep that visits each (p, degree) in one run build them once
-    per (p, degree). Without it they are built for this sum alone, and the
-    call keeps nothing.
+    as one dot product: S_N(f) = sum_i f_i mu_i with mu_i = S_N(x**i) from
+    ``_moments``, which a sweep keeps in ``moments``. Without it the call
+    keeps nothing.
 
     Exact and equal to the naive sum, with no p**N-term loop and no budget;
     N is at most ``MAX_PRECISION``.
     """
+    return _dot(f, _moments(p, precision, len(f.nums) - 1, moments))
+
+
+def _dot(f: Polynomial, mu: list) -> Fraction:
+    """sum_i f_i mu_i: f's integer numerators against mu, over f.den."""
+    return Fraction(sum(map(mul, f.nums, mu)), f.den)
+
+
+def _moments(p: int, precision: int, d: int, memo=None) -> list:
+    """mu_k = S_N(x**k) = sum_{x < p**N} (-1)**x x**k for k = 0..d at least.
+
+    Base-p digits x = j + p*y give (-1)**x = (-1)**j (-1)**y for odd p, so
+    S_N(x**k) = sum_{i<=k} p**i C(k, i) A_(k-i) S_(N-1)(x**i): mu starts at
+    S_1(x**k) = A_k (``_alternating_power_sums``) and takes N - 1 steps, each
+    one weighted sum of a row of ``_fold_rows`` per k.
+
+    ``memo`` keeps the vector of the last (p, N) built, and serves any
+    degree up to the one it was built to; what is built replaces it.
+    """
     require_odd_prime(p)
     require_precision(precision)
-    nums = f.nums
-    sums, rows = _fold_weights(p, len(nums) - 1, precision > 1, weights)
-    for _ in range(precision - 1):
-        nums = _fold_digit(nums, rows)
-    return Fraction(sum(map(mul, sums, nums)), f.den)
-
-
-def _fold_weights(p: int, d: int, rows: bool, memo) -> tuple:
-    """(A_e for e <= d, and the rows of ``_fold_rows`` if ``rows`` else
-    None), read from ``memo`` where it holds them. What is built replaces
-    what ``memo`` held, so it keeps one degree's rows at most, as many as
-    one sum builds."""
-    key = (p, d, rows)
-    entry = None if memo is None else memo.get(key)
-    if entry is None:
-        sums = _alternating_power_sums(p, d)
-        entry = sums, _fold_rows(sums, p) if rows else None
+    key = (p, precision)
+    mu = None if memo is None else memo.get(key)
+    if mu is None or len(mu) <= d:
+        mu = _alternating_power_sums(p, d)
+        if precision > 1:
+            rows = _fold_rows(mu, p)
+            for _ in range(precision - 1):
+                mu = [sum(map(mul, row, mu)) for row in rows]
         if memo is not None:
             memo.clear()
-            memo[key] = entry
-    return entry
+            memo[key] = mu
+    return mu
 
 
 def _alternating_power_sums(p: int, d: int) -> list:
@@ -259,20 +260,11 @@ def _alternating_power_sums(p: int, d: int) -> list:
 
 
 def _fold_rows(sums: list, p: int) -> list:
-    """The weight rows of ``_fold_digit``: row k holds
-    p**k C(i, k) A_(i-k) for i = k..d, from the A_e of
+    """The rows of one step of ``_moments``: row k holds
+    p**i C(k, i) A_(k-i) for i = 0..k, from the A_e of
     ``_alternating_power_sums``."""
-    d = len(sums) - 1
-    return [[p ** k * math.comb(k + e, k) * a
-             for e, a in enumerate(sums[:d + 1 - k])] for k in range(d + 1)]
-
-
-def _fold_digit(nums, rows) -> list:
-    """Integer coefficients of g(y) = sum_{j<p} (-1)**j f(j + p*y) from
-    those of f: expanding f(j + p*y) = sum_i f_i (j + p*y)**i gives
-    g_k = p**k sum_{i>=k} C(i, k) A_(i-k) f_i, one weighted sum of row k of
-    ``_fold_rows`` per coefficient."""
-    return [sum(map(mul, row, nums[k:])) for k, row in enumerate(rows)]
+    return [[p ** i * math.comb(k, i) * sums[k - i] for i in range(k + 1)]
+            for k in range(len(sums))]
 
 
 def fermionic_sum_naive_mod(f: Polynomial, p: int, precision: int,
@@ -317,28 +309,31 @@ def fermionic_sum_closed(n: int, a, q: int):
 
 
 def witt_defect(n: int, a, p: int, precision: int, truncated=None,
-                weights=None):
+                moments=None):
     """Valuation certificate for the integral representation of E_n(a).
 
     Returns v_p(S_N - E_n(a)), where S_N is the sum of (x+a)**n (-1)**x over
-    x < p**N, summed by base-p digits, and E_n comes from the Euler table;
-    the contract (asserted by callers) is defect >= N. A caller that has
+    x < p**N and E_n comes from the Euler table; the contract (asserted by
+    callers) is defect >= N. With a = r/t, the binomial theorem gives
+    S_N = sum_k C(n, k) r**(n-k) t**k mu_k / t**n from the moments mu_k of
+    ``_moments``, which a sweep keeps in ``moments``. A caller that has
     already summed S_N (``witt --naive``) passes it as ``truncated``, and
-    the sum is not repeated; a sweep passes its fold ``weights``
-    (``fermionic_sum_digits``). The shift a must be p-integral.
+    the sum is not repeated. The shift a must be p-integral.
     """
     a = require_integral_shift(a, p)   # which checks p first
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
+    require_precision(precision)
     if truncated is None:
-        truncated = fermionic_sum_digits(monomial(n).compose_affine(1, a), p,
-                                         precision, weights)
+        mu = _moments(p, precision, n, moments)
+        r, t = a.numerator, a.denominator
+        terms = (math.comb(n, k) * r ** (n - k) * t ** k * mu[k]
+                 for k in range(n + 1))
+        truncated = Fraction(sum(terms), t ** n)
     return valuation(truncated - euler_poly(n)(a), p)
 
 
-def lem1_defect(f: Polynomial, p: int, precision: int, weights=None):
+def lem1_defect(f: Polynomial, p: int, precision: int, moments=None):
     """Valuation defect of the reflection/shift functional equation.
 
     For S1 = sum f(x+1)(-1)**x, S- = sum f(-x)(-1)**x and S = sum f(x)(-1)**x
@@ -347,18 +342,17 @@ def lem1_defect(f: Polynomial, p: int, precision: int, weights=None):
     is an even function the sharper statement S -> f(0) is folded in as well.
     Coefficients must be p-integral: p must not divide ``f.den``, since in
     normal form each prime of ``den`` stays in the reduced denominator of
-    some coefficient. The three sums are separate digit sums
-    (``fermionic_sum_digits``), which also check N; they have one degree,
-    so they share their fold ``weights``, which a sweep may pass.
+    some coefficient. The three sums have one degree, so they are dot
+    products with one vector of ``_moments``, which a sweep may keep in
+    ``moments``.
     """
     require_odd_prime(p)
     if f.den % p == 0:
         raise DenominatorNotInvertible(
             f"a coefficient of {f} is not a {p}-adic integer")
+    mu = _moments(p, precision, len(f.nums) - 1, moments)
     f_neg = f.compose_affine(-1, 0)
-    if weights is None:   # a plain call still builds them once for all three
-        weights = {}
-    s, s_shift, s_neg = (fermionic_sum_digits(g, p, precision, weights)
+    s, s_shift, s_neg = (_dot(g, mu)
                          for g in (f, f.compose_affine(1, 1), f_neg))
     f0 = f(0)
     target = -s + 2 * f0

@@ -390,23 +390,23 @@ def test_direct_calls_leave_no_memo(monkeypatch):
     ident.check_thm2.__wrapped__(**thm2)
     ident.check_witt.__wrapped__(4, F(1, 2), 5, 2)
     # what the bodies build
-    assert cache._sums and _shift_sums() and ident._FOLD_WEIGHTS
+    assert cache._sums and _shift_sums() and ident._MOMENTS
     for m in range(31):
         for n in range(31):
             assert ident.check_wsp7(m, n).passed
     assert ident.check_thm2(**thm2).passed
     assert cache._sums == {} and not _shift_sums()
     assert ident.check_lem1.__wrapped__(**lem1) >= 2
-    assert ident._FOLD_WEIGHTS
+    assert ident._MOMENTS
     assert ident.check_witt(4, F(1, 2), 5, 2).passed
-    assert ident._FOLD_WEIGHTS == {}
+    assert ident._MOMENTS == {}
     assert ident.CHECKERS["sun"].run({"m": 3, "n": 2, "a": F(1, 2)},
                                      "pointwise").passed
     assert ident.CHECKERS["thm2"].run(thm2, "symbolic").passed
     ident.check_witt.__wrapped__(4, F(1, 2), 5, 2)
     assert ident.CHECKERS["lem1"].run(lem1, "symbolic").passed
     assert cache._sums == {} and not _shift_sums()
-    assert ident._FOLD_WEIGHTS == {}
+    assert ident._MOMENTS == {}
 
 
 # the catalog grid of the benchmark, at its fixed points
@@ -461,18 +461,19 @@ def test_sun_memo_holds_one_entry_per_sum_it_reads(monkeypatch):
     assert held == [9 * 9 * 5]
 
 
-def _counting_fold_weights(monkeypatch) -> list:
-    """Log each build of the fold's A_e and rows as (kind, p, degree,
-    entries the sweep memo held then); return the log."""
+def _counting_moment_builds(monkeypatch) -> list:
+    """Log each build of a moment vector, its A_e and then its rows at
+    N > 1, as (kind, p, degree, entries the sweep memo held then); return
+    the log."""
     built = []
     sums, rows = padic._alternating_power_sums, padic._fold_rows
 
     def counted_sums(p, d):
-        built.append(("sums", p, d, len(ident._FOLD_WEIGHTS)))
+        built.append(("sums", p, d, len(ident._MOMENTS)))
         return sums(p, d)
 
     def counted_rows(a, p):
-        built.append(("rows", p, len(a) - 1, len(ident._FOLD_WEIGHTS)))
+        built.append(("rows", p, len(a) - 1, len(ident._MOMENTS)))
         return rows(a, p)
 
     monkeypatch.setattr(padic, "_alternating_power_sums", counted_sums)
@@ -482,34 +483,35 @@ def _counting_fold_weights(monkeypatch) -> list:
 
 def test_a_sweep_builds_the_fold_weights_once_per_prime_and_degree(
         monkeypatch):
-    built = _counting_fold_weights(monkeypatch)
+    built = _counting_moment_builds(monkeypatch)
     reports = run_suite(["witt"], _CATALOG_GRID)
     assert len(reports) == 135 and all(r.passed for r in reports)
     # witt sums (x + a)**n, of degree n: 3 primes times n in 0..8, each
-    # (p, n) at its 5 points in one run
+    # (p, n) at its 5 points in one run, and a vector serves every degree
+    # up to its own, so each n builds it once more, one degree higher
     for kind in ("sums", "rows"):
         keys = [(p, d) for k, p, d, _ in built if k == kind]
         assert sorted(keys) == [(p, d) for p in (3, 5, 7) for d in range(9)]
-    # the memo holds the last (p, degree) alone, and the sweep drops it
+    # the memo holds the last (p, N) alone, and the sweep drops it
     assert max(held for *_, held in built) <= 1
-    assert ident._FOLD_WEIGHTS == {}
+    assert ident._MOMENTS == {}
     # lem1's three sums of one report, f(x), f(x + 1) and f(-x), have one
-    # degree, and build their weights once
+    # degree, and read one vector
     built.clear()
     reports = run_suite(["lem1"], _CATALOG_GRID)
     assert len(reports) == 15 and all(r.passed for r in reports)
     assert len(built) <= 2 * 15
-    assert ident._FOLD_WEIGHTS == {}
+    assert ident._MOMENTS == {}
 
 
 def test_a_plain_digit_sum_keeps_no_weights(monkeypatch):
-    built = _counting_fold_weights(monkeypatch)
+    built = _counting_moment_builds(monkeypatch)
     f = Polynomial([F(1, 2), 3, F(-5, 4)])
     for _ in range(2):
         assert fermionic_sum_digits(f, 5, 3) == padic._integer_sum(f, 5 ** 3)
-        assert ident._FOLD_WEIGHTS == {}
+        assert ident._MOMENTS == {}
     assert [kind for kind, *_ in built] == ["sums", "rows"] * 2
-    # lem1_defect's three sums share one build, kept by neither call
+    # lem1_defect's three sums share one vector, kept by neither call
     built.clear()
     assert lem1_defect(f, 5, 3) >= 3
     assert [kind for kind, *_ in built] == ["sums", "rows"]
@@ -520,14 +522,14 @@ def test_a_plain_digit_sum_keeps_no_weights(monkeypatch):
 
 
 def test_one_weights_memo_serves_every_precision():
-    # a memo that held the weights of N = 1, which has no rows, serves a
-    # sum at N > 1 with rows, and back; it holds one entry throughout
-    weights = {}
+    # a memo holds the vector of one (p, N): a sum at another N replaces
+    # it, so it holds one entry throughout
+    moments = {}
     for f in (Polynomial([F(1, 2), 3, F(-5, 4)]), Polynomial([7, F(1, 3)])):
         for precision in (1, 3, 1, 2, 2):
-            got = fermionic_sum_digits(f, 5, precision, weights)
+            got = fermionic_sum_digits(f, 5, precision, moments)
             assert got == padic._integer_sum(f, 5 ** precision)
-            assert len(weights) == 1
+            assert list(moments) == [(5, precision)]
 
 
 def test_binomial_sum_rejects_negative_indices():
@@ -758,10 +760,10 @@ def test_digit_sum_rejects_bad_arguments():
 
 
 def _drop_one_level(monkeypatch):
-    original = padic.fermionic_sum_digits
-    monkeypatch.setattr(padic, "fermionic_sum_digits",
-                        lambda f, p, precision, *weights:
-                        original(f, p, precision - 1, *weights))
+    original = padic._moments
+    monkeypatch.setattr(padic, "_moments",
+                        lambda p, precision, d, memo=None:
+                        original(p, precision - 1, d, memo))
 
 
 def _flip_odd_digits(monkeypatch):

@@ -1,7 +1,7 @@
 """The mutation matrix: each checker's blind spots, stated as a table.
 
 The mutants corrupt the E_n table, the tangent numbers, the Pascal step of
-the binomial E-sums, the digit fold of the p-adic certificates, the
+the binomial E-sums, the moments of the p-adic certificates, the
 alternating power sums, the integer core of the E-sums and the Taylor shift
 under ``compose_affine``. Every mutant runs the whole catalog on the desk
 grid in symbolic mode, and the set of checkers that still pass everywhere
@@ -142,20 +142,20 @@ _SUMS = padic._alternating_power_sums
 
 
 def _rows_times_p(sums, p):
-    """Every weight of the fold times p, so each level reads p g."""
+    """Every weight of a moment step times p, so each step reads p mu."""
     return [[w * p for w in row] for row in _ROWS(sums, p)]
 
 
 def _rows_unsigned(sums, p):
-    """The fold's weights from sum_j j**e, every j added, in place of
-    A_e = sum_j (-1)**j j**e: each level reads sum_j f(j + p*y)."""
+    """A moment step's weights from sum_j j**e, every j added, in place of
+    A_e = sum_j (-1)**j j**e: each step reads sum_j (j + p*y)**k."""
     return _ROWS([sum(j ** e for j in range(p)) for e in range(len(sums))],
                  p)
 
 
 def _sums_without_j0(p, d):
-    """A_0 summed without its j = 0 term: 0 in place of 1, in the fold's
-    weights and in the last level's sum alike."""
+    """A_0 summed without its j = 0 term: 0 in place of 1, in the moment
+    steps' weights and in the first moments alike."""
     sums = _SUMS(p, d)
     return [sums[0] - 1, *sums[1:]] if sums else sums
 
@@ -165,8 +165,8 @@ def _sums_without_j0(p, d):
     ("_alternating_power_sums", _sums_without_j0)],
     ids=["times_p", "unsigned", "a0_without_j0"])
 def test_certifier_mutant_survivors(monkeypatch, name, mutant):
-    """The weights of the digit fold of the p-adic sums (``padic``), which
-    witt and lem1 read at precision 2 and no other checker reads."""
+    """The weights of the p-adic moments (``padic``), which witt and lem1
+    read at precision 2 and no other checker reads."""
     monkeypatch.setattr(padic, name, mutant)
     assert _survivors(monkeypatch, EulerCache()) == \
         set(CHECKER_IDS) - {"witt", "lem1"}
@@ -174,9 +174,9 @@ def test_certifier_mutant_survivors(monkeypatch, name, mutant):
 
 @pytest.mark.parametrize("cid", ["witt", "lem1"])
 def test_fold_mutant_is_read_after_a_plain_digit_sum(monkeypatch, cid):
-    """A plain digit sum keeps no weights, so the report that follows it
+    """A plain digit sum keeps no moments, so the report that follows it
     builds its own rows, with the mutant, though the plain sum read the
-    same (p, degree); and so does the sweep after it."""
+    same (p, N) and degree; and so does the sweep after it."""
     # witt at n = 4 and lem1's polynomial 1 (of degree 1), both at p = 3,
     # are reports that the mutant fails
     params = [params for params in CHECKERS[cid].gen(
@@ -240,8 +240,9 @@ def _shift_one_further(nums, r):
 
 
 # the checkers that read a shifted E_n, or shift a polynomial before its
-# digit sum: lem1's f(x + 1) and witt's (x + a)**n
-_SHIFT_READERS = {"fersim", "fersim3", "lem1", "reflection", "sun", "witt"}
+# digit sum: lem1's f(x + 1); witt expands (x + a)**n by the binomial
+# theorem and reads no shift
+_SHIFT_READERS = {"fersim", "fersim3", "lem1", "reflection", "sun"}
 
 
 @pytest.mark.parametrize("patches,failed", [
@@ -249,15 +250,15 @@ _SHIFT_READERS = {"fersim", "fersim3", "lem1", "reflection", "sun", "witt"}
      {"complement", "thm1", "thm2", "wsp7", "wsp9"}),
     ([(Polynomial, "compose_affine", _compose_negated_shift)],
      _SHIFT_READERS),
-    # compose_affine reads taylor_shift from its module; padic's fold reads
-    # weight rows and no shift, so lem1 and witt see it through compose_affine
+    # compose_affine reads taylor_shift from its module; padic's moments read
+    # weight rows and no shift, so lem1 sees it through compose_affine
     ([(polynomial, "taylor_shift", _shift_one_further)], _SHIFT_READERS),
 ], ids=["step_ignored", "v_negated", "shift_r_plus_1"])
 def test_shared_core_mutant_survivors(monkeypatch, patches, failed):
     """Cores that many checkers share. Ignoring ``_weighted_sum``'s step
     reads each E(-a) term as E(a), which the checkers with a side at -a
-    see. The integer Taylor shift serves every shifted E_n and every
-    polynomial that lem1 and witt shift before their digit sums."""
+    see. The integer Taylor shift serves every shifted E_n and the
+    polynomial that lem1 shifts before its digit sum."""
     for owner, name, mutant in patches:
         monkeypatch.setattr(owner, name, mutant)
     assert _survivors(monkeypatch, EulerCache()) == set(CHECKER_IDS) - failed

@@ -2,9 +2,10 @@
 
 Frozen sums were computed by hand as short alternating series; the
 naive/closed equivalence is the oracle pairing: a p**N-term exact sweep
-against the two-term Euler-polynomial closed form. The digit fold's weight
-rows are checked against the p - 1 unit Taylor shifts, each a double loop,
-that they replaced.
+against the two-term Euler-polynomial closed form. The moments
+mu_k = S_N(x**k) are checked against the per-level digit fold that they
+replaced, the literal alternating sums and the closed form, and one step of
+their rows against the p - 1 unit Taylor shifts, each a double loop.
 """
 
 import math
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from eulerferm import padic
-from eulerferm.euler import euler_poly
+from eulerferm.euler import alt_power_sum, euler_poly
 from eulerferm.identities import SweepGrid, run_suite
 from eulerferm.padic import (
     BudgetExceeded,
@@ -287,15 +288,80 @@ def fold_by_shifts(nums, p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 43])
 def test_fold_equals_the_unit_shifts(p):
+    # one step of the moments reads row k as the fold of x**k: the fold g
+    # of f has g_i = sum_k f_k row_k[i], which the unit shifts build
     rng = random.Random(p)
     for d in range(-1, 13):
         sums = padic._alternating_power_sums(p, d)
         assert sums == [sum((-1) ** j * j ** e for j in range(p))
                         for e in range(d + 1)]
         rows = padic._fold_rows(sums, p)
+        assert [len(row) for row in rows] == list(range(1, d + 2))
         for _ in range(3):
             nums = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(d + 1)]
-            assert padic._fold_digit(nums, rows) == fold_by_shifts(nums, p)
+            step = [sum(nums[k] * rows[k][i] for k in range(i, d + 1))
+                    for i in range(d + 1)]
+            assert step == fold_by_shifts(nums, p)
+
+
+def _digit_sum_by_folds(f, p, precision):
+    """S_N(f) by the per-level fold that the moments replaced: N - 1 folds
+    g_k = p**k sum_{i>=k} C(i, k) A_(i-k) f_i of the integer numerators,
+    then S_1(g) = sum_i A_i g_i, over f.den."""
+    d = len(f.nums) - 1
+    sums = [sum((-1) ** j * j ** e for j in range(p)) for e in range(d + 1)]
+    nums = list(f.nums)
+    for _ in range(precision - 1):
+        nums = [p ** k * sum(math.comb(i, k) * sums[i - k] * nums[i]
+                             for i in range(k, d + 1)) for k in range(d + 1)]
+    return F(sum(a * c for a, c in zip(sums, nums)), f.den)
+
+
+def test_moments_equal_the_per_level_fold():
+    rng = random.Random(2106)
+    for _ in range(320):
+        p = rng.choice([3, 5, 7, 11])
+        precision = rng.randint(1, 7)
+        d = rng.randint(0, 10)
+        mu = padic._moments(p, precision, d)
+        assert len(mu) == d + 1
+        for k in range(d + 1):
+            assert mu[k] == _digit_sum_by_folds(monomial(k), p, precision)
+        f = Polynomial([F(rng.randint(-30, 30),
+                          rng.choice([c for c in range(1, 13) if c % p]))
+                        for _ in range(d + 1)])
+        assert fermionic_sum_digits(f, p, precision) == \
+            _digit_sum_by_folds(f, p, precision), (f, p, precision)
+
+
+def test_moments_equal_the_literal_alternating_sums():
+    for p in (3, 5, 7, 11, 13):
+        precision = 1
+        while p ** precision < 10 ** 5:
+            want = [alt_power_sum(p ** precision - 1, k) for k in range(11)]
+            assert padic._moments(p, precision, 10) == want, (p, precision)
+            precision += 1
+
+
+def test_moments_equal_the_closed_form():
+    # the Euler-polynomial closed form of the sum of x**k, at N up to 40
+    for p in (3, 5, 7, 11, 13):
+        for precision in (1, 2, 3, 5, 8, 13, 21, 34, 40):
+            mu = padic._moments(p, precision, 12)
+            for k in range(13):
+                assert mu[k] == fermionic_sum_closed(k, 0, p ** precision), \
+                    (p, precision, k)
+
+
+def test_a_moments_memo_serves_lower_degrees_and_rebuilds_higher():
+    memo = {}
+    mu = padic._moments(5, 3, 6, memo)
+    assert memo == {(5, 3): mu} and len(mu) == 7
+    assert padic._moments(5, 3, 2, memo) is mu
+    assert padic._moments(5, 3, 7, memo) == \
+        [alt_power_sum(5 ** 3 - 1, k) for k in range(8)]
+    assert padic._moments(7, 3, 2, memo) == padic._moments(7, 3, 2)
+    assert list(memo) == [(7, 3)]
 
 
 def test_lem1_defect_examples():
