@@ -25,18 +25,18 @@ leaf encoder, ``_json``, which reads an int, Fraction, str or bool and a
 zero Polynomial off its exact type and maps any other value by
 ``identities._jsonable`` (the writer lays out the params object itself);
 in text and md through ``_text``.
-``verify --stats`` adds per-checker counts and times, the table sizes and
-the peak RSS on stderr; stdout stays the same bytes.
+``verify --stats`` adds per-checker counts and times, the table sizes, the
+collector's pauses and the peak RSS on stderr; stdout stays the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -268,6 +268,8 @@ def _emit_reports(reports, fmt: str) -> None:
                   f'    "elapsed_ms": {r.elapsed_ms!r}\n  }}')
         write("\n]\n" if reports else "]\n")
     elif fmt == "csv":
+        import csv   # only here: no other command or format reads it
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "params", "mode", "residual", "pass",
                          "elapsed_ms"])
@@ -293,12 +295,44 @@ def _emit_reports(reports, fmt: str) -> None:
           else f"FAIL {total - passed}/{total}\n")
 
 
-def _print_stats(reports) -> None:
-    """Per checker: reports, passes, total and largest elapsed_ms, and the
-    params of the slowest report; then the table sizes and the peak RSS.
-    All of it goes to stderr, so stdout stays the same bytes."""
+def _collector_pauses(pauses: list):
+    """A ``gc.callbacks`` entry that appends the ms of each collection to
+    ``pauses``."""
+    started = 0.0
+
+    def on_phase(phase, info):
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            pauses.append((time.perf_counter() - started) * 1000.0)
+    return on_phase
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak RSS: ``VmHWM`` where /proc has it, else
+    ``ru_maxrss``, which also counts the peak of the process that launched
+    this one, since it survives vfork and exec."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2 ** 10   # kB
+    except OSError:
+        pass
     import resource   # only here: the module is POSIX-only
 
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
+def _print_stats(reports, pauses) -> None:
+    """Per checker: reports, passes, total and largest elapsed_ms, and the
+    params of the slowest report; then the table sizes, the number and
+    total ms of the collector's pauses while the checks ran (which the
+    checker running at the time is charged for too), and the peak RSS. All
+    of it goes to stderr, so stdout stays the same bytes."""
     by_checker = {}
     for r in reports:
         by_checker.setdefault(r.checker, []).append(r)
@@ -311,11 +345,9 @@ def _print_stats(reports) -> None:
               f"{_params_text(slowest.params)}",
               file=sys.stderr)
     sizes = {**table_sizes(), "recurrence": identities._RECURRENCE.terms}
-    # ru_maxrss counts KiB on Linux and bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
-        2 ** 20 if sys.platform == "darwin" else 2 ** 10)
     print("tables: " + ", ".join(f"{k} {v}" for k, v in sizes.items())
-          + f"; peak RSS {peak:.1f} MB", file=sys.stderr)
+          + f"; gc {len(pauses)} collections, {sum(pauses):.3f} ms"
+          + f"; peak RSS {_peak_rss_mb():.1f} MB", file=sys.stderr)
 
 
 def _usage_error(message) -> int:
@@ -330,6 +362,12 @@ def _cmd_verify(args) -> int:
     ids = list(args.ids)
     if "all" in ids:
         ids = list(identities.CHECKER_IDS)
+    pauses = []
+    if args.stats:
+        import gc   # only here: --stats alone times the collector
+
+        on_phase = _collector_pauses(pauses)
+        gc.callbacks.append(on_phase)
     try:
         # each grid option sets the SweepGrid field of the same name
         reports = run_suite(ids, SweepGrid(**{
@@ -337,12 +375,15 @@ def _cmd_verify(args) -> int:
             if getattr(args, field) is not None}))
     except ValueError as exc:
         return _usage_error(exc)
+    finally:
+        if args.stats:
+            gc.callbacks.remove(on_phase)
     if not reports:
         return _usage_error(f"nothing checked: no grid value lies in the "
                             f"domain of {', '.join(sorted(set(ids)))}")
     _emit_reports(reports, args.format)
     if args.stats:
-        _print_stats(reports)
+        _print_stats(reports, pauses)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -70,6 +70,7 @@ import itertools
 import math
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -108,16 +109,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome record of one identity check."""
-
-    checker: str
-    params: dict
-    mode: str
-    residual: object
-    passed: bool
-    elapsed_ms: float = 0.0
+# the two records are named tuples, not dataclasses: a dataclass
+# generates its methods when the module is imported, which every command
+# pays at start-up
+IdentityReport = namedtuple(
+    "IdentityReport", "checker params mode residual passed elapsed_ms",
+    defaults=(0.0,))
+IdentityReport.__doc__ = "Outcome record of one identity check."
 
 
 def report_to_dict(report: IdentityReport) -> dict:
@@ -158,36 +156,42 @@ def _sample_points(count: int):
 # Registry and sweep grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Bounded parameter grid for suite runs (defaults: the desk grid)."""
+class SweepGrid(namedtuple("SweepGrid",
+                           "m n q k s points p_list precision")):
+    """Bounded parameter grid for suite runs (defaults: the desk grid).
 
-    m: tuple = tuple(range(7))
-    n: tuple = tuple(range(7))
-    q: tuple = (1, 2, 3)
-    k: tuple = (1, 2, 3)
-    s: tuple = (1, 2, 3)
-    points: tuple = (Fraction(0), Fraction(1), Fraction(1, 2),
-                     Fraction(-1), Fraction(-2, 3))
-    p_list: tuple = (3, 5, 7)
-    precision: int = 2
+    Every grid is checked when it is built, by ``_replace`` too: each index
+    range holds natural numbers up to ``MAX_DEGREE``, each prime is odd and
+    the precision is a digit sum's.
+    """
 
-    def __post_init__(self):
-        indices = self.m + self.n + self.q + self.k + self.s
-        if not all(type(v) is int
-                   for v in indices + self.p_list + (self.precision,)):
+    __slots__ = ()
+
+    def __new__(cls, m=tuple(range(7)), n=tuple(range(7)), q=(1, 2, 3),
+                k=(1, 2, 3), s=(1, 2, 3),
+                points=(Fraction(0), Fraction(1), Fraction(1, 2),
+                        Fraction(-1), Fraction(-2, 3)),
+                p_list=(3, 5, 7), precision=2):
+        indices = m + n + q + k + s
+        if not all(type(v) is int for v in indices + p_list + (precision,)):
             raise ValueError("every grid field but points must hold integers")
-        require_precision(self.precision)
+        require_precision(precision)
         if min(indices, default=0) < 0:
             raise ValueError("ranges must be non-negative")
-        for axis in ("m", "n", "q", "k", "s"):
-            top = max(getattr(self, axis), default=0)
+        for axis, values in zip("mnqks", (m, n, q, k, s)):
+            top = max(values, default=0)
             if top > MAX_DEGREE:
                 raise ValueError(f"{axis} must be <= {MAX_DEGREE}, got {top}")
-        for p in self.p_list:
+        for p in p_list:
             require_odd_prime(p)
         # a swept point is reported as a Fraction, as in a direct call
-        object.__setattr__(self, "points", tuple(map(Fraction, self.points)))
+        return super().__new__(cls, m, n, q, k, s,
+                               tuple(map(Fraction, points)), p_list, precision)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

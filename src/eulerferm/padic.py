@@ -10,10 +10,12 @@ S_N(f) = sum_i f_i mu_i. For odd p, base-p digits x = j + p*y give
 (-1)**x = (-1)**j (-1)**y, so S_N(x**k) = sum_{i<=k} p**i C(k, i) A_(k-i)
 S_(N-1)(x**i) with A_e = sum_{j<p} (-1)**j j**e = S_1(x**e): the vector
 starts at A and takes N - 1 steps. It depends on p and N alone, and a sweep
-keeps the vector of the last (p, N) for its next sum, built to the largest
-degree read so far: O(p d + N d**2) integer operations for degree d instead
-of p^N terms, then O(d) per sum. f is summed as its integer numerators, and
-its one denominator is divided out once.
+keeps the vector of the last (p, N) for its next sum; a sum of higher degree
+rebuilds it to at least twice the degree it held, so rising degrees up to d
+cost O(log d) builds. One build is O(p d + N d**2) integer operations for
+degree d instead of p^N terms, then O(d) per sum. f is summed as its integer
+numerators, and its one denominator is divided out once. A valuation
+divides by p, p**2, p**4, ... and back down, O(log v) divisions for v.
 
 The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
 ``witt --naive`` prints, sums Witt's integrand (x+a)**n with a = r/t as one
@@ -123,12 +125,23 @@ def valuation(r, p: int):
 
 
 def _int_valuation(n: int, p: int) -> int:
-    n = abs(n)
+    """v_p(n) for n != 0, in O(log v) divisions: divide by p, p**2, p**4,
+    ... while they divide, then step back down through the same powers,
+    each dividing at most once."""
+    powers = []
+    power = p
+    while n % power == 0:
+        n //= power
+        powers.append(power)
+        power *= power
+    # v_p(n) is now below 2**len(powers): its binary digits, highest first
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    for power in reversed(powers):
+        v *= 2
+        if n % power == 0:
+            n //= power
+            v += 1
+    return (1 << len(powers)) - 1 + v
 
 
 def require_precision(precision: int) -> None:
@@ -235,13 +248,17 @@ def _moments(p: int, precision: int, d: int, memo=None) -> list:
     one weighted sum of a row of ``_fold_rows`` per k.
 
     ``memo`` keeps the vector of the last (p, N) built, and serves any
-    degree up to the one it was built to; what is built replaces it.
+    degree up to the one it was built to; what is built replaces it. A
+    vector outgrown at the same (p, N) is rebuilt to at least twice its
+    degree, so a sweep of rising degrees builds O(log d) vectors, not d.
     """
     require_odd_prime(p)
     require_precision(precision)
     key = (p, precision)
     mu = None if memo is None else memo.get(key)
     if mu is None or len(mu) <= d:
+        if mu is not None:
+            d = max(d, 2 * (len(mu) - 1))
         mu = _alternating_power_sums(p, d)
         if precision > 1:
             rows = _fold_rows(mu, p)

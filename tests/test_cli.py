@@ -492,6 +492,21 @@ def test_verify_output_is_deterministic(capsys):
     assert strip_elapsed(out1) == strip_elapsed(out2)
 
 
+def test_cli_import_builds_no_dataclass_record_and_no_csv_writer():
+    # every command pays for its imports at start-up: csv is imported by
+    # the CSV report writer alone, and the two records are named tuples
+    probe = ("import dataclasses, sys\n"
+             "import eulerferm.cli\n"
+             "from eulerferm.identities import IdentityReport, SweepGrid\n"
+             "print('csv' in sys.modules,\n"
+             "      dataclasses.is_dataclass(IdentityReport),\n"
+             "      dataclasses.is_dataclass(SweepGrid))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "eulerferm", "poly", "2"],

@@ -1,9 +1,11 @@
 """Identity checker tests: frozen hand expansions, sweeps, the
 symbolic/pointwise duality, and the specialization cross-links."""
 
+import copy
 import inspect
 import json
 import math
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ import pytest
 from eulerferm import euler, identities as ident
 from eulerferm.identities import (
     CHECKER_IDS,
+    IdentityReport,
     SweepGrid,
     euler_zero_via_recurrence,
     report_to_dict,
@@ -387,6 +390,50 @@ def test_sweep_grid_rejects_negative_axes_and_precision_below_one():
         with pytest.raises(ValueError, match="^every grid field but points "
                                              "must hold integers$"):
             SweepGrid(**{field: values})
+
+
+def test_identity_report_is_an_immutable_record():
+    report = IdentityReport("wsp7", {"m": 1, "n": 0}, "symbolic",
+                            Polynomial([F(1, 2)]), False)
+    assert report.elapsed_ms == 0.0
+    assert report == IdentityReport(
+        checker="wsp7", params={"m": 1, "n": 0}, mode="symbolic",
+        residual=Polynomial([F(1, 2)]), passed=False, elapsed_ms=0.0)
+    assert IdentityReport._fields == ("checker", "params", "mode",
+                                      "residual", "passed", "elapsed_ms")
+    with pytest.raises(AttributeError):
+        report.passed = True
+    with pytest.raises(AttributeError):
+        report.note = "extra"
+    for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                  copy.deepcopy(report)):
+        assert type(clone) is IdentityReport and clone == report
+
+
+def test_sweep_grid_is_an_immutable_record_checked_on_every_build():
+    desk = SweepGrid()
+    points = (F(0), F(1), F(1, 2), F(-1), F(-2, 3))
+    assert desk == SweepGrid(tuple(range(7)), tuple(range(7)), (1, 2, 3),
+                             (1, 2, 3), (1, 2, 3), points, (3, 5, 7), 2)
+    assert SweepGrid._fields == ("m", "n", "q", "k", "s", "points",
+                                 "p_list", "precision")
+    grid = SweepGrid(m=(1,), points=(0, 2), precision=3)
+    assert grid == SweepGrid((1,), desk.n, desk.q, desk.k, desk.s,
+                             (F(0), F(2)), desk.p_list, 3)
+    assert all(type(a) is Fraction for a in grid.points)
+    with pytest.raises(AttributeError):
+        grid.m = (2,)
+    with pytest.raises(AttributeError):
+        grid.extra = 1
+    for clone in (pickle.loads(pickle.dumps(grid)), copy.copy(grid),
+                  copy.deepcopy(grid)):
+        assert type(clone) is SweepGrid and clone == grid
+    # _replace builds through the same checks, and turns points to Fractions
+    assert desk._replace(points=(1,)).points == (F(1),)
+    with pytest.raises(ValueError, match="^precision must be >= 1, got 0$"):
+        SweepGrid()._replace(precision=0)
+    with pytest.raises(ValueError, match="^ranges must be non-negative$"):
+        SweepGrid._make([(-1,), *desk[1:]])
 
 
 def test_sweep_grid_rejects_degrees_above_max():

@@ -487,11 +487,12 @@ def test_a_sweep_builds_the_fold_weights_once_per_prime_and_degree(
     reports = run_suite(["witt"], _CATALOG_GRID)
     assert len(reports) == 135 and all(r.passed for r in reports)
     # witt sums (x + a)**n, of degree n: 3 primes times n in 0..8, each
-    # (p, n) at its 5 points in one run, and a vector serves every degree
-    # up to its own, so each n builds it once more, one degree higher
+    # (p, n) at its 5 points in one run. A vector serves every degree up to
+    # its own, and one outgrown is rebuilt to twice its degree, so each
+    # prime builds degrees 0, 1, 2, 4 and 8: 15 builds, not 27
     for kind in ("sums", "rows"):
         keys = [(p, d) for k, p, d, _ in built if k == kind]
-        assert sorted(keys) == [(p, d) for p in (3, 5, 7) for d in range(9)]
+        assert keys == [(p, d) for p in (3, 5, 7) for d in (0, 1, 2, 4, 8)]
     # the memo holds the last (p, N) alone, and the sweep drops it
     assert max(held for *_, held in built) <= 1
     assert ident._MOMENTS == {}

@@ -233,6 +233,33 @@ def test_a_valuation_one_too_large_fails_the_sharpness_tests(monkeypatch):
                    for key, v in _desk_minima(N).items())
 
 
+def _valuation_by_units(n, p):
+    """v_p(n) for n != 0 by one division per unit of valuation: the oracle
+    of the squaring route."""
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_valuation_by_squaring_equals_the_unit_loop():
+    rng = random.Random(2106)
+    # both sides of every power-of-two step of the climb, then at random
+    cases = [(p, v) for p in (3, 13) for j in range(12)
+             for v in (2 ** j - 1, 2 ** j, 2 ** j + 1)]
+    cases += [(rng.choice([3, 5, 7, 11, 13]), rng.randint(0, 2000))
+              for _ in range(2000)]
+    for p, v in cases:
+        # the cofactor may hold p too, so v is only a lower bound
+        n = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, 40))
+        n *= p ** v
+        want = _valuation_by_units(n, p)
+        assert want >= v
+        assert padic._int_valuation(n, p) == want, (n, p)
+
+
 def test_witt_defect_rejects_bad_p():
     with pytest.raises(ValueError):
         witt_defect(1, 0, 2, 1)
@@ -358,10 +385,15 @@ def test_a_moments_memo_serves_lower_degrees_and_rebuilds_higher():
     mu = padic._moments(5, 3, 6, memo)
     assert memo == {(5, 3): mu} and len(mu) == 7
     assert padic._moments(5, 3, 2, memo) is mu
-    assert padic._moments(5, 3, 7, memo) == \
-        [alt_power_sum(5 ** 3 - 1, k) for k in range(8)]
+    # an outgrown vector is rebuilt to twice its degree, or to the degree
+    # asked if that is more
+    mu = padic._moments(5, 3, 7, memo)
+    assert mu == [alt_power_sum(5 ** 3 - 1, k) for k in range(13)]
+    assert memo == {(5, 3): mu}
+    assert len(padic._moments(5, 3, 30, memo)) == 31
+    # a new (p, N) is built to the degree asked, and replaces the last
     assert padic._moments(7, 3, 2, memo) == padic._moments(7, 3, 2)
-    assert list(memo) == [(7, 3)]
+    assert list(memo) == [(7, 3)] and len(memo[7, 3]) == 3
 
 
 def test_lem1_defect_examples():

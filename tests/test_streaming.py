@@ -7,6 +7,7 @@ stderr only."""
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -270,7 +271,8 @@ def test_stats_go_to_stderr_only(capsys):
         assert re.fullmatch(rf"{cid}: .* ms total, [\d.]+ ms max at \S.*",
                             row)
     assert re.fullmatch(r"tables: E_n \d+, B_n \d+, tangent column \d+, "
-                        r"recurrence \d+; peak RSS [\d.]+ MB", tables)
+                        r"recurrence \d+; gc \d+ collections, [\d.]+ ms; "
+                        r"peak RSS [\d.]+ MB", tables)
 
 
 def test_stats_name_each_checkers_slowest_report(capsys, monkeypatch):
@@ -285,3 +287,39 @@ def test_stats_name_each_checkers_slowest_report(capsys, monkeypatch):
     row = capsys.readouterr().err.splitlines()[0]
     assert row == ("wsp7: 3 reports, 2 pass, 3.750 ms total, "
                    "2.250 ms max at m=2 n=1/3")
+
+
+def test_stats_count_the_collections_while_the_checks_run(capsys,
+                                                          monkeypatch):
+    fake = [IdentityReport("wsp7", {"m": 0, "n": 0}, "symbolic",
+                           Fraction(0), True, 0.5)]
+
+    def collecting(ids, grid):
+        gc.collect()
+        gc.collect()
+        return fake
+
+    callbacks = list(gc.callbacks)
+    monkeypatch.setattr(cli, "run_suite", collecting)
+    assert cli.main(["verify", "wsp7", "--stats"]) == 0
+    tables = capsys.readouterr().err.splitlines()[-1]
+    count = re.search(r"; gc (\d+) collections, ([\d.]+) ms;", tables)
+    assert int(count[1]) >= 2 and float(count[2]) > 0
+    # the counter is removed with the run, and without --stats never added
+    assert gc.callbacks == callbacks
+    monkeypatch.setattr(cli, "_collector_pauses", None)
+    assert cli.main(["verify", "wsp7"]) == 0
+
+
+def test_peak_rss_reads_vmhwm_else_ru_maxrss(monkeypatch):
+    if os.path.exists("/proc/self/status"):
+        with open("/proc/self/status") as status:
+            hwm = next(line for line in status if line.startswith("VmHWM:"))
+        # the peak only grows, and is read in whole kB
+        assert cli._peak_rss_mb() >= int(hwm.split()[1]) / 1024
+
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    assert cli._peak_rss_mb() > 0
