@@ -29,10 +29,12 @@ params whose keys are not the body's parameter names and for params
 outside the domain; then its judging step calls the body, times it,
 dispatches on the mode (scalar and valuation checkers ignore it) and builds
 the ``IdentityReport``, failing it with ``"<Type>: <message>"`` if the body
-raises anything but ``ValueError``. ``gen(grid)`` yields params only inside
-the domain, and ``run_suite`` calls ``run(params, mode, swept=True)``, the
-judging step alone, once per dict. ``check_<id>(*args, mode=...)`` binds
-its arguments by name and calls ``run`` with every entry check.
+raises anything but ``ValueError``. ``run_suite`` takes only a
+``SweepGrid``, whose axes hold natural numbers and whose points are
+Fractions, so a checker's sweep ``gen(grid)`` tests ``where`` alone, and
+``run_suite`` calls ``run(params, mode, swept=True)``, the judging step
+alone, once per dict. ``check_<id>(*args, mode=...)`` binds its arguments
+by name and calls ``run`` with every entry check.
 
 Exact arithmetic stays on the integers where the values are integers. The
 symmetry theorems read the binomial E-sums
@@ -162,7 +164,8 @@ class SweepGrid(namedtuple("SweepGrid",
 
     Every grid is checked when it is built, by ``_replace`` too: each index
     range holds natural numbers up to ``MAX_DEGREE``, each prime is odd and
-    the precision is a digit sum's.
+    the precision is a digit sum's. Each field but the precision is stored
+    as a tuple, built from any iterable, so a checked grid cannot change.
     """
 
     __slots__ = ()
@@ -172,6 +175,12 @@ class SweepGrid(namedtuple("SweepGrid",
                 points=(Fraction(0), Fraction(1), Fraction(1, 2),
                         Fraction(-1), Fraction(-2, 3)),
                 p_list=(3, 5, 7), precision=2):
+        try:
+            m, n, q, k, s, points, p_list = map(
+                tuple, (m, n, q, k, s, points, p_list))
+        except TypeError:
+            raise ValueError("every grid field but precision must be "
+                             "iterable") from None
         indices = m + n + q + k + s
         if not all(type(v) is int for v in indices + p_list + (precision,)):
             raise ValueError("every grid field but points must hold integers")
@@ -231,11 +240,13 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
     number, so a param annotated ``int`` or holding an int must be an int
     >= 0, and a param annotated ``Fraction`` or ``Polynomial`` must hold
     one. ``run`` raises ``ValueError`` outside the domain (``thm1 is not
-    stated at m=1, n=0, q=1, k=2``) and the sweep skips it. It also raises
-    ``ValueError`` when the params' keys are not the body's parameter
-    names (``cro2 takes params n, got none``), read once from its code.
-    ``swept=True`` skips these checks, and the mode's, for params that
-    ``gen`` has filtered; any other call drops the sweep memos when its
+    stated at m=1, n=0, q=1, k=2``). It also raises ``ValueError`` when
+    the params' keys are not the body's parameter names (``cro2 takes
+    params n, got none``), read once from its code. The sweep skips params
+    outside ``where`` and tests nothing else: ``gen`` draws its ints and
+    Fractions from a checked ``SweepGrid``, and builds the rest itself.
+    ``swept=True`` skips the entry checks, and the mode's, for params that
+    the sweep has filtered; any other call drops the sweep memos when its
     body returns. ``check_<cid>`` turns an int given for a ``Fraction``
     param to one. ``report_params(**params)`` maps params to the report's.
     """
@@ -254,7 +265,7 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
                     and (where is None or where(**params)))
 
         def run(params: dict, mode: str, swept=False) -> IdentityReport:
-            if not swept:   # run_suite has checked the mode, gen the domain
+            if not swept:   # run_suite checked the mode, the sweep `where`
                 _require_mode(mode)
                 if params.keys() != keys:
                     raise ValueError(f"{cid} takes params {', '.join(names)}, "
@@ -309,7 +320,10 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
                     params.arguments[name] = Fraction(params.arguments[name])
             return run(params.arguments, mode)
 
-        CHECKERS[cid] = Checker(cid, run, lambda g: filter(stated, gen(g)))
+        def sweep(grid):
+            return (params for params in gen(grid) if where(**params))
+
+        CHECKERS[cid] = Checker(cid, run, gen if where is None else sweep)
         return check
     return register
 
@@ -515,12 +529,13 @@ def check_sun(m: int, n: int, a: Fraction):
 @checker("sun_cor", _MN, "scalar")
 def check_sun_cor(m: int, n: int):
     """(-1)**m sum_i C(m,i) E_{n+i} / 2**(n+i)
-    = (-1)**n sum_j C(n,j) E_{m+j}(-1/2), with E_k the Euler numbers."""
-    lhs = sum(binomial(m, i) * Fraction(euler_number(n + i), 2 ** (n + i))
+    = (-1)**n sum_j C(n,j) E_{m+j}(-1/2), with E_k the Euler numbers. The
+    left side is the integer sum_i C(m,i) E_{n+i} 2**(m-i) over 2**(n+m)."""
+    lhs = sum(binomial(m, i) * euler_number(n + i) << m - i
               for i in range(m + 1))
     rhs = euler_sum([(binomial(n, j), m + j)
                      for j in range(n + 1)])(Fraction(-1, 2))
-    return (-1) ** m * lhs - (-1) ** n * rhs
+    return (-1) ** m * Fraction(lhs, 1 << n + m) - (-1) ** n * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +573,16 @@ def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
     """(2/k!) sum_{l=1}^{s} (-1)**l P^{(k)}(l; a) for thm2's pivot P, as the
     integer polynomial 2 [t**k] (G1(a+t) + (-1)**(m+n) G2(t-a)), where G1
     and G2 are ``_shift_sum``'s G at (M, M2) = (m+1, n+1) and (n+1, m+1).
-    Coefficient i is 2 C(i+k,k) (g1[i+k] + (-1)**(m+n+i) g2[i+k])."""
-    g1 = _cached_shift_sum(m + 1, n + 1, s)
-    g2 = _cached_shift_sum(n + 1, m + 1, s)
-    sign = (-1) ** (m + n)
-    return Polynomial.scaled([2 * math.comb(i + k, k)
-                              * (g1[i + k] + sign * (-1) ** i * g2[i + k])
-                              for i in range(max(0, m + n + 3 - k))])
+    Coefficient i is 2 C(i+k,k) (g1[i+k] + (-1)**(m+n+i) g2[i+k]): the
+    binomials, the tails g1[k:] and g2[k:] (empty past the top degree) and
+    the signs, cycled from i = 0, come from C-level iterators, and only the
+    integer products run as bytecode."""
+    tail1 = _cached_shift_sum(m + 1, n + 1, s)[k:]
+    tail2 = _cached_shift_sum(n + 1, m + 1, s)[k:]
+    signs = itertools.cycle((-1, 1) if (m + n) & 1 else (1, -1))
+    combs = map(math.comb, itertools.count(k), itertools.repeat(k))
+    return Polynomial.scaled([2 * c * (x + sign * y) for c, x, y, sign
+                              in zip(combs, tail1, tail2, signs)])
 
 
 @checker("thm2", _grid("m", "n", "s", "k"),
@@ -600,14 +618,17 @@ def check_thm2_cro1(n: int, k: int):
 
     k odd:  sum_i ((-1)**i / 2**i) C(n+1,i) C(n+i+1,k) = 0;
     k even: the same weights against ((-1)**i E_{n+i-k+1}(0) + (-1)**n) = 0.
+
+    The weights are summed as the integers C(n+1,i) C(n+i+1,k) 2**(n+1-i)
+    over 2**(n+1).
     """
-    ws = [Fraction(binomial(n + 1, i) * binomial(n + i + 1, k), 2 ** i)
+    ws = [binomial(n + 1, i) * binomial(n + i + 1, k) << n + 1 - i
           for i in range(n + 2)]   # the weights without their signs
-    total = sum((-1) ** i * w for i, w in enumerate(ws))
+    total = sum(ws[::2]) - sum(ws[1::2])
     if k % 2 == 1:
-        return total
-    return zero_sum([(w, n + i - k + 1) for i, w in enumerate(ws)]) \
-        + (-1) ** n * total
+        return Fraction(total, 1 << n + 1)
+    return (zero_sum([(w, n + i - k + 1) for i, w in enumerate(ws)])
+            + (-1) ** n * total) / (1 << n + 1)
 
 
 @checker("thm2_cro2", _NK, "scalar")
@@ -802,15 +823,18 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
 
     Reports come back in canonical order (id, then ascending parameters),
     independent of how the work is executed. Unknown ids and an unknown
-    mode are usage errors, raised before any check runs.
-    Grid values outside a checker's stated domain (its ``where`` and the
-    natural-number rule) are skipped for that checker, so a checker may
+    mode are usage errors, and a grid that is not a ``SweepGrid`` a
+    ``TypeError``, raised before any check runs. Grid values outside a
+    checker's ``where`` are skipped for that checker, so a checker may
     yield no report at all. A checker whose body raises anything but
     ``ValueError`` fails its report, and the run goes on.
     """
     _require_mode(mode)
     if grid is None:
         grid = SweepGrid()
+    elif not isinstance(grid, SweepGrid):
+        # only a checked grid keeps a sweep inside the natural numbers
+        raise TypeError(f"grid must be a SweepGrid, got {type(grid).__name__}")
     if ids is None:
         ids = CHECKER_IDS
     ids = list(ids)

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from eulerferm.euler import (
     euler_poly_shifted,
     euler_zero,
 )
+from eulerferm.numeric import binomial
 from eulerferm.polynomial import Polynomial, monomial
 
 F = Fraction
@@ -230,6 +232,86 @@ def test_cro1_symmetric_case_is_twice_cro2():
         assert ident.check_cro1(n, n).residual == 2 * ident.check_cro2(n).residual
 
 
+# --- the routes the checkers took before, kept as oracles -------------------
+
+def _pivot_by_indices(m, n, s, k):
+    """thm2's right side coefficient by coefficient, with (-1)**i and
+    C(i+k, k) worked out per index, from the uncached shift sums."""
+    g1 = ident._shift_sum(m + 1, n + 1, s)
+    g2 = ident._shift_sum(n + 1, m + 1, s)
+    sign = (-1) ** (m + n)
+    return Polynomial.scaled([2 * math.comb(i + k, k)
+                              * (g1[i + k] + sign * (-1) ** i * g2[i + k])
+                              for i in range(max(0, m + n + 3 - k))])
+
+
+def test_pivot_equals_its_index_by_index_oracle():
+    try:
+        for m in range(9):
+            for n in range(9):
+                for s in range(1, 5):
+                    for k in range(m + n + 5):
+                        got = ident._pivot_taylor_sum(m, n, s, k)
+                        assert got == _pivot_by_indices(m, n, s, k), \
+                            (m, n, s, k)
+                        # P has degree m + n + 2 in x
+                        assert got.is_zero() or k <= m + n + 2
+    finally:
+        ident._cached_shift_sum.cache_clear()
+
+
+def _sun_cor_by_fractions(m, n):
+    """sun_cor's residual with its left side added one Fraction a term."""
+    lhs = sum(ident.binomial(m, i)
+              * F(ident.euler_number(n + i), 2 ** (n + i))
+              for i in range(m + 1))
+    rhs = ident.euler_sum([(ident.binomial(n, j), m + j)
+                           for j in range(n + 1)])(F(-1, 2))
+    return (-1) ** m * lhs - (-1) ** n * rhs
+
+
+def _thm2_cro1_by_fractions(n, k):
+    """thm2_cro1's residual with the Fraction weights C(n+1,i) C(n+i+1,k)
+    / 2**i."""
+    ws = [F(ident.binomial(n + 1, i) * ident.binomial(n + i + 1, k), 2 ** i)
+          for i in range(n + 2)]
+    total = sum((-1) ** i * w for i, w in enumerate(ws))
+    if k % 2 == 1:
+        return total
+    return ident.zero_sum([(w, n + i - k + 1) for i, w in enumerate(ws)]) \
+        + (-1) ** n * total
+
+
+def _faked_binomial(n, k):
+    """Zero exactly where C(n, k) is, and wrong everywhere else."""
+    return binomial(n, k) * (n + 2 * k + 1)
+
+
+def _faked_euler_number(n):
+    """Nonzero at every n, the odd ones included."""
+    return (-1) ** n * (n * n + 3)
+
+
+@pytest.mark.parametrize("faked", [False, True], ids=["true", "faked"])
+def test_integer_scalar_sums_equal_their_fraction_oracles(monkeypatch, faked):
+    # both routes are linear in the binomials and the Euler numbers they
+    # read, so they must agree on faked ones too, where the residuals are
+    # not zero
+    if faked:
+        monkeypatch.setattr(ident, "binomial", _faked_binomial)
+        monkeypatch.setattr(ident, "euler_number", _faked_euler_number)
+    residuals = []
+    for m in range(13):
+        for n in range(13):
+            got = ident.check_sun_cor.__wrapped__(m, n)
+            assert type(got) is Fraction
+            assert got == _sun_cor_by_fractions(m, n), (m, n)
+            got_cro1 = ident.check_thm2_cro1.__wrapped__(n, m)
+            assert got_cro1 == _thm2_cro1_by_fractions(n, m), (n, m)
+            residuals += [got, got_cro1]
+    assert any(residuals) == faked
+
+
 # --- usage errors -------------------------------------------------------------
 
 def test_thm1_rejects_even_k():
@@ -329,6 +411,50 @@ def test_every_gen_yields_its_bodys_parameter_names(cid):
     assert all(list(params) == names for params in swept)
 
 
+# the desk grid, the benchmark's catalog grid at fixed points, and a grid of
+# edges: index 0, 1 and one past the others, and a point that is not
+# 3-integral
+_SWEEP_GRIDS = {
+    "desk": SweepGrid(),
+    "catalog": SweepGrid(m=range(9), n=range(9),
+                         points=(0, 1, F(-1, 4), F(1, 2), F(3, 4))),
+    "edge": SweepGrid(m=(0, 1, 9), n=(0, 1, 9), q=(0, 1, 2), k=(0, 1, 2),
+                      s=(0, 1, 2), points=(0, 1, F(1, 3)), p_list=(3, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("cid", CHECKER_IDS)
+def test_a_where_only_sweep_yields_only_stated_params(cid):
+    # a sweep tests ``where`` alone; on a checked grid every params it
+    # yields must also pass the entry checks of a direct run, which tests
+    # the natural-number and type rules as well
+    entry = ident.CHECKERS[cid]
+    for name, grid in _SWEEP_GRIDS.items():
+        swept = list(entry.gen(grid))
+        assert swept, name
+        for params in swept:
+            assert entry.run(params, "symbolic").passed, (name, params)
+
+
+def test_run_suite_refuses_a_grid_that_is_not_a_sweep_grid(monkeypatch):
+    # a plain named tuple with SweepGrid's fields is not checked, so it
+    # could hold -1; it is refused before any sweep or report runs
+    calls = []
+    for cid in list(ident.CHECKERS):
+        monkeypatch.setitem(ident.CHECKERS, cid, ident.Checker(
+            cid, lambda *args: calls.append(args),
+            lambda grid: calls.append(grid) or iter(())))
+    plain = namedtuple("Plain", SweepGrid._fields)(*SweepGrid())
+    for grid in (plain, plain._replace(m=(-1, 2))):
+        for ids in (None, ["wsp7"]):
+            with pytest.raises(TypeError, match="^grid must be a SweepGrid, "
+                                                "got Plain$"):
+                run_suite(ids, grid)
+    assert calls == []
+    run_suite(["wsp7"], SweepGrid())
+    assert calls
+
+
 # each kind's false twin: the true result with one thing wrong
 _FALSE_TWINS = {
     "poly": lambda lhs, rhs, *lemmas: (
@@ -373,6 +499,38 @@ def test_a_false_twin_fails_through_the_sweep(monkeypatch, cid, mode):
     else:
         assert not any(r.passed for r in false)
         assert not any(isinstance(r.residual, str) for r in false)
+
+
+def test_sweep_grid_stores_any_iterable_of_ints_as_a_tuple():
+    tuples = SweepGrid(m=(0, 1, 2), n=(3,), q=(1,), k=(0, 2), s=(1,),
+                       points=(F(0), F(1, 2)), p_list=(3, 7))
+    axis = [0, 1, 2]
+    from_lists = SweepGrid(m=axis, n=[3], q=[1], k=[0, 2], s=[1],
+                           points=[0, F(1, 2)], p_list=[3, 7])
+    for grid in (
+            from_lists,
+            SweepGrid(m=range(3), n=range(3, 4), q=range(1, 2),
+                      k=range(0, 3, 2), s=range(1, 2),
+                      points=(F(i, 2) for i in range(2)),
+                      p_list=range(3, 8, 4)),
+            tuples._replace(m=iter(axis))):
+        assert grid == tuples
+        assert all(type(v) is tuple for v in grid[:-1])
+    # the grid keeps no reference to a list it was built from
+    axis.append(-1)
+    assert from_lists == tuples
+    for bad in (3, None):
+        with pytest.raises(ValueError, match="^every grid field but precision "
+                                             "must be iterable$"):
+            SweepGrid(m=bad)
+        with pytest.raises(ValueError, match="^every grid field but precision "
+                                             "must be iterable$"):
+            SweepGrid(points=bad)
+    with pytest.raises(ValueError, match="^ranges must be non-negative$"):
+        SweepGrid(m=[-1])
+    with pytest.raises(ValueError, match="^every grid field but points must "
+                                         "hold integers$"):
+        SweepGrid(p_list="3")
 
 
 def test_sweep_grid_rejects_negative_axes_and_precision_below_one():

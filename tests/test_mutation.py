@@ -2,15 +2,17 @@
 
 The mutants corrupt the E_n table, the tangent numbers, the Pascal step of
 the binomial E-sums, the moments of the p-adic certificates, the
-alternating power sums, the integer core of the E-sums and the Taylor shift
-under ``compose_affine``. Every mutant runs the whole catalog on the desk
-grid in symbolic mode, and the set of checkers that still pass everywhere
-(the survivors) must equal the documented blind spots exactly. A new blind
-spot fails here, and so does one that a change silently closes. Reference:
-DeMillo, Lipton & Sayward, "Hints on test data selection" (1978).
+alternating power sums, the integer core of the E-sums, the Taylor shift
+under ``compose_affine`` and the signs of thm2's pivot. Every mutant runs
+the whole catalog on the desk grid in symbolic mode, and the set of
+checkers that still pass everywhere (the survivors) must equal the
+documented blind spots exactly. A new blind spot fails here, and so does
+one that a change silently closes. Reference: DeMillo, Lipton & Sayward,
+"Hints on test data selection" (1978).
 """
 
 import copy
+import math
 import pickle
 import sys
 from fractions import Fraction
@@ -262,3 +264,21 @@ def test_shared_core_mutant_survivors(monkeypatch, patches, failed):
     for owner, name, mutant in patches:
         monkeypatch.setattr(owner, name, mutant)
     assert _survivors(monkeypatch, EulerCache()) == set(CHECKER_IDS) - failed
+
+
+def _pivot_signs_from_k(m, n, s, k):
+    """thm2's pivot with the sign cycle started at the coefficient's index
+    in G, i + k, rather than at i: (-1)**(m+n+i+k) in place of
+    (-1)**(m+n+i), wrong at every odd k."""
+    g1 = ident._shift_sum(m + 1, n + 1, s)
+    g2 = ident._shift_sum(n + 1, m + 1, s)
+    return Polynomial.scaled([
+        2 * math.comb(i + k, k)
+        * (g1[i + k] + (-1) ** (m + n + i + k) * g2[i + k])
+        for i in range(max(0, m + n + 3 - k))])
+
+
+def test_pivot_sign_parity_mutant_fails_thm2_alone(monkeypatch):
+    """Only thm2 reads the pivot. The desk grid's k = 1 and 3 are odd."""
+    monkeypatch.setattr(ident, "_pivot_taylor_sum", _pivot_signs_from_k)
+    assert _survivors(monkeypatch, EulerCache()) == set(CHECKER_IDS) - {"thm2"}
