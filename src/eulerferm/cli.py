@@ -11,9 +11,17 @@ witt          valuation certificate of the truncated sum (from the p-adic
               beside it
 
 Exit codes: 0 = all requested checks pass, 1 = at least one identity or
-valuation failure, 2 = usage/parse error. Output is deterministic: stable
-ordering and no timestamps (elapsed_ms appears in JSON but carries no
-ordering weight).
+valuation failure, 2 = usage/parse error, 3 = stdout closed by its reader
+before the output was all written (``| head``), with no traceback. Output
+is deterministic: stable ordering and no timestamps (elapsed_ms appears in
+JSON but carries no ordering weight).
+
+``witt --naive`` sums its p**N terms on every CPU the process may use
+(``padic.witt_sum_naive``): one even-aligned run per CPU, each run past the
+first in a forked child, when the process may use two CPUs or more, no
+other thread is alive and each run gets at least 2**15 terms; otherwise,
+or for any run whose child fails, in this process. The bytes printed are
+the same either way.
 
 ``verify`` runs every check before it writes a byte, so a usage error
 found by any checker still exits 2 with empty stdout. Then it writes the
@@ -34,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -55,6 +64,9 @@ from .padic import (
 from .polynomial import Polynomial
 
 FORMATS = ("text", "json", "csv", "md")
+
+# exit code of a command whose reader closed stdout before it was written
+PIPE_CLOSED = 3
 
 
 def _parse_range(text: str) -> tuple:
@@ -464,4 +476,12 @@ def _run(args) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush of what is left cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PIPE_CLOSED
+    sys.exit(code)

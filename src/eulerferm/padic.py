@@ -21,7 +21,14 @@ The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
 ``witt --naive`` prints, sums Witt's integrand (x+a)**n with a = r/t as one
 integer power (t*x + r)**n per term and divides by t**n once: it reads no
 Polynomial, no Taylor shift and no Euler table, so it shares no code with the
-digit route or the closed form. ``fermionic_sum_naive``, the library oracle
+digit route or the closed form. Its terms run on every CPU the process may
+use: [0, p^N) is cut into one contiguous, even-aligned run per worker, the
+caller sums the first and an ``os.fork``ed child each other one, which
+writes its integer to a pipe. It forks only where ``os.sched_getaffinity``
+names two CPUs or more, no other thread is alive and each run gets at least
+``_SPLIT_MIN`` = 2**15 terms; otherwise, and for a run whose child fails,
+the terms are summed in process, so the sum is exact either way and no
+child outlives the call. ``fermionic_sum_naive``, the library oracle
 of both routes, sums any integrand: in plain integers by Horner's rule for a
 Polynomial and in its own arithmetic for any other callable. The closed
 form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n telescopes
@@ -41,7 +48,10 @@ is the rational slice of the p-adic integer ring.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
@@ -74,6 +84,10 @@ DEFAULT_BUDGET = 10 ** 7
 # Largest N of a digit sum: one moment vector per (p, N) costs
 # O(p d + N d**2) for degree d, then O(d) per sum.
 MAX_PRECISION = 1000
+
+# Fewest terms a worker of ``witt_sum_naive`` sums: about 6 ms of powers on
+# a 2-vCPU host, against about 3 ms to fork and reap a child there.
+_SPLIT_MIN = 2 ** 15
 
 
 class DenominatorNotInvertible(ArithmeticError, ValueError):
@@ -205,9 +219,18 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
                    budget: int = DEFAULT_BUDGET) -> Fraction:
     """The truncated sum of (x+a)**n (-1)**x over x < p**N, term by term.
 
-    With a = r/t, each term is the integer power (t*x + r)**n: the even x
-    and the odd x are summed apart, in C, and (even - odd) is divided by
-    t**n once. Equal to ``fermionic_sum_naive`` of (x+a)**n and to
+    With a = r/t, each term is the integer power (t*x + r)**n, summed by
+    ``_alternating_chunk``, and (even - odd) is divided by t**n once. The
+    budget is checked before any term is summed. The p**N terms are cut
+    into one contiguous, even-aligned run per worker (``_worker_count``):
+    one per CPU in ``os.sched_getaffinity(0)``, each of at least
+    ``_SPLIT_MIN`` terms, and only while no other thread is alive. The
+    caller sums the first run and an ``os.fork``ed child each other one
+    (``_split_sum``). With one worker (one CPU, no ``sched_getaffinity``, a
+    second thread or a span under 2 * ``_SPLIT_MIN``) the whole span is one
+    run in this process, and a run whose child fails is summed again here,
+    so the sum is the same exact value either way. Equal to
+    ``fermionic_sum_naive`` of (x+a)**n and to
     ``fermionic_sum_closed(n, a, p**N)``, from neither's code.
     """
     if n < 0:
@@ -215,10 +238,92 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     span = _check_budget(p, precision, budget)
     a = Fraction(a)
     r, t = a.numerator, a.denominator
-    stop = r + t * span
-    even = sum(map(pow, range(r, stop, 2 * t), repeat(n)))
-    odd = sum(map(pow, range(r + t, stop, 2 * t), repeat(n)))
-    return Fraction(even - odd, t ** n)
+    return Fraction(_split_sum(n, r, t, span, _worker_count(span)), t ** n)
+
+
+def _alternating_chunk(n: int, r: int, t: int, lo: int, hi: int) -> int:
+    """sum_{lo <= x < hi} (-1)**x (t*x + r)**n for an even lo: the even x
+    and the odd x summed apart, in C."""
+    start, stop = r + t * lo, r + t * hi
+    return (sum(map(pow, range(start, stop, 2 * t), repeat(n)))
+            - sum(map(pow, range(start + t, stop, 2 * t), repeat(n))))
+
+
+def _worker_count(span: int) -> int:
+    """How many processes sum ``span`` terms: one per CPU this process may
+    use, each with at least ``_SPLIT_MIN`` terms. One, so no fork, where
+    ``os.sched_getaffinity`` is missing or another thread is alive, since a
+    fork copies only the calling thread."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), span // _SPLIT_MIN))
+
+
+def _split_sum(n: int, r: int, t: int, span: int, workers: int) -> int:
+    """``_alternating_chunk`` over [0, span), cut into ``workers``
+    contiguous runs whose bounds but the last are even. The caller sums
+    the first run, and a forked child (``_fork_chunk``) each other one
+    meanwhile; one worker forks nothing. A run whose child cannot be
+    forked, exits non-zero, is killed or writes nothing is summed again
+    here. Whatever this raises, every child it forked is killed and reaped
+    and every pipe closed."""
+    bounds = [2 * (span * i // (2 * workers)) for i in range(workers)]
+    runs = list(zip(bounds, bounds[1:] + [span]))
+    local, forked = runs[:1], []
+    live = {}   # pid -> pipe, of every child not yet reaped
+    try:
+        for lo, hi in runs[1:]:
+            try:
+                pid, fd = _fork_chunk(n, r, t, lo, hi)
+            except OSError:   # no pipe or no fork
+                local.append((lo, hi))
+                continue
+            live[pid] = open(fd, "rb")
+            forked.append((pid, lo, hi))
+        total = sum(_alternating_chunk(n, r, t, lo, hi) for lo, hi in local)
+        for pid, lo, hi in forked:
+            data = live[pid].read()
+            _, status = os.waitpid(pid, 0)
+            live.pop(pid).close()
+            if status == 0 and data:
+                total += int.from_bytes(data, "little", signed=True)
+            else:
+                total += _alternating_chunk(n, r, t, lo, hi)
+        return total
+    finally:
+        if live:
+            import signal   # only here: a sum that returns kills nothing
+        for pid, pipe in live.items():
+            pipe.close()
+            with contextlib.suppress(OSError):   # reaped before the raise
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_chunk(n: int, r: int, t: int, lo: int, hi: int) -> tuple:
+    """(pid, read end) of a forked child that writes the run's
+    ``_alternating_chunk`` to a pipe as signed little-endian bytes. The
+    child leaves by ``os._exit``, 0 once it has written and 1 on any
+    exception, so it never unwinds into the caller's frames or flushes a
+    buffer it inherited. OSError if no pipe or no child could be made."""
+    read_end, write_end = os.pipe()
+    pid, code = None, 1
+    try:
+        pid = os.fork()
+        if pid == 0:
+            total = _alternating_chunk(n, r, t, lo, hi)
+            view = memoryview(total.to_bytes(
+                total.bit_length() // 8 + 1, "little", signed=True))
+            while view:
+                view = view[os.write(write_end, view):]
+            code = 0
+    finally:
+        if pid == 0:
+            os._exit(code)
+        os.close(write_end)
+        if pid is None:
+            os.close(read_end)
+    return pid, read_end
 
 
 def fermionic_sum_digits(f: Polynomial, p: int, precision: int,

@@ -513,3 +513,22 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-x + x^2"
+
+
+def test_a_closed_stdout_ends_verify_without_a_traceback():
+    # the reader takes three lines and closes the pipe, as `| head -3`
+    # does; the CSV is about 190 KiB, over what a pipe holds, so the writer
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eulerferm", "verify", "all", "--m", "0..8",
+         "--n", "0..8", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.PIPE_CLOSED == 3
+    assert lines[0] == b"id,params,mode,residual,pass,elapsed_ms\r\n"
+    assert all(line.endswith(b"\r\n") for line in lines)
+    assert b"Traceback" not in stderr
+    assert stderr == b""

@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -96,6 +97,43 @@ def test_euler_numbers_equal_horner_at_one_half():
         value = 2 ** n * cache.euler_poly(n)(F(1, 2))
         assert value.denominator == 1, n
         assert cache.euler_number(n) == value, n
+
+
+def _euler_number_by_row(cache, n):
+    """2**n E_n(1/2) = sum_k C(n, k) s_k summed afresh from the column: the
+    per-call row sum that the list of Euler numbers replaced."""
+    total, c = 0, 1   # c = C(n, k), carried along the row
+    for k, s in enumerate(cache._column(n)[:n + 1]):
+        total += c * s
+        c = c * (n - k) // (k + 1)
+    return total
+
+
+def test_kept_euler_numbers_equal_the_row_sum():
+    # read upwards on a fresh cache, the list grows one number at a time
+    cache = EulerCache()
+    for n in range(301):
+        assert cache.euler_number(n) == _euler_number_by_row(cache, n), n
+    # after other reads have run the column past the list, and read
+    # downwards, so the first read extends the list by 301 numbers at once
+    cache = EulerCache()
+    cache.euler_zero(400)
+    cache.euler_poly(120)
+    for n in range(300, -1, -1):
+        assert cache.euler_number(n) == _euler_number_by_row(cache, n), n
+    assert len(cache._numbers) == 301
+    assert len(cache._zeros) == 401
+    # and in a shuffled order, with the column extended between reads
+    cache = EulerCache()
+    order = list(range(301))
+    random.Random(34).shuffle(order)
+    for i, n in enumerate(order):
+        if i % 50 == 0:
+            cache.euler_zero(n + 60)
+        assert cache.euler_number(n) == _euler_number_by_row(cache, n), n
+    for n in (-1, -7):
+        with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+            cache.euler_number(n)
 
 
 def test_euler_numbers_equal_sympy():
@@ -367,6 +405,7 @@ def test_warm_reads_take_no_lock():
     for n in range(41):
         cache.euler_poly(n)
         cache.bernoulli_poly(n)
+        cache.euler_number(n)
         _READS["binomial_sum"](cache, n)
     assert lock.taken > 0
     lock.taken = 0
@@ -374,9 +413,9 @@ def test_warm_reads_take_no_lock():
         for read in _READS.values():
             read(cache, n)
     assert lock.taken == 0
-    # a miss on each of the four tables extends it under the lock
+    # a miss on each of the five tables extends it under the lock
     for miss in (lambda: cache.euler_poly(41), lambda: cache.bernoulli_poly(41),
-                 lambda: cache.euler_zero(42),
+                 lambda: cache.euler_zero(42), lambda: cache.euler_number(41),
                  lambda: _READS["binomial_sum"](cache, 41)):
         lock.taken = 0
         miss()

@@ -5,11 +5,19 @@ naive/closed equivalence is the oracle pairing: a p**N-term exact sweep
 against the two-term Euler-polynomial closed form. The moments
 mu_k = S_N(x**k) are checked against the per-level digit fold that they
 replaced, the literal alternating sums and the closed form, and one step of
-their rows against the p - 1 unit Taylor shifts, each a double loop.
+their rows against the p - 1 unit Taylor shifts, each a double loop. The
+naive sum cut into runs for forked workers is checked against the one-run
+kernel, the Horner loop and the closed form, also when a worker fails or
+the caller is interrupted, and no call leaves a child behind.
 """
 
+import errno
 import math
+import os
 import random
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -163,6 +171,161 @@ def test_witt_sum_naive_edges():
     assert messages == ["p**N = 9 exceeds budget 8"] * 2
     with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
         witt_sum_naive(-1, 0, 3, 2)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_on(monkeypatch, cpus: int, split_min: int = 4) -> list:
+    """Let ``witt_sum_naive`` see ``cpus`` CPUs and split runs of
+    ``split_min`` terms; the returned list gains an entry per fork."""
+    monkeypatch.setattr(padic, "_SPLIT_MIN", split_min)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+_SPLIT_SHIFTS = (F(0), F(1), F(-1), F(1, 2), F(-9, 2), F(7, 4))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_naive_sum_equals_one_run_and_both_oracles(monkeypatch, cpus):
+    # the one-run kernel, the Horner loop of fermionic_sum_naive and the
+    # closed form, against the sum cut into one run per CPU
+    forks = _split_on(monkeypatch, cpus)
+    want_forks = 0
+    for p, precision in [(3, 2), (3, 3), (5, 2)]:   # 9, 27 and 25 terms
+        span = p ** precision
+        assert padic._worker_count(span) == min(cpus, span // 4)
+        for n in (0, 1, 2, 7):
+            for a in _SPLIT_SHIFTS:
+                r, t = a.numerator, a.denominator
+                got = witt_sum_naive(n, a, p, precision)
+                _no_child_left()
+                want_forks += padic._worker_count(span) - 1
+                assert got == F(padic._alternating_chunk(n, r, t, 0, span),
+                                t ** n), (p, precision, n, a)
+                assert got == fermionic_sum_naive(
+                    monomial(n).compose_affine(1, a), p, precision)
+                assert got == fermionic_sum_closed(n, a, span)
+    assert len(forks) == want_forks > 0
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_runs_cover_odd_and_even_spans(workers):
+    # every run but the last starts and ends on an even x, so each keeps
+    # the sign of (-1)**x; spans of either parity, down to fewer terms than
+    # workers, equal the literal alternating sum
+    for span in (1, 2, 5, 8, 9, 10, 11, 64, 65):
+        for n in (0, 1, 3):
+            for a in _SPLIT_SHIFTS:
+                r, t = a.numerator, a.denominator
+                want = sum((-1) ** x * (t * x + r) ** n for x in range(span))
+                assert padic._split_sum(n, r, t, span, workers) == want
+                assert padic._alternating_chunk(n, r, t, 0, span) == want
+                _no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raises", "writes nothing", "is killed",
+                                   "exits 3", "dies mid-write",
+                                   "cannot fork"])
+def test_a_failed_worker_costs_time_not_the_sum(monkeypatch, fault):
+    forks = _split_on(monkeypatch, 3)
+    caller, chunk, write = os.getpid(), padic._alternating_chunk, os.write
+
+    def failing(*args):
+        if os.getpid() != caller:   # in a worker, before it writes
+            if fault == "raises":
+                raise ZeroDivisionError("injected")
+            if fault == "writes nothing":
+                os._exit(0)
+            if fault == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        return chunk(*args)
+
+    def write_one_byte_and_die(fd, data):
+        if os.getpid() != caller:
+            write(fd, bytes(data[:1]))
+            os._exit(1)
+        return write(fd, data)
+
+    def no_fork():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, "injected")
+
+    if fault == "dies mid-write":
+        monkeypatch.setattr(os, "write", write_one_byte_and_die)
+    elif fault == "cannot fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(padic, "_alternating_chunk", failing)
+    for n, a in [(5, F(-9, 2)), (0, F(0)), (8, F(1, 2))]:
+        assert witt_sum_naive(n, a, 3, 4) == fermionic_sum_closed(n, a, 81)
+        _no_child_left()
+    assert len(forks) == 3 * 2
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_workers(monkeypatch):
+    forks = _split_on(monkeypatch, 3)
+    caller = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() != caller:
+            time.sleep(60)   # a worker still running when the caller stops
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(padic, "_alternating_chunk", interrupted)
+    fds = "/proc/self/fd"
+    open_before = os.listdir(fds) if os.path.isdir(fds) else None
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        witt_sum_naive(3, F(1, 2), 3, 4)
+    assert time.monotonic() - started < 30   # killed, not waited for
+    assert len(forks) == 2
+    _no_child_left()
+    if open_before is not None:
+        assert os.listdir(fds) == open_before
+
+
+def _refuse_fork():
+    raise AssertionError("os.fork was called")
+
+
+@pytest.mark.parametrize("case", ["a second thread", "one CPU",
+                                  "no sched_getaffinity", "a short span"])
+def test_witt_sum_naive_does_not_fork_with(monkeypatch, case):
+    _split_on(monkeypatch, 4)
+    assert padic._worker_count(81) == 4   # which the case brings down to 1
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if case == "a second thread":
+        thread.start()
+    elif case == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "no sched_getaffinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(padic, "_SPLIT_MIN", 41)   # 81 < 2 * 41
+    try:
+        assert padic._worker_count(81) == 1
+        for n, a in [(5, F(-9, 2)), (0, F(0)), (8, F(1, 2))]:
+            assert witt_sum_naive(n, a, 3, 4) == fermionic_sum_closed(n, a, 81)
+    finally:
+        release.set()
+        if case == "a second thread":
+            thread.join(10)
+            assert not thread.is_alive()
+    _no_child_left()
 
 
 def test_witt_defect_examples():
