@@ -18,9 +18,10 @@ JSON but carries no ordering weight).
 
 ``witt --naive`` sums its p**N terms on every CPU the process may use
 (``padic.witt_sum_naive``): one even-aligned run per CPU, each run past the
-first in a forked child, when the process may use two CPUs or more, no
-other thread is alive and each run gets at least 2**15 terms; otherwise,
-or for any run whose child fails, in this process. The bytes printed are
+first in a forked child, when the process may use two CPUs or more, runs
+one thread and has enough work to give each run at least
+``padic._SPLIT_MIN_WORK``; otherwise, or for any run whose child fails, in
+this process. The bytes printed are
 the same either way.
 
 ``verify`` runs every check before it writes a byte, so a usage error

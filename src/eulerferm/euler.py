@@ -129,30 +129,31 @@ def _weighted_sum(parts) -> Polynomial:
 
 
 class EulerCache:
-    """Append-only memo tables: the column s_k, the Euler numbers beside
-    it, and E_n and B_n, both expanded by one builder from s_k as integer
-    numerators over one denominator. E_n(0) and the Euler numbers are read
-    from s_k alone, so only polynomial reads grow the E_n table. Shifted
-    E_n(u*a + v) are not memoized: each is one integer Taylor shift of the
-    table entry. The binomial E-sums A_c(M, N, k) have a memo of their own
-    (``binomial_sum``), which grows like the others but is dropped whole
-    by ``drop_binomial_sums``; an entry is a Polynomial, in normal form,
-    so it is the same whichever route built it.
+    """Append-only memo tables: the column s_k, the Euler numbers, each
+    summed from its row of s_k, and E_n and B_n, both expanded by one
+    builder from s_k as integer numerators over one denominator. E_n(0)
+    and the Euler numbers are read from s_k alone, so only polynomial
+    reads grow the E_n table. Shifted E_n(u*a + v) are not memoized: each
+    is one integer Taylor shift of the table entry. The binomial E-sums
+    A_c(M, N, k) have a memo of their own (``binomial_sum``), which grows
+    like the others but is dropped whole by ``drop_binomial_sums``; an
+    entry is a Polynomial, in normal form, so it is the same whichever
+    route built it.
 
     Identity sweeps re-request the same E_n thousands of times, so
     memoization is mandatory, and a hit is one ``dict.get`` (or one length
-    test of a list) with no lock. A single lock serializes every
+    test of the column) with no lock. A single lock serializes every
     extension, which keeps one shared instance safe under concurrent
     sweeps. Hits need no lock because the tables only grow: a table entry
-    is stored once it is complete and never replaced, and the column and
-    the Euler numbers are only appended to, so a reader sees either a
-    finished entry or none, and takes the lock only for none.
+    is stored once it is complete and never replaced, and the column is
+    only appended to, so a reader sees either a finished entry or none,
+    and takes the lock only for none.
     """
 
     def __init__(self):
         self._tangents = tangent_numbers()
         self._zeros: list[int] = []
-        self._numbers: list[int] = []
+        self._numbers: dict[int, int] = {}
         self._euler: dict[int, Polynomial] = {}
         self._bernoulli: dict[int, Polynomial] = {}
         self._sums: dict[tuple, Polynomial] = {}
@@ -315,20 +316,20 @@ class EulerCache:
 
     def euler_number(self, n: int) -> int:
         """2**n E_n(1/2) = sum_k C(n, k) s_k, an integer by construction,
-        kept in an append-only list: each row is summed once."""
-        numbers = self._numbers
-        if 0 <= n < len(numbers):
-            return numbers[n]
+        memoized like the E_n table: each row is summed once, and a miss
+        sums only the row it asks for."""
+        hit = self._numbers.get(n)
+        if hit is not None:
+            return hit
         zeros = self._column(n)
         with self._lock:
-            while len(numbers) <= n:
-                m = len(numbers)
-                total, c = 0, 1   # c = C(m, k), carried along the row
-                for k in range(m + 1):
+            if n not in self._numbers:
+                total, c = 0, 1   # c = C(n, k), carried along the row
+                for k in range(n + 1):
                     total += c * zeros[k]
-                    c = c * (m - k) // (k + 1)
-                numbers.append(total)
-        return numbers[n]
+                    c = c * (n - k) // (k + 1)
+                self._numbers[n] = total
+            return self._numbers[n]
 
     def euler_zero(self, n: int) -> Fraction:
         """E_n(0) = s_n / 2**n."""

@@ -25,10 +25,11 @@ digit route or the closed form. Its terms run on every CPU the process may
 use: [0, p^N) is cut into one contiguous, even-aligned run per worker, the
 caller sums the first and an ``os.fork``ed child each other one, which
 writes its integer to a pipe. It forks only where ``os.sched_getaffinity``
-names two CPUs or more, no other thread is alive and each run gets at least
-``_SPLIT_MIN`` = 2**15 terms; otherwise, and for a run whose child fails,
-the terms are summed in process, so the sum is exact either way and no
-child outlives the call. ``fermionic_sum_naive``, the library oracle
+names two CPUs or more, the process runs one thread and each run gets at
+least ``_SPLIT_MIN_WORK`` of the work, estimated from the term count and
+the bit length of the largest power; otherwise, and for a run whose child
+fails, the terms are summed in process, so the sum is exact either way and
+no child outlives the call. ``fermionic_sum_naive``, the library oracle
 of both routes, sums any integrand: in plain integers by Horner's rule for a
 Polynomial and in its own arithmetic for any other callable. The closed
 form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n telescopes
@@ -85,9 +86,13 @@ DEFAULT_BUDGET = 10 ** 7
 # O(p d + N d**2) for degree d, then O(d) per sum.
 MAX_PRECISION = 1000
 
-# Fewest terms a worker of ``witt_sum_naive`` sums: about 6 ms of powers on
-# a 2-vCPU host, against about 3 ms to fork and reap a child there.
-_SPLIT_MIN = 2 ** 15
+# Least work a worker of ``witt_sum_naive`` is given. A run of m terms
+# (t*x + r)**n whose largest base is b bits long is m * (64 + n*b) units of
+# work, 0.6 to 0.9 ns each on a 2-vCPU host, so this is about 3 ms: what
+# forking, faulting in and reaping one child costs a cold command there.
+# A split of less than twice this lost to one run, or tied, in at least one
+# of two measured sessions (``split_cut`` in BENCH_naive_split.json).
+_SPLIT_MIN_WORK = 2 ** 22
 
 
 class DenominatorNotInvertible(ArithmeticError, ValueError):
@@ -223,14 +228,14 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     ``_alternating_chunk``, and (even - odd) is divided by t**n once. The
     budget is checked before any term is summed. The p**N terms are cut
     into one contiguous, even-aligned run per worker (``_worker_count``):
-    one per CPU in ``os.sched_getaffinity(0)``, each of at least
-    ``_SPLIT_MIN`` terms, and only while no other thread is alive. The
-    caller sums the first run and an ``os.fork``ed child each other one
-    (``_split_sum``). With one worker (one CPU, no ``sched_getaffinity``, a
-    second thread or a span under 2 * ``_SPLIT_MIN``) the whole span is one
-    run in this process, and a run whose child fails is summed again here,
-    so the sum is the same exact value either way. Equal to
-    ``fermionic_sum_naive`` of (x+a)**n and to
+    one per CPU in ``os.sched_getaffinity(0)``, each given at least
+    ``_SPLIT_MIN_WORK`` of the estimated work, and only while the process
+    runs one thread. The caller sums the first run and an ``os.fork``ed
+    child each other one (``_split_sum``). With one worker (one CPU, no
+    ``sched_getaffinity``, a second thread or too little work for two) the
+    whole span is one run in this process, and a run whose child fails is
+    summed again here, so the sum is the same exact value either way.
+    Equal to ``fermionic_sum_naive`` of (x+a)**n and to
     ``fermionic_sum_closed(n, a, p**N)``, from neither's code.
     """
     if n < 0:
@@ -238,7 +243,8 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     span = _check_budget(p, precision, budget)
     a = Fraction(a)
     r, t = a.numerator, a.denominator
-    return Fraction(_split_sum(n, r, t, span, _worker_count(span)), t ** n)
+    workers = _worker_count(n, r, t, span)
+    return Fraction(_split_sum(n, r, t, span, workers), t ** n)
 
 
 def _alternating_chunk(n: int, r: int, t: int, lo: int, hi: int) -> int:
@@ -249,14 +255,35 @@ def _alternating_chunk(n: int, r: int, t: int, lo: int, hi: int) -> int:
             - sum(map(pow, range(start + t, stop, 2 * t), repeat(n))))
 
 
-def _worker_count(span: int) -> int:
-    """How many processes sum ``span`` terms: one per CPU this process may
-    use, each with at least ``_SPLIT_MIN`` terms. One, so no fork, where
-    ``os.sched_getaffinity`` is missing or another thread is alive, since a
-    fork copies only the calling thread."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+def _worker_count(n: int, r: int, t: int, span: int) -> int:
+    """How many processes sum the ``span`` terms (t*x + r)**n: one per CPU
+    this process may use, each given at least ``_SPLIT_MIN_WORK`` of the
+    estimated work span * (64 + n * bits), with bits the length of the
+    largest base |r| + t*span. One, so no fork, where that is too little
+    work, ``os.sched_getaffinity`` is missing or another thread runs."""
+    work = span * (64 + n * (abs(r) + t * span).bit_length())
+    if work < 2 * _SPLIT_MIN_WORK or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), span // _SPLIT_MIN))
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or not _one_thread():
+        return 1
+    return min(cpus, work // _SPLIT_MIN_WORK)
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one thread, so a fork copies all of it: by
+    the threading module's count and, where /proc is, the kernel's, which
+    also counts threads started from C and is the count by which
+    ``os.fork`` warns on Python 3.12."""
+    if threading.active_count() != 1:
+        return False
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            stat = f.read()
+    except OSError:
+        return True
+    # field 20, num_threads; the name in field 2 may hold spaces
+    return stat[stat.rindex(b")") + 2:].split()[17] == b"1"
 
 
 def _split_sum(n: int, r: int, t: int, span: int, workers: int) -> int:
@@ -269,26 +296,27 @@ def _split_sum(n: int, r: int, t: int, span: int, workers: int) -> int:
     and every pipe closed."""
     bounds = [2 * (span * i // (2 * workers)) for i in range(workers)]
     runs = list(zip(bounds, bounds[1:] + [span]))
-    local, forked = runs[:1], []
-    live = {}   # pid -> pipe, of every child not yet reaped
+    forked = []   # (pid, or None where no child was forked, lo, hi)
+    live = {}     # pid -> pipe, of every child not yet reaped
     try:
         for lo, hi in runs[1:]:
             try:
                 pid, fd = _fork_chunk(n, r, t, lo, hi)
             except OSError:   # no pipe or no fork
-                local.append((lo, hi))
-                continue
-            live[pid] = open(fd, "rb")
-            forked.append((pid, lo, hi))
-        total = sum(_alternating_chunk(n, r, t, lo, hi) for lo, hi in local)
-        for pid, lo, hi in forked:
-            data = live[pid].read()
-            _, status = os.waitpid(pid, 0)
-            live.pop(pid).close()
-            if status == 0 and data:
-                total += int.from_bytes(data, "little", signed=True)
+                pid = None
             else:
-                total += _alternating_chunk(n, r, t, lo, hi)
+                live[pid] = open(fd, "rb")
+            forked.append((pid, lo, hi))
+        total = _alternating_chunk(n, r, t, *runs[0])
+        for pid, lo, hi in forked:
+            if pid is not None:
+                data = live[pid].read()
+                _, status = os.waitpid(pid, 0)
+                live.pop(pid).close()
+                if status == 0 and data:
+                    total += int.from_bytes(data, "little", signed=True)
+                    continue
+            total += _alternating_chunk(n, r, t, lo, hi)
         return total
     finally:
         if live:

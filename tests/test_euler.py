@@ -101,7 +101,7 @@ def test_euler_numbers_equal_horner_at_one_half():
 
 def _euler_number_by_row(cache, n):
     """2**n E_n(1/2) = sum_k C(n, k) s_k summed afresh from the column: the
-    per-call row sum that the list of Euler numbers replaced."""
+    per-call row sum that the memo of Euler numbers replaced."""
     total, c = 0, 1   # c = C(n, k), carried along the row
     for k, s in enumerate(cache._column(n)[:n + 1]):
         total += c * s
@@ -110,12 +110,12 @@ def _euler_number_by_row(cache, n):
 
 
 def test_kept_euler_numbers_equal_the_row_sum():
-    # read upwards on a fresh cache, the list grows one number at a time
+    # read upwards on a fresh cache, the memo grows one number at a time
     cache = EulerCache()
     for n in range(301):
         assert cache.euler_number(n) == _euler_number_by_row(cache, n), n
-    # after other reads have run the column past the list, and read
-    # downwards, so the first read extends the list by 301 numbers at once
+    # after other reads have run the column past every number read, and
+    # read downwards
     cache = EulerCache()
     cache.euler_zero(400)
     cache.euler_poly(120)
@@ -134,6 +134,10 @@ def test_kept_euler_numbers_equal_the_row_sum():
     for n in (-1, -7):
         with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
             cache.euler_number(n)
+    # a cold high read sums one row, not every row below it
+    cache = EulerCache()
+    assert cache.euler_number(1000) == _euler_number_by_row(cache, 1000)
+    assert list(cache._numbers) == [1000]
 
 
 def test_euler_numbers_equal_sympy():

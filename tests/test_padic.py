@@ -15,6 +15,7 @@ import errno
 import math
 import os
 import random
+import _thread
 import signal
 import threading
 import time
@@ -178,10 +179,11 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _split_on(monkeypatch, cpus: int, split_min: int = 4) -> list:
+def _split_on(monkeypatch, cpus: int, split_min: int = 1) -> list:
     """Let ``witt_sum_naive`` see ``cpus`` CPUs and split runs of
-    ``split_min`` terms; the returned list gains an entry per fork."""
-    monkeypatch.setattr(padic, "_SPLIT_MIN", split_min)
+    ``split_min`` units of work; the returned list gains an entry per
+    fork."""
+    monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", split_min)
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     forks, fork = [], os.fork
@@ -200,23 +202,43 @@ _SPLIT_SHIFTS = (F(0), F(1), F(-1), F(1, 2), F(-9, 2), F(7, 4))
 def test_a_split_naive_sum_equals_one_run_and_both_oracles(monkeypatch, cpus):
     # the one-run kernel, the Horner loop of fermionic_sum_naive and the
     # closed form, against the sum cut into one run per CPU
-    forks = _split_on(monkeypatch, cpus)
-    want_forks = 0
+    # a run takes 600 units of work, so the small sums take one run and
+    # the large ones a run per CPU
+    forks = _split_on(monkeypatch, cpus, 600)
+    want_forks, counts = 0, set()
     for p, precision in [(3, 2), (3, 3), (5, 2)]:   # 9, 27 and 25 terms
         span = p ** precision
-        assert padic._worker_count(span) == min(cpus, span // 4)
         for n in (0, 1, 2, 7):
             for a in _SPLIT_SHIFTS:
                 r, t = a.numerator, a.denominator
+                work = span * (64 + n * (abs(r) + t * span).bit_length())
+                workers = padic._worker_count(n, r, t, span)
+                assert workers == max(1, min(cpus, work // 600))
+                counts.add(workers)
                 got = witt_sum_naive(n, a, p, precision)
                 _no_child_left()
-                want_forks += padic._worker_count(span) - 1
+                want_forks += workers - 1
                 assert got == F(padic._alternating_chunk(n, r, t, 0, span),
                                 t ** n), (p, precision, n, a)
                 assert got == fermionic_sum_naive(
                     monomial(n).compose_affine(1, a), p, precision)
                 assert got == fermionic_sum_closed(n, a, span)
     assert len(forks) == want_forks > 0
+    assert counts == {1, 2, cpus}
+
+
+def test_the_split_reads_the_work_not_the_term_count(monkeypatch):
+    # on two CPUs, an n = 8 sum of the padic benchmark (79,507 terms)
+    # splits; n = 0 sums of 66,049 and 117,649 terms, too cheap a term to
+    # pay for a fork, do not; 177,147 terms at n = 0 do
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert padic._worker_count(8, 9, 2, 43 ** 3) == 2
+    assert padic._worker_count(6, 7, 2, 5 ** 7) == 2
+    assert padic._worker_count(0, 0, 1, 257 ** 2) == 1
+    assert padic._worker_count(0, 0, 1, 7 ** 6) == 1
+    assert padic._worker_count(2, 1, 2, 5 ** 7) == 1
+    assert padic._worker_count(0, 1, 2, 3 ** 11) == 2
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -300,31 +322,51 @@ def _refuse_fork():
     raise AssertionError("os.fork was called")
 
 
-@pytest.mark.parametrize("case", ["a second thread", "one CPU",
-                                  "no sched_getaffinity", "a short span"])
+@pytest.mark.parametrize("case", ["a second thread",
+                                  "a thread the threading module misses",
+                                  "one CPU", "no sched_getaffinity",
+                                  "too little work"])
 def test_witt_sum_naive_does_not_fork_with(monkeypatch, case):
     _split_on(monkeypatch, 4)
-    assert padic._worker_count(81) == 4   # which the case brings down to 1
+    sums = [(5, F(-9, 2)), (0, F(0)), (8, F(1, 2))]
+    for n, a in sums:   # four runs each, which the case brings down to one
+        assert padic._worker_count(n, a.numerator, a.denominator, 81) == 4
     monkeypatch.setattr(os, "fork", _refuse_fork)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30,))
+    blocker = _thread.allocate_lock()
+    threads_before = _thread._count()
     if case == "a second thread":
         thread.start()
+    elif case == "a thread the threading module misses":
+        # started as a C extension would start one: os.fork on Python 3.12
+        # counts it, by the kernel's count, and warns
+        blocker.acquire()
+        _thread.start_new_thread(blocker.acquire, ())
+        assert threading.active_count() == 1
     elif case == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif case == "no sched_getaffinity":
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
-        monkeypatch.setattr(padic, "_SPLIT_MIN", 41)   # 81 < 2 * 41
+        # the largest sum, n = 8 at a = 1/2, is 81 * (64 + 8 * 8) units,
+        # under two runs of this
+        monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", 81 * 64 + 1)
     try:
-        assert padic._worker_count(81) == 1
-        for n, a in [(5, F(-9, 2)), (0, F(0)), (8, F(1, 2))]:
+        for n, a in sums:
+            assert padic._worker_count(n, a.numerator, a.denominator, 81) == 1
             assert witt_sum_naive(n, a, 3, 4) == fermionic_sum_closed(n, a, 81)
     finally:
         release.set()
         if case == "a second thread":
             thread.join(10)
             assert not thread.is_alive()
+        if blocker.locked():
+            blocker.release()   # the thread takes it and ends
+            deadline = time.monotonic() + 10
+            while _thread._count() > threads_before:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
     _no_child_left()
 
 
