@@ -25,7 +25,10 @@ this process. The bytes printed are
 the same either way.
 
 ``verify`` runs every check before it writes a byte, so a usage error
-found by any checker still exits 2 with empty stdout. Then it writes the
+found by any checker still exits 2 with empty stdout; its checker sweeps
+run on every CPU the process may use, once they hold enough reports
+(``identities.run_suite``), with the same bytes less elapsed_ms. Then it
+writes the
 reports one by one, each rendered and dropped before the next: the bytes
 are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
 memory is one report's. Every format reads a report's own fields, and a
@@ -35,12 +38,14 @@ zero Polynomial off its exact type and maps any other value by
 ``identities._jsonable`` (the writer lays out the params object itself);
 in text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes, the
-collector's pauses and the peak RSS on stderr; stdout stays the same bytes.
+collector's pauses, the peak RSS and the number of processes on stderr,
+read over every process that ran sweeps; stdout stays the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -309,8 +314,9 @@ def _emit_reports(reports, fmt: str) -> None:
 
 
 def _collector_pauses(pauses: list):
-    """A ``gc.callbacks`` entry that appends the ms of each collection to
-    ``pauses``."""
+    """A ``gc.callbacks`` entry that appends (pid, ms) of each collection
+    to ``pauses``; a forked child appends to its own copy, under its own
+    pid."""
     started = 0.0
 
     def on_phase(phase, info):
@@ -318,8 +324,18 @@ def _collector_pauses(pauses: list):
         if phase == "start":
             started = time.perf_counter()
         else:
-            pauses.append((time.perf_counter() - started) * 1000.0)
+            pauses.append((os.getpid(),
+                           (time.perf_counter() - started) * 1000.0))
     return on_phase
+
+
+def _process_stats(pauses: list) -> tuple:
+    """This process's table sizes, the ms of its own collector pauses and
+    its peak RSS: what ``verify --stats`` reads of each process that ran
+    sweeps."""
+    pid = os.getpid()
+    return ({**table_sizes(), "recurrence": identities._RECURRENCE.terms},
+            [ms for owner, ms in pauses if owner == pid], _peak_rss_mb())
 
 
 def _peak_rss_mb() -> float:
@@ -340,12 +356,14 @@ def _peak_rss_mb() -> float:
         2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
-def _print_stats(reports, pauses) -> None:
+def _print_stats(reports, pauses, children) -> None:
     """Per checker: reports, passes, total and largest elapsed_ms, and the
-    params of the slowest report; then the table sizes, the number and
-    total ms of the collector's pauses while the checks ran (which the
-    checker running at the time is charged for too), and the peak RSS. All
-    of it goes to stderr, so stdout stays the same bytes."""
+    params of the slowest report; then, over this process and each forked
+    child in ``children`` (``_process_stats`` of each), every table's
+    largest size, the number and total ms of the collector's pauses while
+    the checks ran (which the checker running at the time is charged for
+    too), the largest peak RSS and the number of processes. All of it goes
+    to stderr, so stdout stays the same bytes."""
     by_checker = {}
     for r in reports:
         by_checker.setdefault(r.checker, []).append(r)
@@ -357,10 +375,15 @@ def _print_stats(reports, pauses) -> None:
               f"{slowest.elapsed_ms:.3f} ms max at "
               f"{_params_text(slowest.params)}",
               file=sys.stderr)
-    sizes = {**table_sizes(), "recurrence": identities._RECURRENCE.terms}
+    processes = [_process_stats(pauses), *children]
+    sizes = {k: max(sizes[k] for sizes, _, _ in processes)
+             for k in processes[0][0]}
+    ms = [m for _, own, _ in processes for m in own]
+    peak = max(peak for _, _, peak in processes)
     print("tables: " + ", ".join(f"{k} {v}" for k, v in sizes.items())
-          + f"; gc {len(pauses)} collections, {sum(pauses):.3f} ms"
-          + f"; peak RSS {_peak_rss_mb():.1f} MB", file=sys.stderr)
+          + f"; gc {len(ms)} collections, {sum(ms):.3f} ms"
+          + f"; peak RSS {peak:.1f} MB; {len(processes)} process"
+          + ("es" if len(processes) > 1 else ""), file=sys.stderr)
 
 
 def _usage_error(message) -> int:
@@ -376,16 +399,20 @@ def _cmd_verify(args) -> int:
     if "all" in ids:
         ids = list(identities.CHECKER_IDS)
     pauses = []
+    stats = contextlib.nullcontext(())
     if args.stats:
         import gc   # only here: --stats alone times the collector
 
         on_phase = _collector_pauses(pauses)
         gc.callbacks.append(on_phase)
+        # each forked child sends its own back with its reports
+        stats = identities.child_stats(lambda: _process_stats(pauses))
     try:
         # each grid option sets the SweepGrid field of the same name
-        reports = run_suite(ids, SweepGrid(**{
-            field: getattr(args, field) for field in _GRID_OPTIONS
-            if getattr(args, field) is not None}))
+        with stats as children:
+            reports = run_suite(ids, SweepGrid(**{
+                field: getattr(args, field) for field in _GRID_OPTIONS
+                if getattr(args, field) is not None}))
     except ValueError as exc:
         return _usage_error(exc)
     finally:
@@ -396,7 +423,7 @@ def _cmd_verify(args) -> int:
                             f"domain of {', '.join(sorted(set(ids)))}")
     _emit_reports(reports, args.format)
     if args.stats:
-        _print_stats(reports, pauses)
+        _print_stats(reports, pauses, children)
     return 0 if all(r.passed for r in reports) else 1
 
 

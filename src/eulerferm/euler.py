@@ -61,7 +61,6 @@ import threading
 from fractions import Fraction
 from itertools import repeat
 
-from .numeric import binomial
 from .polynomial import Polynomial
 
 __all__ = [
@@ -179,16 +178,19 @@ class EulerCache:
 
     def _appell(self, table: dict, n: int, at_zero, zeros) -> Polynomial:
         """P_n(x) = sum_i C(n, i) P_(n-i)(0) x**i, built into ``table`` if
-        it is not there yet; ``at_zero(zeros, k)`` is P_k(0) as a pair
+        it is not there yet, with C(n, i) carried along the row;
+        ``at_zero(zeros, k)`` is P_k(0) as a pair
         (numerator, denominator), read from the column ``zeros``, which
         the caller has extended once for every k <= n."""
         with self._lock:
             if n not in table:
                 pairs = [at_zero(zeros, k) for k in range(n, -1, -1)]
                 den = math.lcm(*(d for _, d in pairs))
-                table[n] = Polynomial.scaled(
-                    [binomial(n, i) * num * (den // d)
-                     for i, (num, d) in enumerate(pairs)], den)
+                nums, c = [], 1   # c = C(n, i), carried along the row
+                for i, (num, d) in enumerate(pairs):
+                    nums.append(c * num * (den // d))
+                    c = c * (n - i) // (i + 1)
+                table[n] = Polynomial.scaled(nums, den)
             return table[n]
 
     @staticmethod

@@ -60,6 +60,18 @@ Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
 
+``run_suite`` runs the checker sweeps on every CPU the process may use. It
+draws each checker's params first; where two checkers or more are
+selected, with ``_SWEEP_CUT`` reports or more between them, and
+``workers.cpus`` allows two processes or more, it forks one child per
+extra CPU. The sweeps' indices wait in a pipe, most reports first, and
+each process claims the next by reading one byte. The sweeps share nothing
+but the append-only tables of ``euler``, which each process extends on its
+own, and the memos, which each sweep drops when it ends. A child sends its
+reports back pickled; the caller merges them in canonical order and runs
+any sweep whose child failed again itself, so the reports are those of a
+serial run, less ``elapsed_ms``, and no child outlives the call.
+
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
 and the only inequality is the valuation lower bound.
@@ -67,9 +79,11 @@ and the only inequality is the valuation lower bound.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import itertools
 import math
+import os
 import random
 import time
 from collections import namedtuple
@@ -99,6 +113,7 @@ from .numeric import binomial, falling_factorial, format_rational
 from .padic import (fermionic_sum_closed, lem1_defect, require_odd_prime,
                     require_precision, witt_defect)
 from .polynomial import Polynomial, monomial
+from .workers import cpus, forked
 
 __all__ = [
     "IdentityReport",
@@ -106,6 +121,7 @@ __all__ = [
     "CHECKER_IDS",
     "CHECKERS",
     "run_suite",
+    "child_stats",
     "report_to_dict",
     "euler_zero_via_recurrence",
 ]
@@ -828,6 +844,12 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
     checker's ``where`` are skipped for that checker, so a checker may
     yield no report at all. A checker whose body raises anything but
     ``ValueError`` fails its report, and the run goes on.
+
+    Each checker's params are drawn first. ``_sweep_workers`` then decides
+    how many processes run the sweeps (``_forked_suite``); whatever sweep
+    no worker returned runs here, so the reports, and the first
+    ``ValueError`` a body raises in canonical order, are the same either
+    way.
     """
     _require_mode(mode)
     if grid is None:
@@ -841,15 +863,112 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
     unknown = [i for i in ids if i not in CHECKERS]
     if unknown:
         raise ValueError(f"unknown checker id(s): {', '.join(sorted(unknown))}")
+    sweeps = [(cid, list(CHECKERS[cid].gen(grid))) for cid in sorted(set(ids))]
+    workers = _sweep_workers(sweeps)
+    done = _forked_suite(sweeps, mode, workers) if workers > 1 else {}
+    # what no worker returned runs here, in canonical order
     reports: list[IdentityReport] = []
-    for cid in sorted(set(ids)):
-        entry = CHECKERS[cid]
-        try:
-            for params in entry.gen(grid):
-                reports.append(entry.run(params, mode, swept=True))
-        finally:   # the sweep's memos go with it
-            _drop_sweep_memos()
+    for i, (cid, todo) in enumerate(sweeps):
+        reports += done[i] if i in done else _sweep(cid, todo, mode)
     return reports
+
+
+# Least number of reports whose sweeps ``run_suite`` shares with forked
+# children. Below it, forking, faulting in and reaping a child, building
+# its own E_n and sending its reports back cost a cold command as much as
+# a second CPU saves, or more (``sweep_cut`` in BENCH_verify_split.json).
+_SWEEP_CUT = 1000
+
+
+def _sweep_workers(sweeps) -> int:
+    """How many processes run ``sweeps``, a list of (checker id, params):
+    one per CPU that ``workers.cpus`` allows, at most one per sweep, where
+    there are two sweeps or more and ``_SWEEP_CUT`` reports; else one."""
+    if (len(sweeps) < 2
+            or sum(len(todo) for _, todo in sweeps) < _SWEEP_CUT):
+        return 1
+    return min(cpus(), len(sweeps))
+
+
+def _sweep(cid: str, todo: list, mode: str) -> list:
+    """Checker ``cid``'s reports on the params ``todo``, which its sweep has
+    filtered; the sweep's memos go with it."""
+    run = CHECKERS[cid].run
+    try:
+        return [run(params, mode, swept=True) for params in todo]
+    finally:
+        _drop_sweep_memos()
+
+
+# (collect, results) while a ``child_stats`` block runs, else None
+_CHILD_STATS = None
+
+
+@contextlib.contextmanager
+def child_stats(collect):
+    """While the block runs, each forked child of ``run_suite`` calls
+    ``collect()`` after its last sweep and sends back what it returns with
+    its reports; the caller appends it to the list this yields. ``verify
+    --stats`` reads each child's tables, collector pauses and peak RSS so."""
+    global _CHILD_STATS
+    previous, results = _CHILD_STATS, []
+    _CHILD_STATS = collect, results
+    try:
+        yield results
+    finally:
+        _CHILD_STATS = previous
+
+
+def _forked_suite(sweeps, mode: str, workers: int) -> dict:
+    """The reports of the sweeps that the caller and ``workers`` - 1 forked
+    children (``workers.forked``) ran, by sweep index. A pipe holds one byte
+    per sweep, its index, most reports first; each process claims a sweep
+    by reading one byte, until the pipe is empty. A child sends its reports
+    back pickled, as plain tuples. A sweep whose child failed, and one that
+    raised ``ValueError`` in the caller, is missing, for ``run_suite`` to
+    run again in canonical order."""
+    import pickle   # only here: a serial run pickles nothing
+
+    order = sorted(range(len(sweeps)), key=lambda i: -len(sweeps[i][1]))
+    stats = _CHILD_STATS
+    done = {}
+    try:
+        queue, feed = os.pipe()
+    except OSError:   # no pipe: every sweep runs in the caller
+        return done
+    try:
+        try:
+            # one byte a sweep, for 28 checkers: one write, under PIPE_BUF
+            os.write(feed, bytes(order))
+        finally:
+            os.close(feed)
+
+        def claimed():
+            while index := os.read(queue, 1):
+                yield index[0]
+
+        def child() -> bytes:
+            rows = {i: list(map(tuple, _sweep(*sweeps[i], mode)))
+                    for i in claimed()}
+            return pickle.dumps((stats and stats[0](), rows),
+                                pickle.HIGHEST_PROTOCOL)
+
+        with forked([child] * (workers - 1)) as results:
+            for i in claimed():
+                try:
+                    done[i] = _sweep(*sweeps[i], mode)
+                except ValueError:
+                    break
+            for data in results():
+                if data is not None:
+                    collected, rows = pickle.loads(data)
+                    if stats:
+                        stats[1].append(collected)
+                    for i, sweep in rows.items():
+                        done[i] = list(map(IdentityReport._make, sweep))
+    finally:
+        os.close(queue)
+    return done
 
 
 def _drop_sweep_memos() -> None:

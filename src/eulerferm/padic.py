@@ -24,8 +24,9 @@ Polynomial, no Taylor shift and no Euler table, so it shares no code with the
 digit route or the closed form. Its terms run on every CPU the process may
 use: [0, p^N) is cut into one contiguous, even-aligned run per worker, the
 caller sums the first and an ``os.fork``ed child each other one, which
-writes its integer to a pipe. It forks only where ``os.sched_getaffinity``
-names two CPUs or more, the process runs one thread and each run gets at
+writes its integer to a pipe (``workers.forked``). It forks only where
+``workers.cpus`` allows: ``os.sched_getaffinity`` names two CPUs or more
+and the process runs one thread; and where each run gets at
 least ``_SPLIT_MIN_WORK`` of the work, estimated from the term count and
 the bit length of the largest power; otherwise, and for a run whose child
 fails, the terms are summed in process, so the sum is exact either way and
@@ -49,16 +50,15 @@ is the rational slice of the p-adic integer ring.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import mul
 
 from .euler import alt_power_sum, euler_poly
 from .polynomial import Polynomial
+from .workers import cpus, forked
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -257,101 +257,39 @@ def _alternating_chunk(n: int, r: int, t: int, lo: int, hi: int) -> int:
 
 def _worker_count(n: int, r: int, t: int, span: int) -> int:
     """How many processes sum the ``span`` terms (t*x + r)**n: one per CPU
-    this process may use, each given at least ``_SPLIT_MIN_WORK`` of the
-    estimated work span * (64 + n * bits), with bits the length of the
-    largest base |r| + t*span. One, so no fork, where that is too little
-    work, ``os.sched_getaffinity`` is missing or another thread runs."""
+    that ``workers.cpus`` allows, each given at least ``_SPLIT_MIN_WORK``
+    of the estimated work span * (64 + n * bits), with bits the length of
+    the largest base |r| + t*span. One, so no fork, where that is too
+    little work, ``os.sched_getaffinity`` is missing or another thread
+    runs."""
     work = span * (64 + n * (abs(r) + t * span).bit_length())
-    if work < 2 * _SPLIT_MIN_WORK or not hasattr(os, "sched_getaffinity"):
+    if work < 2 * _SPLIT_MIN_WORK:
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2 or not _one_thread():
-        return 1
-    return min(cpus, work // _SPLIT_MIN_WORK)
-
-
-def _one_thread() -> bool:
-    """Whether this process runs one thread, so a fork copies all of it: by
-    the threading module's count and, where /proc is, the kernel's, which
-    also counts threads started from C and is the count by which
-    ``os.fork`` warns on Python 3.12."""
-    if threading.active_count() != 1:
-        return False
-    try:
-        with open("/proc/self/stat", "rb") as f:
-            stat = f.read()
-    except OSError:
-        return True
-    # field 20, num_threads; the name in field 2 may hold spaces
-    return stat[stat.rindex(b")") + 2:].split()[17] == b"1"
+    return min(cpus(), work // _SPLIT_MIN_WORK)
 
 
 def _split_sum(n: int, r: int, t: int, span: int, workers: int) -> int:
     """``_alternating_chunk`` over [0, span), cut into ``workers``
     contiguous runs whose bounds but the last are even. The caller sums
-    the first run, and a forked child (``_fork_chunk``) each other one
-    meanwhile; one worker forks nothing. A run whose child cannot be
-    forked, exits non-zero, is killed or writes nothing is summed again
-    here. Whatever this raises, every child it forked is killed and reaped
-    and every pipe closed."""
+    the first run, and a forked child (``workers.forked``) each other one
+    meanwhile, which writes its sum as signed little-endian bytes; one
+    worker forks nothing. A run whose child cannot be forked, exits
+    non-zero, is killed or writes nothing is summed again here."""
     bounds = [2 * (span * i // (2 * workers)) for i in range(workers)]
     runs = list(zip(bounds, bounds[1:] + [span]))
-    forked = []   # (pid, or None where no child was forked, lo, hi)
-    live = {}     # pid -> pipe, of every child not yet reaped
-    try:
-        for lo, hi in runs[1:]:
-            try:
-                pid, fd = _fork_chunk(n, r, t, lo, hi)
-            except OSError:   # no pipe or no fork
-                pid = None
-            else:
-                live[pid] = open(fd, "rb")
-            forked.append((pid, lo, hi))
+    jobs = [partial(_chunk_bytes, n, r, t, lo, hi) for lo, hi in runs[1:]]
+    with forked(jobs) as results:
         total = _alternating_chunk(n, r, t, *runs[0])
-        for pid, lo, hi in forked:
-            if pid is not None:
-                data = live[pid].read()
-                _, status = os.waitpid(pid, 0)
-                live.pop(pid).close()
-                if status == 0 and data:
-                    total += int.from_bytes(data, "little", signed=True)
-                    continue
-            total += _alternating_chunk(n, r, t, lo, hi)
-        return total
-    finally:
-        if live:
-            import signal   # only here: a sum that returns kills nothing
-        for pid, pipe in live.items():
-            pipe.close()
-            with contextlib.suppress(OSError):   # reaped before the raise
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for (lo, hi), data in zip(runs[1:], results()):
+            total += (_alternating_chunk(n, r, t, lo, hi) if data is None
+                      else int.from_bytes(data, "little", signed=True))
+    return total
 
 
-def _fork_chunk(n: int, r: int, t: int, lo: int, hi: int) -> tuple:
-    """(pid, read end) of a forked child that writes the run's
-    ``_alternating_chunk`` to a pipe as signed little-endian bytes. The
-    child leaves by ``os._exit``, 0 once it has written and 1 on any
-    exception, so it never unwinds into the caller's frames or flushes a
-    buffer it inherited. OSError if no pipe or no child could be made."""
-    read_end, write_end = os.pipe()
-    pid, code = None, 1
-    try:
-        pid = os.fork()
-        if pid == 0:
-            total = _alternating_chunk(n, r, t, lo, hi)
-            view = memoryview(total.to_bytes(
-                total.bit_length() // 8 + 1, "little", signed=True))
-            while view:
-                view = view[os.write(write_end, view):]
-            code = 0
-    finally:
-        if pid == 0:
-            os._exit(code)
-        os.close(write_end)
-        if pid is None:
-            os.close(read_end)
-    return pid, read_end
+def _chunk_bytes(n: int, r: int, t: int, lo: int, hi: int) -> bytes:
+    """A run's ``_alternating_chunk`` as signed little-endian bytes."""
+    total = _alternating_chunk(n, r, t, lo, hi)
+    return total.to_bytes(total.bit_length() // 8 + 1, "little", signed=True)
 
 
 def fermionic_sum_digits(f: Polynomial, p: int, precision: int,

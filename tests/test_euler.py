@@ -248,6 +248,29 @@ def test_bernoulli_table_equals_sympy():
         assert cache.bernoulli_poly(n) == expected, n
 
 
+def _appell_by_comb(at_zero, zeros, n: int) -> Polynomial:
+    """sum_i C(n, i) P_(n-i)(0) x**i with each C(n, i) from ``math.comb``:
+    the table build before the binomial was carried along the row."""
+    pairs = [at_zero(zeros, k) for k in range(n, -1, -1)]
+    den = math.lcm(*(d for _, d in pairs))
+    return Polynomial.scaled([math.comb(n, i) * num * (den // d)
+                              for i, (num, d) in enumerate(pairs)], den)
+
+
+def test_tables_equal_the_per_coefficient_binomial_build():
+    # E_n and B_n for n <= 300, read in a shuffled order, so that a row
+    # is built with the column already past it
+    cache = EulerCache()
+    zeros = cache._column(300)
+    order = list(range(301))
+    random.Random(35).shuffle(order)
+    for n in order:
+        assert cache.euler_poly(n) == _appell_by_comb(
+            EulerCache._euler_at_zero, zeros, n), n
+        assert cache.bernoulli_poly(n) == _appell_by_comb(
+            EulerCache._bernoulli_at_zero, zeros, n), n
+
+
 def test_finite_difference_oracle_equals_tangent_table():
     cache = EulerCache()
     for n in range(121):

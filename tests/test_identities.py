@@ -1,11 +1,19 @@
 """Identity checker tests: frozen hand expansions, sweeps, the
-symbolic/pointwise duality, and the specialization cross-links."""
+symbolic/pointwise duality, the specialization cross-links, and the suite's
+sweeps on forked children, whose reports equal the serial run's, also when
+a child fails or the caller is interrupted, with no child left behind."""
 
+import _thread
 import copy
+import errno
 import inspect
 import json
 import math
+import os
 import pickle
+import signal
+import threading
+import time
 from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
@@ -31,6 +39,7 @@ from eulerferm.euler import (
 )
 from eulerferm.numeric import binomial
 from eulerferm.polynomial import Polynomial, monomial
+from test_padic import _forks_on, _no_child_left, _refuse_fork
 
 F = Fraction
 
@@ -819,3 +828,216 @@ def test_lem1_reports_the_polynomial_by_its_coefficients():
     assert r.params == {"p": 3, "precision": 2, "poly": ["5", "0", "1/2"]}
     r = ident.check_lem1(Polynomial([F(5)]), 3, 2, index=4)
     assert r.params == {"p": 3, "precision": 2, "poly": ["5"], "index": 4}
+
+
+# --- sweeps on forked children --------------------------------------------------
+
+# above the cut: the desk grid's 1,731 reports and m, n 0..14's 8,335
+FORK_GRIDS = {"desk": SweepGrid(),
+              "m,n 0..14": SweepGrid(m=range(15), n=range(15))}
+
+
+def _untimed(reports) -> list:
+    return [r._replace(elapsed_ms=0.0) for r in reports]
+
+
+def _serial(ids, grid, mode="symbolic") -> list:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                      raising=False)
+        patch.setattr(os, "fork", _refuse_fork)
+        return _untimed(run_suite(ids, grid, mode))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("grid", FORK_GRIDS, ids=list(FORK_GRIDS))
+def test_forked_sweeps_equal_the_serial_run(monkeypatch, cpus, grid):
+    grid = FORK_GRIDS[grid]
+    want = _serial(None, grid)
+    forks = _forks_on(monkeypatch, cpus)
+    assert _untimed(run_suite(None, grid)) == want
+    _no_child_left()
+    assert len(forks) == cpus - 1
+    # a subset, in pointwise mode, with the ids given out of order and twice
+    ids = ["thm2", "sun", "wsp7", "lem1", "sun", "thm1", "cro2"]
+    want = _serial(ids, grid, "pointwise")
+    assert len(want) >= ident._SWEEP_CUT
+    assert _untimed(run_suite(ids, grid, "pointwise")) == want
+    _no_child_left()
+    assert len(forks) == 2 * (cpus - 1)
+
+
+def test_sweeps_are_handed_out_most_reports_first(monkeypatch):
+    # each process claims the next sweep by reading its index off one pipe
+    claimed, sweep = [], ident._sweep
+
+    def noted(cid, todo, mode):
+        claimed.append((cid, len(todo)))
+        return sweep(cid, todo, mode)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "injected")
+
+    forks = _forks_on(monkeypatch, 2)
+    monkeypatch.setattr(ident, "_sweep", noted)
+    reports = run_suite(None, SweepGrid())
+    _no_child_left()
+    assert len(forks) == 1
+    # the caller's claims, between which the child takes its own
+    counts = [n for _, n in claimed]
+    assert claimed and counts == sorted(counts, reverse=True)
+    # with no child forked, the caller claims every sweep, in that order
+    claimed.clear()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _untimed(run_suite(None, SweepGrid())) == _untimed(reports)
+    # ties keep the canonical order
+    sizes = {cid: sum(r.checker == cid for r in reports)
+             for cid in sorted(CHECKER_IDS)}
+    assert claimed == sorted(sizes.items(), key=lambda kv: -kv[1])
+    assert claimed[0] == ("thm2", 432)
+
+
+@pytest.mark.parametrize("fault", ["raises", "writes nothing", "is killed",
+                                   "exits 3", "raises ValueError",
+                                   "cannot fork", "no pipe"])
+def test_a_failed_child_costs_time_not_reports(monkeypatch, fault):
+    want = _serial(None, SweepGrid())
+    forks = _forks_on(monkeypatch, 3)
+    caller, sweep = os.getpid(), ident._sweep
+
+    def failing(*args):
+        if os.getpid() != caller:   # in a child, before it writes
+            if fault == "raises":
+                raise ZeroDivisionError("injected")
+            if fault == "raises ValueError":
+                raise ValueError("injected")
+            if fault == "writes nothing":
+                os._exit(0)
+            if fault == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        return sweep(*args)
+
+    def no_fork():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, "injected")
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "injected")
+
+    if fault == "cannot fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif fault == "no pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    else:
+        monkeypatch.setattr(ident, "_sweep", failing)
+    assert _untimed(run_suite(None, SweepGrid())) == want
+    _no_child_left()
+    assert len(forks) == (0 if fault == "no pipe" else 2)
+
+
+def test_the_first_value_error_in_canonical_order_is_raised(monkeypatch):
+    # sun and thm2 raise wherever they run: the caller claims thm2, the
+    # most reports, first, but sun comes first in canonical order, and a
+    # serial run raises its error
+    sweep = ident._sweep
+
+    def refusing(cid, todo, mode):
+        if cid in ("thm2", "sun"):
+            raise ValueError(f"{cid} refused")
+        return sweep(cid, todo, mode)
+
+    monkeypatch.setattr(ident, "_sweep", refusing)
+    for cpus in (1, 2, 3):
+        forks = _forks_on(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="^sun refused$"):
+            run_suite(None, SweepGrid())
+        _no_child_left()
+        assert len(forks) == cpus - 1
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_children(monkeypatch):
+    forks = _forks_on(monkeypatch, 3)
+    caller = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() != caller:
+            time.sleep(60)   # a child still running when the caller stops
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ident, "_sweep", interrupted)
+    fds = "/proc/self/fd"
+    open_before = os.listdir(fds) if os.path.isdir(fds) else None
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(None, SweepGrid())
+    assert time.monotonic() - started < 30   # killed, not waited for
+    assert len(forks) == 2
+    _no_child_left()
+    if open_before is not None:
+        assert os.listdir(fds) == open_before
+
+
+@pytest.mark.parametrize("case", ["a second thread",
+                                  "a thread the threading module misses",
+                                  "one CPU", "no sched_getaffinity",
+                                  "one checker", "a grid below the cut"])
+def test_run_suite_does_not_fork_with(monkeypatch, case):
+    grid, ids = SweepGrid(), None
+    want = _serial(ids, grid)
+    _forks_on(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    blocker = _thread.allocate_lock()
+    threads_before = _thread._count()
+    if case == "a second thread":
+        thread.start()
+    elif case == "a thread the threading module misses":
+        # started as a C extension would start one: os.fork on Python 3.12
+        # counts it, by the kernel's count, and warns
+        blocker.acquire()
+        _thread.start_new_thread(blocker.acquire, ())
+        assert threading.active_count() == 1
+    elif case == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "no sched_getaffinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    elif case == "one checker":
+        # thm2 alone at m, n 0..14: 4,200 reports
+        grid, ids = FORK_GRIDS["m,n 0..14"], ["thm2"]
+        want = _serial(ids, grid)
+        assert len(want) >= ident._SWEEP_CUT
+    else:
+        grid = SweepGrid(m=range(3), n=range(3))
+        want = _serial(ids, grid)
+        assert len(want) < ident._SWEEP_CUT <= len(_serial(None, SweepGrid()))
+    try:
+        assert _untimed(run_suite(ids, grid)) == want
+    finally:
+        release.set()
+        if case == "a second thread":
+            thread.join(10)
+            assert not thread.is_alive()
+        if blocker.locked():
+            blocker.release()   # the thread takes it and ends
+            deadline = time.monotonic() + 10
+            while _thread._count() > threads_before:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+    _no_child_left()
+
+
+def test_the_cut_leaves_the_small_benchmark_commands_serial(monkeypatch):
+    # highdeg's verify at n 40..60 (189 reports, most of their time in
+    # fersim3) and padic's verify witt lem1 (141 reports) lose time to a
+    # fork, so on two CPUs they still run in one process
+    _forks_on(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    highdeg = run_suite(["reflection", "complement", "fersim", "fersim3",
+                         "boundary", "recurrence_odd", "cro2"],
+                        SweepGrid(n=range(40, 61)))
+    padic = run_suite(["witt", "lem1"],
+                      SweepGrid(n=range(9), p_list=(3, 5, 7), precision=5))
+    assert (len(highdeg), len(padic)) == (189, 141)
+    assert all(r.passed for r in highdeg + padic)

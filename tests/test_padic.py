@@ -179,11 +179,9 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _split_on(monkeypatch, cpus: int, split_min: int = 1) -> list:
-    """Let ``witt_sum_naive`` see ``cpus`` CPUs and split runs of
-    ``split_min`` units of work; the returned list gains an entry per
-    fork."""
-    monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", split_min)
+def _forks_on(monkeypatch, cpus: int) -> list:
+    """Let the process see ``cpus`` CPUs; the returned list gains an entry
+    per fork."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     forks, fork = [], os.fork
@@ -193,6 +191,14 @@ def _split_on(monkeypatch, cpus: int, split_min: int = 1) -> list:
         return fork()
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def _split_on(monkeypatch, cpus: int, split_min: int = 1) -> list:
+    """Let ``witt_sum_naive`` see ``cpus`` CPUs and split runs of
+    ``split_min`` units of work; the returned list gains an entry per
+    fork."""
+    monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", split_min)
+    return _forks_on(monkeypatch, cpus)
 
 
 _SPLIT_SHIFTS = (F(0), F(1), F(-1), F(1, 2), F(-9, 2), F(7, 4))

@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulerferm import cli, euler
+from eulerferm import cli, euler, identities
 from eulerferm.identities import (
     CHECKER_IDS,
     IdentityReport,
@@ -272,7 +273,8 @@ def test_stats_go_to_stderr_only(capsys):
                             row)
     assert re.fullmatch(r"tables: E_n \d+, B_n \d+, tangent column \d+, "
                         r"recurrence \d+; gc \d+ collections, [\d.]+ ms; "
-                        r"peak RSS [\d.]+ MB", tables)
+                        r"peak RSS [\d.]+ MB; (1 process|\d+ processes)",
+                        tables)
 
 
 def test_stats_name_each_checkers_slowest_report(capsys, monkeypatch):
@@ -309,6 +311,52 @@ def test_stats_count_the_collections_while_the_checks_run(capsys,
     assert gc.callbacks == callbacks
     monkeypatch.setattr(cli, "_collector_pauses", None)
     assert cli.main(["verify", "wsp7"]) == 0
+
+
+def test_stats_read_every_process_after_a_fork(capsys, monkeypatch):
+    # on two CPUs the desk grid's sweeps are shared with a forked child,
+    # whose table sizes, collector pauses and peak RSS come back with its
+    # reports: here its tables read 1000 more, its peak 2 MB, and each of
+    # its sweeps collects once, with automatic collections off
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    caller, sizes, sweep = os.getpid(), cli.table_sizes, identities._sweep
+
+    def child_sized():
+        own = sizes()
+        return own if os.getpid() == caller else {
+            k: v + 1000 for k, v in own.items()}
+
+    def collecting(*args):
+        if os.getpid() == caller:
+            time.sleep(0.01)   # the child claims a sweep meanwhile
+        else:
+            gc.collect()
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "table_sizes", child_sized)
+    monkeypatch.setattr(cli, "_peak_rss_mb",
+                        lambda: 1.0 if os.getpid() == caller else 2.0)
+    monkeypatch.setattr(identities, "_sweep", collecting)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(["verify", "all", "--format", "json", "--stats"]) == 0
+    finally:
+        if enabled:
+            gc.enable()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    out, err = capsys.readouterr()
+    *rows, tables = err.splitlines()
+    assert len(rows) == len(CHECKER_IDS)
+    found = re.fullmatch(r"tables: E_n (\d+), B_n (\d+), tangent column "
+                         r"(\d+), recurrence \d+; gc (\d+) collections, "
+                         r"[\d.]+ ms; peak RSS 2\.0 MB; 2 processes", tables)
+    assert found, tables
+    assert all(int(size) > 1000 for size in found.groups()[:3])
+    assert 1 <= int(found[4]) < len(CHECKER_IDS)
+    assert out.endswith("PASS 1731/1731\n")
 
 
 def test_peak_rss_reads_vmhwm_else_ru_maxrss(monkeypatch):
