@@ -8,7 +8,7 @@ from .numeric import (
     parse_rational,
     format_rational,
 )
-from .polynomial import Polynomial, monomial, X
+from .polynomial import Polynomial, monomial
 from .euler import (
     EulerCache,
     euler_poly,
@@ -39,7 +39,6 @@ from .identities import (
     IdentityReport,
     SweepGrid,
     run_suite,
-    report_to_dict,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ memory is one report's. Every format reads a report's own fields, and a
 value renders by its type alone: in JSON reports and CSV cells through one
 leaf encoder, ``_json``, which reads an int, Fraction, str or bool and a
 zero Polynomial off its exact type and maps any other value by
-``identities._jsonable`` (the writer lays out the params object itself);
+``_jsonable`` (the writer lays out the params object itself);
 in text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes, the
 collector's pauses, the peak RSS and the number of processes on stderr,
@@ -57,7 +57,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import identities
 from .euler import MAX_DEGREE, euler_number, euler_poly, table_sizes
-from .identities import SweepGrid, _jsonable, run_suite
+from .identities import SweepGrid, run_suite
 from .numeric import format_rational, parse_rational
 from .padic import (
     DEFAULT_BUDGET,
@@ -230,6 +230,22 @@ def _text(value) -> str:
         return json.dumps(value.to_coeff_strings()) if value.nums else "0"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(str, _jsonable(value))) + "]"
+    return str(value)
+
+
+def _jsonable(value):
+    """A param or residual as JSON holds it, decided by its type alone: an
+    int or bool as it is, a Fraction as its rational string, a Polynomial
+    as its coefficient strings, a list or tuple item by item, and anything
+    else as ``str`` (an error report's message, a valuation of ``inf``)."""
+    if isinstance(value, int):   # bool is an int subclass
+        return value
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Polynomial):
+        return value.to_coeff_strings()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return str(value)
 
 

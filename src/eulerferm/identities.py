@@ -5,36 +5,32 @@ Every checker is a function registered with
 both sides exactly and returns what its kind asks for:
 
 * ``"poly"``: ``(lhs, rhs, *lemma_residuals)``, both sides as Polynomial
-  objects in the free argument ``a`` (or ``b``). In symbolic mode (the
-  primary route) the residual lhs - rhs must be the zero polynomial -- a
-  certificate valid over every commutative ring containing the rationals.
-  In pointwise mode both sides are evaluated at degree + 1 distinct
-  rational points 0, 1, -1, 2, -2, ... and every difference must vanish,
-  which certifies the same polynomial identity by interpolation without
-  ever forming the residual polynomial. It runs the same bodies, so it is
-  no independent oracle: each shared-core mutant of the tests fails the
-  same checkers in both modes (ROADMAP item 7). Lemma
-  residuals are internal sub-checks; they must vanish too, but the reported
-  residual stays the main one.
+  objects in the free argument ``a`` (or ``b``). The residual lhs - rhs
+  must be the zero polynomial -- a certificate valid over every
+  commutative ring containing the rationals. Lemma residuals are internal
+  sub-checks; they must vanish too, but the reported residual stays the
+  main one.
 * ``"scalar"``: the exact residual of a numeric identity, which must be 0.
 * ``"valuation"``: for statements that are p-adic limits, the defect
   v_p(truncation - exact), which must reach the ``precision`` parameter.
 
+A report's ``mode`` names its certificate: ``"valuation"`` for the
+valuation kind, ``"symbolic"`` for the other two.
+
 The body tests no domain, does no timing and builds no report. Its domain
 is stated once, as the predicate ``where``; every int param must be a
 natural number, and every param annotated ``Fraction`` or ``Polynomial``
-must hold one. The driver ``CHECKERS[cid].run(params, mode)`` first
-raises ``ValueError`` for a mode other than symbolic or pointwise, for
-params whose keys are not the body's parameter names and for params
-outside the domain; then its judging step calls the body, times it,
-dispatches on the mode (scalar and valuation checkers ignore it) and builds
-the ``IdentityReport``, failing it with ``"<Type>: <message>"`` if the body
+must hold one. The driver ``CHECKERS[cid].run(params)`` first raises
+``ValueError`` for params whose keys are not the body's parameter names
+and for params outside the domain; then its judging step calls the body,
+times it, judges the result by the checker's kind and builds the
+``IdentityReport``, failing it with ``"<Type>: <message>"`` if the body
 raises anything but ``ValueError``. ``run_suite`` takes only a
 ``SweepGrid``, whose axes hold natural numbers and whose points are
 Fractions, so a checker's sweep ``gen(grid)`` tests ``where`` alone, and
-``run_suite`` calls ``run(params, mode, swept=True)``, the judging step
-alone, once per dict. ``check_<id>(*args, mode=...)`` binds its arguments
-by name and calls ``run`` with every entry check.
+``run_suite`` calls ``run(params, swept=True)``, the judging step alone,
+once per dict. ``check_<id>(*args)`` binds its arguments by name and
+calls ``run`` with every entry check.
 
 Exact arithmetic stays on the integers where the values are integers. The
 symmetry theorems read the binomial E-sums
@@ -109,7 +105,7 @@ from .euler import (
     power_sum,
     zero_sum,
 )
-from .numeric import binomial, falling_factorial, format_rational
+from .numeric import binomial, falling_factorial
 from .padic import (fermionic_sum_closed, lem1_defect, require_odd_prime,
                     require_precision, witt_defect)
 from .polynomial import Polynomial, monomial
@@ -122,7 +118,6 @@ __all__ = [
     "CHECKERS",
     "run_suite",
     "child_stats",
-    "report_to_dict",
     "euler_zero_via_recurrence",
 ]
 
@@ -134,40 +129,6 @@ IdentityReport = namedtuple(
     "IdentityReport", "checker params mode residual passed elapsed_ms",
     defaults=(0.0,))
 IdentityReport.__doc__ = "Outcome record of one identity check."
-
-
-def report_to_dict(report: IdentityReport) -> dict:
-    """JSON-ready projection: {id, params, mode, residual, pass,
-    elapsed_ms}, each param and the residual mapped by ``_jsonable``."""
-    return {
-        "id": report.checker,
-        "params": {k: _jsonable(v) for k, v in report.params.items()},
-        "mode": report.mode,
-        "residual": _jsonable(report.residual),
-        "pass": report.passed,
-        "elapsed_ms": report.elapsed_ms,
-    }
-
-
-def _jsonable(value):
-    """A param or residual as JSON holds it, decided by its type alone: an
-    int or bool as it is, a Fraction as its rational string, a Polynomial
-    as its coefficient strings, a list or tuple item by item, and anything
-    else as ``str`` (an error report's message, a valuation of ``inf``)."""
-    if isinstance(value, int):   # bool is an int subclass
-        return value
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, Polynomial):
-        return value.to_coeff_strings()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
-def _sample_points(count: int):
-    """0, 1, -1, 2, -2, ... -- small numerators keep evaluation cheap."""
-    return [Fraction((i + 1) // 2 * (-1) ** (i + 1)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +182,7 @@ class SweepGrid(namedtuple("SweepGrid",
 
 @dataclass(frozen=True)
 class Checker:
-    cid: str
-    run: object           # callable(params: dict, mode: str) -> IdentityReport
+    run: object           # callable(params: dict) -> IdentityReport
     gen: object           # callable(grid: SweepGrid) -> iterator of params
 
 
@@ -231,14 +191,6 @@ CHECKERS: dict[str, Checker] = {}
 # looked up on a body's first direct call, not when it is registered,
 # so that importing the catalog stays cheap
 _signature = lru_cache(maxsize=None)(inspect.signature)
-
-
-_MODES = ("symbolic", "pointwise")
-
-
-def _require_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 _TYPED = {"Fraction": Fraction, "Polynomial": Polynomial}
@@ -261,11 +213,14 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
     params n, got none``), read once from its code. The sweep skips params
     outside ``where`` and tests nothing else: ``gen`` draws its ints and
     Fractions from a checked ``SweepGrid``, and builds the rest itself.
-    ``swept=True`` skips the entry checks, and the mode's, for params that
-    the sweep has filtered; any other call drops the sweep memos when its
-    body returns. ``check_<cid>`` turns an int given for a ``Fraction``
-    param to one. ``report_params(**params)`` maps params to the report's.
+    ``swept=True`` skips the entry checks for params that the sweep has
+    filtered; any other call drops the sweep memos when its body returns.
+    ``check_<cid>`` turns an int given for a ``Fraction`` param to one.
+    ``report_params(**params)`` maps params to the report's.
     """
+    # the certificate every report of the checker names
+    mode = "valuation" if kind == "valuation" else "symbolic"
+
     def register(body):
         hints = body.__annotations__.items()
         naturals = {k for k, a in hints if a == "int"}
@@ -280,17 +235,14 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
                     and all(isinstance(params[k], t) for k, t in typed)
                     and (where is None or where(**params)))
 
-        def run(params: dict, mode: str, swept=False) -> IdentityReport:
-            if not swept:   # run_suite checked the mode, the sweep `where`
-                _require_mode(mode)
+        def run(params: dict, swept=False) -> IdentityReport:
+            if not swept:   # the sweep has tested `where`
                 if params.keys() != keys:
                     raise ValueError(f"{cid} takes params {', '.join(names)}, "
                                      f"got {', '.join(params) or 'none'}")
                 if not stated(params):
                     raise ValueError(f"{cid} is not stated at " + ", ".join(
                         f"{k}={v}" for k, v in params.items()))
-            if kind != "poly":   # scalar and valuation checkers ignore it
-                mode = "symbolic" if kind == "scalar" else "valuation"
             started = time.perf_counter()
             try:
                 result = body(**params)
@@ -301,13 +253,6 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
                     passed = result == 0
                 elif kind == "valuation":
                     residual, passed = result, result >= params["precision"]
-                elif mode == "pointwise":
-                    lhs, rhs, *lemmas = result
-                    degs = [p.degree for p in (lhs, rhs) if p]
-                    diffs = [lhs(t) - rhs(t)
-                             for t in _sample_points(max(degs, default=0) + 1)]
-                    residual = next((d for d in diffs if d), Fraction(0))
-                    passed = not any(diffs) and not any(lemmas)
                 else:
                     lhs, rhs, *lemmas = result
                     # both sides are normalized, so equal coefficient tuples
@@ -328,18 +273,18 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
             return IdentityReport(cid, params, mode, residual, passed, elapsed)
 
         @wraps(body)
-        def check(*args, mode: str = "symbolic", **kwargs) -> IdentityReport:
+        def check(*args, **kwargs) -> IdentityReport:
             params = _signature(body).bind(*args, **kwargs)
             params.apply_defaults()
             for name, t in typed:
                 if t is Fraction and type(params.arguments[name]) is int:
                     params.arguments[name] = Fraction(params.arguments[name])
-            return run(params.arguments, mode)
+            return run(params.arguments)
 
         def sweep(grid):
             return (params for params in gen(grid) if where(**params))
 
-        CHECKERS[cid] = Checker(cid, run, gen if where is None else sweep)
+        CHECKERS[cid] = Checker(run, gen if where is None else sweep)
         return check
     return register
 
@@ -833,17 +778,16 @@ def check_lem1(f: Polynomial, p: int, precision: int, index=None):
 CHECKER_IDS = tuple(CHECKERS)
 
 
-def run_suite(ids=None, grid: SweepGrid | None = None,
-              mode: str = "symbolic") -> list[IdentityReport]:
+def run_suite(ids=None, grid: SweepGrid | None = None) -> list[IdentityReport]:
     """Run the selected checkers over a bounded grid.
 
     Reports come back in canonical order (id, then ascending parameters),
-    independent of how the work is executed. Unknown ids and an unknown
-    mode are usage errors, and a grid that is not a ``SweepGrid`` a
-    ``TypeError``, raised before any check runs. Grid values outside a
-    checker's ``where`` are skipped for that checker, so a checker may
-    yield no report at all. A checker whose body raises anything but
-    ``ValueError`` fails its report, and the run goes on.
+    independent of how the work is executed. Unknown ids are a usage
+    error, and a grid that is not a ``SweepGrid`` a ``TypeError``, raised
+    before any check runs. Grid values outside a checker's ``where`` are
+    skipped for that checker, so a checker may yield no report at all. A
+    checker whose body raises anything but ``ValueError`` fails its
+    report, and the run goes on.
 
     Each checker's params are drawn first. ``_sweep_workers`` then decides
     how many processes run the sweeps (``_forked_suite``); whatever sweep
@@ -851,7 +795,6 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
     ``ValueError`` a body raises in canonical order, are the same either
     way.
     """
-    _require_mode(mode)
     if grid is None:
         grid = SweepGrid()
     elif not isinstance(grid, SweepGrid):
@@ -865,11 +808,11 @@ def run_suite(ids=None, grid: SweepGrid | None = None,
         raise ValueError(f"unknown checker id(s): {', '.join(sorted(unknown))}")
     sweeps = [(cid, list(CHECKERS[cid].gen(grid))) for cid in sorted(set(ids))]
     workers = _sweep_workers(sweeps)
-    done = _forked_suite(sweeps, mode, workers) if workers > 1 else {}
+    done = _forked_suite(sweeps, workers) if workers > 1 else {}
     # what no worker returned runs here, in canonical order
     reports: list[IdentityReport] = []
     for i, (cid, todo) in enumerate(sweeps):
-        reports += done[i] if i in done else _sweep(cid, todo, mode)
+        reports += done[i] if i in done else _sweep(cid, todo)
     return reports
 
 
@@ -890,12 +833,12 @@ def _sweep_workers(sweeps) -> int:
     return min(cpus(), len(sweeps))
 
 
-def _sweep(cid: str, todo: list, mode: str) -> list:
+def _sweep(cid: str, todo: list) -> list:
     """Checker ``cid``'s reports on the params ``todo``, which its sweep has
     filtered; the sweep's memos go with it."""
     run = CHECKERS[cid].run
     try:
-        return [run(params, mode, swept=True) for params in todo]
+        return [run(params, swept=True) for params in todo]
     finally:
         _drop_sweep_memos()
 
@@ -919,7 +862,7 @@ def child_stats(collect):
         _CHILD_STATS = previous
 
 
-def _forked_suite(sweeps, mode: str, workers: int) -> dict:
+def _forked_suite(sweeps, workers: int) -> dict:
     """The reports of the sweeps that the caller and ``workers`` - 1 forked
     children (``workers.forked``) ran, by sweep index. A pipe holds one byte
     per sweep, its index, most reports first; each process claims a sweep
@@ -948,7 +891,7 @@ def _forked_suite(sweeps, mode: str, workers: int) -> dict:
                 yield index[0]
 
         def child() -> bytes:
-            rows = {i: list(map(tuple, _sweep(*sweeps[i], mode)))
+            rows = {i: list(map(tuple, _sweep(*sweeps[i])))
                     for i in claimed()}
             return pickle.dumps((stats and stats[0](), rows),
                                 pickle.HIGHEST_PROTOCOL)
@@ -956,7 +899,7 @@ def _forked_suite(sweeps, mode: str, workers: int) -> dict:
         with forked([child] * (workers - 1)) as results:
             for i in claimed():
                 try:
-                    done[i] = _sweep(*sweeps[i], mode)
+                    done[i] = _sweep(*sweeps[i])
                 except ValueError:
                     break
             for data in results():

@@ -22,7 +22,7 @@ from operator import floordiv, mul, neg
 
 from .numeric import falling_factorial, format_rational
 
-__all__ = ["Polynomial", "monomial", "taylor_shift", "X"]
+__all__ = ["Polynomial", "monomial", "taylor_shift"]
 
 
 class Polynomial:
@@ -116,19 +116,6 @@ class Polynomial:
         return Polynomial.scaled(out, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError(f"polynomial power must be >= 0, got {e}")
-        result = Polynomial((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def derivative(self, k: int = 1) -> "Polynomial":
         """Formal k-th derivative: x**i maps to i(i-1)...(i-k+1) x**(i-k)."""
@@ -259,6 +246,3 @@ def monomial(k: int, coeff=1) -> Polynomial:
     if k < 0:
         raise ValueError(f"monomial degree must be >= 0, got {k}")
     return Polynomial((0,) * k + (coeff,))
-
-
-X = Polynomial((0, 1))

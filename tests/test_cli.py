@@ -185,7 +185,7 @@ def test_a_refused_grid_runs_no_checker(capsys, monkeypatch, argv, message):
     calls = []
     for cid in list(ident.CHECKERS):
         monkeypatch.setitem(ident.CHECKERS, cid, ident.Checker(
-            cid, lambda *args, cid=cid: calls.append(cid),
+            lambda *args, cid=cid: calls.append(cid),
             lambda grid, cid=cid: calls.append(cid) or iter(())))
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
     assert calls == []

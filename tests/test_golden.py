@@ -1,8 +1,9 @@
 """Golden gate: the bytes of `verify all` on the desk grid, in every format,
-the reports of the pointwise suite, the bytes of `verify thm2` on a grid
-with k = 0 and k up to 6 (every format), the bytes of `witt --naive` on two
-small cases in every format, and the bytes of `poly 135`, `numbers 60`
-(every format) and `eval 60 7/3`.
+the reports of the desk grid judged pointwise (by interpolation, below),
+the bytes of `verify thm2` on a grid with k = 0 and k up to 6 (every
+format), the bytes of `witt --naive` on two small cases in every format,
+and the bytes of `poly 135`, `numbers 60` (every format) and
+`eval 60 7/3`.
 
 The reports carry timings, so they are cut out before hashing: every
 `"elapsed_ms": ...` line of the JSON (with the comma before it), the last
@@ -16,13 +17,16 @@ stored. When the output is meant to change, print the new values with
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from eulerferm import cli
-from eulerferm.identities import report_to_dict, run_suite
+from eulerferm import cli, identities
+from eulerferm.identities import run_suite
+from eulerferm.polynomial import Polynomial
 
 GOLDEN_SHA256 = {
     "json": "306ea0120a6c8a08fedb7b0d7545294f88a3592bb9e46c7a0ecc541792142f03",
@@ -93,6 +97,80 @@ TABLE_SHA256 = {
         "36b66e60d43855f3ac7643d4ed368248e23a6e9a152bb6440d2ba6088130d11c",
 }
 
+
+def report_to_dict(report) -> dict:
+    """The JSON object of one report, {id, params, mode, residual, pass,
+    elapsed_ms}, mapped here by ``_jsonable`` and not by the writer's code,
+    so it can stand as the writer's oracle."""
+    return {
+        "id": report.checker,
+        "params": {k: _jsonable(v) for k, v in report.params.items()},
+        "mode": report.mode,
+        "residual": _jsonable(report.residual),
+        "pass": report.passed,
+        "elapsed_ms": report.elapsed_ms,
+    }
+
+
+def _jsonable(value):
+    """An int or bool as it is, a Fraction as its rational string, a
+    Polynomial as its coefficient strings, a list or tuple item by item,
+    and anything else as ``str``."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Polynomial):
+        return [str(c) for c in value.coeffs]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return str(value)
+
+
+def interpolate(lhs, rhs, *lemmas):
+    """The interpolation judge of a poly body's result: both sides at
+    degree + 1 distinct points 0, 1, -1, 2, -2, ..., where every difference
+    vanishes only if lhs = rhs, and every lemma residual zero. Returns
+    (the first nonzero difference, or 0; whether it passes). It never forms
+    the residual polynomial, so it shares no judging code with the
+    driver, but it reads the same sides."""
+    degree = max((p.degree for p in (lhs, rhs) if p), default=0)
+    points = [Fraction((i + 1) // 2 * (-1) ** (i + 1))
+              for i in range(degree + 1)]
+    diffs = [lhs(t) - rhs(t) for t in points]
+    return (next((d for d in diffs if d), Fraction(0)),
+            not any(diffs) and not any(lemmas))
+
+
+def pointwise(reports, body=None):
+    """One checker's reports, in the order of its sweep, judged again by
+    ``interpolate``, with mode ``"pointwise"``: from the sides that ``body``
+    (by default the checker's own) gives at each report's params, called as
+    the sweep calls it, with the sweep's memos, which are dropped at the end.
+    A report of a scalar or valuation checker, or one whose body raised,
+    holds no Polynomial residual and comes back as it is."""
+    judged = []
+    try:
+        for r in reports:
+            if isinstance(r.residual, Polynomial):
+                own = getattr(identities, f"check_{r.checker}").__wrapped__
+                residual, passed = interpolate(*(body or own)(**r.params))
+                r = r._replace(mode="pointwise", residual=residual,
+                               passed=passed)
+            judged.append(r)
+    finally:
+        identities._drop_sweep_memos()
+    return judged
+
+
+def judged_suite(ids=None, grid=None, judge="symbolic"):
+    """``run_suite(ids, grid)``, each checker's reports judged
+    ``pointwise`` when ``judge`` says so."""
+    reports = run_suite(ids, grid)
+    if judge == "symbolic":
+        return reports
+    return [r for _, sweep in itertools.groupby(reports, lambda r: r.checker)
+            for r in pointwise(sweep)]
+
+
 _ELAPSED = {
     "json": re.compile(r',\n\s*"elapsed_ms": [^\n]*'),
     "csv": re.compile(r",[^,\n]*\r$", re.MULTILINE),
@@ -116,7 +194,7 @@ def verify_digest(argv, fmt: str) -> str:
 
 def desk_grid_digest(fmt: str = "json") -> str:
     if fmt == "pointwise":
-        dicts = [report_to_dict(r) for r in run_suite(mode="pointwise")]
+        dicts = [report_to_dict(r) for r in judged_suite(judge="pointwise")]
         for d in dicts:
             del d["elapsed_ms"]
         return _sha256(json.dumps(dicts))

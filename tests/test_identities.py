@@ -1,7 +1,8 @@
 """Identity checker tests: frozen hand expansions, sweeps, the
-symbolic/pointwise duality, the specialization cross-links, and the suite's
-sweeps on forked children, whose reports equal the serial run's, also when
-a child fails or the caller is interrupted, with no child left behind."""
+interpolation oracle of every poly checker, the specialization cross-links,
+and the suite's sweeps on forked children, whose reports equal the serial
+run's, also when a child fails or the caller is interrupted, with no child
+left behind."""
 
 import _thread
 import copy
@@ -26,7 +27,6 @@ from eulerferm.identities import (
     IdentityReport,
     SweepGrid,
     euler_zero_via_recurrence,
-    report_to_dict,
     run_suite,
 )
 from eulerferm.euler import (
@@ -39,6 +39,7 @@ from eulerferm.euler import (
 )
 from eulerferm.numeric import binomial
 from eulerferm.polynomial import Polynomial, monomial
+from test_golden import interpolate, judged_suite, pointwise, report_to_dict
 from test_padic import _forks_on, _no_child_left, _refuse_fork
 
 F = Fraction
@@ -183,7 +184,9 @@ def test_sun_sweep():
                 assert ident.check_sun(m, n, a).passed
 
 
-# --- symbolic vs pointwise duality -------------------------------------------
+# --- the interpolation oracle ------------------------------------------------
+
+# every checker of the poly kind, with a case off the desk grid
 
 POLY_CHECKS = [
     (ident.check_reflection, (9,)),
@@ -203,11 +206,21 @@ POLY_CHECKS = [
 @pytest.mark.parametrize("fn,args", POLY_CHECKS,
                          ids=[fn.__name__ for fn, _ in POLY_CHECKS])
 def test_pointwise_certification_agrees(fn, args):
-    symbolic = fn(*args, mode="symbolic")
-    pointwise = fn(*args, mode="pointwise")
-    assert symbolic.mode == "symbolic" and pointwise.mode == "pointwise"
-    assert symbolic.passed == pointwise.passed is True
-    assert pointwise.residual == 0
+    # the sides, evaluated at degree + 1 points, certify by interpolation
+    # what the zero residual certifies: at the case and on the desk grid
+    assert interpolate(*fn.__wrapped__(*args)) == (0, True)
+    reports = run_suite([fn.__name__.removeprefix("check_")])
+    assert reports and all(r.passed and r.mode == "symbolic"
+                           for r in reports)
+    for r in pointwise(reports):
+        assert (r.mode, r.residual, r.passed) == ("pointwise", 0, True)
+
+
+def test_the_poly_checks_are_every_checker_that_returns_sides():
+    polys = {r.checker for r in run_suite()
+             if isinstance(r.residual, Polynomial)}
+    assert polys == {fn.__name__.removeprefix("check_")
+                     for fn, _ in POLY_CHECKS}
 
 
 # --- specialization cross-links ----------------------------------------------
@@ -358,10 +371,9 @@ def test_negative_index_is_rejected_by_every_checker(cid):
 def test_the_registered_run_tests_the_domain_before_the_body():
     with pytest.raises(ValueError, match=r"^thm1 is not stated at m=1, n=0, "
                                          r"q=1, k=-1$"):
-        ident.CHECKERS["thm1"].run({"m": 1, "n": 0, "q": 1, "k": -1},
-                                   "symbolic")
+        ident.CHECKERS["thm1"].run({"m": 1, "n": 0, "q": 1, "k": -1})
     with pytest.raises(ValueError, match=r"^wsp9 is not stated at m=0, n=0$"):
-        ident.CHECKERS["wsp9"].run({"m": 0, "n": 0}, "symbolic")
+        ident.CHECKERS["wsp9"].run({"m": 0, "n": 0})
     with pytest.raises(ValueError, match=r"^thm1 is not stated at .* k=-1.0$"):
         ident.check_thm1(1, 0, 1, -1.0)
     with pytest.raises(ValueError, match=r"^cro2 is not stated at n=1.5$"):
@@ -373,13 +385,13 @@ def test_the_registered_run_refuses_missing_and_extra_params(cid):
     # a malformed dict is a usage error, never a report
     params = next(iter(ident.CHECKERS[cid].gen(SweepGrid())))
     run = ident.CHECKERS[cid].run
-    assert run(params, "symbolic").passed
+    assert run(params).passed
     *kept, _ = params
     for bad in ({}, {k: params[k] for k in kept}, {**params, "x": 1}):
         with pytest.raises(ValueError, match=f"^{cid} takes params "
                            f"{', '.join(params)}, got "
                            f"{', '.join(bad) or 'none'}$"):
-            run(bad, "symbolic")
+            run(bad)
 
 
 def test_a_sweep_tests_each_reports_domain_once():
@@ -442,7 +454,7 @@ def test_a_where_only_sweep_yields_only_stated_params(cid):
         swept = list(entry.gen(grid))
         assert swept, name
         for params in swept:
-            assert entry.run(params, "symbolic").passed, (name, params)
+            assert entry.run(params).passed, (name, params)
 
 
 def test_run_suite_refuses_a_grid_that_is_not_a_sweep_grid(monkeypatch):
@@ -451,7 +463,7 @@ def test_run_suite_refuses_a_grid_that_is_not_a_sweep_grid(monkeypatch):
     calls = []
     for cid in list(ident.CHECKERS):
         monkeypatch.setitem(ident.CHECKERS, cid, ident.Checker(
-            cid, lambda *args: calls.append(args),
+            lambda *args: calls.append(args),
             lambda grid: calls.append(grid) or iter(())))
     plain = namedtuple("Plain", SweepGrid._fields)(*SweepGrid())
     for grid in (plain, plain._replace(m=(-1, 2))):
@@ -474,14 +486,16 @@ _FALSE_TWINS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+@pytest.mark.parametrize("judge", ["symbolic", "pointwise"])
 @pytest.mark.parametrize("cid", CHECKER_IDS)
-def test_a_false_twin_fails_through_the_sweep(monkeypatch, cid, mode):
+def test_a_false_twin_fails_through_the_sweep(monkeypatch, cid, judge):
     # every checker's body is swapped for one whose result is perturbed, so
-    # each branch of the judging step must turn it into FAIL
-    true = run_suite([cid], mode=mode)
-    kind = {"valuation": "valuation", "symbolic": "scalar",
-            "pointwise": "poly"}[run_suite([cid], mode="pointwise")[0].mode]
+    # each branch of the judging step, and the interpolation oracle, must
+    # turn it into FAIL
+    true = judged_suite([cid], judge=judge)
+    first = run_suite([cid])[0]
+    kind = ("valuation" if first.mode == "valuation" else
+            "poly" if isinstance(first.residual, Polynomial) else "scalar")
     body = getattr(ident, f"check_{cid}").__wrapped__
     twin = _FALSE_TWINS[kind]
 
@@ -496,7 +510,9 @@ def test_a_false_twin_fails_through_the_sweep(monkeypatch, cid, mode):
     ident.checker(cid, ident.CHECKERS[cid].gen, kind,
                   report_params=ident._lem1_params if cid == "lem1" else None
                   )(false_twin)
-    false = run_suite([cid], mode=mode)
+    false = run_suite([cid])
+    if judge == "pointwise":
+        false = pointwise(false, false_twin)
     assert [r.params for r in false] == [r.params for r in true]
     assert all(r.passed for r in true)
     if kind == "valuation":
@@ -697,8 +713,8 @@ def test_gf_consistency_grows_one_recurrence_table(monkeypatch):
 
 
 def test_gf_consistency_passes_at_degree_120():
-    for mode in ("symbolic", "pointwise"):
-        assert ident.check_gf_consistency(120, mode=mode).passed
+    assert ident.check_gf_consistency(120).passed
+    assert pointwise([ident.check_gf_consistency(120)])[0].passed
 
 
 def _off_at_five(n):
@@ -713,8 +729,8 @@ def _off_at_five(n):
 ], ids=["euler_poly_by_differences", "_RECURRENCE"])
 def test_gf_consistency_compares_each_oracle(monkeypatch, oracle, fake):
     monkeypatch.setattr(ident, oracle, fake)
-    for mode in ("symbolic", "pointwise"):
-        reports = run_suite(["gf_consistency"], mode=mode)
+    for judge in ("symbolic", "pointwise"):
+        reports = judged_suite(["gf_consistency"], judge=judge)
         assert [r.params["n"] for r in reports if not r.passed] == [5]
 
 
@@ -726,27 +742,16 @@ def test_run_suite_subset_and_unknown():
         run_suite(ids=["nosuch"], grid=SMALL_GRID)
 
 
-def test_run_suite_pointwise_mode():
-    reports = run_suite(ids=["wsp7", "witt"], grid=SMALL_GRID,
-                        mode="pointwise")
-    modes = {r.checker: r.mode for r in reports}
-    assert modes["wsp7"] == "pointwise"
-    assert modes["witt"] == "valuation"
+def test_each_report_names_its_checkers_certificate():
+    # valuation for the two p-adic checkers, symbolic for the other 26, in
+    # a sweep and in a direct call
+    reports = run_suite()
+    assert {(r.checker, r.mode) for r in reports} == {
+        (cid, "valuation" if cid in ("witt", "lem1") else "symbolic")
+        for cid in CHECKER_IDS}
     assert all(r.passed for r in reports)
-
-
-def test_unknown_mode_is_rejected_before_any_check():
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        run_suite(["cro2"], mode="bogus")
-    # a selection with nothing in its domain still validates the mode
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        run_suite(["rem2_1"], SweepGrid(m=(0, 1)), mode="bogus")
-    # the driver rejects it before the body, whose own domain error would
-    # otherwise come first
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        ident.CHECKERS["wsp9"].run({"m": 0, "n": 0}, "bogus")
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        ident.check_cro2(1, mode="bogus")
+    assert ident.check_wsp7(1, 0).mode == "symbolic"
+    assert ident.check_witt(0, F(1, 2), 3, 2).mode == "valuation"
 
 
 def test_non_integral_shift_is_a_value_error():
@@ -817,7 +822,7 @@ def test_a_typed_param_refuses_other_types(cid, params, via):
     # call's int shift is converted, never a bool, float or str
     with pytest.raises(ValueError, match=f"^{cid} is not stated at "):
         if via == "run":
-            ident.CHECKERS[cid].run(params, "symbolic")
+            ident.CHECKERS[cid].run(params)
         else:
             getattr(ident, f"check_{cid}")(**params)
 
@@ -841,12 +846,12 @@ def _untimed(reports) -> list:
     return [r._replace(elapsed_ms=0.0) for r in reports]
 
 
-def _serial(ids, grid, mode="symbolic") -> list:
+def _serial(ids, grid) -> list:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0},
                       raising=False)
         patch.setattr(os, "fork", _refuse_fork)
-        return _untimed(run_suite(ids, grid, mode))
+        return _untimed(run_suite(ids, grid))
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -858,11 +863,11 @@ def test_forked_sweeps_equal_the_serial_run(monkeypatch, cpus, grid):
     assert _untimed(run_suite(None, grid)) == want
     _no_child_left()
     assert len(forks) == cpus - 1
-    # a subset, in pointwise mode, with the ids given out of order and twice
+    # a subset, with the ids given out of order and twice
     ids = ["thm2", "sun", "wsp7", "lem1", "sun", "thm1", "cro2"]
-    want = _serial(ids, grid, "pointwise")
+    want = _serial(ids, grid)
     assert len(want) >= ident._SWEEP_CUT
-    assert _untimed(run_suite(ids, grid, "pointwise")) == want
+    assert _untimed(run_suite(ids, grid)) == want
     _no_child_left()
     assert len(forks) == 2 * (cpus - 1)
 
@@ -871,9 +876,9 @@ def test_sweeps_are_handed_out_most_reports_first(monkeypatch):
     # each process claims the next sweep by reading its index off one pipe
     claimed, sweep = [], ident._sweep
 
-    def noted(cid, todo, mode):
+    def noted(cid, todo):
         claimed.append((cid, len(todo)))
-        return sweep(cid, todo, mode)
+        return sweep(cid, todo)
 
     def no_fork():
         raise OSError(errno.EAGAIN, "injected")
@@ -942,10 +947,10 @@ def test_the_first_value_error_in_canonical_order_is_raised(monkeypatch):
     # serial run raises its error
     sweep = ident._sweep
 
-    def refusing(cid, todo, mode):
+    def refusing(cid, todo):
         if cid in ("thm2", "sun"):
             raise ValueError(f"{cid} refused")
-        return sweep(cid, todo, mode)
+        return sweep(cid, todo)
 
     monkeypatch.setattr(ident, "_sweep", refusing)
     for cpus in (1, 2, 3):

@@ -13,7 +13,9 @@ kept here as the reference, and every checker that uses the sums must
 still fail when a table entry is wrong.
 """
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -42,16 +44,22 @@ from eulerferm.padic import (
     valuation,
 )
 from eulerferm.polynomial import Polynomial, monomial
+from test_golden import judged_suite
 
 F = Fraction
 
 
+def _power(p, e):
+    """p**e as e repeated products."""
+    return functools.reduce(operator.mul, [p] * e, Polynomial((1,)))
+
+
 def _pivot_at(a0, m, n, s):
     """thm2's pivot P(x; a0) as a univariate polynomial in x over Q."""
-    return Polynomial((a0, 1)) ** (m + 1) \
-        * Polynomial((a0 - (s + 1), 1)) ** (n + 1) \
-        + (-1) ** (m + n) * (Polynomial((-a0, 1)) ** (n + 1)
-                             * Polynomial((-a0 - (s + 1), 1)) ** (m + 1))
+    return _power(Polynomial((a0, 1)), m + 1) \
+        * _power(Polynomial((a0 - (s + 1), 1)), n + 1) \
+        + (-1) ** (m + n) * (_power(Polynomial((-a0, 1)), n + 1)
+                             * _power(Polynomial((-a0 - (s + 1), 1)), m + 1))
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
@@ -132,12 +140,13 @@ def test_packed_pivot_equals_row_sum_property(m, n, s, k):
     assert ident._pivot_taylor_sum(m, n, s, k) == _pivot_by_rows(m, n, s, k)
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+@pytest.mark.parametrize("judge", ["symbolic", "pointwise"])
 @pytest.mark.parametrize("row,fails", [
     ((1, 2), {"fersim3", "thm2"}), ((2, 3), {"fersim3", "thm2"}),
     ((2, 5), {"fersim3", "thm2"}), ((-1, 3), {"thm2"}), ((-3, 2), {"thm2"})],
     ids=[f"row{i}" for i in range(5)])
-def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row, fails):
+def test_corrupted_binomial_row_fails_fersim3(monkeypatch, judge, row,
+                                              fails):
     # one row, (a + c)**e, reads its coefficient of a off by one; fersim3
     # reads the rows (i, n) with i < q, and thm2's shift sums the rows
     # (l, M) and (l - s - 1, M2) with 1 <= l <= s, so a negative c reaches
@@ -151,15 +160,15 @@ def test_corrupted_binomial_row_fails_fersim3(monkeypatch, mode, row, fails):
         return coeffs
 
     ids = ["fersim3", "thm2"]
-    assert all(r.passed for r in run_suite(ids, mode=mode))
+    assert all(r.passed for r in judged_suite(ids, judge=judge))
     monkeypatch.setattr(ident, "_binomial_row", corrupted)
-    assert {r.checker for r in run_suite(ids, mode=mode)
+    assert {r.checker for r in judged_suite(ids, judge=judge)
             if not r.passed} == fails
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
+@pytest.mark.parametrize("judge", ["symbolic", "pointwise"])
 @pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2, 1), (1, 2, 2)])
-def test_corrupted_shift_sum_fails_thm2(monkeypatch, mode, shape):
+def test_corrupted_shift_sum_fails_thm2(monkeypatch, judge, shape):
     # one shift sum G at (M, M2, s) reads its coefficient g_1 off by one;
     # the coefficients are a tuple, so the sweep's memo cannot be edited in
     # place
@@ -171,9 +180,10 @@ def test_corrupted_shift_sum_fails_thm2(monkeypatch, mode, shape):
             coeffs = coeffs[:1] + (coeffs[1] + 1,) + coeffs[2:]
         return coeffs
 
-    assert all(r.passed for r in run_suite(["thm2"], mode=mode))
+    assert all(r.passed for r in judged_suite(["thm2"], judge=judge))
     monkeypatch.setattr(ident, "_shift_sum", corrupted)
-    failed = [r for r in run_suite(["thm2"], mode=mode) if not r.passed]
+    failed = [r for r in judged_suite(["thm2"], judge=judge)
+              if not r.passed]
     assert failed and not any(isinstance(r.residual, str) for r in failed)
 
 
@@ -400,11 +410,10 @@ def test_direct_calls_leave_no_memo(monkeypatch):
     assert ident._MOMENTS
     assert ident.check_witt(4, F(1, 2), 5, 2).passed
     assert ident._MOMENTS == {}
-    assert ident.CHECKERS["sun"].run({"m": 3, "n": 2, "a": F(1, 2)},
-                                     "pointwise").passed
-    assert ident.CHECKERS["thm2"].run(thm2, "symbolic").passed
+    assert ident.CHECKERS["sun"].run({"m": 3, "n": 2, "a": F(1, 2)}).passed
+    assert ident.CHECKERS["thm2"].run(thm2).passed
     ident.check_witt.__wrapped__(4, F(1, 2), 5, 2)
-    assert ident.CHECKERS["lem1"].run(lem1, "symbolic").passed
+    assert ident.CHECKERS["lem1"].run(lem1).passed
     assert cache._sums == {} and not _shift_sums()
     assert ident._MOMENTS == {}
 
@@ -615,10 +624,10 @@ class _LaggingT(EulerCache):
         return [(c.numerator, 1, left), (1, 1, right)]
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
-def test_lagging_t_power_fails_sun(monkeypatch, mode):
+@pytest.mark.parametrize("judge", ["symbolic", "pointwise"])
+def test_lagging_t_power_fails_sun(monkeypatch, judge):
     monkeypatch.setattr(euler, "_CACHE", _LaggingT())
-    reports = run_suite(["sun", "thm1", "thm2", "wsp7"], mode=mode)
+    reports = judged_suite(["sun", "thm1", "thm2", "wsp7"], judge=judge)
     failed = {(r.checker, r.params.get("a")) for r in reports if not r.passed}
     # an integer a has t = 1, where the two steps agree; wsp7, thm1 and
     # thm2 read integer weights c only
@@ -852,7 +861,7 @@ def test_corrupted_tangent_number_fails_gf_consistency(monkeypatch):
 def test_corrupted_difference_weight_fails_gf_consistency(monkeypatch):
     """c_1 one too large makes the finite-difference oracle read
     2**n E_n(x) - (x + 1)**n for every n >= 1, so gf_consistency fails at
-    each n >= 1 of the desk grid, in both modes; n = 0 has no c_1."""
+    each n >= 1 of the desk grid, by either judge; n = 0 has no c_1."""
     true_weights = euler._difference_weights
 
     def corrupted(n):
@@ -863,8 +872,8 @@ def test_corrupted_difference_weight_fails_gf_consistency(monkeypatch):
 
     monkeypatch.setattr(euler, "_difference_weights", corrupted)
     assert euler.euler_poly_by_differences(3) != euler_poly(3)
-    for mode in ("symbolic", "pointwise"):
-        reports = run_suite(["gf_consistency"], mode=mode)
+    for judge in ("symbolic", "pointwise"):
+        reports = judged_suite(["gf_consistency"], judge=judge)
         assert [r.params["n"] for r in reports if not r.passed] == \
             [1, 2, 3, 4, 5, 6]
 

@@ -4,7 +4,7 @@ The mutants corrupt the E_n table, the tangent numbers, the Pascal step of
 the binomial E-sums, the moments of the p-adic certificates, the
 alternating power sums, the integer core of the E-sums, the Taylor shift
 under ``compose_affine`` and the signs of thm2's pivot. Every mutant runs
-the whole catalog on the desk grid in symbolic mode, and the set of
+the whole catalog on the desk grid, and the set of
 checkers that still pass everywhere (the survivors) must equal the
 documented blind spots exactly. A new blind spot fails here, and so does
 one that a change silently closes. Reference: DeMillo, Lipton & Sayward,
@@ -23,6 +23,7 @@ from eulerferm import euler, identities as ident, padic, polynomial
 from eulerferm.euler import EulerCache, tangent_numbers
 from eulerferm.identities import CHECKER_IDS, CHECKERS, SweepGrid, run_suite
 from eulerferm.polynomial import Polynomial, monomial, taylor_shift
+from test_golden import pointwise
 
 # read only E_k(0), from the column s_k, never the E table
 E_ZERO_IDS = {"cro0", "cro1", "cro2", "recurrence_odd", "thm2_cro1",
@@ -66,15 +67,17 @@ def test_e_table_mutant_survivors(monkeypatch, n, i):
     assert _survivors(monkeypatch, _BumpedCoefficient(n, i)) == expected
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "pointwise"])
-def test_a_failing_report_carries_the_whole_residual(monkeypatch, mode):
-    # E_2 + 3a makes wsp7 at m = n = 1 read -6a; symbolic mode reports the
-    # body's lhs - rhs, pointwise mode its first nonzero difference
+@pytest.mark.parametrize("judge", ["symbolic", "pointwise"])
+def test_a_failing_report_carries_the_whole_residual(monkeypatch, judge):
+    # E_2 + 3a makes wsp7 at m = n = 1 read -6a; the driver reports the
+    # body's lhs - rhs, the interpolation judge its first nonzero difference
     monkeypatch.setattr(euler, "_CACHE", _BumpedCoefficient(2, 1))
     lhs, rhs = ident.check_wsp7.__wrapped__(1, 1)
-    report = ident.check_wsp7(1, 1, mode=mode)
+    report = ident.check_wsp7(1, 1)
+    if judge == "pointwise":
+        report, = pointwise([report])
     assert not report.passed
-    if mode == "symbolic":
+    if judge == "symbolic":
         assert report.residual == lhs - rhs == monomial(1, -6)
     else:
         assert report.residual == lhs(1) - rhs(1) == -6
@@ -186,7 +189,7 @@ def test_fold_mutant_is_read_after_a_plain_digit_sum(monkeypatch, cid):
     degree = 4 if cid == "witt" else params["f"].degree
     padic.fermionic_sum_digits(monomial(degree), 3, 2)
     monkeypatch.setattr(padic, "_fold_rows", _rows_times_p)
-    assert not CHECKERS[cid].run(params, "symbolic").passed
+    assert not CHECKERS[cid].run(params).passed
     assert _survivors(monkeypatch, EulerCache()) == \
         set(CHECKER_IDS) - {"witt", "lem1"}
 

@@ -27,12 +27,11 @@ from eulerferm.identities import (
     CHECKER_IDS,
     IdentityReport,
     SweepGrid,
-    report_to_dict,
     run_suite,
 )
 from eulerferm.polynomial import Polynomial
 from test_cli import _CrashingCache
-from test_golden import _ELAPSED, THM2_ARGV
+from test_golden import _ELAPSED, THM2_ARGV, report_to_dict
 from test_mutation import _BumpedCoefficient
 
 FORMATS = ("text", "json", "csv", "md")
