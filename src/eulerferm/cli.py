@@ -28,10 +28,13 @@ the same either way.
 found by any checker still exits 2 with empty stdout; its checker sweeps
 run on every CPU the process may use, once they hold enough reports
 (``identities.run_suite``), with the same bytes less elapsed_ms. Then it
-writes the
-reports one by one, each rendered and dropped before the next: the bytes
-are those of one ``json.dumps(reports, indent=2)`` (or one table), but the
-memory is one report's. Every format reads a report's own fields, and a
+writes the header, each checker's sweep in canonical order and the
+summary: the bytes of one ``json.dumps(reports, indent=2)`` (or one
+table). Where the sweeps were shared, each process rendered every sweep it
+ran right after running it, and this process writes that text as it came;
+where it ran them alone, it writes the reports one by one, each
+rendered and dropped before the next, so the memory is one report's.
+Every format reads a report's own fields, and a
 value renders by its type alone: in JSON reports and CSV cells through one
 leaf encoder, ``_json``, which reads an int, Fraction, str or bool and a
 zero Polynomial off its exact type and maps any other value by
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -279,13 +283,21 @@ def _json(value, indent=None) -> str:
     return f"[\n{inner}{items}\n{indent}]"
 
 
-def _emit_reports(reports, fmt: str) -> None:
-    """Write each report as it is reached, then the summary line: the bytes
-    of one batch rendering, with one report's rendering alive at a time.
-    Every format reads the report's own fields."""
-    write = sys.stdout.write
+# what each format writes before the first report
+_HEADERS = {"json": "[",
+            "csv": "id,params,mode,residual,pass,elapsed_ms\r\n",
+            "md": "| id | params | mode | residual | pass |\n"
+                  "| -- | ------ | ---- | -------- | ---- |\n",
+            "text": ""}
+
+
+def _write_sweep(reports, fmt: str, out) -> None:
+    """Write one sweep's reports to the text stream ``out``, each rendered
+    and dropped before the next. Every format reads the report's own
+    fields. JSON reports are joined by commas; the comma between two sweeps
+    is ``_emit_reports``'s to write."""
+    write = out.write
     if fmt == "json":
-        write("[")
         for i, r in enumerate(reports):
             # the params object is laid out here: a dict inside it is a
             # value like any other, which _json maps by _jsonable
@@ -300,22 +312,16 @@ def _emit_reports(reports, fmt: str) -> None:
                   f'    "residual": {_json(r.residual, "    ")},\n'
                   f'    "pass": {"true" if r.passed else "false"},\n'
                   f'    "elapsed_ms": {r.elapsed_ms!r}\n  }}')
-        write("\n]\n" if reports else "]\n")
     elif fmt == "csv":
         import csv   # only here: no other command or format reads it
 
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["id", "params", "mode", "residual", "pass",
-                         "elapsed_ms"])
+        writerow = csv.writer(out).writerow
         for r in reports:
             params = ", ".join([f"{encode_basestring_ascii(k)}: {_json(v)}"
                                 for k, v in r.params.items()])
-            writer.writerow([r.checker, "{" + params + "}", r.mode,
-                             _json(r.residual), r.passed,
-                             f"{r.elapsed_ms:.3f}"])
+            writerow([r.checker, "{" + params + "}", r.mode,
+                      _json(r.residual), r.passed, f"{r.elapsed_ms:.3f}"])
     elif fmt == "md":
-        write("| id | params | mode | residual | pass |\n"
-              "| -- | ------ | ---- | -------- | ---- |\n")
         for r in reports:
             write(f"| {r.checker} | {_params_text(r.params)} | {r.mode} "
                   f"| {_text(r.residual)} "
@@ -324,9 +330,53 @@ def _emit_reports(reports, fmt: str) -> None:
         for r in reports:
             write(f"{'PASS' if r.passed else 'FAIL'} {r.checker} "
                   f"{_params_text(r.params)} residual={_text(r.residual)}\n")
-    total, passed = len(reports), sum(r.passed for r in reports)
-    write(f"PASS {passed}/{total}\n" if passed == total
-          else f"FAIL {total - passed}/{total}\n")
+
+
+def _summary(fmt: str, passed: int, total: int) -> str:
+    """What follows the last report: JSON's closing bracket, then the
+    verdict line."""
+    close = ("\n]\n" if total else "]\n") if fmt == "json" else ""
+    return close + (f"PASS {passed}/{total}\n" if passed == total
+                    else f"FAIL {total - passed}/{total}\n")
+
+
+def _rendered(fmt: str, stats: bool):
+    """The hook by which ``run_suite`` renders a sweep in the process that
+    ran it: the sweep's text in ``fmt`` (``_write_sweep``), its pass and
+    report counts and, with ``stats``, its ``--stats`` row, as a plain
+    tuple, which ``marshal`` sends back from a forked child."""
+    def render(reports) -> tuple:
+        out = io.StringIO()
+        _write_sweep(reports, fmt, out)
+        return (out.getvalue(), sum(r.passed for r in reports), len(reports),
+                _stats_row(reports) if stats and reports else None)
+    return render
+
+
+def _emit_reports(sweeps, fmt: str) -> int:
+    """Write the header, each sweep in canonical order, then the summary;
+    return the number of failing reports. The bytes are those of one batch
+    rendering. A sweep this process ran alone comes as its list of reports,
+    written one by one, so one report's rendering is alive at a time; a
+    sweep rendered where it ran comes as ``_rendered``'s tuple, whose text
+    is written as it is."""
+    write = sys.stdout.write
+    write(_HEADERS[fmt])
+    passed = total = 0
+    for sweep in sweeps:
+        kept = type(sweep) is list
+        count = len(sweep) if kept else sweep[2]
+        if count and total and fmt == "json":
+            write(",")
+        if kept:
+            _write_sweep(sweep, fmt, sys.stdout)
+            passed += sum(r.passed for r in sweep)
+        else:
+            write(sweep[0])
+            passed += sweep[1]
+        total += count
+    write(_summary(fmt, passed, total))
+    return total - passed
 
 
 def _collector_pauses(pauses: list):
@@ -372,25 +422,29 @@ def _peak_rss_mb() -> float:
         2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
-def _print_stats(reports, pauses, children) -> None:
-    """Per checker: reports, passes, total and largest elapsed_ms, and the
-    params of the slowest report; then, over this process and each forked
-    child in ``children`` (``_process_stats`` of each), every table's
-    largest size, the number and total ms of the collector's pauses while
-    the checks ran (which the checker running at the time is charged for
-    too), the largest peak RSS and the number of processes. All of it goes
-    to stderr, so stdout stays the same bytes."""
-    by_checker = {}
-    for r in reports:
-        by_checker.setdefault(r.checker, []).append(r)
-    for cid, group in by_checker.items():
-        slowest = max(group, key=lambda r: r.elapsed_ms)
-        print(f"{cid}: {len(group)} reports, "
-              f"{sum(r.passed for r in group)} pass, "
-              f"{sum(r.elapsed_ms for r in group):.3f} ms total, "
-              f"{slowest.elapsed_ms:.3f} ms max at "
-              f"{_params_text(slowest.params)}",
-              file=sys.stderr)
+def _stats_row(reports) -> str:
+    """One checker's ``--stats`` row: its reports, passes, total and
+    largest elapsed_ms, and the params of its slowest report."""
+    slowest = max(reports, key=lambda r: r.elapsed_ms)
+    return (f"{reports[0].checker}: {len(reports)} reports, "
+            f"{sum(r.passed for r in reports)} pass, "
+            f"{sum(r.elapsed_ms for r in reports):.3f} ms total, "
+            f"{slowest.elapsed_ms:.3f} ms max at "
+            f"{_params_text(slowest.params)}")
+
+
+def _print_stats(sweeps, pauses, children) -> None:
+    """The row of each checker's sweep (``_stats_row``, already made where
+    a sweep was rendered), in canonical order; then, over this process and
+    each forked child in ``children`` (``_process_stats`` of each), every
+    table's largest size, the number and total ms of the collector's pauses
+    while the checks ran (which the checker running at the time is charged
+    for too), the largest peak RSS and the number of processes. All of it
+    goes to stderr, so stdout stays the same bytes."""
+    for sweep in sweeps:
+        row = sweep[3] if type(sweep) is tuple else sweep and _stats_row(sweep)
+        if row:
+            print(row, file=sys.stderr)
     processes = [_process_stats(pauses), *children]
     sizes = {k: max(sizes[k] for sizes, _, _ in processes)
              for k in processes[0][0]}
@@ -421,26 +475,29 @@ def _cmd_verify(args) -> int:
 
         on_phase = _collector_pauses(pauses)
         gc.callbacks.append(on_phase)
-        # each forked child sends its own back with its reports
+        # each forked child sends its own back with its sweeps
         stats = identities.child_stats(lambda: _process_stats(pauses))
     try:
         # each grid option sets the SweepGrid field of the same name
         with stats as children:
-            reports = run_suite(ids, SweepGrid(**{
+            sweeps = run_suite(ids, SweepGrid(**{
                 field: getattr(args, field) for field in _GRID_OPTIONS
-                if getattr(args, field) is not None}))
+                if getattr(args, field) is not None}),
+                _rendered(args.format, args.stats))
     except ValueError as exc:
         return _usage_error(exc)
     finally:
         if args.stats:
             gc.callbacks.remove(on_phase)
-    if not reports:
+    # a rendered sweep's tuple is true: the sweeps were shared because they
+    # held _SWEEP_CUT reports or more
+    if not any(sweeps):
         return _usage_error(f"nothing checked: no grid value lies in the "
                             f"domain of {', '.join(sorted(set(ids)))}")
-    _emit_reports(reports, args.format)
+    failed = _emit_reports(sweeps, args.format)
     if args.stats:
-        _print_stats(reports, pauses, children)
-    return 0 if all(r.passed for r in reports) else 1
+        _print_stats(sweeps, pauses, children)
+    return 1 if failed else 0
 
 
 def _cmd_witt(args) -> int:

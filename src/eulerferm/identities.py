@@ -63,10 +63,13 @@ selected, with ``_SWEEP_CUT`` reports or more between them, and
 extra CPU. The sweeps' indices wait in a pipe, most reports first, and
 each process claims the next by reading one byte. The sweeps share nothing
 but the append-only tables of ``euler``, which each process extends on its
-own, and the memos, which each sweep drops when it ends. A child sends its
-reports back pickled; the caller merges them in canonical order and runs
-any sweep whose child failed again itself, so the reports are those of a
-serial run, less ``elapsed_ms``, and no child outlives the call.
+own, and the memos, which each sweep drops when it ends. Each process hands
+every sweep it runs to a per-sweep hook, ``render``, right after running
+it, and a child sends what the hook returned back by ``marshal``: ``verify``
+renders the sweep's output there, and a library call pickles its reports.
+The caller takes the results in canonical order and runs any sweep whose
+child failed again itself, so the reports are those of a serial run, less
+``elapsed_ms``, and no child outlives the call.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -78,6 +81,7 @@ from __future__ import annotations
 import contextlib
 import inspect
 import itertools
+import marshal
 import math
 import os
 import random
@@ -778,7 +782,7 @@ def check_lem1(f: Polynomial, p: int, precision: int, index=None):
 CHECKER_IDS = tuple(CHECKERS)
 
 
-def run_suite(ids=None, grid: SweepGrid | None = None) -> list[IdentityReport]:
+def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     """Run the selected checkers over a bounded grid.
 
     Reports come back in canonical order (id, then ascending parameters),
@@ -794,6 +798,14 @@ def run_suite(ids=None, grid: SweepGrid | None = None) -> list[IdentityReport]:
     no worker returned runs here, so the reports, and the first
     ``ValueError`` a body raises in canonical order, are the same either
     way.
+
+    Without ``render`` the result is the reports. With it, the result is
+    one entry per selected checker, in canonical order: the sweep's list of
+    reports where this process ran every sweep alone, else
+    ``render(reports)``, called in the process that ran the sweep right
+    after it ran it. A forked child sends what ``render`` returns back by
+    ``marshal``, so it must be built of what marshal writes (str, int,
+    float, None and tuples, lists and dicts of them) and not be a list.
     """
     if grid is None:
         grid = SweepGrid()
@@ -808,12 +820,30 @@ def run_suite(ids=None, grid: SweepGrid | None = None) -> list[IdentityReport]:
         raise ValueError(f"unknown checker id(s): {', '.join(sorted(unknown))}")
     sweeps = [(cid, list(CHECKERS[cid].gen(grid))) for cid in sorted(set(ids))]
     workers = _sweep_workers(sweeps)
-    done = _forked_suite(sweeps, workers) if workers > 1 else {}
+    if workers == 1:
+        by_sweep = [_sweep(cid, todo) for cid, todo in sweeps]
+        if render is not None:
+            return by_sweep
+        return [r for reports in by_sweep for r in reports]
+    hook = _pickled if render is None else render
+    done = _forked_suite(sweeps, workers, hook)
     # what no worker returned runs here, in canonical order
-    reports: list[IdentityReport] = []
-    for i, (cid, todo) in enumerate(sweeps):
-        reports += done[i] if i in done else _sweep(cid, todo)
-    return reports
+    rendered = [done[i] if i in done else hook(_sweep(cid, todo))
+                for i, (cid, todo) in enumerate(sweeps)]
+    if render is not None:
+        return rendered
+    import pickle   # only here: a library call's shared sweeps come pickled
+
+    return [IdentityReport._make(row)
+            for data in rendered for row in pickle.loads(data)]
+
+
+def _pickled(reports) -> bytes:
+    """The per-sweep hook of a library ``run_suite`` call whose sweeps are
+    shared: the reports, pickled as plain tuples."""
+    import pickle
+
+    return pickle.dumps(list(map(tuple, reports)), pickle.HIGHEST_PROTOCOL)
 
 
 # Least number of reports whose sweeps ``run_suite`` shares with forked
@@ -851,8 +881,9 @@ _CHILD_STATS = None
 def child_stats(collect):
     """While the block runs, each forked child of ``run_suite`` calls
     ``collect()`` after its last sweep and sends back what it returns with
-    its reports; the caller appends it to the list this yields. ``verify
-    --stats`` reads each child's tables, collector pauses and peak RSS so."""
+    its sweeps; the caller appends it to the list this yields. It must be
+    built of what ``marshal`` writes. ``verify --stats`` reads each child's
+    tables, collector pauses and peak RSS so."""
     global _CHILD_STATS
     previous, results = _CHILD_STATS, []
     _CHILD_STATS = collect, results
@@ -862,16 +893,15 @@ def child_stats(collect):
         _CHILD_STATS = previous
 
 
-def _forked_suite(sweeps, workers: int) -> dict:
-    """The reports of the sweeps that the caller and ``workers`` - 1 forked
-    children (``workers.forked``) ran, by sweep index. A pipe holds one byte
-    per sweep, its index, most reports first; each process claims a sweep
-    by reading one byte, until the pipe is empty. A child sends its reports
-    back pickled, as plain tuples. A sweep whose child failed, and one that
-    raised ``ValueError`` in the caller, is missing, for ``run_suite`` to
-    run again in canonical order."""
-    import pickle   # only here: a serial run pickles nothing
-
+def _forked_suite(sweeps, workers: int, render) -> dict:
+    """``render(reports)`` of each sweep that the caller and ``workers`` - 1
+    forked children (``workers.forked``) ran, by sweep index. A pipe holds
+    one byte per sweep, its index, most reports first; each process claims
+    a sweep by reading one byte, until the pipe is empty, and renders each
+    sweep right after it runs it. A child sends what it rendered back by
+    ``marshal``. A sweep whose child failed or sent what marshal cannot
+    read, and one that raised ``ValueError`` in the caller, is missing, for
+    ``run_suite`` to run again in canonical order."""
     order = sorted(range(len(sweeps)), key=lambda i: -len(sweeps[i][1]))
     stats = _CHILD_STATS
     done = {}
@@ -891,24 +921,26 @@ def _forked_suite(sweeps, workers: int) -> dict:
                 yield index[0]
 
         def child() -> bytes:
-            rows = {i: list(map(tuple, _sweep(*sweeps[i])))
-                    for i in claimed()}
-            return pickle.dumps((stats and stats[0](), rows),
-                                pickle.HIGHEST_PROTOCOL)
+            rendered = {i: render(_sweep(*sweeps[i])) for i in claimed()}
+            return marshal.dumps((stats and stats[0](), rendered))
 
         with forked([child] * (workers - 1)) as results:
             for i in claimed():
                 try:
-                    done[i] = _sweep(*sweeps[i])
+                    reports = _sweep(*sweeps[i])
                 except ValueError:
                     break
+                done[i] = render(reports)
             for data in results():
-                if data is not None:
-                    collected, rows = pickle.loads(data)
-                    if stats:
-                        stats[1].append(collected)
-                    for i, sweep in rows.items():
-                        done[i] = list(map(IdentityReport._make, sweep))
+                if data is None:
+                    continue
+                try:
+                    collected, rendered = marshal.loads(data)
+                except (EOFError, ValueError):   # a result cut short
+                    continue
+                if stats:
+                    stats[1].append(collected)
+                done.update(rendered)
     finally:
         os.close(queue)
     return done

@@ -278,7 +278,7 @@ def test_a_crashing_checker_fails_without_a_traceback(capsys, monkeypatch,
 def test_verify_failure_exits_1(capsys, monkeypatch):
     fake = [IdentityReport("wsp7", {"m": 0, "n": 0}, "symbolic",
                            Fraction(1), False, 0.1)]
-    monkeypatch.setattr(cli, "run_suite", lambda ids, grid: fake)
+    monkeypatch.setattr(cli, "run_suite", lambda ids, grid, render: [fake])
     code, out, _ = run_cli(capsys, "verify", "wsp7")
     assert code == 1
     assert "FAIL 1/1" in out
