@@ -30,16 +30,14 @@ run on every CPU the process may use, once they hold enough reports
 (``identities.run_suite``), with the same bytes less elapsed_ms. Then it
 writes the header, each checker's sweep in canonical order and the
 summary: the bytes of one ``json.dumps(reports, indent=2)`` (or one
-table). Where the sweeps were shared, each process rendered every sweep it
-ran right after running it, and this process writes that text as it came;
-where it ran them alone, it writes the reports one by one, each
-rendered and dropped before the next, so the memory is one report's.
-Every format reads a report's own fields, and a
-value renders by its type alone: in JSON reports and CSV cells through one
-leaf encoder, ``_json``, which reads an int, Fraction, str or bool and a
-zero Polynomial off its exact type and maps any other value by
-``_jsonable`` (the writer lays out the params object itself);
-in text and md through ``_text``.
+table). Every process that runs a sweep, this one alone too, renders it
+right after running it and drops its reports, and this process holds the
+sweeps' text until it writes them. Every format reads a report's own
+fields, and a value renders by its type alone: in JSON reports and CSV
+cells through one leaf encoder, ``_json``, which reads an int, Fraction,
+str or bool and a zero Polynomial off its exact type and maps any other
+value by ``_jsonable`` (the writer lays out the params object itself); in
+text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes, the
 collector's pauses, the peak RSS and the number of processes on stderr,
 read over every process that ran sweeps; stdout stays the same bytes.
@@ -341,10 +339,10 @@ def _summary(fmt: str, passed: int, total: int) -> str:
 
 
 def _rendered(fmt: str, stats: bool):
-    """The hook by which ``run_suite`` renders a sweep in the process that
-    ran it: the sweep's text in ``fmt`` (``_write_sweep``), its pass and
-    report counts and, with ``stats``, its ``--stats`` row, as a plain
-    tuple, which ``marshal`` sends back from a forked child."""
+    """The ``render`` by which ``run_suite`` renders each sweep in the
+    process that ran it: the sweep's text in ``fmt`` (``_write_sweep``),
+    its pass and report counts and, with ``stats``, its ``--stats`` row, as
+    a plain tuple, which ``marshal`` sends back from a forked child."""
     def render(reports) -> tuple:
         out = io.StringIO()
         _write_sweep(reports, fmt, out)
@@ -354,26 +352,17 @@ def _rendered(fmt: str, stats: bool):
 
 
 def _emit_reports(sweeps, fmt: str) -> int:
-    """Write the header, each sweep in canonical order, then the summary;
-    return the number of failing reports. The bytes are those of one batch
-    rendering. A sweep this process ran alone comes as its list of reports,
-    written one by one, so one report's rendering is alive at a time; a
-    sweep rendered where it ran comes as ``_rendered``'s tuple, whose text
-    is written as it is."""
+    """Write the header, the text of each sweep (``_rendered``'s tuple) in
+    canonical order, then the summary; return the number of failing
+    reports. The bytes are those of one batch rendering."""
     write = sys.stdout.write
     write(_HEADERS[fmt])
     passed = total = 0
-    for sweep in sweeps:
-        kept = type(sweep) is list
-        count = len(sweep) if kept else sweep[2]
+    for text, passes, count, _ in sweeps:
         if count and total and fmt == "json":
             write(",")
-        if kept:
-            _write_sweep(sweep, fmt, sys.stdout)
-            passed += sum(r.passed for r in sweep)
-        else:
-            write(sweep[0])
-            passed += sweep[1]
+        write(text)
+        passed += passes
         total += count
     write(_summary(fmt, passed, total))
     return total - passed
@@ -434,15 +423,14 @@ def _stats_row(reports) -> str:
 
 
 def _print_stats(sweeps, pauses, children) -> None:
-    """The row of each checker's sweep (``_stats_row``, already made where
-    a sweep was rendered), in canonical order; then, over this process and
+    """The row of each checker's sweep (``_stats_row``, made where the
+    sweep was rendered), in canonical order; then, over this process and
     each forked child in ``children`` (``_process_stats`` of each), every
     table's largest size, the number and total ms of the collector's pauses
     while the checks ran (which the checker running at the time is charged
     for too), the largest peak RSS and the number of processes. All of it
     goes to stderr, so stdout stays the same bytes."""
-    for sweep in sweeps:
-        row = sweep[3] if type(sweep) is tuple else sweep and _stats_row(sweep)
+    for *_, row in sweeps:
         if row:
             print(row, file=sys.stderr)
     processes = [_process_stats(pauses), *children]
@@ -489,9 +477,7 @@ def _cmd_verify(args) -> int:
     finally:
         if args.stats:
             gc.callbacks.remove(on_phase)
-    # a rendered sweep's tuple is true: the sweeps were shared because they
-    # held _SWEEP_CUT reports or more
-    if not any(sweeps):
+    if not sum(count for _, _, count, _ in sweeps):
         return _usage_error(f"nothing checked: no grid value lies in the "
                             f"domain of {', '.join(sorted(set(ids)))}")
     failed = _emit_reports(sweeps, args.format)

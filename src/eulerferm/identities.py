@@ -56,20 +56,22 @@ Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
 
-``run_suite`` runs the checker sweeps on every CPU the process may use. It
-draws each checker's params first; where two checkers or more are
-selected, with ``_SWEEP_CUT`` reports or more between them, and
-``workers.cpus`` allows two processes or more, it forks one child per
-extra CPU. The sweeps' indices wait in a pipe, most reports first, and
+Given a ``render``, ``run_suite`` runs the checker sweeps on every CPU the
+process may use. It draws each checker's params first; where two checkers
+or more are selected, with ``_SWEEP_CUT`` reports or more between them, and
+``workers.cpus`` allows two processes or more, it forks one child per extra
+CPU. The sweeps' indices wait in a pipe, most reports first, and
 each process claims the next by reading one byte. The sweeps share nothing
 but the append-only tables of ``euler``, which each process extends on its
-own, and the memos, which each sweep drops when it ends. Each process hands
-every sweep it runs to a per-sweep hook, ``render``, right after running
-it, and a child sends what the hook returned back by ``marshal``: ``verify``
-renders the sweep's output there, and a library call pickles its reports.
-The caller takes the results in canonical order and runs any sweep whose
-child failed again itself, so the reports are those of a serial run, less
-``elapsed_ms``, and no child outlives the call.
+own, and the memos, which each sweep drops when it ends. Every process, the
+caller alone too, hands each sweep it runs to ``render`` right after running
+it and drops its reports, and a child sends what ``render`` returned back
+by ``marshal``: ``verify`` renders the sweep's output there, and the caller
+holds the sweeps' text until it writes them. The caller takes the results
+in canonical order and runs any sweep whose child failed again itself, so
+the output is that of a serial run, less ``elapsed_ms``, and no child
+outlives the call. A library call without ``render`` runs every sweep in
+this process and returns the reports.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -793,19 +795,17 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     checker whose body raises anything but ``ValueError`` fails its
     report, and the run goes on.
 
-    Each checker's params are drawn first. ``_sweep_workers`` then decides
-    how many processes run the sweeps (``_forked_suite``); whatever sweep
-    no worker returned runs here, so the reports, and the first
-    ``ValueError`` a body raises in canonical order, are the same either
-    way.
-
-    Without ``render`` the result is the reports. With it, the result is
-    one entry per selected checker, in canonical order: the sweep's list of
-    reports where this process ran every sweep alone, else
-    ``render(reports)``, called in the process that ran the sweep right
-    after it ran it. A forked child sends what ``render`` returns back by
-    ``marshal``, so it must be built of what marshal writes (str, int,
-    float, None and tuples, lists and dicts of them) and not be a list.
+    Without ``render``, every sweep runs in this process and the result is
+    the reports. With it, the result is ``render(reports)`` of each
+    selected checker's sweep, in canonical order, called in the process
+    that ran the sweep right after running it; the sweep's params and
+    reports go once it is rendered. ``_sweep_workers`` decides how many
+    processes run the sweeps (``_forked_suite``); whatever sweep no worker
+    returned runs here, so the results, and the first ``ValueError`` a body
+    raises in canonical order, are the same either way. A forked child
+    sends what ``render`` returns back by ``marshal``, so it must be built
+    of what marshal writes (bytes, str, int, float, None and tuples, lists
+    and dicts of them).
     """
     if grid is None:
         grid = SweepGrid()
@@ -819,31 +819,13 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     if unknown:
         raise ValueError(f"unknown checker id(s): {', '.join(sorted(unknown))}")
     sweeps = [(cid, list(CHECKERS[cid].gen(grid))) for cid in sorted(set(ids))]
+    if render is None:
+        return [r for cid, todo in sweeps for r in _sweep(cid, todo)]
     workers = _sweep_workers(sweeps)
-    if workers == 1:
-        by_sweep = [_sweep(cid, todo) for cid, todo in sweeps]
-        if render is not None:
-            return by_sweep
-        return [r for reports in by_sweep for r in reports]
-    hook = _pickled if render is None else render
-    done = _forked_suite(sweeps, workers, hook)
+    done = {} if workers == 1 else _forked_suite(sweeps, workers, render)
     # what no worker returned runs here, in canonical order
-    rendered = [done[i] if i in done else hook(_sweep(cid, todo))
-                for i, (cid, todo) in enumerate(sweeps)]
-    if render is not None:
-        return rendered
-    import pickle   # only here: a library call's shared sweeps come pickled
-
-    return [IdentityReport._make(row)
-            for data in rendered for row in pickle.loads(data)]
-
-
-def _pickled(reports) -> bytes:
-    """The per-sweep hook of a library ``run_suite`` call whose sweeps are
-    shared: the reports, pickled as plain tuples."""
-    import pickle
-
-    return pickle.dumps(list(map(tuple, reports)), pickle.HIGHEST_PROTOCOL)
+    return [done.pop(i) if i in done else _rendered_sweep(sweeps, i, render)
+            for i in range(len(sweeps))]
 
 
 # Least number of reports whose sweeps ``run_suite`` shares with forked
@@ -871,6 +853,15 @@ def _sweep(cid: str, todo: list) -> list:
         return [run(params, swept=True) for params in todo]
     finally:
         _drop_sweep_memos()
+
+
+def _rendered_sweep(sweeps, i: int, render):
+    """``render`` of the reports of ``sweeps[i]``, a (checker id, params)
+    pair, right after they run. The pair is dropped once the sweep has run,
+    and the reports once they are rendered."""
+    reports = _sweep(*sweeps[i])
+    sweeps[i] = None
+    return render(reports)
 
 
 # (collect, results) while a ``child_stats`` block runs, else None
@@ -921,16 +912,16 @@ def _forked_suite(sweeps, workers: int, render) -> dict:
                 yield index[0]
 
         def child() -> bytes:
-            rendered = {i: render(_sweep(*sweeps[i])) for i in claimed()}
+            rendered = {i: _rendered_sweep(sweeps, i, render)
+                        for i in claimed()}
             return marshal.dumps((stats and stats[0](), rendered))
 
         with forked([child] * (workers - 1)) as results:
             for i in claimed():
                 try:
-                    reports = _sweep(*sweeps[i])
+                    done[i] = _rendered_sweep(sweeps, i, render)
                 except ValueError:
                     break
-                done[i] = render(reports)
             for data in results():
                 if data is None:
                     continue

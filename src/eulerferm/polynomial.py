@@ -44,7 +44,7 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    def __reduce__(self):   # pickle and copy rebuild through scaled
+    def __reduce__(self):   # copies and serialisers rebuild through scaled
         return Polynomial.scaled, (self.nums, self.den)
 
     @property

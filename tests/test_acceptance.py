@@ -228,7 +228,8 @@ def test_criterion_6_error_paths(capsys, monkeypatch):
     # genuine counterexample is not constructible)
     fake = [IdentityReport("wsp7", {"m": 0, "n": 0}, "symbolic",
                            F(1), False, 0.0)]
-    monkeypatch.setattr(cli, "run_suite", lambda ids, grid, render: [fake])
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda ids, grid, render: [render(fake)])
     ok &= cli.main(["verify", "wsp7"]) == 1
     capsys.readouterr()
     _verdict("criterion-6 error paths", ok)

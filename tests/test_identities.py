@@ -854,20 +854,36 @@ def _serial(ids, grid) -> list:
         return _untimed(run_suite(ids, grid))
 
 
+def _kept(reports) -> bytes:
+    """A ``render`` that ``marshal`` carries back from a forked child: the
+    sweep's reports, untimed and pickled."""
+    return pickle.dumps(_untimed(reports))
+
+
+def _shared(ids, grid) -> list:
+    """The untimed reports of ``run_suite(ids, grid, _kept)``, whose sweeps
+    are shared with forked children where the CPUs and the cut allow."""
+    return [r for data in run_suite(ids, grid, _kept)
+            for r in pickle.loads(data)]
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("grid", FORK_GRIDS, ids=list(FORK_GRIDS))
 def test_forked_sweeps_equal_the_serial_run(monkeypatch, cpus, grid):
     grid = FORK_GRIDS[grid]
     want = _serial(None, grid)
     forks = _forks_on(monkeypatch, cpus)
+    # without a render, every sweep runs in this process
     assert _untimed(run_suite(None, grid)) == want
+    assert forks == []
+    assert _shared(None, grid) == want
     _no_child_left()
     assert len(forks) == cpus - 1
     # a subset, with the ids given out of order and twice
     ids = ["thm2", "sun", "wsp7", "lem1", "sun", "thm1", "cro2"]
     want = _serial(ids, grid)
     assert len(want) >= ident._SWEEP_CUT
-    assert _untimed(run_suite(ids, grid)) == want
+    assert _shared(ids, grid) == want
     _no_child_left()
     assert len(forks) == 2 * (cpus - 1)
 
@@ -885,7 +901,7 @@ def test_sweeps_are_handed_out_most_reports_first(monkeypatch):
 
     forks = _forks_on(monkeypatch, 2)
     monkeypatch.setattr(ident, "_sweep", noted)
-    reports = run_suite(None, SweepGrid())
+    reports = _shared(None, SweepGrid())
     _no_child_left()
     assert len(forks) == 1
     # the caller's claims, between which the child takes its own
@@ -894,7 +910,7 @@ def test_sweeps_are_handed_out_most_reports_first(monkeypatch):
     # with no child forked, the caller claims every sweep, in that order
     claimed.clear()
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _untimed(run_suite(None, SweepGrid())) == _untimed(reports)
+    assert _shared(None, SweepGrid()) == reports
     # ties keep the canonical order
     sizes = {cid: sum(r.checker == cid for r in reports)
              for cid in sorted(CHECKER_IDS)}
@@ -936,7 +952,7 @@ def test_a_failed_child_costs_time_not_reports(monkeypatch, fault):
         monkeypatch.setattr(os, "pipe", no_pipe)
     else:
         monkeypatch.setattr(ident, "_sweep", failing)
-    assert _untimed(run_suite(None, SweepGrid())) == want
+    assert _shared(None, SweepGrid()) == want
     _no_child_left()
     assert len(forks) == (0 if fault == "no pipe" else 2)
 
@@ -956,7 +972,7 @@ def test_the_first_value_error_in_canonical_order_is_raised(monkeypatch):
     for cpus in (1, 2, 3):
         forks = _forks_on(monkeypatch, cpus)
         with pytest.raises(ValueError, match="^sun refused$"):
-            run_suite(None, SweepGrid())
+            run_suite(None, SweepGrid(), _kept)
         _no_child_left()
         assert len(forks) == cpus - 1
 
@@ -975,7 +991,7 @@ def test_an_interrupted_caller_kills_and_reaps_its_children(monkeypatch):
     open_before = os.listdir(fds) if os.path.isdir(fds) else None
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        run_suite(None, SweepGrid())
+        run_suite(None, SweepGrid(), _kept)
     assert time.monotonic() - started < 30   # killed, not waited for
     assert len(forks) == 2
     _no_child_left()
@@ -1018,7 +1034,7 @@ def test_run_suite_does_not_fork_with(monkeypatch, case):
         want = _serial(ids, grid)
         assert len(want) < ident._SWEEP_CUT <= len(_serial(None, SweepGrid()))
     try:
-        assert _untimed(run_suite(ids, grid)) == want
+        assert _shared(ids, grid) == want
     finally:
         release.set()
         if case == "a second thread":
@@ -1039,10 +1055,10 @@ def test_the_cut_leaves_the_small_benchmark_commands_serial(monkeypatch):
     # fork, so on two CPUs they still run in one process
     _forks_on(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    highdeg = run_suite(["reflection", "complement", "fersim", "fersim3",
-                         "boundary", "recurrence_odd", "cro2"],
-                        SweepGrid(n=range(40, 61)))
-    padic = run_suite(["witt", "lem1"],
-                      SweepGrid(n=range(9), p_list=(3, 5, 7), precision=5))
+    highdeg = _shared(["reflection", "complement", "fersim", "fersim3",
+                       "boundary", "recurrence_odd", "cro2"],
+                      SweepGrid(n=range(40, 61)))
+    padic = _shared(["witt", "lem1"],
+                    SweepGrid(n=range(9), p_list=(3, 5, 7), precision=5))
     assert (len(highdeg), len(padic)) == (189, 141)
     assert all(r.passed for r in highdeg + padic)

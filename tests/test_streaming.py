@@ -1,11 +1,12 @@
-"""`verify` writes each report as it reaches it: the bytes equal those of
-the batch rendering below (a list of every report's dict, then one
-``json.dumps(..., indent=2)`` or one table), which stays here as the
-oracle and calls none of the writer's code; its memory holds one report's
-rendering, not the whole output, in every format; and ``--stats`` adds to
-stderr only. Where the sweeps are shared with forked children, each
-process renders the sweeps it runs, and the output is the bytes of the
-serial run, less elapsed_ms, also when a child fails while rendering."""
+"""`verify` renders each checker sweep right after running it, in the
+process that ran it: the bytes equal those of the batch rendering below
+(a list of every report's dict, then one ``json.dumps(..., indent=2)`` or
+one table), which stays here as the oracle and calls none of the writer's
+code; the writer holds one report's rendering at a time, and the command
+the sweeps' text, not their reports, in every format; and ``--stats`` adds
+to stderr only. Where the sweeps are shared with forked children, the
+output is the bytes of the one-process run, less elapsed_ms, also when a
+child fails while rendering."""
 
 import contextlib
 import csv
@@ -120,20 +121,17 @@ def _by_checker(reports) -> list:
     return list(sweeps.values())
 
 
-def _streamed_and_batch(monkeypatch, argv, fmt, rendered=False):
+def _streamed_and_batch(monkeypatch, argv, fmt):
     """The output of ``cli.main(argv)`` and the oracle's rendering of the
-    same reports, elapsed_ms included. With ``rendered``, each sweep comes
-    to the writer as ``render`` made it and ``marshal`` carried it, as from
-    a forked child; else as its reports, as from a serial run."""
+    same reports, elapsed_ms included. Each sweep comes to the writer as
+    ``render`` made it and ``marshal`` carried it, as from a forked
+    child."""
     seen = []
 
     def recording_run_suite(ids, grid, render):
         seen.extend(run_suite(ids, grid))
-        sweeps = _by_checker(seen)
-        if rendered:
-            return [marshal.loads(marshal.dumps(render(sweep)))
-                    for sweep in sweeps]
-        return sweeps
+        return [marshal.loads(marshal.dumps(render(sweep)))
+                for sweep in _by_checker(seen)]
 
     monkeypatch.setattr(cli, "run_suite", recording_run_suite)
     streamed = _stdout_of(cli.main, [*argv, "--format", fmt])
@@ -156,14 +154,10 @@ def test_streamed_output_equals_batch_rendering(monkeypatch, run, fmt):
     cache, argv = RUNS[run]
     if cache is not None:
         monkeypatch.setattr(euler, "_CACHE", cache())
-    passing = run in ("desk", "thm2")
-    # each sweep written report by report, and each rendered where it ran
-    for rendered in (False, True):
-        streamed, batch = _streamed_and_batch(monkeypatch, argv, fmt,
-                                              rendered)
-        _assert_same(streamed, batch)
-        assert streamed.splitlines()[-1].startswith(
-            "PASS" if passing else "FAIL")
+    streamed, batch = _streamed_and_batch(monkeypatch, argv, fmt)
+    _assert_same(streamed, batch)
+    assert streamed.splitlines()[-1].startswith(
+        "PASS" if run in ("desk", "thm2") else "FAIL")
 
 
 # leaves of every JSON type a param renders to, and lists (and tuples,
@@ -215,20 +209,21 @@ def test_streamed_rendering_of_arbitrary_reports(reports):
     # names, param values and error residuals; bools and negative ints in
     # nested lists; an empty list too; and the typed leaves of passing
     # reports: int and Fraction params, a zero Polynomial and a zero
-    # Fraction residual. The reports come as one sweep, and as one sweep
-    # each between empty ones, alternately kept and rendered, so that every
-    # separator between two sweeps is written
+    # Fraction residual. The reports come rendered as one sweep, and as one
+    # sweep each between empty ones, so that every separator between two
+    # sweeps is written
     for fmt in FORMATS:
         batch = _stdout_of(batch_emit_reports, reports, fmt)
-        _assert_same(_stdout_of(cli._emit_reports, [reports], fmt), batch)
         render = cli._rendered(fmt, False)
 
         def carried(reports):   # as a forked child sends it back
             return marshal.loads(marshal.dumps(render(reports)))
 
-        sweeps = [[]]
-        for i, r in enumerate(reports):
-            sweeps += [[r], []] if i % 2 else [carried([r]), carried([])]
+        _assert_same(_stdout_of(cli._emit_reports, [carried(reports)], fmt),
+                     batch)
+        sweeps = [carried([])]
+        for r in reports:
+            sweeps += [carried([r]), carried([])]
         _assert_same(_stdout_of(cli._emit_reports, sweeps, fmt), batch)
 
 
@@ -246,10 +241,14 @@ def _traced_peak(call, *args) -> tuple:
     return result, peak
 
 
-def test_json_output_holds_one_report_at_a_time():
-    # in every format; the batch rendering of JSON peaks at 4.9 MB here:
-    # every dict, the pure-Python encoder's chunks and the whole output
-    # string at once
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_holds_the_sweeps_text_not_their_reports(monkeypatch, cpus):
+    # in every format, in one process and shared with a forked child: each
+    # process drops a sweep's reports once it has rendered them, and this
+    # one holds the sweeps' text (567 KB of JSON) until it writes them. The
+    # batch rendering of JSON peaks at 4.9 MB here: every dict, the
+    # pure-Python encoder's chunks and the whole output string at once
+    forks = _forks_on(monkeypatch, cpus)
     with open(os.devnull, "w") as devnull, \
             contextlib.redirect_stdout(devnull):
         # the tables are filled before measuring
@@ -258,6 +257,8 @@ def test_json_output_holds_one_report_at_a_time():
     for fmt in FORMATS:
         statuses[fmt], peaks[fmt] = _traced_peak(
             cli.main, ["verify", "all", "--format", fmt])
+    _no_child_left()
+    assert len(forks) == (cpus - 1) * (1 + len(FORMATS))
     # a run that stopped early would write little and peak low
     assert statuses == dict.fromkeys(FORMATS, 0)
     assert max(peaks.values()) < 2 * 2 ** 20, peaks
@@ -322,7 +323,8 @@ def test_stats_name_each_checkers_slowest_report(capsys, monkeypatch):
                            Fraction(1), False, 2.25),
             IdentityReport("wsp7", {"m": 3, "n": 0}, "symbolic",
                            Fraction(0), True, 1.0)]
-    monkeypatch.setattr(cli, "run_suite", lambda ids, grid, render: [fake])
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda ids, grid, render: [render(fake)])
     assert cli.main(["verify", "wsp7", "--stats"]) == 1
     row = capsys.readouterr().err.splitlines()[0]
     assert row == ("wsp7: 3 reports, 2 pass, 3.750 ms total, "
@@ -337,7 +339,7 @@ def test_stats_count_the_collections_while_the_checks_run(capsys,
     def collecting(ids, grid, render):
         gc.collect()
         gc.collect()
-        return [fake]
+        return [render(fake)]
 
     callbacks = list(gc.callbacks)
     monkeypatch.setattr(cli, "run_suite", collecting)
@@ -416,6 +418,33 @@ def test_peak_rss_reads_vmhwm_else_ru_maxrss(monkeypatch):
 # above the cut: the desk grid's 1,731 reports and m, n 0..14's 8,335
 FORK_ARGV = {"desk": ["verify", "all"],
              "m,n 0..14": ["verify", "all", "--m", "0..14", "--n", "0..14"]}
+
+
+def test_one_process_renders_each_sweep_before_the_next_runs(monkeypatch):
+    # on one CPU this process runs every sweep, and renders each right after
+    # running it, as a forked child does, so no sweep's reports outlive it
+    events, sweep, rendered = [], identities._sweep, cli._rendered
+
+    def noted_sweep(cid, todo):
+        events.append(("ran", cid))
+        return sweep(cid, todo)
+
+    def noted_rendered(*args):
+        render = rendered(*args)
+
+        def noted(reports):
+            events.append(("rendered", reports[0].checker))
+            return render(reports)
+        return noted
+
+    monkeypatch.setattr(identities, "cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(identities, "_sweep", noted_sweep)
+    monkeypatch.setattr(cli, "_rendered", noted_rendered)
+    code, out, err = _run_main(["verify", "all"])
+    assert (code, err) == (0, "") and out.endswith("PASS 1731/1731\n")
+    assert events == [(event, cid) for cid in sorted(CHECKER_IDS)
+                      for event in ("ran", "rendered")]
 
 
 def _run_main(argv) -> tuple:
