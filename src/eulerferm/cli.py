@@ -17,12 +17,11 @@ is deterministic: stable ordering and no timestamps (elapsed_ms appears in
 JSON but carries no ordering weight).
 
 ``witt --naive`` sums its p**N terms on every CPU the process may use
-(``padic.witt_sum_naive``): one even-aligned run per CPU, each run past the
-first in a forked child, when the process may use two CPUs or more, runs
-one thread and has enough work to give each run at least
-``padic._SPLIT_MIN_WORK``; otherwise, or for any run whose child fails, in
-this process. The bytes printed are
-the same either way.
+(``padic.witt_sum_naive``): one even-aligned run per CPU, which this
+process and a forked child per extra CPU claim, when the process may use
+two CPUs or more, runs one thread and has enough work to give each run at
+least ``padic._SPLIT_MIN_WORK``; otherwise, or for any run whose child
+fails, in this process. The bytes printed are the same either way.
 
 ``verify`` runs every check before it writes a byte, so a usage error
 found by any checker still exits 2 with empty stdout; its checker sweeps
@@ -40,13 +39,13 @@ value by ``_jsonable`` (the writer lays out the params object itself); in
 text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes, the
 collector's pauses, the peak RSS and the number of processes on stderr,
-read over every process that ran sweeps; stdout stays the same bytes.
+read over every process that ran sweeps, each of which renders them with
+each sweep; stdout stays the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import json
 import math
@@ -338,16 +337,20 @@ def _summary(fmt: str, passed: int, total: int) -> str:
                     else f"FAIL {total - passed}/{total}\n")
 
 
-def _rendered(fmt: str, stats: bool):
+def _rendered(fmt: str, pauses: list | None):
     """The ``render`` by which ``run_suite`` renders each sweep in the
     process that ran it: the sweep's text in ``fmt`` (``_write_sweep``),
-    its pass and report counts and, with ``stats``, its ``--stats`` row, as
-    a plain tuple, which ``marshal`` sends back from a forked child."""
+    its pass and report counts and, for ``--stats``, whose collector pauses
+    fill the list ``pauses`` (None without it), its row (None for an empty
+    sweep) and a ``_process_stats`` snapshot, as a plain tuple, which
+    ``marshal`` sends back from a forked child."""
     def render(reports) -> tuple:
         out = io.StringIO()
         _write_sweep(reports, fmt, out)
         return (out.getvalue(), sum(r.passed for r in reports), len(reports),
-                _stats_row(reports) if stats and reports else None)
+                None if pauses is None else (
+                    _stats_row(reports) if reports else None,
+                    _process_stats(pauses)))
     return render
 
 
@@ -385,12 +388,15 @@ def _collector_pauses(pauses: list):
 
 
 def _process_stats(pauses: list) -> tuple:
-    """This process's table sizes, the ms of its own collector pauses and
+    """This process's pid, its table sizes, the ms of its own collector
+    pauses since the last snapshot, which it drains from ``pauses``, and
     its peak RSS: what ``verify --stats`` reads of each process that ran
-    sweeps."""
+    sweeps, with each sweep."""
     pid = os.getpid()
-    return ({**table_sizes(), "recurrence": identities._RECURRENCE.terms},
-            [ms for owner, ms in pauses if owner == pid], _peak_rss_mb())
+    own = [ms for owner, ms in pauses if owner == pid]
+    pauses.clear()
+    return (pid, {**table_sizes(), "recurrence": identities._RECURRENCE.terms},
+            own, _peak_rss_mb())
 
 
 def _peak_rss_mb() -> float:
@@ -422,26 +428,27 @@ def _stats_row(reports) -> str:
             f"{_params_text(slowest.params)}")
 
 
-def _print_stats(sweeps, pauses, children) -> None:
-    """The row of each checker's sweep (``_stats_row``, made where the
-    sweep was rendered), in canonical order; then, over this process and
-    each forked child in ``children`` (``_process_stats`` of each), every
-    table's largest size, the number and total ms of the collector's pauses
-    while the checks ran (which the checker running at the time is charged
-    for too), the largest peak RSS and the number of processes. All of it
-    goes to stderr, so stdout stays the same bytes."""
-    for *_, row in sweeps:
+def _print_stats(sweeps) -> None:
+    """The row of each checker's sweep (``_stats_row``), in canonical
+    order; then, merged over the ``_process_stats`` snapshots that came
+    with the sweeps, every table's largest size, the number and total ms of
+    the collector's pauses while the checks ran (which the checker running
+    at the time is charged for too), the largest peak RSS and the number
+    of processes that ran sweeps, by pid. All of it goes to stderr, so
+    stdout stays the same bytes."""
+    rows, snapshots = zip(*(stats for *_, stats in sweeps))
+    for row in rows:
         if row:
             print(row, file=sys.stderr)
-    processes = [_process_stats(pauses), *children]
-    sizes = {k: max(sizes[k] for sizes, _, _ in processes)
-             for k in processes[0][0]}
-    ms = [m for _, own, _ in processes for m in own]
-    peak = max(peak for _, _, peak in processes)
+    processes = len({pid for pid, *_ in snapshots})
+    sizes = {k: max(sizes[k] for _, sizes, _, _ in snapshots)
+             for k in snapshots[0][1]}
+    ms = [m for _, _, own, _ in snapshots for m in own]
+    peak = max(peak for *_, peak in snapshots)
     print("tables: " + ", ".join(f"{k} {v}" for k, v in sizes.items())
           + f"; gc {len(ms)} collections, {sum(ms):.3f} ms"
-          + f"; peak RSS {peak:.1f} MB; {len(processes)} process"
-          + ("es" if len(processes) > 1 else ""), file=sys.stderr)
+          + f"; peak RSS {peak:.1f} MB; {processes} process"
+          + ("es" if processes > 1 else ""), file=sys.stderr)
 
 
 def _usage_error(message) -> int:
@@ -456,22 +463,19 @@ def _cmd_verify(args) -> int:
     ids = list(args.ids)
     if "all" in ids:
         ids = list(identities.CHECKER_IDS)
-    pauses = []
-    stats = contextlib.nullcontext(())
+    pauses = None
     if args.stats:
         import gc   # only here: --stats alone times the collector
 
+        pauses = []
         on_phase = _collector_pauses(pauses)
         gc.callbacks.append(on_phase)
-        # each forked child sends its own back with its sweeps
-        stats = identities.child_stats(lambda: _process_stats(pauses))
     try:
         # each grid option sets the SweepGrid field of the same name
-        with stats as children:
-            sweeps = run_suite(ids, SweepGrid(**{
-                field: getattr(args, field) for field in _GRID_OPTIONS
-                if getattr(args, field) is not None}),
-                _rendered(args.format, args.stats))
+        sweeps = run_suite(ids, SweepGrid(**{
+            field: getattr(args, field) for field in _GRID_OPTIONS
+            if getattr(args, field) is not None}),
+            _rendered(args.format, pauses))
     except ValueError as exc:
         return _usage_error(exc)
     finally:
@@ -482,7 +486,7 @@ def _cmd_verify(args) -> int:
                             f"domain of {', '.join(sorted(set(ids)))}")
     failed = _emit_reports(sweeps, args.format)
     if args.stats:
-        _print_stats(sweeps, pauses, children)
+        _print_stats(sweeps)
     return 1 if failed else 0
 
 

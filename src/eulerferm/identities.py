@@ -60,18 +60,18 @@ Given a ``render``, ``run_suite`` runs the checker sweeps on every CPU the
 process may use. It draws each checker's params first; where two checkers
 or more are selected, with ``_SWEEP_CUT`` reports or more between them, and
 ``workers.cpus`` allows two processes or more, it forks one child per extra
-CPU. The sweeps' indices wait in a pipe, most reports first, and
-each process claims the next by reading one byte. The sweeps share nothing
-but the append-only tables of ``euler``, which each process extends on its
-own, and the memos, which each sweep drops when it ends. Every process, the
-caller alone too, hands each sweep it runs to ``render`` right after running
-it and drops its reports, and a child sends what ``render`` returned back
-by ``marshal``: ``verify`` renders the sweep's output there, and the caller
-holds the sweeps' text until it writes them. The caller takes the results
-in canonical order and runs any sweep whose child failed again itself, so
-the output is that of a serial run, less ``elapsed_ms``, and no child
-outlives the call. A library call without ``render`` runs every sweep in
-this process and returns the reports.
+CPU, and the processes claim the sweeps, most reports first
+(``workers.shared``). The sweeps share nothing but the append-only tables
+of ``euler``, which each process extends on its own, and the memos, which
+each sweep drops when it ends. Every process, the caller alone too, hands
+each sweep it runs to ``render`` right after running it and drops its
+reports, and a child sends what ``render`` returned back by ``marshal``:
+``verify`` renders the sweep's output there, and the caller holds the
+sweeps' text until it writes them. The caller takes the results in
+canonical order and runs every sweep that no process returned again
+itself, so the output is that of a serial run, less ``elapsed_ms``, and
+no child outlives the call. A library call without ``render`` runs every
+sweep in this process and returns the reports.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -80,12 +80,9 @@ and the only inequality is the valuation lower bound.
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import itertools
-import marshal
 import math
-import os
 import random
 import time
 from collections import namedtuple
@@ -115,7 +112,7 @@ from .numeric import binomial, falling_factorial
 from .padic import (fermionic_sum_closed, lem1_defect, require_odd_prime,
                     require_precision, witt_defect)
 from .polynomial import Polynomial, monomial
-from .workers import cpus, forked
+from .workers import cpus, shared
 
 __all__ = [
     "IdentityReport",
@@ -123,7 +120,6 @@ __all__ = [
     "CHECKER_IDS",
     "CHECKERS",
     "run_suite",
-    "child_stats",
     "euler_zero_via_recurrence",
 ]
 
@@ -800,7 +796,7 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     selected checker's sweep, in canonical order, called in the process
     that ran the sweep right after running it; the sweep's params and
     reports go once it is rendered. ``_sweep_workers`` decides how many
-    processes run the sweeps (``_forked_suite``); whatever sweep no worker
+    processes run the sweeps (``workers.shared``); whatever sweep no worker
     returned runs here, so the results, and the first ``ValueError`` a body
     raises in canonical order, are the same either way. A forked child
     sends what ``render`` returns back by ``marshal``, so it must be built
@@ -822,7 +818,10 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     if render is None:
         return [r for cid, todo in sweeps for r in _sweep(cid, todo)]
     workers = _sweep_workers(sweeps)
-    done = {} if workers == 1 else _forked_suite(sweeps, workers, render)
+    # claimed most reports first
+    done = {} if workers == 1 else shared(
+        sorted(range(len(sweeps)), key=lambda i: -len(sweeps[i][1])),
+        lambda i: _rendered_sweep(sweeps, i, render), workers)
     # what no worker returned runs here, in canonical order
     return [done.pop(i) if i in done else _rendered_sweep(sweeps, i, render)
             for i in range(len(sweeps))]
@@ -830,8 +829,9 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
 
 # Least number of reports whose sweeps ``run_suite`` shares with forked
 # children. Below it, forking, faulting in and reaping a child, building
-# its own E_n and sending its reports back cost a cold command as much as
-# a second CPU saves, or more (``sweep_cut`` in BENCH_verify_split.json).
+# its own E_n and sending its rendered sweeps back cost a cold command as
+# much as a second CPU saves, or more (``sweep_cut`` in
+# BENCH_verify_split.json).
 _SWEEP_CUT = 1000
 
 
@@ -862,79 +862,6 @@ def _rendered_sweep(sweeps, i: int, render):
     reports = _sweep(*sweeps[i])
     sweeps[i] = None
     return render(reports)
-
-
-# (collect, results) while a ``child_stats`` block runs, else None
-_CHILD_STATS = None
-
-
-@contextlib.contextmanager
-def child_stats(collect):
-    """While the block runs, each forked child of ``run_suite`` calls
-    ``collect()`` after its last sweep and sends back what it returns with
-    its sweeps; the caller appends it to the list this yields. It must be
-    built of what ``marshal`` writes. ``verify --stats`` reads each child's
-    tables, collector pauses and peak RSS so."""
-    global _CHILD_STATS
-    previous, results = _CHILD_STATS, []
-    _CHILD_STATS = collect, results
-    try:
-        yield results
-    finally:
-        _CHILD_STATS = previous
-
-
-def _forked_suite(sweeps, workers: int, render) -> dict:
-    """``render(reports)`` of each sweep that the caller and ``workers`` - 1
-    forked children (``workers.forked``) ran, by sweep index. A pipe holds
-    one byte per sweep, its index, most reports first; each process claims
-    a sweep by reading one byte, until the pipe is empty, and renders each
-    sweep right after it runs it. A child sends what it rendered back by
-    ``marshal``. A sweep whose child failed or sent what marshal cannot
-    read, and one that raised ``ValueError`` in the caller, is missing, for
-    ``run_suite`` to run again in canonical order."""
-    order = sorted(range(len(sweeps)), key=lambda i: -len(sweeps[i][1]))
-    stats = _CHILD_STATS
-    done = {}
-    try:
-        queue, feed = os.pipe()
-    except OSError:   # no pipe: every sweep runs in the caller
-        return done
-    try:
-        try:
-            # one byte a sweep, for 28 checkers: one write, under PIPE_BUF
-            os.write(feed, bytes(order))
-        finally:
-            os.close(feed)
-
-        def claimed():
-            while index := os.read(queue, 1):
-                yield index[0]
-
-        def child() -> bytes:
-            rendered = {i: _rendered_sweep(sweeps, i, render)
-                        for i in claimed()}
-            return marshal.dumps((stats and stats[0](), rendered))
-
-        with forked([child] * (workers - 1)) as results:
-            for i in claimed():
-                try:
-                    done[i] = _rendered_sweep(sweeps, i, render)
-                except ValueError:
-                    break
-            for data in results():
-                if data is None:
-                    continue
-                try:
-                    collected, rendered = marshal.loads(data)
-                except (EOFError, ValueError):   # a result cut short
-                    continue
-                if stats:
-                    stats[1].append(collected)
-                done.update(rendered)
-    finally:
-        os.close(queue)
-    return done
 
 
 def _drop_sweep_memos() -> None:

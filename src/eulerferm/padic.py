@@ -22,19 +22,19 @@ The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
 integer power (t*x + r)**n per term and divides by t**n once: it reads no
 Polynomial, no Taylor shift and no Euler table, so it shares no code with the
 digit route or the closed form. Its terms run on every CPU the process may
-use: [0, p^N) is cut into one contiguous, even-aligned run per worker, the
-caller sums the first and an ``os.fork``ed child each other one, which
-writes its integer to a pipe (``workers.forked``). It forks only where
-``workers.cpus`` allows: ``os.sched_getaffinity`` names two CPUs or more
-and the process runs one thread; and where each run gets at
-least ``_SPLIT_MIN_WORK`` of the work, estimated from the term count and
-the bit length of the largest power; otherwise, and for a run whose child
-fails, the terms are summed in process, so the sum is exact either way and
-no child outlives the call. ``fermionic_sum_naive``, the library oracle
-of both routes, sums any integrand: in plain integers by Horner's rule for a
-Polynomial and in its own arithmetic for any other callable. The closed
-form ((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n telescopes
-the Euler functional equation instead.
+use: [0, p^N) is cut into one contiguous, even-aligned run per worker, and
+the caller and an ``os.fork``ed child per extra worker claim the runs and
+sum them (``workers.shared``). It forks only where ``workers.cpus``
+allows: ``os.sched_getaffinity`` names two CPUs or more and the process
+runs one thread; and where each run gets at least ``_SPLIT_MIN_WORK`` of
+the work, estimated from the term count and the bit length of the largest
+power; otherwise, and for a run whose child fails, the terms are summed in
+process, so the sum is exact either way and no child outlives the call.
+``fermionic_sum_naive``, the library oracle of both routes, sums any
+integrand: in plain integers by Horner's rule for a Polynomial and in its
+own arithmetic for any other callable. The closed form
+((-1)**(q-1) E_n(a+q) + E_n(a)) / 2 of the sum of (x+a)**n telescopes the
+Euler functional equation instead.
 
 ``witt_defect`` measures the sum of (x+a)**n, which the binomial theorem
 reads off the moments, against E_n(a) from the Euler table. The two share
@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from operator import mul
 
 from .euler import alt_power_sum, euler_poly
 from .polynomial import Polynomial
-from .workers import cpus, forked
+from .workers import cpus, shared
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -230,8 +229,8 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     into one contiguous, even-aligned run per worker (``_worker_count``):
     one per CPU in ``os.sched_getaffinity(0)``, each given at least
     ``_SPLIT_MIN_WORK`` of the estimated work, and only while the process
-    runs one thread. The caller sums the first run and an ``os.fork``ed
-    child each other one (``_split_sum``). With one worker (one CPU, no
+    runs one thread. The caller and an ``os.fork``ed child per extra
+    worker claim the runs (``_split_sum``). With one worker (one CPU, no
     ``sched_getaffinity``, a second thread or too little work for two) the
     whole span is one run in this process, and a run whose child fails is
     summed again here, so the sum is the same exact value either way.
@@ -259,37 +258,29 @@ def _worker_count(n: int, r: int, t: int, span: int) -> int:
     """How many processes sum the ``span`` terms (t*x + r)**n: one per CPU
     that ``workers.cpus`` allows, each given at least ``_SPLIT_MIN_WORK``
     of the estimated work span * (64 + n * bits), with bits the length of
-    the largest base |r| + t*span. One, so no fork, where that is too
-    little work, ``os.sched_getaffinity`` is missing or another thread
-    runs."""
+    the largest base |r| + t*span, and at most 256, one claim byte a run.
+    One, so no fork, where that is too little work,
+    ``os.sched_getaffinity`` is missing or another thread runs."""
     work = span * (64 + n * (abs(r) + t * span).bit_length())
     if work < 2 * _SPLIT_MIN_WORK:
         return 1
-    return min(cpus(), work // _SPLIT_MIN_WORK)
+    return min(cpus(), work // _SPLIT_MIN_WORK, 256)
 
 
 def _split_sum(n: int, r: int, t: int, span: int, workers: int) -> int:
     """``_alternating_chunk`` over [0, span), cut into ``workers``
-    contiguous runs whose bounds but the last are even. The caller sums
-    the first run, and a forked child (``workers.forked``) each other one
-    meanwhile, which writes its sum as signed little-endian bytes; one
-    worker forks nothing. A run whose child cannot be forked, exits
-    non-zero, is killed or writes nothing is summed again here."""
+    contiguous runs whose bounds but the last are even. The caller and
+    ``workers`` - 1 forked children claim the runs (``workers.shared``);
+    one worker forks nothing. A run that no process returned is summed
+    again here."""
     bounds = [2 * (span * i // (2 * workers)) for i in range(workers)]
     runs = list(zip(bounds, bounds[1:] + [span]))
-    jobs = [partial(_chunk_bytes, n, r, t, lo, hi) for lo, hi in runs[1:]]
-    with forked(jobs) as results:
-        total = _alternating_chunk(n, r, t, *runs[0])
-        for (lo, hi), data in zip(runs[1:], results()):
-            total += (_alternating_chunk(n, r, t, lo, hi) if data is None
-                      else int.from_bytes(data, "little", signed=True))
-    return total
 
+    def run(i: int) -> int:
+        return _alternating_chunk(n, r, t, *runs[i])
 
-def _chunk_bytes(n: int, r: int, t: int, lo: int, hi: int) -> bytes:
-    """A run's ``_alternating_chunk`` as signed little-endian bytes."""
-    total = _alternating_chunk(n, r, t, lo, hi)
-    return total.to_bytes(total.bit_length() // 8 + 1, "little", signed=True)
+    done = shared(range(workers), run, workers)
+    return sum(done[i] if i in done else run(i) for i in range(workers))
 
 
 def fermionic_sum_digits(f: Polynomial, p: int, precision: int,

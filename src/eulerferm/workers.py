@@ -1,25 +1,32 @@
-"""Forked workers: one fork policy and one reap path for every split.
+"""Forked workers: one claim protocol for every split.
 
 ``padic.witt_sum_naive`` cuts its p**N terms into runs and
-``identities.run_suite`` hands out whole checker sweeps; both run part of
-the work in ``os.fork``ed children through this module. ``cpus`` is how
+``identities.run_suite`` hands out whole checker sweeps; both share their
+tasks with ``os.fork``ed children through ``shared``. ``cpus`` is how
 many processes a split may run: the CPUs that ``os.sched_getaffinity``
 names, where there are two or more and this process runs one thread, else
-one, so nothing forks. ``forked`` forks one child per job. Each child calls
-its job and writes the bytes it returns to a pipe of its own; the caller
-reads them back in job order, and gets ``None`` for a job whose child could
-not be forked, raised, exited non-zero, was killed or wrote nothing, so
-that it can do that job itself. Whatever the caller raises, every child
-is killed and reaped and every pipe closed, so no child outlives the call.
+one, so nothing forks.
+
+``shared`` writes the tasks, small ints, one byte each to one pipe in
+claim order. This process and each forked child claim the next task by
+reading one byte, until the pipe is empty, and a child sends back
+``marshal.dumps({task: run(task)})`` of every task it claimed. A task is
+missing from the result where its child failed (it could not be forked,
+raised, exited non-zero, was killed, wrote nothing or wrote what marshal
+cannot read), or where ``run`` raised an ``Exception`` in this process,
+which then stops claiming; the caller does every missing task itself.
+Whatever else the caller raises, every child is killed and reaped and
+every pipe closed, so no child outlives the call.
 """
 
 from __future__ import annotations
 
 import contextlib
+import marshal
 import os
 import threading
 
-__all__ = ["cpus", "forked"]
+__all__ = ["cpus", "shared"]
 
 
 def cpus() -> int:
@@ -50,51 +57,66 @@ def _one_thread() -> bool:
     return stat[stat.rindex(b")") + 2:].split()[17] == b"1"
 
 
-@contextlib.contextmanager
-def forked(jobs):
-    """Fork a child for each of ``jobs``, callables that return bytes, and
-    yield ``results``: a function whose iterator gives, in job order, the
-    bytes each child wrote, or ``None`` where the job is the caller's to
-    do. The caller does its own share inside the block, then reads the
-    results; each child is reaped as its result is read. On leaving the
-    block, by a raise too, every child not yet reaped is killed and
-    reaped and its pipe closed."""
-    children = []   # pid, or None where no child was forked
-    live = {}       # pid -> pipe, of every child not yet reaped
-
-    def results():
-        for pid in children:
-            if pid is None:
-                yield None
-                continue
-            data = live[pid].read()
-            _, status = os.waitpid(pid, 0)
-            live.pop(pid).close()
-            yield data if status == 0 and data else None
-
+def shared(tasks, run, processes: int) -> dict:
+    """{task: run(task)} of the ``tasks``, distinct ints in range(256)
+    claimed in the order given, that this process and ``processes`` - 1 forked
+    children ran; a task missing from it is the caller's to do. What
+    ``run`` returns must be built of what ``marshal`` writes. A task that
+    is not a byte raises ``ValueError`` before anything forks."""
+    claims = bytes(tasks)
+    done, children = {}, {}   # pid -> read end of its result pipe
     try:
-        for job in jobs:
+        queue, feed = os.pipe()
+    except OSError:   # no pipe: every task is the caller's
+        return done
+    try:
+        try:
+            # at most 256 bytes: one write, under PIPE_BUF
+            os.write(feed, claims)
+        finally:
+            os.close(feed)
+        for _ in range(processes - 1):
             try:
-                pid, fd = _fork(job)
+                pid, fd = _fork(queue, run)
             except OSError:   # no pipe or no fork
-                pid = None
-            else:
-                live[pid] = open(fd, "rb")
-            children.append(pid)
-        yield results
+                continue
+            children[pid] = open(fd, "rb")
+        try:
+            for task in _claimed(queue):
+                done[task] = run(task)
+        except Exception:
+            # missing, so the caller does it again in its own order, where
+            # an error that recurs is raised
+            pass
+        for pid in list(children):
+            data = children[pid].read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(pid).close()
+            if status == 0:
+                with contextlib.suppress(EOFError, ValueError):
+                    done.update(marshal.loads(data))   # may be cut short
     finally:
-        if live:
+        os.close(queue)
+        if children:
             import signal   # only here: a split that returns kills nothing
-        for pid, pipe in live.items():
+        for pid, pipe in children.items():
             pipe.close()
             with contextlib.suppress(OSError):   # reaped before the raise
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return done
 
 
-def _fork(job) -> tuple:
-    """(pid, read end) of a forked child that writes ``job()`` to a pipe.
-    The child leaves by ``os._exit``, 0 once it has written and 1 on any
+def _claimed(queue: int):
+    """The tasks this process claims off ``queue``, one byte each."""
+    while claim := os.read(queue, 1):
+        yield claim[0]
+
+
+def _fork(queue: int, run) -> tuple:
+    """(pid, read end) of a forked child that claims tasks off ``queue``
+    and writes ``marshal.dumps({task: run(task)})`` of them to a pipe. The
+    child leaves by ``os._exit``, 0 once it has written and 1 on any
     exception, so it never unwinds into the caller's frames or flushes a
     buffer it inherited. OSError if no pipe or no child could be made."""
     read_end, write_end = os.pipe()
@@ -102,7 +124,8 @@ def _fork(job) -> tuple:
     try:
         pid = os.fork()
         if pid == 0:
-            view = memoryview(job())
+            view = memoryview(marshal.dumps(
+                {task: run(task) for task in _claimed(queue)}))
             while view:
                 view = view[os.write(write_end, view):]
             code = 0

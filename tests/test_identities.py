@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eulerferm import euler, identities as ident
+from eulerferm import euler, identities as ident, workers
 from eulerferm.identities import (
     CHECKER_IDS,
     IdentityReport,
@@ -1043,7 +1043,10 @@ def test_run_suite_does_not_fork_with(monkeypatch, case):
         if blocker.locked():
             blocker.release()   # the thread takes it and ends
             deadline = time.monotonic() + 10
-            while _thread._count() > threads_before:
+            # the thread module's count drops before the kernel's, which
+            # the next case's cpus() reads
+            while (_thread._count() > threads_before
+                   or not workers._one_thread()):
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
     _no_child_left()

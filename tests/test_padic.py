@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerferm import padic
+from eulerferm import padic, workers
 from eulerferm.euler import alt_power_sum, euler_poly
 from eulerferm.identities import SweepGrid, run_suite
 from eulerferm.padic import (
@@ -370,7 +370,10 @@ def test_witt_sum_naive_does_not_fork_with(monkeypatch, case):
         if blocker.locked():
             blocker.release()   # the thread takes it and ends
             deadline = time.monotonic() + 10
-            while _thread._count() > threads_before:
+            # the thread module's count drops before the kernel's, which
+            # the next case's cpus() reads
+            while (_thread._count() > threads_before
+                   or not workers._one_thread()):
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
     _no_child_left()

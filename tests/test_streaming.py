@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulerferm import cli, euler, identities
+from eulerferm import cli, euler, identities, workers
 from eulerferm.identities import (
     CHECKER_IDS,
     IdentityReport,
@@ -214,7 +214,7 @@ def test_streamed_rendering_of_arbitrary_reports(reports):
     # sweeps is written
     for fmt in FORMATS:
         batch = _stdout_of(batch_emit_reports, reports, fmt)
-        render = cli._rendered(fmt, False)
+        render = cli._rendered(fmt, None)
 
         def carried(reports):   # as a forked child sends it back
             return marshal.loads(marshal.dumps(render(reports)))
@@ -562,7 +562,7 @@ def test_a_child_that_fails_while_rendering_costs_time_not_bytes(
     forks = _forks_on(monkeypatch, 2)
     monkeypatch.setattr(cli, "_rendered", failing_rendered)
     if fault == "sends a truncated payload":
-        monkeypatch.setattr(identities, "marshal", SimpleNamespace(
+        monkeypatch.setattr(workers, "marshal", SimpleNamespace(
             dumps=truncated, loads=marshal.loads))
     got = _run_main(argv)
     _no_child_left()
