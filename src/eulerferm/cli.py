@@ -38,9 +38,9 @@ str or bool and a zero Polynomial off its exact type and maps any other
 value by ``_jsonable`` (the writer lays out the params object itself); in
 text and md through ``_text``.
 ``verify --stats`` adds per-checker counts and times, the table sizes, the
-collector's pauses, the peak RSS and the number of processes on stderr,
-read over every process that ran sweeps, each of which renders them with
-each sweep; stdout stays the same bytes.
+collector's pauses, the peak RSS, the CPUs and the number of processes on
+stderr, read over every process that ran sweeps, each of which renders
+them with each sweep; stdout stays the same bytes.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .padic import (
     witt_sum_naive,
 )
 from .polynomial import Polynomial
+from .workers import current_cpu
 
 FORMATS = ("text", "json", "csv", "md")
 
@@ -388,14 +389,16 @@ def _collector_pauses(pauses: list):
 
 
 def _process_stats(pauses: list) -> tuple:
-    """This process's pid, its table sizes, the ms of its own collector
-    pauses since the last snapshot, which it drains from ``pauses``, and
-    its peak RSS: what ``verify --stats`` reads of each process that ran
-    sweeps, with each sweep."""
+    """This process's pid, the CPU it is on (``current_cpu``, None where
+    that is unknown), its table sizes, the ms of its own collector pauses
+    since the last snapshot, which it drains from ``pauses``, and its peak
+    RSS: what ``verify --stats`` reads of each process that ran sweeps,
+    with each sweep."""
     pid = os.getpid()
     own = [ms for owner, ms in pauses if owner == pid]
     pauses.clear()
-    return (pid, {**table_sizes(), "recurrence": identities._RECURRENCE.terms},
+    return (pid, current_cpu(),
+            {**table_sizes(), "recurrence": identities._RECURRENCE.terms},
             own, _peak_rss_mb())
 
 
@@ -433,21 +436,25 @@ def _print_stats(sweeps) -> None:
     order; then, merged over the ``_process_stats`` snapshots that came
     with the sweeps, every table's largest size, the number and total ms of
     the collector's pauses while the checks ran (which the checker running
-    at the time is charged for too), the largest peak RSS and the number
-    of processes that ran sweeps, by pid. All of it goes to stderr, so
-    stdout stays the same bytes."""
+    at the time is charged for too), the largest peak RSS, the CPUs the
+    processes were on as they ran sweeps, where known, and the number of
+    processes that ran sweeps, by pid. All of it goes to stderr, so stdout
+    stays the same bytes."""
     rows, snapshots = zip(*(stats for *_, stats in sweeps))
     for row in rows:
         if row:
             print(row, file=sys.stderr)
     processes = len({pid for pid, *_ in snapshots})
-    sizes = {k: max(sizes[k] for _, sizes, _, _ in snapshots)
-             for k in snapshots[0][1]}
-    ms = [m for _, _, own, _ in snapshots for m in own]
+    on = sorted({cpu for _, cpu, *_ in snapshots if cpu is not None})
+    sizes = {k: max(sizes[k] for _, _, sizes, _, _ in snapshots)
+             for k in snapshots[0][2]}
+    ms = [m for *_, own, _ in snapshots for m in own]
     peak = max(peak for *_, peak in snapshots)
+    where = (f"; CPU{'s' if len(on) > 1 else ''} {', '.join(map(str, on))}"
+             if on else "")
     print("tables: " + ", ".join(f"{k} {v}" for k, v in sizes.items())
           + f"; gc {len(ms)} collections, {sum(ms):.3f} ms"
-          + f"; peak RSS {peak:.1f} MB; {processes} process"
+          + f"; peak RSS {peak:.1f} MB{where}; {processes} process"
           + ("es" if processes > 1 else ""), file=sys.stderr)
 
 

@@ -830,9 +830,10 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
 # Least number of reports whose sweeps ``run_suite`` shares with forked
 # children. Below it, forking, faulting in and reaping a child, building
 # its own E_n and sending its rendered sweeps back cost a cold command as
-# much as a second CPU saves, or more (``sweep_cut`` in
-# BENCH_verify_split.json).
-_SWEEP_CUT = 1000
+# much as a second CPU saves, or more: with each child pinned to a CPU of
+# its own, 349 reports lost, 591 tied in two sessions of three, and 740
+# and 900 won (``sweep_cut`` in BENCH_cpu_pin.json).
+_SWEEP_CUT = 700
 
 
 def _sweep_workers(sweeps) -> int:

@@ -8,8 +8,13 @@ names, where there are two or more and this process runs one thread, else
 one, so nothing forks.
 
 ``shared`` writes the tasks, small ints, one byte each to one pipe in
-claim order. This process and each forked child claim the next task by
-reading one byte, until the pipe is empty, and a child sends back
+claim order. Child i pins itself first thing to the i-th CPU it may use
+other than the one this process is on as it forks (``processor`` of
+/proc/self/stat), so no child time-shares its caller's CPU; where the pin
+cannot be set, the child runs where the scheduler puts it. This process
+stays unpinned, and a pin lasts the child's life, one split. This process
+and each forked child claim the next task by reading one byte, until the
+pipe is empty, and a child sends back
 ``marshal.dumps({task: run(task)})`` of every task it claimed. A task is
 missing from the result where its child failed (it could not be forked,
 raised, exited non-zero, was killed, wrote nothing or wrote what marshal
@@ -26,7 +31,7 @@ import marshal
 import os
 import threading
 
-__all__ = ["cpus", "shared"]
+__all__ = ["cpus", "current_cpu", "shared"]
 
 
 def cpus() -> int:
@@ -48,13 +53,36 @@ def _one_thread() -> bool:
     ``os.fork`` warns on Python 3.12."""
     if threading.active_count() != 1:
         return False
+    stat = _stat()
+    return not stat or stat[17] == b"1"   # field 20, num_threads
+
+
+def current_cpu() -> int | None:
+    """The CPU this process ran on when last scheduled: ``processor``,
+    field 39 of /proc/self/stat; None where there is no /proc."""
+    stat = _stat()
+    return int(stat[36]) if stat else None
+
+
+def _stat() -> list:
+    """The fields of /proc/self/stat from field 3 on, as bytes, so field k
+    is item k - 3 (the name in field 2 may hold spaces); [] where there is
+    no /proc."""
     try:
         with open("/proc/self/stat", "rb") as f:
             stat = f.read()
     except OSError:
-        return True
-    # field 20, num_threads; the name in field 2 may hold spaces
-    return stat[stat.rindex(b")") + 2:].split()[17] == b"1"
+        return []
+    return stat[stat.rindex(b")") + 2:].split()
+
+
+def _spare_cpus() -> list:
+    """The CPUs this process may use less the one it is on, in order: one
+    for each forked child, so no child time-shares the caller's CPU; []
+    where /proc does not name this process's CPU, and then no child is
+    pinned."""
+    here = current_cpu()
+    return [] if here is None else sorted(os.sched_getaffinity(0) - {here})
 
 
 def shared(tasks, run, processes: int) -> dict:
@@ -75,9 +103,11 @@ def shared(tasks, run, processes: int) -> dict:
             os.write(feed, claims)
         finally:
             os.close(feed)
-        for _ in range(processes - 1):
+        spare = _spare_cpus() if processes > 1 else []
+        for i in range(processes - 1):
             try:
-                pid, fd = _fork(queue, run)
+                pid, fd = _fork(queue, run,
+                                spare[i] if i < len(spare) else None)
             except OSError:   # no pipe or no fork
                 continue
             children[pid] = open(fd, "rb")
@@ -113,9 +143,11 @@ def _claimed(queue: int):
         yield claim[0]
 
 
-def _fork(queue: int, run) -> tuple:
-    """(pid, read end) of a forked child that claims tasks off ``queue``
-    and writes ``marshal.dumps({task: run(task)})`` of them to a pipe. The
+def _fork(queue: int, run, cpu: int | None) -> tuple:
+    """(pid, read end) of a forked child that pins itself to ``cpu``, where
+    that is not None and the kernel lets it (else it runs where the
+    scheduler puts it), claims tasks off ``queue`` and writes
+    ``marshal.dumps({task: run(task)})`` of them to a pipe. The
     child leaves by ``os._exit``, 0 once it has written and 1 on any
     exception, so it never unwinds into the caller's frames or flushes a
     buffer it inherited. OSError if no pipe or no child could be made."""
@@ -124,6 +156,9 @@ def _fork(queue: int, run) -> tuple:
     try:
         pid = os.fork()
         if pid == 0:
+            if cpu is not None:
+                with contextlib.suppress(OSError):   # no such CPU: unpinned
+                    os.sched_setaffinity(0, {cpu})
             view = memoryview(marshal.dumps(
                 {task: run(task) for task in _claimed(queue)}))
             while view:

@@ -312,8 +312,12 @@ def test_stats_go_to_stderr_only(capsys):
                             row)
     assert re.fullmatch(r"tables: E_n \d+, B_n \d+, tangent column \d+, "
                         r"recurrence \d+; gc \d+ collections, [\d.]+ ms; "
-                        r"peak RSS [\d.]+ MB; (1 process|\d+ processes)",
-                        tables)
+                        r"peak RSS [\d.]+ MB" + _CPUS
+                        + r"; (1 process|\d+ processes)", tables)
+
+
+# the CPUs the processes were on, where /proc names them
+_CPUS = r"(?:; CPUs? \d+(?:, \d+)*)?"
 
 
 def test_stats_name_each_checkers_slowest_report(capsys, monkeypatch):
@@ -356,16 +360,16 @@ def test_stats_count_the_collections_while_the_checks_run(capsys,
 def test_stats_read_every_process_after_a_fork(capsys, monkeypatch):
     # on two CPUs the desk grid's sweeps are shared with a forked child,
     # whose table sizes, collector pauses and peak RSS come back with its
-    # reports: here its tables read 1000 more, its peak 2 MB, and each of
-    # its sweeps collects once, with automatic collections off
+    # reports: here each of its tables reads 10,000, whichever sweeps it
+    # claims, far above what the caller's grow to, its peak 2 MB, and each
+    # of its sweeps collects once, with automatic collections off
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     caller, sizes, sweep = os.getpid(), cli.table_sizes, identities._sweep
 
     def child_sized():
         own = sizes()
-        return own if os.getpid() == caller else {
-            k: v + 1000 for k, v in own.items()}
+        return own if os.getpid() == caller else dict.fromkeys(own, 10_000)
 
     def collecting(*args):
         if os.getpid() == caller:
@@ -392,11 +396,38 @@ def test_stats_read_every_process_after_a_fork(capsys, monkeypatch):
     assert len(rows) == len(CHECKER_IDS)
     found = re.fullmatch(r"tables: E_n (\d+), B_n (\d+), tangent column "
                          r"(\d+), recurrence \d+; gc (\d+) collections, "
-                         r"[\d.]+ ms; peak RSS 2\.0 MB; 2 processes", tables)
+                         r"[\d.]+ ms; peak RSS 2\.0 MB" + _CPUS
+                         + "; 2 processes", tables)
     assert found, tables
-    assert all(int(size) > 1000 for size in found.groups()[:3])
+    assert found.groups()[:3] == ("10000",) * 3
     assert 1 <= int(found[4]) < len(CHECKER_IDS)
     assert out.endswith("PASS 1731/1731\n")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stats_name_the_cpus_the_processes_ran_on(monkeypatch, cpus):
+    # each process reads its CPU with every sweep; the tables line names
+    # each CPU once, in order, before the process count, and no CPU where
+    # /proc names none: here the caller is on CPU 7 and a child on 3
+    _forks_on(monkeypatch, cpus)
+    caller, sweep = os.getpid(), identities._sweep
+
+    def sleeping(*args):
+        if os.getpid() == caller:
+            time.sleep(0.01)   # the child claims a sweep meanwhile
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "current_cpu",
+                        lambda: 7 if os.getpid() == caller else 3)
+    monkeypatch.setattr(identities, "_sweep", sleeping)
+    code, out, err = _run_main(["verify", "all", "--stats"])
+    _no_child_left()
+    assert code == 0
+    assert err.endswith("MB; CPUs 3, 7; 2 processes\n" if cpus == 2
+                        else "MB; CPU 7; 1 process\n")
+    monkeypatch.setattr(cli, "current_cpu", lambda: None)
+    code, out, err = _run_main(["verify", "cro2", "--stats"])
+    assert code == 0 and err.endswith(" MB; 1 process\n")
 
 
 def test_peak_rss_reads_vmhwm_else_ru_maxrss(monkeypatch):

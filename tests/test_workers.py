@@ -111,3 +111,94 @@ def test_witt_sum_naive_on_300_cpus_takes_256_runs(monkeypatch):
     assert witt_sum_naive(n, a, 3, 6) == fermionic_sum_closed(n, a, span)
     _no_child_left()
     assert len(attempts) == 255 and len(forks) == 2
+
+
+_CALLER = os.getpid()
+
+
+def _claimed_where(task: int) -> tuple:
+    """The pid and CPU set of the process that ran ``task``; the caller
+    waits a little, so a child claims tasks meanwhile."""
+    if os.getpid() == _CALLER:
+        time.sleep(0.01)
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2
+                    or not os.path.exists("/proc/self/stat"),
+                    reason="needs two CPUs and /proc")
+def test_a_child_runs_pinned_to_a_cpu_its_caller_is_not_on(monkeypatch):
+    allowed, read, here = os.sched_getaffinity(0), workers.current_cpu, []
+
+    def recorded():
+        here.append(read())
+        return here[-1]
+
+    monkeypatch.setattr(workers, "current_cpu", recorded)
+    done = workers.shared(_TASKS, _claimed_where, 2)
+    _no_child_left()
+    assert set(done) == set(_TASKS)
+    assert len(here) == 1 and here[0] in allowed   # read once, before forking
+    pinned = {tuple(cpus) for pid, cpus in done.values() if pid != _CALLER}
+    assert len(pinned) == 1, done   # the child claimed tasks, on one CPU
+    [(cpu,)] = pinned
+    assert cpu in allowed and cpu != here[0]
+    # the caller stays unpinned
+    assert os.sched_getaffinity(0) == allowed
+    assert {tuple(cpus) for pid, cpus in done.values() if pid == _CALLER} <= {
+        tuple(sorted(allowed))}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_child_that_cannot_be_pinned_returns_its_tasks(monkeypatch, cpus):
+    # as on one real CPU, where the kernel refuses CPU 1 with EINVAL: the
+    # child runs unpinned and every task still comes back
+    forks = _forks_on(monkeypatch, cpus)
+    monkeypatch.setattr(workers, "current_cpu", lambda: 0)
+    refused = []
+
+    def refuse(pid, cpus):
+        refused.append(sorted(cpus))   # in the child's copy of the list
+        raise OSError(errno.EINVAL, "injected")
+
+    def run(task):
+        pid, _ = _claimed_where(task)
+        return pid, refused
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    done = workers.shared(_TASKS, run, cpus)
+    _no_child_left()
+    assert len(forks) == cpus - 1 and refused == []
+    assert set(done) == set(_TASKS)
+    # child i was asked to pin itself to the i-th CPU but the caller's
+    from_children = {pid: tuple(map(tuple, tried))
+                     for pid, tried in done.values() if pid != _CALLER}
+    assert from_children and set(from_children.values()) <= {((1,),),
+                                                              ((2,),)}
+
+
+def test_spare_cpus_leave_out_the_callers_and_none_where_unknown(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 0, 5, 1},
+                        raising=False)
+    monkeypatch.setattr(workers, "current_cpu", lambda: 1)
+    assert workers._spare_cpus() == [0, 3, 5]
+    monkeypatch.setattr(workers, "current_cpu", lambda: 7)   # not allowed
+    assert workers._spare_cpus() == [0, 1, 3, 5]
+    monkeypatch.setattr(workers, "current_cpu", lambda: None)
+    assert workers._spare_cpus() == []
+
+
+def test_the_stat_fields_read_the_kernels_counts_or_nothing(monkeypatch):
+    if os.path.exists("/proc/self/stat"):
+        assert workers._one_thread()
+        cpu = workers.current_cpu()
+        assert cpu in os.sched_getaffinity(0)
+
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    monkeypatch.setattr(workers, "open", no_proc, raising=False)
+    assert workers._stat() == []
+    assert workers.current_cpu() is None
+    assert workers._one_thread()   # by the threading module's count alone
