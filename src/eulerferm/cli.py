@@ -16,18 +16,15 @@ before the output was all written (``| head``), with no traceback. Output
 is deterministic: stable ordering and no timestamps (elapsed_ms appears in
 JSON but carries no ordering weight).
 
-``witt --naive`` sums its p**N terms on every CPU the process may use
-(``padic.witt_sum_naive``): one even-aligned run per CPU, which this
-process and a forked child per extra CPU claim, when the process may use
-two CPUs or more, runs one thread and has enough work to give each run at
-least ``padic._SPLIT_MIN_WORK``; otherwise, or for any run whose child
-fails, in this process. The bytes printed are the same either way.
+``witt --naive`` sums its p**N terms in one even-aligned run per process
+(``padic.witt_sum_naive``), forked by ``workers`` past the cut of
+``padic._SPLIT_MIN_WORK``. The bytes printed are the same either way.
 
 ``verify`` runs every check before it writes a byte, so a usage error
 found by any checker still exits 2 with empty stdout; its checker sweeps
-run on every CPU the process may use, once they hold enough reports
-(``identities.run_suite``), with the same bytes less elapsed_ms. Then it
-writes the header, each checker's sweep in canonical order and the
+are forked by ``workers`` past the cut of ``identities._SWEEP_CUT``
+reports (``identities.run_suite``), with the same bytes less elapsed_ms.
+Then it writes the header, each checker's sweep in canonical order and the
 summary: the bytes of one ``json.dumps(reports, indent=2)`` (or one
 table). Every process that runs a sweep, this one alone too, renders it
 right after running it and drops its reports, and this process holds the

@@ -56,22 +56,18 @@ Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
 
-Given a ``render``, ``run_suite`` runs the checker sweeps on every CPU the
-process may use. It draws each checker's params first; where two checkers
-or more are selected, with ``_SWEEP_CUT`` reports or more between them, and
-``workers.cpus`` allows two processes or more, it forks one child per extra
-CPU, and the processes claim the sweeps, most reports first
-(``workers.shared``). The sweeps share nothing but the append-only tables
-of ``euler``, which each process extends on its own, and the memos, which
-each sweep drops when it ends. Every process, the caller alone too, hands
-each sweep it runs to ``render`` right after running it and drops its
-reports, and a child sends what ``render`` returned back by ``marshal``:
-``verify`` renders the sweep's output there, and the caller holds the
-sweeps' text until it writes them. The caller takes the results in
-canonical order and runs every sweep that no process returned again
-itself, so the output is that of a serial run, less ``elapsed_ms``, and
-no child outlives the call. A library call without ``render`` runs every
-sweep in this process and returns the reports.
+Given a ``render``, ``run_suite`` hands the checker sweeps, most reports
+first, to ``workers.shared``, which decides how many processes run them
+from the report count against ``_SWEEP_CUT``. The sweeps share nothing but
+the append-only tables of ``euler``, which each process extends on its
+own, and the memos, which each sweep drops when it ends. Every process,
+the caller alone too, hands each sweep it runs to ``render`` right after
+running it and drops its reports, and a child sends what ``render``
+returned back by ``marshal``: ``verify`` renders the sweep's output there,
+and the caller holds the sweeps' text until it writes them, in canonical
+order, so the output is that of a serial run, less ``elapsed_ms``. A
+library call without ``render`` runs every sweep in this process and
+returns the reports.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -112,7 +108,7 @@ from .numeric import binomial, falling_factorial
 from .padic import (fermionic_sum_closed, lem1_defect, require_odd_prime,
                     require_precision, witt_defect)
 from .polynomial import Polynomial, monomial
-from .workers import cpus, shared
+from .workers import processes, shared
 
 __all__ = [
     "IdentityReport",
@@ -144,7 +140,8 @@ class SweepGrid(namedtuple("SweepGrid",
     Every grid is checked when it is built, by ``_replace`` too: each index
     range holds natural numbers up to ``MAX_DEGREE``, each prime is odd and
     the precision is a digit sum's. Each field but the precision is stored
-    as a tuple, built from any iterable, so a checked grid cannot change.
+    as a tuple, sorted and without repeats, built from any iterable, so a
+    checked grid cannot change and a sweep reads each axis as stored.
     """
 
     __slots__ = ()
@@ -173,8 +170,10 @@ class SweepGrid(namedtuple("SweepGrid",
         for p in p_list:
             require_odd_prime(p)
         # a swept point is reported as a Fraction, as in a direct call
-        return super().__new__(cls, m, n, q, k, s,
-                               tuple(map(Fraction, points)), p_list, precision)
+        return super().__new__(cls, *(
+            tuple(sorted(set(axis)))
+            for axis in (m, n, q, k, s, map(Fraction, points), p_list)),
+            precision)
 
     @classmethod
     def _make(cls, iterable):
@@ -301,8 +300,7 @@ def _grid(*axes, **renamed):
     fields = axes + tuple(renamed.values())
 
     def gen(grid):
-        values = [sorted(set(getattr(grid, f))) for f in fields]
-        for combo in itertools.product(*values):
+        for combo in itertools.product(*(getattr(grid, f) for f in fields)):
             yield dict(zip(names, combo))
     return gen
 
@@ -620,7 +618,7 @@ def check_thm2_cro2(n: int, k: int):
 
 def _per_m(*names):
     def gen(grid):
-        for m in sorted(set(grid.m)):
+        for m in grid.m:
             for combo in itertools.product(range(m + 1), repeat=len(names)):
                 yield {"m": m, **dict(zip(names, combo))}
     return gen
@@ -628,7 +626,7 @@ def _per_m(*names):
 
 # thm3_1d's reports run j before k, an order the goldens fix
 def _gen_mkj(grid):
-    return ({"m": m, "k": k, "j": j} for m in sorted(set(grid.m))
+    return ({"m": m, "k": k, "j": j} for m in grid.m
             for j in range(1, m + 1) for k in range(m + 1))
 
 
@@ -720,9 +718,9 @@ def check_fersim3(n: int, q: int):
 
 def _gen_witt(grid):
     # only p-integral shifts have a fermionic sum
-    for p in sorted(set(grid.p_list)):
-        for n in sorted(set(grid.n)):
-            for a in sorted(set(grid.points)):
+    for p in grid.p_list:
+        for n in grid.n:
+            for a in grid.points:
                 if a.denominator % p != 0:
                     yield {"n": n, "a": a, "p": p, "precision": grid.precision}
 
@@ -755,7 +753,7 @@ _LEM1_COUNT = 5
 
 
 def _gen_lem1(grid):
-    for p in sorted(set(grid.p_list)):
+    for p in grid.p_list:
         for index in range(_LEM1_COUNT):
             yield {"f": _lem1_poly(p, index), "p": p,
                    "precision": grid.precision, "index": index}
@@ -795,10 +793,10 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     the reports. With it, the result is ``render(reports)`` of each
     selected checker's sweep, in canonical order, called in the process
     that ran the sweep right after running it; the sweep's params and
-    reports go once it is rendered. ``_sweep_workers`` decides how many
-    processes run the sweeps (``workers.shared``); whatever sweep no worker
-    returned runs here, so the results, and the first ``ValueError`` a body
-    raises in canonical order, are the same either way. A forked child
+    reports go once it is rendered. ``workers.shared`` runs the sweeps,
+    forked past ``_SWEEP_CUT`` reports, and the results, and the first
+    ``ValueError`` a body raises in canonical order, are the same either
+    way. A forked child
     sends what ``render`` returns back by ``marshal``, so it must be built
     of what marshal writes (bytes, str, int, float, None and tuples, lists
     and dicts of them).
@@ -817,14 +815,12 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     sweeps = [(cid, list(CHECKERS[cid].gen(grid))) for cid in sorted(set(ids))]
     if render is None:
         return [r for cid, todo in sweeps for r in _sweep(cid, todo)]
-    workers = _sweep_workers(sweeps)
+    counts = [len(todo) for _, todo in sweeps]
     # claimed most reports first
-    done = {} if workers == 1 else shared(
-        sorted(range(len(sweeps)), key=lambda i: -len(sweeps[i][1])),
-        lambda i: _rendered_sweep(sweeps, i, render), workers)
-    # what no worker returned runs here, in canonical order
-    return [done.pop(i) if i in done else _rendered_sweep(sweeps, i, render)
-            for i in range(len(sweeps))]
+    done = shared(sorted(range(len(sweeps)), key=lambda i: -counts[i]),
+                  lambda i: _rendered_sweep(sweeps, i, render),
+                  processes(sum(counts), _SWEEP_CUT, len(sweeps)))
+    return list(done.values())   # in ascending order: canonical
 
 
 # Least number of reports whose sweeps ``run_suite`` shares with forked
@@ -834,16 +830,6 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
 # its own, 349 reports lost, 591 tied in two sessions of three, and 740
 # and 900 won (``sweep_cut`` in BENCH_cpu_pin.json).
 _SWEEP_CUT = 700
-
-
-def _sweep_workers(sweeps) -> int:
-    """How many processes run ``sweeps``, a list of (checker id, params):
-    one per CPU that ``workers.cpus`` allows, at most one per sweep, where
-    there are two sweeps or more and ``_SWEEP_CUT`` reports; else one."""
-    if (len(sweeps) < 2
-            or sum(len(todo) for _, todo in sweeps) < _SWEEP_CUT):
-        return 1
-    return min(cpus(), len(sweeps))
 
 
 def _sweep(cid: str, todo: list) -> list:
@@ -858,11 +844,11 @@ def _sweep(cid: str, todo: list) -> list:
 
 def _rendered_sweep(sweeps, i: int, render):
     """``render`` of the reports of ``sweeps[i]``, a (checker id, params)
-    pair, right after they run. The pair is dropped once the sweep has run,
-    and the reports once they are rendered."""
-    reports = _sweep(*sweeps[i])
+    pair, right after they run. The pair and the reports are dropped once
+    they are rendered, so a sweep whose ``render`` raised can run again."""
+    rendered = render(_sweep(*sweeps[i]))
     sweeps[i] = None
-    return render(reports)
+    return rendered
 
 
 def _drop_sweep_memos() -> None:

@@ -21,15 +21,11 @@ The naive sum adds the p^N terms one by one. ``witt_sum_naive``, which
 ``witt --naive`` prints, sums Witt's integrand (x+a)**n with a = r/t as one
 integer power (t*x + r)**n per term and divides by t**n once: it reads no
 Polynomial, no Taylor shift and no Euler table, so it shares no code with the
-digit route or the closed form. Its terms run on every CPU the process may
-use: [0, p^N) is cut into one contiguous, even-aligned run per worker, and
-the caller and an ``os.fork``ed child per extra worker claim the runs and
-sum them (``workers.shared``). It forks only where ``workers.cpus``
-allows: ``os.sched_getaffinity`` names two CPUs or more and the process
-runs one thread; and where each run gets at least ``_SPLIT_MIN_WORK`` of
-the work, estimated from the term count and the bit length of the largest
-power; otherwise, and for a run whose child fails, the terms are summed in
-process, so the sum is exact either way and no child outlives the call.
+digit route or the closed form. [0, p^N) is cut into one contiguous,
+even-aligned run per process, which ``workers.shared`` sums; the process
+count is ``workers``' decision, from the work estimated from the term count
+and the bit length of the largest power, against a cut of two runs of
+``_SPLIT_MIN_WORK``. The sum is exact however many processes run.
 ``fermionic_sum_naive``, the library oracle of both routes, sums any
 integrand: in plain integers by Horner's rule for a Polynomial and in its
 own arithmetic for any other callable. The closed form
@@ -57,7 +53,7 @@ from operator import mul
 
 from .euler import alt_power_sum, euler_poly
 from .polynomial import Polynomial
-from .workers import cpus, shared
+from .workers import processes, shared
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -226,15 +222,11 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     With a = r/t, each term is the integer power (t*x + r)**n, summed by
     ``_alternating_chunk``, and (even - odd) is divided by t**n once. The
     budget is checked before any term is summed. The p**N terms are cut
-    into one contiguous, even-aligned run per worker (``_worker_count``):
-    one per CPU in ``os.sched_getaffinity(0)``, each given at least
-    ``_SPLIT_MIN_WORK`` of the estimated work, and only while the process
-    runs one thread. The caller and an ``os.fork``ed child per extra
-    worker claim the runs (``_split_sum``). With one worker (one CPU, no
-    ``sched_getaffinity``, a second thread or too little work for two) the
-    whole span is one run in this process, and a run whose child fails is
-    summed again here, so the sum is the same exact value either way.
-    Equal to ``fermionic_sum_naive`` of (x+a)**n and to
+    into contiguous runs whose bounds but the last are even, one per
+    process that ``workers.processes`` sets, each given at least
+    ``_SPLIT_MIN_WORK`` of the estimated work span * (64 + n * bits), with
+    bits the length of the largest base |r| + t*span; ``workers.shared``
+    sums them. Equal to ``fermionic_sum_naive`` of (x+a)**n and to
     ``fermionic_sum_closed(n, a, p**N)``, from neither's code.
     """
     if n < 0:
@@ -242,8 +234,14 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     span = _check_budget(p, precision, budget)
     a = Fraction(a)
     r, t = a.numerator, a.denominator
-    workers = _worker_count(n, r, t, span)
-    return Fraction(_split_sum(n, r, t, span, workers), t ** n)
+    work = span * (64 + n * (abs(r) + t * span).bit_length())
+    runs = processes(work, 2 * _SPLIT_MIN_WORK, work // _SPLIT_MIN_WORK)
+    bounds = [2 * (span * i // (2 * runs)) for i in range(runs)] + [span]
+
+    def run(i: int) -> int:
+        return _alternating_chunk(n, r, t, bounds[i], bounds[i + 1])
+
+    return Fraction(sum(shared(range(runs), run, runs).values()), t ** n)
 
 
 def _alternating_chunk(n: int, r: int, t: int, lo: int, hi: int) -> int:
@@ -252,35 +250,6 @@ def _alternating_chunk(n: int, r: int, t: int, lo: int, hi: int) -> int:
     start, stop = r + t * lo, r + t * hi
     return (sum(map(pow, range(start, stop, 2 * t), repeat(n)))
             - sum(map(pow, range(start + t, stop, 2 * t), repeat(n))))
-
-
-def _worker_count(n: int, r: int, t: int, span: int) -> int:
-    """How many processes sum the ``span`` terms (t*x + r)**n: one per CPU
-    that ``workers.cpus`` allows, each given at least ``_SPLIT_MIN_WORK``
-    of the estimated work span * (64 + n * bits), with bits the length of
-    the largest base |r| + t*span, and at most 256, one claim byte a run.
-    One, so no fork, where that is too little work,
-    ``os.sched_getaffinity`` is missing or another thread runs."""
-    work = span * (64 + n * (abs(r) + t * span).bit_length())
-    if work < 2 * _SPLIT_MIN_WORK:
-        return 1
-    return min(cpus(), work // _SPLIT_MIN_WORK, 256)
-
-
-def _split_sum(n: int, r: int, t: int, span: int, workers: int) -> int:
-    """``_alternating_chunk`` over [0, span), cut into ``workers``
-    contiguous runs whose bounds but the last are even. The caller and
-    ``workers`` - 1 forked children claim the runs (``workers.shared``);
-    one worker forks nothing. A run that no process returned is summed
-    again here."""
-    bounds = [2 * (span * i // (2 * workers)) for i in range(workers)]
-    runs = list(zip(bounds, bounds[1:] + [span]))
-
-    def run(i: int) -> int:
-        return _alternating_chunk(n, r, t, *runs[i])
-
-    done = shared(range(workers), run, workers)
-    return sum(done[i] if i in done else run(i) for i in range(workers))
 
 
 def fermionic_sum_digits(f: Polynomial, p: int, precision: int,

@@ -1,27 +1,35 @@
-"""Forked workers: one claim protocol for every split.
+"""Forked workers: the one fork decision and the one claim protocol of
+every split.
 
 ``padic.witt_sum_naive`` cuts its p**N terms into runs and
-``identities.run_suite`` hands out whole checker sweeps; both share their
-tasks with ``os.fork``ed children through ``shared``. ``cpus`` is how
-many processes a split may run: the CPUs that ``os.sched_getaffinity``
-names, where there are two or more and this process runs one thread, else
-one, so nothing forks.
+``identities.run_suite`` hands out whole checker sweeps. Each estimates its
+work in its own unit, against its own cut, and hands its tasks to
+``shared`` on ``processes(work, cut, most)`` processes. That is the policy,
+stated here alone: one process below the cut and for fewer than two tasks;
+else one per CPU that ``cpus`` allows, at most ``most`` (one per task) and
+at most 256, one claim byte a task. ``cpus`` is the number of CPUs that
+``os.sched_getaffinity`` names, where there are two or more and this
+process runs one thread, else one, so nothing forks; it is read only past
+the cut.
 
-``shared`` writes the tasks, small ints, one byte each to one pipe in
-claim order. Child i pins itself first thing to the i-th CPU it may use
-other than the one this process is on as it forks (``processor`` of
-/proc/self/stat), so no child time-shares its caller's CPU; where the pin
-cannot be set, the child runs where the scheduler puts it. This process
-stays unpinned, and a pin lasts the child's life, one split. This process
-and each forked child claim the next task by reading one byte, until the
-pipe is empty, and a child sends back
+With one process, ``shared`` opens no pipe and forks nothing: this process
+claims the tasks in ascending order. Else ``shared`` writes the tasks,
+small ints, one byte each to one pipe in claim order. Child i pins itself
+first thing to the i-th CPU it may use other than the one this process is
+on as it forks (``processor`` of /proc/self/stat), so no child time-shares
+its caller's CPU; where the pin cannot be set, the child runs where the
+scheduler puts it. This process stays unpinned, and a pin lasts the
+child's life, one split. This process and each forked child claim the next
+task by reading one byte, until the pipe is empty, and a child sends back
 ``marshal.dumps({task: run(task)})`` of every task it claimed. A task is
-missing from the result where its child failed (it could not be forked,
-raised, exited non-zero, was killed, wrote nothing or wrote what marshal
-cannot read), or where ``run`` raised an ``Exception`` in this process,
-which then stops claiming; the caller does every missing task itself.
-Whatever else the caller raises, every child is killed and reaped and
-every pipe closed, so no child outlives the call.
+missing where its child failed (it could not be forked, raised, exited
+non-zero, was killed, wrote nothing or wrote what marshal cannot read), or
+where ``run`` raised an ``Exception`` in this process, which then stops
+claiming. Once every child is reaped, this process runs every missing task
+itself, in ascending order, so ``shared`` returns every task, and an error
+that recurs is raised as in a run in one process. Whatever else the caller
+raises, every child is killed and reaped and every pipe closed, so no child
+outlives the call.
 """
 
 from __future__ import annotations
@@ -31,7 +39,16 @@ import marshal
 import os
 import threading
 
-__all__ = ["cpus", "current_cpu", "shared"]
+__all__ = ["cpus", "current_cpu", "processes", "shared"]
+
+
+def processes(work: int, cut: int, most: int) -> int:
+    """How many processes run a split of ``work``, estimated in the
+    caller's unit, into at most ``most`` tasks: 1 below ``cut`` or for
+    fewer than two tasks; else ``cpus()``, at most ``most`` and 256."""
+    if work < cut or most < 2:
+        return 1
+    return min(cpus(), most, 256)
 
 
 def cpus() -> int:
@@ -86,23 +103,29 @@ def _spare_cpus() -> list:
 
 
 def shared(tasks, run, processes: int) -> dict:
-    """{task: run(task)} of the ``tasks``, distinct ints in range(256)
-    claimed in the order given, that this process and ``processes`` - 1 forked
-    children ran; a task missing from it is the caller's to do. What
-    ``run`` returns must be built of what ``marshal`` writes. A task that
-    is not a byte raises ``ValueError`` before anything forks."""
+    """{task: run(task)} of every one of the ``tasks``, distinct ints in
+    range(256) claimed in the order given, keyed in ascending order. With
+    one process (``processes``), this process claims them in ascending
+    order, and nothing forks; else it and ``processes`` - 1 forked children
+    claim them off one pipe. Once every child is reaped, this process runs
+    each task that no process returned, in ascending order, so an error
+    that recurs is raised for the lowest task it recurs on. What ``run``
+    returns must be built of what ``marshal`` writes. A task that is not a
+    byte raises ``ValueError`` before anything runs."""
     claims = bytes(tasks)
-    done, children = {}, {}   # pid -> read end of its result pipe
+    done, children, queue = {}, {}, None   # pid -> read end of its result
     try:
-        queue, feed = os.pipe()
-    except OSError:   # no pipe: every task is the caller's
-        return done
-    try:
-        try:
-            # at most 256 bytes: one write, under PIPE_BUF
-            os.write(feed, claims)
-        finally:
-            os.close(feed)
+        if processes > 1:
+            try:
+                queue, feed = os.pipe()
+            except OSError:   # no pipe: nothing forks
+                processes = 1
+            else:
+                try:
+                    # at most 256 bytes: one write, under PIPE_BUF
+                    os.write(feed, claims)
+                finally:
+                    os.close(feed)
         spare = _spare_cpus() if processes > 1 else []
         for i in range(processes - 1):
             try:
@@ -112,11 +135,11 @@ def shared(tasks, run, processes: int) -> dict:
                 continue
             children[pid] = open(fd, "rb")
         try:
-            for task in _claimed(queue):
+            for task in sorted(claims) if queue is None else _claimed(queue):
                 done[task] = run(task)
         except Exception:
-            # missing, so the caller does it again in its own order, where
-            # an error that recurs is raised
+            # missing, so it runs again below, in ascending order, where an
+            # error that recurs is raised
             pass
         for pid in list(children):
             data = children[pid].read()
@@ -126,7 +149,8 @@ def shared(tasks, run, processes: int) -> dict:
                 with contextlib.suppress(EOFError, ValueError):
                     done.update(marshal.loads(data))   # may be cut short
     finally:
-        os.close(queue)
+        if queue is not None:
+            os.close(queue)
         if children:
             import signal   # only here: a split that returns kills nothing
         for pid, pipe in children.items():
@@ -134,7 +158,8 @@ def shared(tasks, run, processes: int) -> dict:
             with contextlib.suppress(OSError):   # reaped before the raise
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return done
+    return {task: done[task] if task in done else run(task)
+            for task in sorted(claims)}
 
 
 def _claimed(queue: int):

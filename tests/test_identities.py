@@ -544,6 +544,15 @@ def test_sweep_grid_stores_any_iterable_of_ints_as_a_tuple():
     # the grid keeps no reference to a list it was built from
     axis.append(-1)
     assert from_lists == tuples
+    # each axis is stored sorted and without repeats, as a sweep reads it,
+    # by _replace too
+    repeated = SweepGrid(m=[3, 1, 3], p_list=[7, 3, 7], points=[1, 0, 1])
+    assert (repeated.m, repeated.p_list, repeated.points) == (
+        (1, 3), (3, 7), (F(0), F(1)))
+    assert tuples._replace(k=[2, 0, 2, 0]) == tuples
+    ids = ["thm3", "witt", "lem1"]
+    assert _untimed(run_suite(ids, repeated)) == _untimed(run_suite(
+        ids, SweepGrid(m=[1, 3], p_list=[3, 7], points=[0, 1])))
     for bad in (3, None):
         with pytest.raises(ValueError, match="^every grid field but precision "
                                              "must be iterable$"):
@@ -975,6 +984,20 @@ def test_the_first_value_error_in_canonical_order_is_raised(monkeypatch):
             run_suite(None, SweepGrid(), _kept)
         _no_child_left()
         assert len(forks) == cpus - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_render_that_raises_raises_its_own_error(monkeypatch, cpus):
+    # the sweep whose render raised runs again, where the error recurs
+    forks = _forks_on(monkeypatch, cpus)
+
+    def refusing(reports):
+        raise ZeroDivisionError("render refused")
+
+    with pytest.raises(ZeroDivisionError, match="^render refused$"):
+        run_suite(None, SweepGrid(), refusing)
+    _no_child_left()
+    assert len(forks) == cpus - 1
 
 
 def test_an_interrupted_caller_kills_and_reaps_its_children(monkeypatch):

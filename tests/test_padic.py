@@ -201,6 +201,38 @@ def _split_on(monkeypatch, cpus: int, split_min: int = 1) -> list:
     return _forks_on(monkeypatch, cpus)
 
 
+def _fork_attempts_on(monkeypatch, cpus: int) -> list:
+    """Let the process see ``cpus`` CPUs, and refuse every fork as the
+    kernel does when it has no process to spare; the returned list gains an
+    entry per attempt, so a split that runs k processes makes k - 1."""
+    attempts = []
+
+    def no_fork():
+        attempts.append(None)
+        raise OSError(errno.EAGAIN, "injected")
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    return attempts
+
+
+def _naive_work(n: int, a: Fraction, span: int) -> int:
+    """The work ``witt_sum_naive`` estimates for the ``span`` terms
+    (t*x + r)**n, a = r/t: span * (64 + n * bits), with bits the length of
+    the largest base |r| + t*span."""
+    r, t = a.numerator, a.denominator
+    return span * (64 + n * (abs(r) + t * span).bit_length())
+
+
+def _naive_processes(n: int, a: Fraction, span: int) -> int:
+    """How many processes ``workers.processes`` gives that sum: past two
+    runs of ``_SPLIT_MIN_WORK``, at most one run each."""
+    work = _naive_work(n, a, span)
+    return workers.processes(work, 2 * padic._SPLIT_MIN_WORK,
+                             work // padic._SPLIT_MIN_WORK)
+
+
 _SPLIT_SHIFTS = (F(0), F(1), F(-1), F(1, 2), F(-9, 2), F(7, 4))
 
 
@@ -211,53 +243,68 @@ def test_a_split_naive_sum_equals_one_run_and_both_oracles(monkeypatch, cpus):
     # a run takes 600 units of work, so the small sums take one run and
     # the large ones a run per CPU
     forks = _split_on(monkeypatch, cpus, 600)
-    want_forks, counts = 0, set()
+    counts = set()
     for p, precision in [(3, 2), (3, 3), (5, 2)]:   # 9, 27 and 25 terms
         span = p ** precision
         for n in (0, 1, 2, 7):
             for a in _SPLIT_SHIFTS:
                 r, t = a.numerator, a.denominator
-                work = span * (64 + n * (abs(r) + t * span).bit_length())
-                workers = padic._worker_count(n, r, t, span)
-                assert workers == max(1, min(cpus, work // 600))
-                counts.add(workers)
+                work = _naive_work(n, a, span)
+                forked = len(forks)
                 got = witt_sum_naive(n, a, p, precision)
                 _no_child_left()
-                want_forks += workers - 1
+                # one process per run
+                runs = len(forks) - forked + 1
+                assert runs == _naive_processes(n, a, span) == max(
+                    1, min(cpus, work // 600))
+                counts.add(runs)
                 assert got == F(padic._alternating_chunk(n, r, t, 0, span),
                                 t ** n), (p, precision, n, a)
                 assert got == fermionic_sum_naive(
                     monomial(n).compose_affine(1, a), p, precision)
                 assert got == fermionic_sum_closed(n, a, span)
-    assert len(forks) == want_forks > 0
     assert counts == {1, 2, cpus}
 
 
+# (n, a, p, N) of sums near the cut, and the processes each runs on two
+# CPUs: an n = 8 sum of the padic benchmark (79,507 terms) splits; n = 0
+# sums of 66,049 and 117,649 terms, too cheap a term to pay for a fork, do
+# not; 177,147 terms at n = 0 do
+SUMS_NEAR_THE_CUT = [((8, Fraction(9, 2), 43, 3), 2),
+                     ((6, Fraction(7, 2), 5, 7), 2),
+                     ((0, Fraction(0), 257, 2), 1),
+                     ((0, Fraction(0), 7, 6), 1),
+                     ((2, Fraction(1, 2), 5, 7), 1),
+                     ((0, Fraction(1, 2), 3, 11), 2)]
+
+
 def test_the_split_reads_the_work_not_the_term_count(monkeypatch):
-    # on two CPUs, an n = 8 sum of the padic benchmark (79,507 terms)
-    # splits; n = 0 sums of 66,049 and 117,649 terms, too cheap a term to
-    # pay for a fork, do not; 177,147 terms at n = 0 do
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    assert padic._worker_count(8, 9, 2, 43 ** 3) == 2
-    assert padic._worker_count(6, 7, 2, 5 ** 7) == 2
-    assert padic._worker_count(0, 0, 1, 257 ** 2) == 1
-    assert padic._worker_count(0, 0, 1, 7 ** 6) == 1
-    assert padic._worker_count(2, 1, 2, 5 ** 7) == 1
-    assert padic._worker_count(0, 1, 2, 3 ** 11) == 2
+    attempts = _fork_attempts_on(monkeypatch, 2)
+    for (n, a, p, precision), runs in SUMS_NEAR_THE_CUT:
+        span = p ** precision
+        assert _naive_processes(n, a, span) == runs
+        tried = len(attempts)
+        assert witt_sum_naive(n, a, p, precision) == fermionic_sum_closed(
+            n, a, span)
+        assert len(attempts) - tried == runs - 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_runs_cover_odd_and_even_spans(workers):
+def test_split_runs_cover_odd_and_even_spans(monkeypatch, workers):
     # every run but the last starts and ends on an even x, so each keeps
     # the sign of (-1)**x; spans of either parity, down to fewer terms than
     # workers, equal the literal alternating sum
+    forks = _split_on(monkeypatch, workers)
     for span in (1, 2, 5, 8, 9, 10, 11, 64, 65):
+        # p**N is odd: any span is summed as if it were
+        monkeypatch.setattr(padic, "_check_budget", lambda *args: span)
         for n in (0, 1, 3):
             for a in _SPLIT_SHIFTS:
                 r, t = a.numerator, a.denominator
                 want = sum((-1) ** x * (t * x + r) ** n for x in range(span))
-                assert padic._split_sum(n, r, t, span, workers) == want
+                forked = len(forks)
+                assert witt_sum_naive(n, a, 3, 1) == Fraction(want, t ** n)
+                assert len(forks) - forked == workers - 1
                 assert padic._alternating_chunk(n, r, t, 0, span) == want
                 _no_child_left()
 
@@ -336,7 +383,7 @@ def test_witt_sum_naive_does_not_fork_with(monkeypatch, case):
     _split_on(monkeypatch, 4)
     sums = [(5, F(-9, 2)), (0, F(0)), (8, F(1, 2))]
     for n, a in sums:   # four runs each, which the case brings down to one
-        assert padic._worker_count(n, a.numerator, a.denominator, 81) == 4
+        assert _naive_processes(n, a, 81) == 4
     monkeypatch.setattr(os, "fork", _refuse_fork)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30,))
@@ -360,7 +407,7 @@ def test_witt_sum_naive_does_not_fork_with(monkeypatch, case):
         monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", 81 * 64 + 1)
     try:
         for n, a in sums:
-            assert padic._worker_count(n, a.numerator, a.denominator, 81) == 1
+            assert _naive_processes(n, a, 81) == 1
             assert witt_sum_naive(n, a, 3, 4) == fermionic_sum_closed(n, a, 81)
     finally:
         release.set()

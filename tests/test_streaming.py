@@ -468,7 +468,7 @@ def test_one_process_renders_each_sweep_before_the_next_runs(monkeypatch):
             return render(reports)
         return noted
 
-    monkeypatch.setattr(identities, "cpus", lambda: 1)
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     monkeypatch.setattr(identities, "_sweep", noted_sweep)
     monkeypatch.setattr(cli, "_rendered", noted_rendered)

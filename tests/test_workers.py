@@ -1,18 +1,24 @@
-"""``workers.shared``, the one claim protocol of both splits: this process
-and its forked children claim tasks off one pipe, a byte each, and every
-task that no process returned is the caller's to do, so ``witt_sum_naive``
+"""``workers``, the one fork decision and the one claim protocol of both
+splits: ``processes`` sets how many processes run a split, the same as the
+rules each split kept before it moved here, and in ``shared`` this process
+and its forked children claim tasks off one pipe, a byte each, and this
+process runs every task that no process returned, so ``witt_sum_naive``
 stays exact whatever fails, and no child outlives a call."""
 
 import errno
 import os
+import signal
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from eulerferm import padic, workers
+from eulerferm import identities, padic, workers
+from eulerferm.identities import SweepGrid, run_suite
 from eulerferm.padic import fermionic_sum_closed, witt_sum_naive
-from test_padic import _forks_on, _no_child_left, _split_on
+from test_padic import (SUMS_NEAR_THE_CUT, _fork_attempts_on, _forks_on,
+                        _naive_processes, _naive_work, _no_child_left,
+                        _refuse_fork, _split_on)
 
 # in claim order, not sorted: the highest byte, the lowest and between
 _TASKS = [200, 0, 255, 17, 3, 99, 1, 64, 128, 5, 42, 250]
@@ -64,24 +70,71 @@ def test_a_run_that_raises_once_in_the_caller_is_summed_again(monkeypatch,
     assert len(forks) == 2 * (cpus - 1)
 
 
-def test_a_child_whose_result_marshal_cannot_write_leaves_it_to_the_caller(
+def test_one_process_forks_nothing_and_runs_the_tasks_in_ascending_order(
         monkeypatch):
-    forks = _forks_on(monkeypatch, 3)
-    caller, ran_here = os.getpid(), []
+    ran = []
 
-    def unwritable_in_a_child(task):
+    def no_pipe():
+        raise AssertionError("os.pipe was called")
+
+    def noted(task):
+        ran.append(task)
+        return _run(task)
+
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    done = workers.shared(_TASKS, noted, 1)
+    assert ran == sorted(_TASKS)
+    assert list(done.items()) == [(t, _run(t)) for t in sorted(_TASKS)]
+    assert workers.shared([], noted, 1) == {}
+
+
+def _children_fail_and_the_caller_runs_their_tasks(monkeypatch, in_a_child):
+    """``shared`` on three processes whose children call ``in_a_child``
+    in place of ``_run``: every task comes back, each run once here, and
+    those the children claimed after every child is reaped, in ascending
+    order."""
+    forks = _forks_on(monkeypatch, 3)
+    caller, events, waitpid = os.getpid(), [], os.waitpid
+
+    def run(task):
         if os.getpid() != caller:
-            return object()   # marshal.dumps raises ValueError
-        ran_here.append(task)
+            return in_a_child(task)
+        events.append(task)
         time.sleep(0.01)   # the children claim tasks meanwhile
         return _run(task)
 
-    done = workers.shared(_TASKS, unwritable_in_a_child, 3)
+    def noted_waitpid(pid, options):
+        events.append("reaped")
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", noted_waitpid)
+    done = workers.shared(_TASKS, run, 3)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     _no_child_left()
     assert len(forks) == 2
-    # only the caller's own tasks came back; the children's are missing
-    assert done == {t: _run(t) for t in ran_here}
-    assert set(done) < set(_TASKS)
+    assert list(done.items()) == [(t, _run(t)) for t in sorted(_TASKS)]
+    last = len(events) - events[::-1].index("reaped")
+    claimed, redone = events[:events.index("reaped")], events[last:]
+    assert events.count("reaped") == 2
+    assert sorted(claimed + redone) == sorted(_TASKS)
+    # the children claimed tasks, and the caller ran them once both were
+    # reaped, lowest first
+    assert redone and redone == sorted(redone)
+
+
+def test_a_child_whose_result_marshal_cannot_write_leaves_it_to_the_caller(
+        monkeypatch):
+    # marshal.dumps raises ValueError in the child, which exits 1
+    _children_fail_and_the_caller_runs_their_tasks(monkeypatch,
+                                                   lambda task: object())
+
+
+def test_a_killed_childs_tasks_come_back_run_here(monkeypatch):
+    def killed(task):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    _children_fail_and_the_caller_runs_their_tasks(monkeypatch, killed)
 
 
 def test_more_tasks_than_one_claim_byte_are_refused(monkeypatch):
@@ -107,7 +160,7 @@ def test_witt_sum_naive_on_300_cpus_takes_256_runs(monkeypatch):
 
     monkeypatch.setattr(os, "fork", two_at_most)
     n, a, span = 5, F(1, 2), 3 ** 6
-    assert padic._worker_count(n, a.numerator, a.denominator, span) == 256
+    assert _naive_processes(n, a, span) == 256
     assert witt_sum_naive(n, a, 3, 6) == fermionic_sum_closed(n, a, span)
     _no_child_left()
     assert len(attempts) == 255 and len(forks) == 2
@@ -202,3 +255,58 @@ def test_the_stat_fields_read_the_kernels_counts_or_nothing(monkeypatch):
     assert workers._stat() == []
     assert workers.current_cpu() is None
     assert workers._one_thread()   # by the threading module's count alone
+
+
+# The fork decisions as ``identities._sweep_workers`` and
+# ``padic._worker_count`` made them on ``cpus`` CPUs before both moved into
+# ``workers.processes``: the oracle of the one rule that replaced them.
+
+def _sweep_workers_before(counts: list, cpus: int) -> int:
+    """``counts``: the report count of each selected checker's sweep."""
+    if len(counts) < 2 or sum(counts) < 700:
+        return 1
+    return min(cpus, len(counts))
+
+
+def _worker_count_before(work: int, cpus: int) -> int:
+    if work < 2 * 2 ** 22:
+        return 1
+    return min(cpus, work // 2 ** 22, 256)
+
+
+# (ids, m axis, reports) of sweeps just below and at the sweep cut: thm3_1a
+# has m + 1 reports at m, thm3_1b m, and fersim one at n = 0
+SWEEPS_NEAR_THE_CUT = [
+    (["thm3_1a"], set(range(37)) - {3}, 699),
+    (["thm3_1a"], set(range(37)) - {2}, 700),
+    (["thm3_1a", "thm3_1b"], set(range(27)) - {0, 14}, 699),
+    (["thm3_1a", "thm3_1b"], set(range(27)) - {14}, 700),
+    (["fersim", "thm3_1a", "thm3_1b"], set(range(27)) - {15}, 699),
+    (["fersim", "thm3_1a", "thm3_1b"], set(range(27)) - {0, 14}, 700)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 300])
+def test_the_fork_decision_is_the_one_each_split_made_before(monkeypatch,
+                                                             cpus):
+    assert (identities._SWEEP_CUT, padic._SPLIT_MIN_WORK) == (700, 2 ** 22)
+    # a split on k processes tries k - 1 forks, each refused
+    attempts = _fork_attempts_on(monkeypatch, cpus)
+    for ids, m, reports in SWEEPS_NEAR_THE_CUT:
+        tried = len(attempts)
+        counts = run_suite(ids, SweepGrid(m=m, n=[0]), len)
+        assert sum(counts) == reports
+        assert len(attempts) - tried + 1 == _sweep_workers_before(counts,
+                                                                  cpus)
+    for (n, a, p, precision), _ in SUMS_NEAR_THE_CUT:
+        span = p ** precision
+        tried = len(attempts)
+        assert witt_sum_naive(n, a, p, precision) == fermionic_sum_closed(
+            n, a, span)
+        assert len(attempts) - tried + 1 == _worker_count_before(
+            _naive_work(n, a, span), cpus)
+    cut = 2 * 2 ** 22
+    # at the cut, and up to the cap of 256 runs, one claim byte a run
+    for work in (cut - 1, cut, 3 * 2 ** 22, 256 * 2 ** 22, 300 * 2 ** 22):
+        assert workers.processes(work, cut, work // 2 ** 22) == (
+            _worker_count_before(work, cpus))
+    assert bool(attempts) == (cpus > 1)
