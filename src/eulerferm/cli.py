@@ -17,15 +17,18 @@ is deterministic: stable ordering and no timestamps (elapsed_ms appears in
 JSON but carries no ordering weight).
 
 ``witt --naive`` sums its p**N terms in one even-aligned run per process
-(``padic.witt_sum_naive``), forked by ``workers`` past the cut of
-``padic._SPLIT_MIN_WORK``. The bytes printed are the same either way.
+(``padic.witt_sum_naive``), and ``verify`` its checker sweeps
+(``identities.run_suite``): each estimates its serial work in ms, and
+``workers`` forks where that passes ``workers.FORK_MS``, what a fork costs
+a cold command. The bytes printed are the same either way, less
+``elapsed_ms``.
 
-``verify`` runs every check before it writes a byte, so a usage error
-found by any checker still exits 2 with empty stdout; its checker sweeps
-are forked by ``workers`` past the cut of ``identities._SWEEP_CUT``
-reports (``identities.run_suite``), with the same bytes less elapsed_ms.
-Then it writes the header, each checker's sweep in canonical order and the
-summary: the bytes of one ``json.dumps(reports, indent=2)`` (or one
+``verify`` plans its sweeps from the grid's axes first, and refuses a plan
+past ``identities._CAP_MS`` estimated ms with exit 2, naming its report
+count, before any check runs. It runs every check before it writes a
+byte, so a usage error found by any checker still exits 2 with empty
+stdout. Then it writes the header, each checker's sweep in canonical order
+and the summary: the bytes of one ``json.dumps(reports, indent=2)`` (or one
 table). Every process that runs a sweep, this one alone too, renders it
 right after running it and drops its reports, and this process holds the
 sweeps' text until it writes them. Every format reads a report's own

@@ -56,18 +56,24 @@ Every shifted E_n(u*a + v) comes from ``Polynomial.compose_affine``, an
 integer Taylor shift over one common denominator; sun composes its whole
 right side once.
 
-Given a ``render``, ``run_suite`` hands the checker sweeps, most reports
-first, to ``workers.shared``, which decides how many processes run them
-from the report count against ``_SWEEP_CUT``. The sweeps share nothing but
-the append-only tables of ``euler``, which each process extends on its
-own, and the memos, which each sweep drops when it ends. Every process,
-the caller alone too, hands each sweep it runs to ``render`` right after
-running it and drops its reports, and a child sends what ``render``
-returned back by ``marshal``: ``verify`` renders the sweep's output there,
-and the caller holds the sweeps' text until it writes them, in canonical
-order, so the output is that of a serial run, less ``elapsed_ms``. A
-library call without ``render`` runs every sweep in this process and
-returns the reports.
+Beside ``gen`` and ``where``, each checker states its ``plan``: from the
+grid's axes alone, an upper bound on its sweep's report count and the
+sweep's serial cost in estimated ms, from the largest degree a report
+reads (``_plan``). ``run_suite`` sums the plans before any params are
+drawn, refuses a grid past ``_CAP_MS``, and, given a ``render``, hands the
+checker sweeps, most estimated ms first, to ``workers.shared`` on the
+processes that ``workers.processes`` sets for the plan's ms, the unit of
+``witt --naive``'s split too. Each process draws the params of a sweep
+once it has claimed it. The sweeps share nothing but the append-only
+tables of ``euler``, which each process extends on its own, and the memos,
+which each sweep drops when it ends. Every process, the caller alone too,
+hands each sweep it runs to ``render`` right after running it and drops
+its reports, and a child sends what ``render`` returned back by
+``marshal``: ``verify`` renders the sweep's output there, and the caller
+holds the sweeps' text until it writes them, in canonical order, so the
+output is that of a serial run, less ``elapsed_ms``. A library call
+without ``render`` runs every sweep in this process and returns the
+reports.
 
 Checker ids are stable catalog strings (``wsp7``, ``thm1``, ...); the same
 ids name the CLI surface. No tolerances exist anywhere: residuals are exact,
@@ -185,6 +191,7 @@ class SweepGrid(namedtuple("SweepGrid",
 class Checker:
     run: object           # callable(params: dict) -> IdentityReport
     gen: object           # callable(grid: SweepGrid) -> iterator of params
+    plan: object          # callable(grid: SweepGrid) -> (reports, ms)
 
 
 CHECKERS: dict[str, Checker] = {}
@@ -202,8 +209,13 @@ _ZERO = Polynomial()
 
 
 def checker(cid: str, gen, kind: str = "poly", where=None,
-            report_params=None):
+            report_params=None, *, plan):
     """Register the decorated body as checker ``cid``; return check_<cid>.
+
+    ``plan(grid)`` estimates the sweep from the grid's axes alone, with no
+    params drawn: ``(reports, ms)``, at least the number of reports ``gen``
+    yields inside ``where`` and its serial cost in estimated ms (``_plan``).
+    A checker cannot be registered without one.
 
     ``where(**params)`` states the domain. Every catalog index is a natural
     number, so a param annotated ``int`` or holding an int must be an int
@@ -285,7 +297,7 @@ def checker(cid: str, gen, kind: str = "poly", where=None,
         def sweep(grid):
             return (params for params in gen(grid) if where(**params))
 
-        CHECKERS[cid] = Checker(run, gen if where is None else sweep)
+        CHECKERS[cid] = Checker(run, gen if where is None else sweep, plan)
         return check
     return register
 
@@ -311,16 +323,99 @@ _NK = _grid("n", "k")
 
 
 # ---------------------------------------------------------------------------
+# Sweep plans: each sweep's reports and cost, from the grid's axes alone
+# ---------------------------------------------------------------------------
+
+# The cost model of a sweep, fitted to cold one-checker sweeps on a 2-vCPU
+# host (``fit`` in BENCH_sweep_plan.json). A report whose reads reach degree
+# d costs its checker's microseconds times (1 + d/32)**power, and the sweep
+# builds the table it reads up to d once: _ROWS_MS * d**4.5 ms for E_n and
+# B_n rows (`verify boundary --n 0..800` took 2.6 s, and E_0 .. E_1000
+# take about 4 s), _COLUMN_MS * d**4.5 ms for the tangent column alone. A
+# valuation checker counts each digit of N as two degrees.
+_ROWS_MS = 1.5e-10
+_COLUMN_MS = 2e-12
+
+
+def _plan(us: float, count, degree, power: int = 2, table: float = _ROWS_MS):
+    """A checker's plan, ``plan(grid) -> (reports, ms)``: ``count(grid)``,
+    at least the number of reports its sweep yields, and the sweep's
+    estimated serial ms, with every report at d = ``degree(grid)``, the
+    largest degree a report of the sweep reads, so the estimate errs high
+    on a grid that spans many degrees."""
+    def plan(grid) -> tuple:
+        reports, d = count(grid), degree(grid)
+        if not reports:
+            return 0, 0
+        return reports, (reports * us * (1 + d / 32) ** power / 1000
+                         + table * d ** 4.5)
+    return plan
+
+
+def _top(axis) -> int:
+    """The largest value of an axis, which a grid stores sorted; 0 if
+    empty."""
+    return axis[-1] if axis else 0
+
+
+def _from(axis, low: int) -> int:
+    """How many values of an axis are at least ``low``."""
+    return sum(v >= low for v in axis)
+
+
+def _odd(axis) -> int:
+    return sum(v & 1 for v in axis)
+
+
+def _n(grid) -> int:
+    return len(grid.n)
+
+
+def _nk(grid) -> int:
+    return len(grid.n) * len(grid.k)
+
+
+def _mn(grid) -> int:
+    return len(grid.m) * len(grid.n)
+
+
+def _mn_m1(grid) -> int:
+    """(m, n) pairs with m >= 1."""
+    return _from(grid.m, 1) * len(grid.n)
+
+
+def _mn_pos(grid) -> int:
+    """(m, n) pairs with m + n > 0."""
+    return _mn(grid) - (grid.m[:1] == grid.n[:1] == (0,))
+
+
+def _top_n(grid) -> int:
+    return _top(grid.n)
+
+
+def _twice_n(grid) -> int:
+    return 2 * _top(grid.n) + 1
+
+
+def _twice_m(grid) -> int:
+    return 2 * _top(grid.m)
+
+
+def _top_mn(grid) -> int:
+    return _top(grid.m) + _top(grid.n) + 1
+
+
+# ---------------------------------------------------------------------------
 # Generating-function consequences and classical sums
 # ---------------------------------------------------------------------------
 
-@checker("reflection", _N)
+@checker("reflection", _N, plan=_plan(10, _n, _top_n))
 def check_reflection(n: int):
     """E_n(1-a) = (-1)**n E_n(a)."""
     return euler_poly_shifted(n, -1, 1), (-1) ** n * euler_poly(n)
 
 
-@checker("complement", _N)
+@checker("complement", _N, plan=_plan(16, _n, _top_n))
 def check_complement(n: int):
     """(-1)**n E_n(-a) + E_n(a) = 2 a**n. The terms C(n, k) E_k(0) a**(n-k)
     with odd k cancel, and E_k(0) = 0 at every even k >= 2, so this reads
@@ -329,7 +424,7 @@ def check_complement(n: int):
     return euler_sum([(1, n)], [((-1) ** n, n)]), monomial(n, Fraction(2))
 
 
-@checker("boundary", _N, "scalar")
+@checker("boundary", _N, "scalar", plan=_plan(28, _n, _top_n, 1))
 def check_boundary(n: int):
     """E_n(1) = (-1)**n E_n(0), i.e. 1 at n = 0 and -E_n(0) for n >= 1."""
     at_one = euler_poly(n)(Fraction(1))
@@ -342,7 +437,7 @@ def check_boundary(n: int):
 _RECURRENCE = EulerRecurrence()
 
 
-@checker("gf_consistency", _N)
+@checker("gf_consistency", _N, plan=_plan(25, _n, _top_n, 3))
 def check_gf_consistency(n: int):
     """E_n from the tangent-number table equals the E_n that the generating
     function 2 e^{a t} / (e^t + 1) gives by finite differences,
@@ -352,7 +447,8 @@ def check_gf_consistency(n: int):
     return e, euler_poly_by_differences(n), e - _RECURRENCE.euler_poly(n)
 
 
-@checker("euler_alt_sum", _MN, "scalar", where=lambda m, n: m >= 1)
+@checker("euler_alt_sum", _MN, "scalar", where=lambda m, n: m >= 1,
+         plan=_plan(14, _mn_m1, _top_mn, 1, 0))
 def check_euler_alt_sum(m: int, n: int):
     """sum_{j=0..m} (-1)**j j**n = ((-1)**m E_n(m+1) + E_n(0)) / 2, with
     0**0 = 1: the direct sum against Witt's closed form of the truncated
@@ -361,7 +457,8 @@ def check_euler_alt_sum(m: int, n: int):
     return alt_power_sum(m, n) - fermionic_sum_closed(n, 0, m + 1)
 
 
-@checker("bernoulli_power_sum", _MN, "scalar", where=lambda m, n: m >= 1)
+@checker("bernoulli_power_sum", _MN, "scalar", where=lambda m, n: m >= 1,
+         plan=_plan(12, _mn_m1, _top_mn, 1, 0))
 def check_bernoulli_power_sum(m: int, n: int):
     """sum_{j=0..m} j**n = (B_{n+1}(m+1) - B_{n+1}(0)) / (n+1), with
     0**0 = 1."""
@@ -373,7 +470,7 @@ def check_bernoulli_power_sum(m: int, n: int):
 # Binomial symmetry identities, polynomial in a
 # ---------------------------------------------------------------------------
 
-@checker("wsp7", _MN)
+@checker("wsp7", _MN, plan=_plan(14, _mn, _top_mn))
 def check_wsp7(m: int, n: int):
     """(-1)**m sum_i C(m,i) E_{n+i}(a) = (-1)**n sum_j C(n,j) E_{m+j}(-a),
     that is, (-1)**m A_1(m, n, 0)(a) = (-1)**n A_1(n, m, 0)(-a)."""
@@ -381,7 +478,8 @@ def check_wsp7(m: int, n: int):
             binomial_sums(neg_terms=[((-1) ** n, n, m, 0, 1)]))
 
 
-@checker("wsp9", _MN, where=lambda m, n: m + n > 0)
+@checker("wsp9", _MN, where=lambda m, n: m + n > 0,
+         plan=_plan(38, _mn_pos, _top_mn))
 def check_wsp9(m: int, n: int):
     """Three-term relation tying the weighted sums to E_{m+n+1}(a) - a**(m+n+1).
 
@@ -404,7 +502,9 @@ def check_wsp9(m: int, n: int):
 
 
 @checker("thm1", _grid("m", "n", "q", "k"), where=lambda m, n, q, k:
-         m + n > 0 and q >= 1 and k % 2 == 1)
+         m + n > 0 and q >= 1 and k % 2 == 1,
+         plan=_plan(6.3, lambda g: _mn_pos(g) * _from(g.q, 1) * _odd(g.k),
+                    lambda g: _top_mn(g) + 2 * _top(g.q)))
 def check_thm1(m: int, n: int, q: int, k: int):
     """Order-k derivative symmetry: for odd k,
 
@@ -420,7 +520,9 @@ def check_thm1(m: int, n: int, q: int, k: int):
     return lhs, _ZERO
 
 
-@checker("cro0", _grid("n", "q"), "scalar", where=lambda n, q: q % 2 == 1)
+@checker("cro0", _grid("n", "q"), "scalar", where=lambda n, q: q % 2 == 1,
+         plan=_plan(9.2, lambda g: len(g.n) * _odd(g.q),
+                    lambda g: 2 * _top(g.n) + _top(g.q), 1, _COLUMN_MS))
 def check_cro0(n: int, q: int):
     """sum_i C(n+q,i) (n+q+i)(n+q+i-1)...(n+i+1) E_{n+i}(0) = 0 for odd q.
 
@@ -432,7 +534,8 @@ def check_cro0(n: int, q: int):
                       n + i) for i in range(n + q + 1)])
 
 
-@checker("cro1", _MN, "scalar", where=lambda m, n: m + n > 0)
+@checker("cro1", _MN, "scalar", where=lambda m, n: m + n > 0,
+         plan=_plan(12, _mn_pos, _top_mn, 1, _COLUMN_MS))
 def check_cro1(m: int, n: int):
     """sum_i C(m+1,i)(n+i+1)E_{n+i}(0)
     + (-1)**(m+n) sum_j C(n+1,j)(m+j+1)E_{m+j}(0) = 0."""
@@ -452,7 +555,7 @@ def _cro2_terms(n: int, count: int) -> list:
     return terms
 
 
-@checker("cro2", _N, "scalar")
+@checker("cro2", _N, "scalar", plan=_plan(11, _n, _twice_n, 1, _COLUMN_MS))
 def check_cro2(n: int):
     """sum_{j<=n+1} C(n+1,j)(n+j+1)E_{n+j}(0) = 0."""
     return zero_sum(_cro2_terms(n, n + 2))
@@ -466,13 +569,15 @@ def euler_zero_via_recurrence(n: int) -> Fraction:
     return Fraction(-1, 2 * (n + 1)) * zero_sum(_cro2_terms(n, n + 1))
 
 
-@checker("recurrence_odd", _N, "scalar")
+@checker("recurrence_odd", _N, "scalar",
+         plan=_plan(12, _n, _twice_n, 1, _COLUMN_MS))
 def check_recurrence_odd(n: int):
     """The recurrence value agrees with the directly generated E_{2n+1}(0)."""
     return euler_zero_via_recurrence(n) - euler_zero(2 * n + 1)
 
 
-@checker("sun", _grid("m", "n", a="points"))
+@checker("sun", _grid("m", "n", a="points"),
+         plan=_plan(14, lambda g: _mn(g) * len(g.points), _top_mn))
 def check_sun(m: int, n: int, a: Fraction):
     """Three-parameter symmetry, symbolic in b with c = 1 - a - b:
 
@@ -487,7 +592,7 @@ def check_sun(m: int, n: int, a: Fraction):
     return lhs, rhs.compose_affine(-1, 1 - a)
 
 
-@checker("sun_cor", _MN, "scalar")
+@checker("sun_cor", _MN, "scalar", plan=_plan(12, _mn, _top_mn))
 def check_sun_cor(m: int, n: int):
     """(-1)**m sum_i C(m,i) E_{n+i} / 2**(n+i)
     = (-1)**n sum_j C(n,j) E_{m+j}(-1/2), with E_k the Euler numbers. The
@@ -547,7 +652,9 @@ def _pivot_taylor_sum(m: int, n: int, s: int, k: int) -> Polynomial:
 
 
 @checker("thm2", _grid("m", "n", "s", "k"),
-         where=lambda m, n, s, k: m + n > 0 and s >= 1)
+         where=lambda m, n, s, k: m + n > 0 and s >= 1,
+         plan=_plan(7.9, lambda g: _mn_pos(g) * _from(g.s, 1) * len(g.k),
+                    lambda g: _top_mn(g) + _top(g.s) + 2))
 def check_thm2(m: int, n: int, s: int, k: int):
     """Parity-selected order-k symmetry against the pivot polynomial
 
@@ -573,7 +680,8 @@ def check_thm2(m: int, n: int, s: int, k: int):
     return lhs, _pivot_taylor_sum(m, n, s, k)
 
 
-@checker("thm2_cro1", _NK, "scalar")
+@checker("thm2_cro1", _NK, "scalar",
+         plan=_plan(6.2, _nk, _twice_n, 1, _COLUMN_MS))
 def check_thm2_cro1(n: int, k: int):
     """Specialized alternating dyadic sums (symmetric case, unit shift, at 0):
 
@@ -592,7 +700,8 @@ def check_thm2_cro1(n: int, k: int):
             + (-1) ** n * total) / (1 << n + 1)
 
 
-@checker("thm2_cro2", _NK, "scalar")
+@checker("thm2_cro2", _NK, "scalar",
+         plan=_plan(11, _nk, _twice_n, 1, _COLUMN_MS))
 def check_thm2_cro2(n: int, k: int):
     """Specialized ternary sums (symmetric case, double shift, at 0):
 
@@ -630,7 +739,8 @@ def _gen_mkj(grid):
             for j in range(1, m + 1) for k in range(m + 1))
 
 
-@checker("thm3", _per_m("k"), where=lambda m, k: k <= m)
+@checker("thm3", _per_m("k"), where=lambda m, k: k <= m,
+         plan=_plan(9, lambda g: sum(g.m) + len(g.m), _twice_m))
 def check_thm3(m: int, k: int):
     """Parity-filtered expansion, 0 <= k <= m:
 
@@ -652,14 +762,17 @@ def _thm3_1_sum(m: int, k: int, top: int, shift: int, start: int = 0):
                      for i in range(start, m + 1) if (m + i) % 2 == 0])
 
 
-@checker("thm3_1a", _per_m("k"), "scalar", where=lambda m, k: k <= m)
+@checker("thm3_1a", _per_m("k"), "scalar", where=lambda m, k: k <= m,
+         plan=_plan(6.7, lambda g: sum(g.m) + len(g.m), _twice_m, 1,
+                    _COLUMN_MS))
 def check_thm3_1a(m: int, k: int):
     """0 <= k <= m: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m-k)E_i(0)
     = (-1)**m C(m,k)."""
     return _thm3_1_sum(m, k, m - k, 0) - (-1) ** m * binomial(m, k)
 
 
-@checker("thm3_1b", _per_m("k"), "scalar", where=lambda m, k: k < m)
+@checker("thm3_1b", _per_m("k"), "scalar", where=lambda m, k: k < m,
+         plan=_plan(6.5, lambda g: sum(g.m), _twice_m, 1, _COLUMN_MS))
 def check_thm3_1b(m: int, k: int):
     """0 <= k <= m-1: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m-k-1)E_{i+1}(0)
     = 0."""
@@ -667,7 +780,9 @@ def check_thm3_1b(m: int, k: int):
 
 
 @checker("thm3_1c", _per_m("k", "l"), "scalar",
-         where=lambda m, k, l: k + l < m)
+         where=lambda m, k, l: k + l < m,
+         plan=_plan(6.4, lambda g: sum(m * (m + 1) // 2 for m in g.m),
+                    _twice_m, 1, _COLUMN_MS))
 def check_thm3_1c(m: int, k: int, l: int):
     """0 <= l <= m-k-1: sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,l)
     E_{m+i-k-l}(0) = 0."""
@@ -675,7 +790,9 @@ def check_thm3_1c(m: int, k: int, l: int):
 
 
 @checker("thm3_1d", _gen_mkj, "scalar",
-         where=lambda m, k, j: 1 <= j <= m and k <= m)
+         where=lambda m, k, j: 1 <= j <= m and k <= m,
+         plan=_plan(4.9, lambda g: sum(m * (m + 1) for m in g.m), _twice_m,
+                    1, _COLUMN_MS))
 def check_thm3_1d(m: int, k: int, j: int):
     """1 <= j <= m, 0 <= k <= m: the tail sum from i = j,
     sum_{m+i even} C(m,i)C(m+i,k)C(m+i-k,m+j-k)E_{i-j}(0),
@@ -684,7 +801,8 @@ def check_thm3_1d(m: int, k: int, j: int):
             - (-1) ** (m + j) * binomial(m, j) * binomial(m + j, k))
 
 
-@checker("rem2_1", _grid("m"), "scalar", where=lambda m: m >= 3)
+@checker("rem2_1", _grid("m"), "scalar", where=lambda m: m >= 3,
+         plan=_plan(9.8, lambda g: _from(g.m, 3), _twice_m, 1, _COLUMN_MS))
 def check_rem2_1(m: int):
     """sum_i C(m,i)(m+i)(m+i-1)(m+i-2) E_{m+i-3}(0) = 0 for m >= 3."""
     return zero_sum([(binomial(m, i) * falling_factorial(m + i, 3), m + i - 3)
@@ -695,14 +813,16 @@ def check_rem2_1(m: int):
 # Functional-equation identities
 # ---------------------------------------------------------------------------
 
-@checker("fersim", _N)
+@checker("fersim", _N, plan=_plan(12, _n, _top_n))
 def check_fersim(n: int):
     """E_n(a+1) + E_n(a) = 2 a**n."""
     return (euler_poly_shifted(n, 1, 1) + euler_poly(n),
             monomial(n, Fraction(2)))
 
 
-@checker("fersim3", _grid("n", "q"), where=lambda n, q: q >= 1)
+@checker("fersim3", _grid("n", "q"), where=lambda n, q: q >= 1,
+         plan=_plan(11, lambda g: len(g.n) * _from(g.q, 1),
+                    lambda g: _top(g.n) + _top(g.q)))
 def check_fersim3(n: int, q: int):
     """Telescoped functional equation:
     (-1)**(q-1) E_n(a+q) + E_n(a) = 2 sum_{i<q} (-1)**i (a+i)**n."""
@@ -730,7 +850,10 @@ def _gen_witt(grid):
 _MOMENTS: dict = {}
 
 
-@checker("witt", _gen_witt, "valuation")
+@checker("witt", _gen_witt, "valuation",
+         plan=_plan(11, lambda g: len(g.n) * sum(
+             a.denominator % p != 0 for p in g.p_list for a in g.points),
+                    lambda g: _top(g.n) + 2 * g.precision, 1, 0))
 def check_witt(n: int, a: Fraction, p: int, precision: int):
     """v_p(S_N - E_n(a)) >= N, S_N the sum of (x+a)**n (-1)**x over
     x < p**N from the moments by the binomial theorem."""
@@ -764,7 +887,9 @@ def _lem1_params(f, p, precision, index):
     return params if index is None else {**params, "index": index}
 
 
-@checker("lem1", _gen_lem1, "valuation", report_params=_lem1_params)
+@checker("lem1", _gen_lem1, "valuation", report_params=_lem1_params,
+         plan=_plan(61, lambda g: _LEM1_COUNT * len(g.p_list),
+                    lambda g: 8 + 2 * g.precision, 1, 0))
 def check_lem1(f: Polynomial, p: int, precision: int, index=None):
     """Reflection/shift functional-equation defect >= N for one polynomial;
     ``index`` numbers the suite's pseudo-random polynomials."""
@@ -789,17 +914,23 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     checker whose body raises anything but ``ValueError`` fails its
     report, and the run goes on.
 
+    The plan comes first: each checker's ``plan(grid)``, from the grid's
+    axes alone, with no params drawn. A plan past ``_CAP_MS`` estimated ms
+    in all is a ``ValueError`` that names its report count, raised before
+    any check runs.
+
     Without ``render``, every sweep runs in this process and the result is
     the reports. With it, the result is ``render(reports)`` of each
     selected checker's sweep, in canonical order, called in the process
-    that ran the sweep right after running it; the sweep's params and
-    reports go once it is rendered. ``workers.shared`` runs the sweeps,
-    forked past ``_SWEEP_CUT`` reports, and the results, and the first
-    ``ValueError`` a body raises in canonical order, are the same either
-    way. A forked child
-    sends what ``render`` returns back by ``marshal``, so it must be built
-    of what marshal writes (bytes, str, int, float, None and tuples, lists
-    and dicts of them).
+    that ran the sweep right after running it. ``workers.shared`` hands
+    out the sweeps, most estimated ms first, on the processes that
+    ``workers.processes`` sets for the plan's ms; each process draws the
+    params of a sweep only once it has claimed it, and its reports go once
+    they are rendered. The results, and the first ``ValueError`` a body
+    raises in canonical order, are the same however many processes run. A
+    forked child sends what ``render`` returns back by ``marshal``, so it
+    must be built of what marshal writes (bytes, str, int, float, None and
+    tuples, lists and dicts of them).
     """
     if grid is None:
         grid = SweepGrid()
@@ -812,43 +943,39 @@ def run_suite(ids=None, grid: SweepGrid | None = None, render=None) -> list:
     unknown = [i for i in ids if i not in CHECKERS]
     if unknown:
         raise ValueError(f"unknown checker id(s): {', '.join(sorted(unknown))}")
-    sweeps = [(cid, list(CHECKERS[cid].gen(grid))) for cid in sorted(set(ids))]
+    cids = sorted(set(ids))
+    plans = [CHECKERS[cid].plan(grid) for cid in cids]
+    reports = sum(count for count, _ in plans)
+    ms = sum(cost for _, cost in plans)
+    if ms > _CAP_MS:
+        raise ValueError(
+            f"the grid plans {reports:,} report{'s' * (reports != 1)}, an "
+            f"estimated {ms / 1000:,.0f} s of checks, past the cap of "
+            f"{_CAP_MS // 1000:,} s")
     if render is None:
-        return [r for cid, todo in sweeps for r in _sweep(cid, todo)]
-    counts = [len(todo) for _, todo in sweeps]
-    # claimed most reports first
-    done = shared(sorted(range(len(sweeps)), key=lambda i: -counts[i]),
-                  lambda i: _rendered_sweep(sweeps, i, render),
-                  processes(sum(counts), _SWEEP_CUT, len(sweeps)))
+        return [r for cid in cids for r in _sweep(cid, grid)]
+    done = shared(sorted(range(len(cids)), key=lambda i: -plans[i][1]),
+                  lambda i: render(_sweep(cids[i], grid)),
+                  processes(ms, len(cids)))
     return list(done.values())   # in ascending order: canonical
 
 
-# Least number of reports whose sweeps ``run_suite`` shares with forked
-# children. Below it, forking, faulting in and reaping a child, building
-# its own E_n and sending its rendered sweeps back cost a cold command as
-# much as a second CPU saves, or more: with each child pinned to a CPU of
-# its own, 349 reports lost, 591 tied in two sessions of three, and 740
-# and 900 won (``sweep_cut`` in BENCH_cpu_pin.json).
-_SWEEP_CUT = 700
+# The most estimated ms of checks a plan may hold (``_plan``), past which a
+# grid is refused before any check runs: `verify thm3_1d --m 1000` plans
+# 313 s, and `verify wsp7 --m 1000 --n 1000` 108 s, which ran past 65 s
+# unfinished; `verify all --m 0..40 --n 0..40` plans 6.4 s, and no command
+# that CI runs plans more than 5 s.
+_CAP_MS = 60_000
 
 
-def _sweep(cid: str, todo: list) -> list:
-    """Checker ``cid``'s reports on the params ``todo``, which its sweep has
-    filtered; the sweep's memos go with it."""
-    run = CHECKERS[cid].run
+def _sweep(cid: str, grid: SweepGrid) -> list:
+    """Checker ``cid``'s reports on ``grid``: its params are drawn here,
+    one at a time, and its sweep's memos go with it."""
+    entry = CHECKERS[cid]
     try:
-        return [run(params, swept=True) for params in todo]
+        return [entry.run(params, swept=True) for params in entry.gen(grid)]
     finally:
         _drop_sweep_memos()
-
-
-def _rendered_sweep(sweeps, i: int, render):
-    """``render`` of the reports of ``sweeps[i]``, a (checker id, params)
-    pair, right after they run. The pair and the reports are dropped once
-    they are rendered, so a sweep whose ``render`` raised can run again."""
-    rendered = render(_sweep(*sweeps[i]))
-    sweeps[i] = None
-    return rendered
 
 
 def _drop_sweep_memos() -> None:

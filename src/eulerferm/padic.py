@@ -23,9 +23,10 @@ integer power (t*x + r)**n per term and divides by t**n once: it reads no
 Polynomial, no Taylor shift and no Euler table, so it shares no code with the
 digit route or the closed form. [0, p^N) is cut into one contiguous,
 even-aligned run per process, which ``workers.shared`` sums; the process
-count is ``workers``' decision, from the work estimated from the term count
-and the bit length of the largest power, against a cut of two runs of
-``_SPLIT_MIN_WORK``. The sum is exact however many processes run.
+count is ``workers``' decision, from the serial ms estimated from the term
+count and the bit length of the largest power (``_UNITS_PER_MS``), in the
+unit and against the fork cost that ``verify``'s sweeps use too. The sum
+is exact however many processes run.
 ``fermionic_sum_naive``, the library oracle of both routes, sums any
 integrand: in plain integers by Horner's rule for a Polynomial and in its
 own arithmetic for any other callable. The closed form
@@ -81,13 +82,11 @@ DEFAULT_BUDGET = 10 ** 7
 # O(p d + N d**2) for degree d, then O(d) per sum.
 MAX_PRECISION = 1000
 
-# Least work a worker of ``witt_sum_naive`` is given. A run of m terms
-# (t*x + r)**n whose largest base is b bits long is m * (64 + n*b) units of
-# work, 0.6 to 0.9 ns each on a 2-vCPU host, so this is about 3 ms: what
-# forking, faulting in and reaping one child costs a cold command there.
-# A split of less than twice this lost to one run, or tied, in at least one
-# of two measured sessions (``split_cut`` in BENCH_naive_split.json).
-_SPLIT_MIN_WORK = 2 ** 22
+# Units of work that ``witt_sum_naive`` takes to be one serial ms: a run of
+# m terms (t*x + r)**n whose largest base is b bits long is m * (64 + n*b)
+# units. Cold commands took 0.8 to 1.5 ns a unit on a 2-vCPU host, 1.0 in
+# the median (``split_cut`` in BENCH_cpu_pin.json).
+_UNITS_PER_MS = 1_000_000
 
 
 class DenominatorNotInvertible(ArithmeticError, ValueError):
@@ -223,10 +222,10 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     ``_alternating_chunk``, and (even - odd) is divided by t**n once. The
     budget is checked before any term is summed. The p**N terms are cut
     into contiguous runs whose bounds but the last are even, one per
-    process that ``workers.processes`` sets, each given at least
-    ``_SPLIT_MIN_WORK`` of the estimated work span * (64 + n * bits), with
-    bits the length of the largest base |r| + t*span; ``workers.shared``
-    sums them. Equal to ``fermionic_sum_naive`` of (x+a)**n and to
+    process that ``workers.processes`` sets for the estimated work,
+    span * (64 + n * bits) units, ``_UNITS_PER_MS`` to a ms, with bits the
+    length of the largest base |r| + t*span; ``workers.shared`` sums them.
+    Equal to ``fermionic_sum_naive`` of (x+a)**n and to
     ``fermionic_sum_closed(n, a, p**N)``, from neither's code.
     """
     if n < 0:
@@ -235,7 +234,7 @@ def witt_sum_naive(n: int, a, p: int, precision: int,
     a = Fraction(a)
     r, t = a.numerator, a.denominator
     work = span * (64 + n * (abs(r) + t * span).bit_length())
-    runs = processes(work, 2 * _SPLIT_MIN_WORK, work // _SPLIT_MIN_WORK)
+    runs = processes(work / _UNITS_PER_MS, 256)
     bounds = [2 * (span * i // (2 * runs)) for i in range(runs)] + [span]
 
     def run(i: int) -> int:

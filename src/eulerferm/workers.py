@@ -3,14 +3,17 @@ every split.
 
 ``padic.witt_sum_naive`` cuts its p**N terms into runs and
 ``identities.run_suite`` hands out whole checker sweeps. Each estimates its
-work in its own unit, against its own cut, and hands its tasks to
-``shared`` on ``processes(work, cut, most)`` processes. That is the policy,
-stated here alone: one process below the cut and for fewer than two tasks;
-else one per CPU that ``cpus`` allows, at most ``most`` (one per task) and
-at most 256, one claim byte a task. ``cpus`` is the number of CPUs that
-``os.sched_getaffinity`` names, where there are two or more and this
-process runs one thread, else one, so nothing forks; it is read only past
-the cut.
+work in one unit, serial milliseconds (the runs from the term count and the
+powers' bit length, the sweeps from the grid's axes), and hands its tasks
+to ``shared`` on ``processes(ms, most)`` processes. That is the policy,
+stated here alone, against one constant, ``FORK_MS``: what a fork costs a
+cold command. Below it, and for fewer than two tasks, one process runs;
+past it, at most one process per CPU that ``cpus`` allows, one per task
+(``most``), 256 (one claim byte a task), and no more than the work pays
+for, each process given at least half of ``FORK_MS``. ``cpus`` is the
+number of CPUs that ``os.sched_getaffinity`` names, where there are two or
+more and this process runs one thread, else one, so nothing forks; it is
+read only past the cut.
 
 With one process, ``shared`` opens no pipe and forks nothing: this process
 claims the tasks in ascending order. Else ``shared`` writes the tasks,
@@ -42,13 +45,25 @@ import threading
 __all__ = ["cpus", "current_cpu", "processes", "shared"]
 
 
-def processes(work: int, cut: int, most: int) -> int:
-    """How many processes run a split of ``work``, estimated in the
-    caller's unit, into at most ``most`` tasks: 1 below ``cut`` or for
-    fewer than two tasks; else ``cpus()``, at most ``most`` and 256."""
-    if work < cut or most < 2:
+# The serial work, in estimated ms, that pays for a fork in a cold command:
+# what forking, faulting in and reaping a child, building its own tables and
+# sending its results back cost. With a child pinned to a CPU of its own on
+# a 2-vCPU host (``sweep_cut`` and ``split_cut`` in BENCH_cpu_pin.json),
+# `verify` grids of 10.4 estimated ms of checks (about 15 ms of whole
+# command) tied and lost, and grids from 13.0 ms won, as did highdeg's E_n
+# checkers at n 40..60 (17 ms); `witt --naive` sums of 11.3 and 11.8 ms lost
+# or tied, and sums from 12.0 ms won in most readings (BENCH_sweep_plan.json).
+FORK_MS = 12
+
+
+def processes(ms: float, most: int) -> int:
+    """How many processes run a split of ``ms`` estimated serial ms into at
+    most ``most`` tasks: 1 below ``FORK_MS`` or for fewer than two tasks;
+    else ``cpus()``, at most ``most``, 256 and 2 * ms / ``FORK_MS``, so
+    each process gets at least half of ``FORK_MS``."""
+    if ms < FORK_MS or most < 2:
         return 1
-    return min(cpus(), most, 256)
+    return min(cpus(), most, 256, int(2 * ms / FORK_MS))
 
 
 def cpus() -> int:

@@ -181,12 +181,14 @@ def test_huge_precision_is_answered_without_building_p_to_the_n(
     (["verify", "thm1", "--q", "1001"], "q must be <= 1000, got 1001"),
 ], ids=["precision", "q"])
 def test_a_refused_grid_runs_no_checker(capsys, monkeypatch, argv, message):
-    # every checker is swapped for one that logs each sweep and report
+    # every checker is swapped for one that logs each plan, sweep and
+    # report
     calls = []
     for cid in list(ident.CHECKERS):
         monkeypatch.setitem(ident.CHECKERS, cid, ident.Checker(
             lambda *args, cid=cid: calls.append(cid),
-            lambda grid, cid=cid: calls.append(cid) or iter(())))
+            lambda grid, cid=cid: calls.append(cid) or iter(()),
+            lambda grid, cid=cid: calls.append(cid) or (0, 0)))
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
     assert calls == []
     # the same command on a grid it accepts reaches the checkers

@@ -20,6 +20,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerferm import euler, identities as ident, workers
 from eulerferm.identities import (
@@ -406,7 +408,8 @@ def test_a_sweep_tests_each_reports_domain_once():
 
     try:
         @ident.checker("_counted", lambda grid: ({"n": n} for n in grid.n),
-                       "scalar", where=where)
+                       "scalar", where=where,
+                       plan=lambda grid: (len(grid.n), 0))
         def check_counted(n: int):
             ran.append(n)
             return 0
@@ -457,6 +460,82 @@ def test_a_where_only_sweep_yields_only_stated_params(cid):
             assert entry.run(params).passed, (name, params)
 
 
+_AXIS = st.lists(st.integers(0, 12), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_AXIS, n=_AXIS, q=_AXIS, k=_AXIS, s=_AXIS,
+       points=st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+                       max_size=4),
+       p_list=st.lists(st.sampled_from((3, 5, 7, 11)), max_size=3),
+       precision=st.integers(1, 4))
+def test_a_plan_counts_at_least_the_reports_its_sweep_yields(
+        m, n, q, k, s, points, p_list, precision):
+    # the plan reads the axes alone; the sweep draws and filters its params
+    grid = SweepGrid(m, n, q, k, s, points, p_list, precision)
+    for cid in CHECKER_IDS:
+        reports, ms = ident.CHECKERS[cid].plan(grid)
+        assert reports >= sum(1 for _ in ident.CHECKERS[cid].gen(grid)), cid
+        assert ms >= 0 and (ms > 0) == (reports > 0), cid
+
+
+@pytest.mark.parametrize("grid", ["desk", "catalog"])
+def test_a_plan_counts_the_reports_exactly_on_the_desk_and_catalog_grids(
+        grid):
+    grid = _SWEEP_GRIDS[grid]
+    for cid in CHECKER_IDS:
+        assert ident.CHECKERS[cid].plan(grid)[0] == len(
+            list(ident.CHECKERS[cid].gen(grid))), cid
+
+
+def test_a_checker_cannot_be_registered_without_a_plan():
+    with pytest.raises(TypeError, match="plan"):
+        ident.checker("_unplanned", lambda grid: iter(()))
+    assert "_unplanned" not in ident.CHECKERS
+    # and every registered checker has one, which reads the grid
+    for cid in CHECKER_IDS:
+        reports, ms = ident.CHECKERS[cid].plan(SweepGrid())
+        assert reports > 0 and ms > 0, cid
+        assert ident.CHECKERS[cid].plan(SweepGrid(
+            m=(), n=(), q=(), k=(), s=(), points=(), p_list=())) == (0, 0)
+
+
+def test_the_caller_draws_no_params_before_it_forks(monkeypatch):
+    # each gen call is noted with the pid that made it, and each sweep's
+    # render sends back the notes of the process that ran it
+    forks = _forks_on(monkeypatch, 2)
+    caller, counted, notes = os.getpid(), os.fork, []
+
+    def noted_fork():
+        notes.append(["fork", os.getpid()])
+        return counted()
+
+    monkeypatch.setattr(os, "fork", noted_fork)
+    for cid, entry in list(ident.CHECKERS.items()):
+        def gen(grid, cid=cid, gen=entry.gen):
+            notes.append([cid, os.getpid()])
+            return gen(grid)
+
+        monkeypatch.setitem(ident.CHECKERS, cid,
+                            ident.Checker(entry.run, gen, entry.plan))
+    done = run_suite(None, SweepGrid(),
+                     lambda reports: (os.getpid(), [
+                         note for note in notes if note[1] == os.getpid()]))
+    _no_child_left()
+    assert len(forks) == 1
+    mine = [note for note in notes if note[1] == caller]
+    assert mine[0] == ["fork", caller]   # nothing drawn before the fork
+    # the notes each process took, as its last sweep sent them back
+    last = {pid: notes for pid, notes in sorted(done, key=lambda r: len(r[1]))}
+    assert set(last) == {caller, *(pid for pid, _ in done)} and len(last) == 2
+    # each sweep drew its params once, in the process that ran it
+    drawn = [note for notes in last.values() for note in notes
+             if note[0] != "fork"]
+    assert sorted(cid for cid, _ in drawn) == sorted(CHECKER_IDS)
+    for (pid, _), cid in zip(done, sorted(CHECKER_IDS)):
+        assert [cid, pid] in drawn
+
+
 def test_run_suite_refuses_a_grid_that_is_not_a_sweep_grid(monkeypatch):
     # a plain named tuple with SweepGrid's fields is not checked, so it
     # could hold -1; it is refused before any sweep or report runs
@@ -464,7 +543,8 @@ def test_run_suite_refuses_a_grid_that_is_not_a_sweep_grid(monkeypatch):
     for cid in list(ident.CHECKERS):
         monkeypatch.setitem(ident.CHECKERS, cid, ident.Checker(
             lambda *args: calls.append(args),
-            lambda grid: calls.append(grid) or iter(())))
+            lambda grid: calls.append(grid) or iter(()),
+            lambda grid: calls.append(grid) or (0, 0)))
     plain = namedtuple("Plain", SweepGrid._fields)(*SweepGrid())
     for grid in (plain, plain._replace(m=(-1, 2))):
         for ids in (None, ["wsp7"]):
@@ -508,8 +588,8 @@ def test_a_false_twin_fails_through_the_sweep(monkeypatch, cid, judge):
     false_twin.__annotations__ = body.__annotations__
     monkeypatch.setitem(ident.CHECKERS, cid, ident.CHECKERS[cid])
     ident.checker(cid, ident.CHECKERS[cid].gen, kind,
-                  report_params=ident._lem1_params if cid == "lem1" else None
-                  )(false_twin)
+                  report_params=ident._lem1_params if cid == "lem1" else None,
+                  plan=ident.CHECKERS[cid].plan)(false_twin)
     false = run_suite([cid])
     if judge == "pointwise":
         false = pointwise(false, false_twin)
@@ -846,9 +926,16 @@ def test_lem1_reports_the_polynomial_by_its_coefficients():
 
 # --- sweeps on forked children --------------------------------------------------
 
-# above the cut: the desk grid's 1,731 reports and m, n 0..14's 8,335
+# past the fork cost, with work enough for three processes: the desk
+# grid's 1,731 reports and m, n 0..14's 8,335
 FORK_GRIDS = {"desk": SweepGrid(),
               "m,n 0..14": SweepGrid(m=range(15), n=range(15))}
+
+
+def _planned_ms(ids, grid) -> float:
+    """The estimated ms of the plan of ``run_suite(ids, grid)``."""
+    return sum(ident.CHECKERS[cid].plan(grid)[1]
+               for cid in set(CHECKER_IDS if ids is None else ids))
 
 
 def _untimed(reports) -> list:
@@ -891,19 +978,19 @@ def test_forked_sweeps_equal_the_serial_run(monkeypatch, cpus, grid):
     # a subset, with the ids given out of order and twice
     ids = ["thm2", "sun", "wsp7", "lem1", "sun", "thm1", "cro2"]
     want = _serial(ids, grid)
-    assert len(want) >= ident._SWEEP_CUT
+    assert _planned_ms(ids, grid) >= 1.5 * workers.FORK_MS
     assert _shared(ids, grid) == want
     _no_child_left()
     assert len(forks) == 2 * (cpus - 1)
 
 
-def test_sweeps_are_handed_out_most_reports_first(monkeypatch):
+def test_sweeps_are_handed_out_most_estimated_ms_first(monkeypatch):
     # each process claims the next sweep by reading its index off one pipe
     claimed, sweep = [], ident._sweep
 
-    def noted(cid, todo):
-        claimed.append((cid, len(todo)))
-        return sweep(cid, todo)
+    def noted(cid, grid):
+        claimed.append(cid)
+        return sweep(cid, grid)
 
     def no_fork():
         raise OSError(errno.EAGAIN, "injected")
@@ -914,17 +1001,16 @@ def test_sweeps_are_handed_out_most_reports_first(monkeypatch):
     _no_child_left()
     assert len(forks) == 1
     # the caller's claims, between which the child takes its own
-    counts = [n for _, n in claimed]
-    assert claimed and counts == sorted(counts, reverse=True)
+    ms = {cid: ident.CHECKERS[cid].plan(SweepGrid())[1] for cid in CHECKER_IDS}
+    assert claimed and claimed == sorted(claimed, key=lambda cid: -ms[cid])
     # with no child forked, the caller claims every sweep, in that order
     claimed.clear()
     monkeypatch.setattr(os, "fork", no_fork)
     assert _shared(None, SweepGrid()) == reports
     # ties keep the canonical order
-    sizes = {cid: sum(r.checker == cid for r in reports)
-             for cid in sorted(CHECKER_IDS)}
-    assert claimed == sorted(sizes.items(), key=lambda kv: -kv[1])
-    assert claimed[0] == ("thm2", 432)
+    assert claimed == sorted(sorted(CHECKER_IDS), key=lambda cid: -ms[cid])
+    # thm2 costs the most; thm3_1d, fourth by report count, costs little
+    assert claimed[0] == "thm2" and claimed.index("thm3_1d") > 9
 
 
 @pytest.mark.parametrize("fault", ["raises", "writes nothing", "is killed",
@@ -968,14 +1054,14 @@ def test_a_failed_child_costs_time_not_reports(monkeypatch, fault):
 
 def test_the_first_value_error_in_canonical_order_is_raised(monkeypatch):
     # sun and thm2 raise wherever they run: the caller claims thm2, the
-    # most reports, first, but sun comes first in canonical order, and a
-    # serial run raises its error
+    # most estimated ms, first, but sun comes first in canonical order, and
+    # a serial run raises its error
     sweep = ident._sweep
 
-    def refusing(cid, todo):
+    def refusing(cid, grid):
         if cid in ("thm2", "sun"):
             raise ValueError(f"{cid} refused")
-        return sweep(cid, todo)
+        return sweep(cid, grid)
 
     monkeypatch.setattr(ident, "_sweep", refusing)
     for cpus in (1, 2, 3):
@@ -1051,11 +1137,12 @@ def test_run_suite_does_not_fork_with(monkeypatch, case):
         # thm2 alone at m, n 0..14: 4,200 reports
         grid, ids = FORK_GRIDS["m,n 0..14"], ["thm2"]
         want = _serial(ids, grid)
-        assert len(want) >= ident._SWEEP_CUT
+        assert _planned_ms(ids, grid) >= workers.FORK_MS
     else:
         grid = SweepGrid(m=range(3), n=range(3))
         want = _serial(ids, grid)
-        assert len(want) < ident._SWEEP_CUT <= len(_serial(None, SweepGrid()))
+        assert (_planned_ms(ids, grid) < workers.FORK_MS
+                <= _planned_ms(ids, SweepGrid()))
     try:
         assert _shared(ids, grid) == want
     finally:
@@ -1075,16 +1162,21 @@ def test_run_suite_does_not_fork_with(monkeypatch, case):
     _no_child_left()
 
 
-def test_the_cut_leaves_the_small_benchmark_commands_serial(monkeypatch):
+def test_highdeg_forks_and_padic_stays_serial_on_two_cpus(monkeypatch):
     # highdeg's verify at n 40..60 (189 reports, most of their time in
-    # fersim3) and padic's verify witt lem1 (141 reports) lose time to a
-    # fork, so on two CPUs they still run in one process
-    _forks_on(monkeypatch, 2)
+    # fersim3) won from a fork in cold commands, and its plan passes the
+    # fork cost; padic's verify witt lem1 (141 reports) lost, and its plan
+    # does not
+    forks = _forks_on(monkeypatch, 2)
+    highdeg = ["reflection", "complement", "fersim", "fersim3", "boundary",
+               "recurrence_odd", "cro2"]
+    grid = SweepGrid(n=range(40, 61))
+    want = _serial(highdeg, grid)
+    assert _shared(highdeg, grid) == want
+    _no_child_left()
+    assert len(forks) == 1
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    highdeg = _shared(["reflection", "complement", "fersim", "fersim3",
-                       "boundary", "recurrence_odd", "cro2"],
-                      SweepGrid(n=range(40, 61)))
     padic = _shared(["witt", "lem1"],
                     SweepGrid(n=range(9), p_list=(3, 5, 7), precision=5))
-    assert (len(highdeg), len(padic)) == (189, 141)
-    assert all(r.passed for r in highdeg + padic)
+    assert (len(want), len(padic)) == (189, 141)
+    assert all(r.passed for r in want + padic)

@@ -193,11 +193,13 @@ def _forks_on(monkeypatch, cpus: int) -> list:
     return forks
 
 
-def _split_on(monkeypatch, cpus: int, split_min: int = 1) -> list:
-    """Let ``witt_sum_naive`` see ``cpus`` CPUs and split runs of
-    ``split_min`` units of work; the returned list gains an entry per
-    fork."""
-    monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", split_min)
+def _split_on(monkeypatch, cpus: int, run_units: int = 1) -> list:
+    """Let ``witt_sum_naive`` see ``cpus`` CPUs and give each process at
+    least ``run_units`` units of work: with a fork costing 2 ms and a ms
+    ``run_units`` units, a sum splits from two runs' work on, into at most
+    work // run_units runs. The returned list gains an entry per fork."""
+    monkeypatch.setattr(workers, "FORK_MS", 2)
+    monkeypatch.setattr(padic, "_UNITS_PER_MS", run_units)
     return _forks_on(monkeypatch, cpus)
 
 
@@ -226,11 +228,10 @@ def _naive_work(n: int, a: Fraction, span: int) -> int:
 
 
 def _naive_processes(n: int, a: Fraction, span: int) -> int:
-    """How many processes ``workers.processes`` gives that sum: past two
-    runs of ``_SPLIT_MIN_WORK``, at most one run each."""
-    work = _naive_work(n, a, span)
-    return workers.processes(work, 2 * padic._SPLIT_MIN_WORK,
-                             work // padic._SPLIT_MIN_WORK)
+    """How many processes ``workers.processes`` gives that sum: its work in
+    serial ms, ``_UNITS_PER_MS`` units each, split into at most 256 runs."""
+    return workers.processes(_naive_work(n, a, span) / padic._UNITS_PER_MS,
+                             256)
 
 
 _SPLIT_SHIFTS = (F(0), F(1), F(-1), F(1, 2), F(-9, 2), F(7, 4))
@@ -267,15 +268,23 @@ def test_a_split_naive_sum_equals_one_run_and_both_oracles(monkeypatch, cpus):
 
 
 # (n, a, p, N) of sums near the cut, and the processes each runs on two
-# CPUs: an n = 8 sum of the padic benchmark (79,507 terms) splits; n = 0
-# sums of 66,049 and 117,649 terms, too cheap a term to pay for a fork, do
-# not; 177,147 terms at n = 0 do
+# CPUs. The padic benchmark's smallest naive sum (n = 6 over 5**7 terms,
+# 13.4 million units, 13.4 estimated ms) and an n = 8 sum of it split, and
+# so do 12.0 and 17.4 million units, which won from a fork in cold
+# commands, and 34.0 million at n = 0. n = 0 sums of 66,049, 117,649 and
+# 177,147 terms (11.3 million units) and 11.8 million units at n = 2 do not:
+# under workers.FORK_MS, where cold commands with a fork lost or tied
 SUMS_NEAR_THE_CUT = [((8, Fraction(9, 2), 43, 3), 2),
                      ((6, Fraction(7, 2), 5, 7), 2),
+                     ((5, Fraction(1, 2), 5, 7), 2),
+                     ((8, Fraction(-7, 2), 17, 4), 2),
+                     ((0, Fraction(0), 3, 12), 2),
                      ((0, Fraction(0), 257, 2), 1),
                      ((0, Fraction(0), 7, 6), 1),
                      ((2, Fraction(1, 2), 5, 7), 1),
-                     ((0, Fraction(1, 2), 3, 11), 2)]
+                     ((0, Fraction(1, 2), 3, 11), 1),
+                     ((0, Fraction(0), 3, 11), 1),
+                     ((2, Fraction(1, 2), 7, 6), 1)]
 
 
 def test_the_split_reads_the_work_not_the_term_count(monkeypatch):
@@ -404,7 +413,7 @@ def test_witt_sum_naive_does_not_fork_with(monkeypatch, case):
     else:
         # the largest sum, n = 8 at a = 1/2, is 81 * (64 + 8 * 8) units,
         # under two runs of this
-        monkeypatch.setattr(padic, "_SPLIT_MIN_WORK", 81 * 64 + 1)
+        monkeypatch.setattr(padic, "_UNITS_PER_MS", 81 * 64 + 1)
     try:
         for n, a in sums:
             assert _naive_processes(n, a, 81) == 1

@@ -456,9 +456,9 @@ def test_one_process_renders_each_sweep_before_the_next_runs(monkeypatch):
     # running it, as a forked child does, so no sweep's reports outlive it
     events, sweep, rendered = [], identities._sweep, cli._rendered
 
-    def noted_sweep(cid, todo):
+    def noted_sweep(cid, grid):
         events.append(("ran", cid))
-        return sweep(cid, todo)
+        return sweep(cid, grid)
 
     def noted_rendered(*args):
         render = rendered(*args)
@@ -609,10 +609,10 @@ def test_the_first_value_error_in_canonical_order_exits_2(monkeypatch):
     # but sun comes first in canonical order, and nothing is written
     sweep = identities._sweep
 
-    def refusing(cid, todo):
+    def refusing(cid, grid):
         if cid in ("thm2", "sun"):
             raise ValueError(f"{cid} refused")
-        return sweep(cid, todo)
+        return sweep(cid, grid)
 
     monkeypatch.setattr(identities, "_sweep", refusing)
     for cpus in (1, 2, 3):

@@ -1,6 +1,7 @@
 """``workers``, the one fork decision and the one claim protocol of both
-splits: ``processes`` sets how many processes run a split, the same as the
-rules each split kept before it moved here, and in ``shared`` this process
+splits: ``processes`` sets how many processes run a split from its
+estimated ms, the same as the rules each split kept before wherever a
+list of commands does not say otherwise, and in ``shared`` this process
 and its forked children claim tasks off one pipe, a byte each, and this
 process runs every task that no process returned, so ``witt_sum_naive``
 stays exact whatever fails, and no child outlives a call."""
@@ -258,8 +259,9 @@ def test_the_stat_fields_read_the_kernels_counts_or_nothing(monkeypatch):
 
 
 # The fork decisions as ``identities._sweep_workers`` and
-# ``padic._worker_count`` made them on ``cpus`` CPUs before both moved into
-# ``workers.processes``: the oracle of the one rule that replaced them.
+# ``padic._worker_count`` made them on ``cpus`` CPUs, by report count
+# against 700 and by work units against two runs of 2**22: the oracle of
+# the one rule in estimated ms that replaced them, wherever the two agree.
 
 def _sweep_workers_before(counts: list, cpus: int) -> int:
     """``counts``: the report count of each selected checker's sweep."""
@@ -274,39 +276,82 @@ def _worker_count_before(work: int, cpus: int) -> int:
     return min(cpus, work // 2 ** 22, 256)
 
 
-# (ids, m axis, reports) of sweeps just below and at the sweep cut: thm3_1a
-# has m + 1 reports at m, thm3_1b m, and fersim one at n = 0
-SWEEPS_NEAR_THE_CUT = [
-    (["thm3_1a"], set(range(37)) - {3}, 699),
-    (["thm3_1a"], set(range(37)) - {2}, 700),
-    (["thm3_1a", "thm3_1b"], set(range(27)) - {0, 14}, 699),
-    (["thm3_1a", "thm3_1b"], set(range(27)) - {14}, 700),
-    (["fersim", "thm3_1a", "thm3_1b"], set(range(27)) - {15}, 699),
-    (["fersim", "thm3_1a", "thm3_1b"], set(range(27)) - {0, 14}, 700)]
+# The cold commands that BENCH_cpu_pin.json timed on both sides of the
+# sweep cut, and the benchmark's two small ones; the naive sums are
+# SUMS_NEAR_THE_CUT
+_HIGHDEG = ["reflection", "complement", "fersim", "fersim3", "boundary",
+            "recurrence_odd", "cro2"]
+SWEEP_COMMANDS = {
+    "verify all, m, n 0..1 (172 reports)": (None, SweepGrid(m=range(2),
+                                                          n=range(2))),
+    "verify all, m, n 0..2 (349)": (None, SweepGrid(m=range(3), n=range(3))),
+    "verify all, m, n 0..3 (591)": (None, SweepGrid(m=range(4), n=range(4))),
+    "verify all, m 0..3, n 0..4 (725)": (None, SweepGrid(m=range(4),
+                                                         n=range(5))),
+    "verify all, m 0..4, n 0..3 (740)": (None, SweepGrid(m=range(5),
+                                                         n=range(4))),
+    "verify all, m, n 0..4 (900)": (None, SweepGrid(m=range(5), n=range(5))),
+    "verify all, desk grid (1,731)": (None, SweepGrid()),
+    "highdeg verify, n 40..60 (189)": (_HIGHDEG, SweepGrid(n=range(40, 61))),
+    "padic verify witt lem1 (141)": (["witt", "lem1"], SweepGrid(
+        n=range(9), p_list=(3, 5, 7), precision=5)),
+}
+
+# Where the one unit decides otherwise: {CPUs: {command: (processes now,
+# before)}}; every other decision is the one the old rules made. On two
+# CPUs, highdeg's sweeps cost more than their report count shows, and the
+# naive sums of 11.3 and 11.8 million units, which lost to a fork, run in
+# one process. On more CPUs, a split runs no more processes than its work
+# pays for, at least half of ``FORK_MS`` each, where the sweeps took one
+# per checker and the naive sums one per 2**22 units (about 3 ms).
+_FORKED_BY_COST = {"highdeg verify, n 40..60 (189)": (2, 1),
+                   "witt --naive p=3 N=11 n=0 a=1/2": (1, 2),
+                   "witt --naive p=3 N=11 n=0 a=0": (1, 2),
+                   "witt --naive p=7 N=6 n=2 a=1/2": (1, 2)}
+_PAID_FOR = {"witt --naive p=43 N=3 n=8 a=9/2": (2, 3),
+             "witt --naive p=5 N=7 n=6 a=7/2": (2, 3)}
+NOW_DIFFERENT = {
+    1: {},
+    2: _FORKED_BY_COST,
+    3: {**_FORKED_BY_COST, **_PAID_FOR,
+        "verify all, m 0..3, n 0..4 (725)": (2, 3),
+        "verify all, m 0..4, n 0..3 (740)": (2, 3),
+        "verify all, m, n 0..4 (900)": (2, 3),
+        "witt --naive p=17 N=4 n=8 a=-7/2": (2, 3)},
+    4: {**_FORKED_BY_COST, **_PAID_FOR,
+        "verify all, m 0..3, n 0..4 (725)": (2, 4),
+        "verify all, m 0..4, n 0..3 (740)": (2, 4),
+        "verify all, m, n 0..4 (900)": (2, 4),
+        "witt --naive p=17 N=4 n=8 a=-7/2": (2, 4)},
+    300: {**_FORKED_BY_COST, **_PAID_FOR,
+          "verify all, desk grid (1,731)": (5, 28),
+          "verify all, m 0..3, n 0..4 (725)": (2, 28),
+          "verify all, m 0..4, n 0..3 (740)": (2, 28),
+          "verify all, m, n 0..4 (900)": (2, 28),
+          "witt --naive p=17 N=4 n=8 a=-7/2": (2, 4),
+          "witt --naive p=3 N=12 n=0 a=0": (5, 8)},
+}
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 300])
 def test_the_fork_decision_is_the_one_each_split_made_before(monkeypatch,
                                                              cpus):
-    assert (identities._SWEEP_CUT, padic._SPLIT_MIN_WORK) == (700, 2 ** 22)
     # a split on k processes tries k - 1 forks, each refused
     attempts = _fork_attempts_on(monkeypatch, cpus)
-    for ids, m, reports in SWEEPS_NEAR_THE_CUT:
+    decided = {}
+    for label, (ids, grid) in SWEEP_COMMANDS.items():
         tried = len(attempts)
-        counts = run_suite(ids, SweepGrid(m=m, n=[0]), len)
-        assert sum(counts) == reports
-        assert len(attempts) - tried + 1 == _sweep_workers_before(counts,
-                                                                  cpus)
+        counts = run_suite(ids, grid, len)
+        decided[label] = (len(attempts) - tried + 1,
+                          _sweep_workers_before(counts, cpus))
     for (n, a, p, precision), _ in SUMS_NEAR_THE_CUT:
         span = p ** precision
         tried = len(attempts)
         assert witt_sum_naive(n, a, p, precision) == fermionic_sum_closed(
             n, a, span)
-        assert len(attempts) - tried + 1 == _worker_count_before(
-            _naive_work(n, a, span), cpus)
-    cut = 2 * 2 ** 22
-    # at the cut, and up to the cap of 256 runs, one claim byte a run
-    for work in (cut - 1, cut, 3 * 2 ** 22, 256 * 2 ** 22, 300 * 2 ** 22):
-        assert workers.processes(work, cut, work // 2 ** 22) == (
-            _worker_count_before(work, cpus))
+        decided[f"witt --naive p={p} N={precision} n={n} a={a}"] = (
+            len(attempts) - tried + 1,
+            _worker_count_before(_naive_work(n, a, span), cpus))
+    assert {label: now_before for label, now_before in decided.items()
+            if len(set(now_before)) > 1} == NOW_DIFFERENT[cpus]
     assert bool(attempts) == (cpus > 1)
